@@ -229,7 +229,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         policy=policies[0],
         seed=resolved["seed"],
         n_draws=resolved["n_draws"],
-        d=resolved["d"],
     )
     started = time.perf_counter()
     summary = run_replications(config, spec, policies=policies, jobs=args.jobs)

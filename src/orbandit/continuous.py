@@ -184,10 +184,11 @@ def plan_round(
     proportions = np.full(m, 1.0 / m)
     if observed:
         working = registry
-        if working.reference not in set(active):
-            anchor = next(a for a in working.arms if a in set(observed))
+        observed_set = set(observed)
+        if working.reference not in observed_set:
+            anchor = next(a for a in working.arms if a in observed_set)
             working = reanchor_reference(working, anchor)
-        keep = [i for i, a in enumerate(working.arms) if a in set(observed)]
+        keep = [i for i, a in enumerate(working.arms) if a in observed_set]
         marginal = marginalize_keep(working.belief, keep)
         if marginal.is_proper():
             base = allocation_proportions(marginal, n_draws, rng)
@@ -229,7 +230,8 @@ def absorb_round(
         )
     if working.reference not in active_set and overlap:
         working = reanchor_reference(working, overlap[0])
-    new_arms = tuple(a for a in active if a not in set(working.arms))
+    tracked = set(working.arms)
+    new_arms = tuple(a for a in active if a not in tracked)
     if new_arms:
         old_k = len(working.arms)
         arms = working.arms[:-1] + new_arms + working.arms[-1:]

@@ -2,8 +2,10 @@
 
 Beliefs are kept as (mean, precision) rather than (mean, covariance) so the
 uniform starting prior is representable exactly as a zero precision matrix,
-and batch updates can add curvature terms in place. Covariance is
-materialized only where sampling or marginalization needs it.
+and batch updates can add curvature terms in place. Each belief factors its
+precision once, at construction; that lower Cholesky factor decides
+properness, drives sampling and yields the covariance, so no covariance is
+formed unless a caller asks for one.
 
 The parameter vector for a K-arm model is (b_1, ..., b_{K-1}, b_K), where
 b_i for i < K is the log odds ratio of arm i against the last (reference)
@@ -14,7 +16,7 @@ moving the reference, without changing the per-arm probabilities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -46,7 +48,8 @@ __all__ = [
 PIVOT_TOL = 1e-10
 
 # Slack allowed on the smallest eigenvalue when validating positive
-# semidefiniteness after symmetrization.
+# semidefiniteness after symmetrization; checked only for precisions whose
+# Cholesky factorization fails.
 EIG_TOL = 1e-9
 
 
@@ -59,10 +62,16 @@ class GaussianBelief:
     be sampled, but it can still be transformed, updated, and embedded.
     A zero-dimensional belief is permitted as the degenerate base case for
     ``embed_flat_last``.
+
+    Construction factors the precision once and caches the lower Cholesky
+    factor (None when a pivot falls below ``PIVOT_TOL``). Only a precision
+    that fails that factorization is checked for positive semidefiniteness
+    by its eigenvalues.
     """
 
     mean: np.ndarray
     precision: np.ndarray
+    _factor: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mean = np.array(self.mean, dtype=float).reshape(-1)
@@ -76,51 +85,50 @@ class GaussianBelief:
             raise ValueError("belief entries must be finite")
         # Symmetrize on every construction for numerical cleanliness.
         precision = 0.5 * (precision + precision.T)
-        if d:
+        try:
+            factor = np.linalg.cholesky(precision)
+        except np.linalg.LinAlgError:
+            factor = None
+        if d and factor is not None and factor.diagonal().min() ** 2 <= PIVOT_TOL:
+            factor = None
+        if factor is None:
             min_eig = float(np.linalg.eigvalsh(precision)[0])
             if min_eig < -EIG_TOL:
                 raise ValueError(
                     f"precision is not positive semidefinite (min eigenvalue {min_eig:.3e})"
                 )
+        else:
+            factor.setflags(write=False)
         mean.setflags(write=False)
         precision.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "precision", precision)
+        object.__setattr__(self, "_factor", factor)
 
     @property
     def dim(self) -> int:
         return self.mean.size
 
-    def _cholesky(self) -> np.ndarray | None:
-        """Lower Cholesky factor of the precision, or None if any pivot
-        falls below the positive-definiteness floor."""
-        try:
-            factor = np.linalg.cholesky(self.precision)
-        except np.linalg.LinAlgError:
-            return None
-        if self.dim and np.min(np.diag(factor)) ** 2 <= PIVOT_TOL:
-            return None
-        return factor
-
     def is_proper(self) -> bool:
         """True when the precision is positive definite."""
-        return self._cholesky() is not None
+        return self._factor is not None
 
     def covariance(self) -> np.ndarray:
         """Materialized covariance; requires a proper belief."""
-        factor = self._cholesky()
-        if factor is None:
+        if self._factor is None:
             raise CannotSampleError("improper belief has no covariance")
-        inv_factor = solve_triangular(factor, np.eye(self.dim), lower=True)
+        inv_factor = solve_triangular(self._factor, np.eye(self.dim), lower=True)
         cov = inv_factor.T @ inv_factor
         return 0.5 * (cov + cov.T)
 
 
 @dataclass(frozen=True)
 class TransformMatrix:
-    """Invertible linear reparameterization of the belief coordinates."""
+    """Invertible linear reparameterization of the belief coordinates,
+    kept with its inverse for ``transform``."""
 
     entries: np.ndarray
+    inverse: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         entries = np.array(self.entries, dtype=float)
@@ -135,7 +143,9 @@ class TransformMatrix:
         if not np.all(np.isfinite(inverse)):
             raise InvalidTransformError("transform is numerically singular")
         entries.setflags(write=False)
+        inverse.setflags(write=False)
         object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "inverse", inverse)
 
     @property
     def dim(self) -> int:
@@ -211,14 +221,8 @@ def transform(belief: GaussianBelief, matrix: TransformMatrix) -> GaussianBelief
         raise InvalidDimensionError(
             f"transform dimension {matrix.dim} does not match belief dimension {belief.dim}"
         )
-    entries = matrix.entries
-    mean = entries @ belief.mean
-    try:
-        inverse = np.linalg.solve(entries, np.eye(matrix.dim))
-    except np.linalg.LinAlgError as exc:  # guarded at construction; keep a sharp error
-        raise InvalidTransformError("transform is singular") from exc
-    precision = inverse.T @ belief.precision @ inverse
-    return GaussianBelief(mean, precision)
+    inverse = matrix.inverse
+    return GaussianBelief(matrix.entries @ belief.mean, inverse.T @ belief.precision @ inverse)
 
 
 def marginalize_keep(belief: GaussianBelief, keep: Sequence[int]) -> GaussianBelief:
@@ -234,39 +238,31 @@ def marginalize_keep(belief: GaussianBelief, keep: Sequence[int]) -> GaussianBel
     d = belief.dim
     if len(keep) < 1:
         raise InvalidDimensionError("must keep at least one coordinate")
-    if len(set(keep)) != len(keep) or any(i < 0 or i >= d for i in keep):
+    kept = set(keep)
+    if len(kept) != len(keep) or any(i < 0 or i >= d for i in keep):
         raise InvalidDimensionError(f"invalid coordinate subset {keep} for dimension {d}")
-    drop = [i for i in range(d) if i not in set(keep)]
-    if not drop:
-        return GaussianBelief(belief.mean[keep], belief.precision[np.ix_(keep, keep)])
-    p = belief.precision
-    kept_block = p[np.ix_(keep, keep)]
-    cross = p[np.ix_(keep, drop)]
-    dropped_block = p[np.ix_(drop, drop)]
-    correction = cross @ np.linalg.pinv(dropped_block, rcond=1e-12, hermitian=True) @ cross.T
-    return GaussianBelief(belief.mean[keep], kept_block - correction)
+    drop = [i for i in range(d) if i not in kept]
+    m = len(keep)
+    order = keep + drop
+    p = belief.precision.take(order, axis=0).take(order, axis=1)
+    marginal = p[:m, :m]
+    if drop:
+        # Pseudo-inverse of the dropped block from its eigenpairs, with a
+        # 1e-12 cut-off relative to the largest.
+        eigvals, eigvecs = np.linalg.eigh(p[m:, m:])
+        scale = np.abs(eigvals)
+        live = scale > 1e-12 * scale.max()
+        coupling = p[:m, m:] @ eigvecs[:, live]
+        # Outer products over their eigenvalues: one dropped coordinate
+        # rounds exactly as the rank-one Schur complement does.
+        outer = coupling[:, None, :] * coupling[None, :, :]
+        marginal = marginal - (outer / eigvals[live]).sum(axis=2)
+    return GaussianBelief(belief.mean[keep], marginal)
 
 
 def marginalize_drop_last(belief: GaussianBelief) -> GaussianBelief:
-    """Marginal over all coordinates but the last.
-
-    In precision form this is the leading block minus the rank-one coupling
-    through the last pivot; when the last direction is flat it carries no
-    coupling (any valid precision is positive semidefinite), so the marginal
-    is the leading block itself. Equivalent to taking the leading block of
-    the covariance when the belief is proper.
-    """
-    if belief.dim < 2:
-        raise InvalidDimensionError(
-            f"marginalization needs at least two coordinates, got {belief.dim}"
-        )
-    p = belief.precision
-    last_pivot = p[-1, -1]
-    if last_pivot > PIVOT_TOL:
-        core = p[:-1, :-1] - np.outer(p[:-1, -1], p[-1, :-1]) / last_pivot
-    else:
-        core = p[:-1, :-1]
-    return GaussianBelief(belief.mean[:-1], core)
+    """Marginal over all coordinates but the last."""
+    return marginalize_keep(belief, range(belief.dim - 1))
 
 
 def embed_flat_last(belief: GaussianBelief, start_last: float = 0.0) -> GaussianBelief:
@@ -292,8 +288,7 @@ def sample(belief: GaussianBelief, count: int, rng: np.random.Generator) -> np.n
     count = int(count)
     if count < 1:
         raise ValueError(f"sample count must be positive, got {count}")
-    factor = belief._cholesky()
-    if factor is None:
+    if belief._factor is None:
         raise CannotSampleError("cannot sample from an improper belief")
     z = rng.standard_normal((count, belief.dim))
-    return belief.mean + solve_triangular(factor, z.T, lower=True, trans="T").T
+    return belief.mean + solve_triangular(belief._factor, z.T, lower=True, trans="T").T

@@ -122,7 +122,6 @@ class ExperimentConfig:
     policy: PolicyKind
     seed: int
     n_draws: int = 10_000
-    d: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "policy", PolicyKind(self.policy))
@@ -131,8 +130,6 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if not np.isfinite(self.d) or self.d < 0:
-            raise ValueError(f"d must be a non-negative real, got {self.d}")
 
 
 @dataclass(frozen=True)

@@ -167,7 +167,6 @@ def test_acceptance_06_stationary_regret_parity():
         policy=PolicyKind.OR_TS,
         seed=1001,
         n_draws=10_000,
-        d=0.0,
     )
     spec = drift_environment(10, 0.31, 0.30, 0.0)
     summary = run_replications(config, spec, policies=ALL_POLICIES, jobs=4)
@@ -192,7 +191,6 @@ def test_acceptance_07_drift_robustness():
         policy=PolicyKind.OR_TS,
         seed=1001,
         n_draws=10_000,
-        d=20.0,
     )
     spec = drift_environment(10, 0.31, 0.30, 20.0)
     summary = run_replications(config, spec, policies=ALL_POLICIES, jobs=4)

@@ -131,6 +131,9 @@ def test_invalid_config_returns_exit_code_2(tmp_path, capsys):
     write_json(config, simulate_config(rounds=-1))
     assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
     assert "rounds" in capsys.readouterr().err
+    write_json(config, simulate_config(d=-0.5))
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert "'d'" in capsys.readouterr().err
 
 
 def test_missing_config_file_returns_exit_code_2(tmp_path, capsys):

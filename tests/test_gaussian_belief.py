@@ -87,6 +87,33 @@ def test_nearly_singular_precision_counts_as_improper():
     assert not GaussianBelief(np.zeros(2), precision).is_proper()
 
 
+def test_proper_belief_is_checked_by_its_cholesky_factor_alone(monkeypatch):
+    def no_eigvalsh(*args, **kwargs):
+        raise AssertionError("eigvalsh ran for a positive definite precision")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+    belief = random_proper_belief(4, np.random.default_rng(3))
+    assert belief.is_proper()
+    assert sample(belief, 5, np.random.default_rng(0)).shape == (5, 4)
+    np.testing.assert_allclose(belief.covariance() @ belief.precision, np.eye(4), atol=1e-10)
+
+
+def test_rank_deficient_psd_precision_is_valid_but_improper(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(matrix):
+        calls.append(matrix)
+        return eigvalsh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    belief = GaussianBelief(np.zeros(2), np.array([[1.0, 1.0], [1.0, 1.0]]))
+    assert len(calls) == 1
+    assert not belief.is_proper()
+    with pytest.raises(CannotSampleError):
+        sample(belief, 3, np.random.default_rng(0))
+
+
 # --- transforms -------------------------------------------------------------
 
 
@@ -159,6 +186,16 @@ def test_drop_last_matches_covariance_block():
     # Schur complement: 2 - 1*1/2 = 1.5
     np.testing.assert_allclose(marginal.precision, [[1.5]], atol=1e-12)
     np.testing.assert_allclose(marginal.mean, [0.3], atol=1e-12)
+
+
+def test_drop_last_rounds_exactly_as_the_rank_one_schur_complement():
+    rng = np.random.default_rng(7)
+    for k in (2, 10, 50):
+        belief = random_proper_belief(k, rng, scale=1e3)
+        p = belief.precision
+        rank_one = p[:-1, :-1] - np.outer(p[:-1, -1], p[-1, :-1]) / p[-1, -1]
+        expected = GaussianBelief(belief.mean[:-1], rank_one)
+        np.testing.assert_array_equal(marginalize_drop_last(belief).precision, expected.precision)
 
 
 def test_drop_last_of_flat_belief_stays_flat():

@@ -169,7 +169,6 @@ def small_config(policy, seed=21, **overrides):
         policy=policy,
         seed=seed,
         n_draws=1500,
-        d=0.0,
     )
     base.update(overrides)
     return ExperimentConfig(**base)
@@ -286,5 +285,3 @@ def test_config_validation():
         small_config(PolicyKind.OR_TS, arms=0)
     with pytest.raises(ValueError):
         small_config(PolicyKind.OR_TS, seed=-1)
-    with pytest.raises(ValueError):
-        small_config(PolicyKind.OR_TS, d=-0.5)
