@@ -4,8 +4,9 @@ Beliefs are kept as (mean, precision) rather than (mean, covariance) so the
 uniform starting prior is representable exactly as a zero precision matrix,
 and batch updates can add curvature terms in place. Each belief factors its
 precision once, at construction; that lower Cholesky factor decides
-properness, drives sampling and yields the covariance, so no covariance is
-formed unless a caller asks for one.
+properness, and its triangular inverse both maps standard normals to draws
+and yields the covariance, so no covariance is formed unless a caller asks
+for one.
 
 The parameter vector for a K-arm model is (b_1, ..., b_{K-1}, b_K), where
 b_i for i < K is the log odds ratio of arm i against the last (reference)
@@ -20,7 +21,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dtrmm
+from scipy.linalg.lapack import dtrtri
 
 from .errors import (
     CannotSampleError,
@@ -64,9 +66,10 @@ class GaussianBelief:
     ``embed_flat_last``.
 
     Construction factors the precision once and caches the lower Cholesky
-    factor (None when a pivot falls below ``PIVOT_TOL``). Only a precision
-    that fails that factorization is checked for positive semidefiniteness
-    by its eigenvalues.
+    factor (None when a pivot falls below ``PIVOT_TOL``, or when any row is
+    exactly zero). Exactly-zero rows are flat, so only the remaining block
+    is factored; a precision whose remaining block fails that factorization
+    is checked for positive semidefiniteness by its eigenvalues.
     """
 
     mean: np.ndarray
@@ -85,11 +88,15 @@ class GaussianBelief:
             raise ValueError("belief entries must be finite")
         # Symmetrize on every construction for numerical cleanliness.
         precision = 0.5 * (precision + precision.T)
+        # The precision is a permutation of diag(block, 0) over its
+        # exactly-zero rows, so it is PSD exactly when the block is.
+        flat = ~precision.any(axis=1)
+        block = precision[np.ix_(~flat, ~flat)] if flat.any() else precision
         try:
-            factor = np.linalg.cholesky(precision)
+            factor = np.linalg.cholesky(block)
         except np.linalg.LinAlgError:
             factor = None
-        if d and factor is not None and factor.diagonal().min() ** 2 <= PIVOT_TOL:
+        if block.size and factor is not None and factor.diagonal().min() ** 2 <= PIVOT_TOL:
             factor = None
         if factor is None:
             min_eig = float(np.linalg.eigvalsh(precision)[0])
@@ -97,6 +104,8 @@ class GaussianBelief:
                 raise ValueError(
                     f"precision is not positive semidefinite (min eigenvalue {min_eig:.3e})"
                 )
+        elif flat.any():
+            factor = None
         else:
             factor.setflags(write=False)
         mean.setflags(write=False)
@@ -117,9 +126,17 @@ class GaussianBelief:
         """Materialized covariance; requires a proper belief."""
         if self._factor is None:
             raise CannotSampleError("improper belief has no covariance")
-        inv_factor = solve_triangular(self._factor, np.eye(self.dim), lower=True)
+        inv_factor = _inverse_factor(self._factor)
         cov = inv_factor.T @ inv_factor
         return 0.5 * (cov + cov.T)
+
+
+def _inverse_factor(factor: np.ndarray) -> np.ndarray:
+    """Inverse of a lower Cholesky factor, lower triangular like it."""
+    if not factor.size:
+        return factor
+    inverse, _ = dtrtri(factor, lower=1)
+    return inverse
 
 
 @dataclass(frozen=True)
@@ -282,8 +299,9 @@ def embed_flat_last(belief: GaussianBelief, start_last: float = 0.0) -> Gaussian
 def sample(belief: GaussianBelief, count: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``count`` vectors from a proper belief, shape (count, dim).
 
-    Draws are produced by back-solving the precision's Cholesky factor
-    against standard normals, so no covariance matrix is formed.
+    With the precision factored as L Lᵀ, the standard normals z become
+    draws ``z @ L⁻¹``: one triangular multiply, written into the normals'
+    own buffer, so no covariance matrix is formed.
     """
     count = int(count)
     if count < 1:
@@ -291,4 +309,7 @@ def sample(belief: GaussianBelief, count: int, rng: np.random.Generator) -> np.n
     if belief._factor is None:
         raise CannotSampleError("cannot sample from an improper belief")
     z = rng.standard_normal((count, belief.dim))
-    return belief.mean + solve_triangular(belief._factor, z.T, lower=True, trans="T").T
+    inverse = _inverse_factor(belief._factor)
+    draws = dtrmm(1.0, inverse, z.T, side=0, lower=1, trans_a=1, overwrite_b=1).T
+    draws += belief.mean
+    return draws

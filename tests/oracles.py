@@ -8,9 +8,12 @@ package's own formulas, so agreement is evidence and not tautology.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 __all__ = [
     "arm_logit_matrix",
+    "backsolve_sample",
+    "backsolve_winner_counts",
     "dense_objective",
     "fd_gradient",
     "fd_hessian",
@@ -110,3 +113,27 @@ def grid_allocation_probs(mean: np.ndarray, cov: np.ndarray, n_points: int = 120
     p1 = density[first].sum() / total
     p2 = density[second].sum() / total
     return np.array([p1, p2, 1.0 - p1 - p2])
+
+
+def backsolve_sample(mean, precision, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Gaussian draws by back-solving the precision's Cholesky factor.
+
+    With precision = L Lᵀ, each row solves Lᵀ x = z for a row of standard
+    normals z, so x has covariance (L Lᵀ)⁻¹. Draws ``count × dim`` normals
+    in one call, in the same order as the package's sampler.
+    """
+    mean = np.asarray(mean, dtype=float)
+    factor = np.linalg.cholesky(np.asarray(precision, dtype=float))
+    z = rng.standard_normal((count, mean.size))
+    return mean + solve_triangular(factor, z.T, lower=True, trans="T").T
+
+
+def backsolve_winner_counts(mean, precision, n_draws: int, rng: np.random.Generator) -> np.ndarray:
+    """Thompson winner counts per arm from back-solved draws.
+
+    The last (reference) coordinate is scored as zero and ties go to the
+    lowest index, the allocation rule of the odds-ratio parameterization.
+    """
+    scores = backsolve_sample(mean, precision, n_draws, rng)
+    scores[:, -1] = 0.0
+    return np.bincount(np.argmax(scores, axis=1), minlength=scores.shape[1])

@@ -20,6 +20,7 @@ from orbandit import (
     sample,
     transform,
 )
+from oracles import backsolve_sample
 
 
 def random_proper_belief(k, rng, scale=1.0):
@@ -87,10 +88,11 @@ def test_nearly_singular_precision_counts_as_improper():
     assert not GaussianBelief(np.zeros(2), precision).is_proper()
 
 
-def test_proper_belief_is_checked_by_its_cholesky_factor_alone(monkeypatch):
-    def no_eigvalsh(*args, **kwargs):
-        raise AssertionError("eigvalsh ran for a positive definite precision")
+def no_eigvalsh(*args, **kwargs):
+    raise AssertionError("eigvalsh ran")
 
+
+def test_proper_belief_is_checked_by_its_cholesky_factor_alone(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
     belief = random_proper_belief(4, np.random.default_rng(3))
     assert belief.is_proper()
@@ -112,6 +114,29 @@ def test_rank_deficient_psd_precision_is_valid_but_improper(monkeypatch):
     assert not belief.is_proper()
     with pytest.raises(CannotSampleError):
         sample(belief, 3, np.random.default_rng(0))
+
+
+def test_exactly_zero_rows_are_flat_without_eigvalsh(monkeypatch):
+    core = random_proper_belief(4, np.random.default_rng(11))
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+    embedded = embed_flat_last(core, start_last=0.5)
+    assert not embedded.is_proper()
+    np.testing.assert_array_equal(embedded.precision[:4, :4], core.precision)
+    assert not make_flat_belief(5).is_proper()
+    precision = np.zeros((3, 3))
+    precision[np.ix_([0, 2], [0, 2])] = [[2.0, 0.5], [0.5, 1.0]]
+    assert not GaussianBelief(np.zeros(3), precision).is_proper()
+
+
+def test_flat_row_beside_an_indefinite_block_is_rejected():
+    precision = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(ValueError):
+        GaussianBelief(np.zeros(3), precision)
+
+
+def test_flat_row_beside_a_singular_psd_block_is_valid_but_improper():
+    precision = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+    assert not GaussianBelief(np.zeros(3), precision).is_proper()
 
 
 # --- transforms -------------------------------------------------------------
@@ -277,6 +302,21 @@ def test_sampling_is_deterministic_given_seed():
     a = sample(belief, 5, np.random.default_rng(7))
     b = sample(belief, 5, np.random.default_rng(7))
     np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 10])
+def test_sample_matches_the_backsolve_oracle_and_spends_count_times_dim_normals(k):
+    belief = random_proper_belief(k, np.random.default_rng(30 + k))
+    rng, oracle_rng = np.random.default_rng(31), np.random.default_rng(31)
+    draws = sample(belief, 500, rng)
+    expected = backsolve_sample(belief.mean, belief.precision, 500, oracle_rng)
+    assert draws.shape == (500, k)
+    scale = np.abs(expected).max(initial=0.0)
+    np.testing.assert_allclose(draws, expected, rtol=1e-12, atol=1e-12 * scale)
+    spent = np.random.default_rng(31)
+    spent.standard_normal(500 * k)
+    assert rng.bit_generator.state == spent.bit_generator.state
+    assert belief.covariance().shape == (k, k)
 
 
 def test_sample_count_must_be_positive():

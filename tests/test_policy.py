@@ -5,19 +5,24 @@ import pytest
 
 from orbandit import (
     AllocationProportions,
+    ArmRegistry,
     BetaState,
     GaussianBelief,
     LogisticPolicyState,
     RoundData,
     UpdateMode,
+    absorb_round,
     allocation_proportions,
     beta_ts_proportions,
     beta_ts_update,
     full_ts_update,
     initial_proportions,
     make_flat_belief,
+    marginalize_keep,
     or_ts_update,
+    sample,
 )
+from oracles import backsolve_sample, backsolve_winner_counts
 
 
 # --- proportions -------------------------------------------------------------
@@ -64,6 +69,59 @@ def test_allocation_is_deterministic_given_generator_state():
     a = allocation_proportions(belief, 10_000, np.random.default_rng(103))
     b = allocation_proportions(belief, 10_000, np.random.default_rng(103))
     np.testing.assert_array_equal(a.p, b.p)
+
+
+# --- allocation against the back-solve oracle ---------------------------------
+
+
+def or_ts_belief(k, trials, seed, spread=0.25):
+    """Belief after two odds-ratio rounds of ``trials`` split evenly, with
+    arm rates spread over ``spread`` above 0.05."""
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(0.05, 0.05 + spread, size=k)
+    state = LogisticPolicyState.flat_start(k, UpdateMode.ODDS_RATIO)
+    for _ in range(2):
+        n = np.full(k, trials // k)
+        state = or_ts_update(state, RoundData(n, rng.binomial(n, p)))
+    return state.belief
+
+
+def continuous_marginal(seed):
+    """Marginal over four of six tracked arms, the reference among them."""
+    rng = np.random.default_rng(seed)
+    arms = tuple("ABCDEF")
+    registry = ArmRegistry.empty()
+    for _ in range(2):
+        n = np.full(6, 2000)
+        data = RoundData(n, rng.binomial(n, rng.uniform(0.1, 0.3, size=6)))
+        registry = absorb_round(registry, arms, data, UpdateMode.ODDS_RATIO)
+    return marginalize_keep(registry.belief, [0, 2, 3, 5])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: or_ts_belief(2, 10_000, 2),
+        lambda: or_ts_belief(10, 10_000, 10),
+        lambda: or_ts_belief(50, 10_000, 50),
+        lambda: or_ts_belief(200, 10_000, 200),
+        lambda: or_ts_belief(10, 1_000_000, 3, spread=0.002),
+        lambda: continuous_marginal(5),
+    ],
+    ids=["k2", "k10", "k50", "k200", "k10_1e6_trials", "continuous_marginal"],
+)
+def test_allocation_matches_the_backsolve_oracle(make):
+    belief = make()
+    assert belief.is_proper()
+    rng, oracle_rng = np.random.default_rng(20), np.random.default_rng(20)
+    props = allocation_proportions(belief, 10_000, rng)
+    counts = backsolve_winner_counts(belief.mean, belief.precision, 10_000, oracle_rng)
+    np.testing.assert_array_equal(props.p, counts / 10_000.0)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    draws = sample(belief, 2_000, np.random.default_rng(21))
+    expected = backsolve_sample(belief.mean, belief.precision, 2_000, np.random.default_rng(21))
+    np.testing.assert_allclose(draws, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
 
 
 # --- beta-bernoulli baseline --------------------------------------------------
