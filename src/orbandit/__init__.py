@@ -72,10 +72,10 @@ from .policy import (
 )
 from .simulation import (
     ExperimentConfig,
+    ExperimentResult,
     LogitDrift,
     PolicyKind,
     RegimeSchedule,
-    RoundRecord,
     SimulationSummary,
     Stationary,
     allocate_trials,
@@ -143,7 +143,7 @@ __all__ = [
     "RegimeSchedule",
     "PolicyKind",
     "ExperimentConfig",
-    "RoundRecord",
+    "ExperimentResult",
     "SimulationSummary",
     "sigma_from_d",
     "env_step",

@@ -14,7 +14,6 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -36,7 +35,7 @@ from .simulation import (
     run_replications,
 )
 
-__all__ = ["RunManifest", "main", "cmd_simulate", "cmd_continuous"]
+__all__ = ["main", "cmd_simulate", "cmd_continuous"]
 
 _ALL_POLICIES = (PolicyKind.BETA_TS, PolicyKind.FULL_TS, PolicyKind.OR_TS)
 
@@ -48,27 +47,6 @@ _CONFIG_DEFAULTS: dict[str, Any] = {
 }
 
 _REQUIRED_FIELDS = ("arms", "rounds", "trials", "replications", "policy", "seed")
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Self-contained record of a simulate run, reusable as its config."""
-
-    config: dict[str, Any]
-    environment: dict[str, Any]
-    seed: int
-    version: str
-    duration_seconds: float
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "artifact": "orbandit",
-            "version": self.version,
-            "config": self.config,
-            "environment": self.environment,
-            "seed": self.seed,
-            "duration_seconds": self.duration_seconds,
-        }
 
 
 def _fmt(value: Any) -> str:
@@ -217,6 +195,8 @@ def _write_csv(path: Path, header: list[str], rows: list[list[Any]]) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"flag '--jobs' must be >= 1, got {args.jobs}")
     resolved, spec = _resolve_simulate_config(args)
     policies = (
         _ALL_POLICIES if resolved["policy"] == "all" else (PolicyKind(resolved["policy"]),)
@@ -237,31 +217,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     regret_rows = []
     summary_rows = []
     for policy in policies:
-        for rep_index, rep in enumerate(summary.records[policy]):
-            cumulative = 0.0
-            for record in rep:
-                cumulative += record.regret
-                regret_rows.append(
-                    [
-                        policy.value,
-                        rep_index,
-                        record.round,
-                        record.regret,
-                        cumulative,
-                        record.expected_clicks,
-                    ]
-                )
-        means = summary.mean_cumulative_regret(policy)
-        stderrs = summary.stderr_cumulative_regret(policy)
-        for round_index in range(config.rounds):
-            summary_rows.append(
-                [
-                    policy.value,
-                    round_index + 1,
-                    float(means[round_index]),
-                    float(stderrs[round_index]),
-                ]
-            )
+        regret = summary.regret[policy].tolist()
+        cumulative = summary.cumulative_regret(policy).tolist()
+        clicks = summary.expected_clicks[policy].tolist()
+        for rep in range(config.replications):
+            for row in range(config.rounds):
+                regret_rows.append([
+                    policy.value, rep, row + 1,
+                    regret[rep][row], cumulative[rep][row], clicks[rep][row],
+                ])
+        means = summary.mean_cumulative_regret(policy).tolist()
+        stderrs = summary.stderr_cumulative_regret(policy).tolist()
+        for row in range(config.rounds):
+            summary_rows.append([policy.value, row + 1, means[row], stderrs[row]])
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -275,15 +243,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         ["policy", "round", "mean_cum_regret", "stderr_cum_regret"],
         summary_rows,
     )
-    manifest = RunManifest(
-        config={k: v for k, v in resolved.items() if k != "environment"},
-        environment=resolved["environment"],
-        seed=resolved["seed"],
-        version=__version__,
-        duration_seconds=duration,
-    )
+    # Self-contained record of the run, reusable as its config.
+    manifest = {
+        "artifact": "orbandit",
+        "version": __version__,
+        "config": {k: v for k, v in resolved.items() if k != "environment"},
+        "environment": resolved["environment"],
+        "seed": resolved["seed"],
+        "duration_seconds": duration,
+    }
     (out_dir / "manifest.json").write_text(
-        json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     for policy in policies:
         final = summary.mean_cumulative_regret(policy)[-1]
@@ -315,15 +285,16 @@ def _parse_scenario(path: str) -> ContinuousScenario:
             raise ConfigError(f"round {index}: field 'trials' must be a non-negative integer")
         try:
             rounds.append(ScenarioRound(tuple(active), p, trials))
-        except BanditError as exc:
+        except (BanditError, TypeError, ValueError) as exc:
             raise ConfigError(f"round {index}: {exc}") from exc
     mode = raw.get("mode", UpdateMode.ODDS_RATIO.value)
     try:
         mode = UpdateMode(mode)
     except ValueError as exc:
         raise ConfigError(f"field 'mode' must be 'full' or 'odds_ratio', got {mode!r}") from exc
-    seed = raw.get("seed", 0)
-    n_draws = raw.get("n_draws", 10_000)
+    fields = {"seed": 0, "n_draws": 10_000, **raw}
+    seed = _require_int(fields, "seed", 0)
+    n_draws = _require_int(fields, "n_draws", 1)
     on_break = raw.get("on_continuity_break", "reinitialize")
     try:
         return ContinuousScenario(

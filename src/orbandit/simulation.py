@@ -3,8 +3,9 @@
 Environments produce per-arm success probabilities per round: a constant
 vector, a logit-space random walk where one shared draw shifts every arm
 together each round, or an explicit per-round schedule. The harness runs a
-policy against an environment round by round, records allocations and
-regret, and aggregates paired replications across policies.
+policy against an environment round by round, returns allocations and
+regret as per-round columns, and stacks paired replications across
+policies.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import repeat
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -39,7 +41,7 @@ __all__ = [
     "EnvironmentSpec",
     "PolicyKind",
     "ExperimentConfig",
-    "RoundRecord",
+    "ExperimentResult",
     "SimulationSummary",
     "sigma_from_d",
     "env_step",
@@ -133,16 +135,19 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class RoundRecord:
-    """Everything recorded about one simulated round."""
+class ExperimentResult:
+    """One experiment in columns; row t holds round t + 1.
 
-    round: int
-    proportions: AllocationProportions
+    ``proportions``, ``allocated``, ``successes`` and ``true_p`` have shape
+    (rounds, arms); ``regret`` and ``expected_clicks`` have shape (rounds,).
+    """
+
+    proportions: np.ndarray
     allocated: np.ndarray
     successes: np.ndarray
-    true_p: ProbVector
-    regret: float
-    expected_clicks: float
+    true_p: np.ndarray
+    regret: np.ndarray
+    expected_clicks: np.ndarray
 
 
 def sigma_from_d(d: float, p_optimal: float, p_suboptimal: float) -> float:
@@ -177,19 +182,12 @@ def env_step(spec: EnvironmentSpec, round_index: int, rng: np.random.Generator) 
     raise TypeError(f"unknown environment spec {type(spec).__name__}")
 
 
-def allocate_trials(
-    proportions,
-    total: int,
-    rng: np.random.Generator,
-    method: str = "multinomial",
-) -> np.ndarray:
-    """Split a round's trial budget across arms.
+def allocate_trials(proportions, total: int, rng: np.random.Generator) -> np.ndarray:
+    """Split a round's trial budget across arms by one multinomial draw.
 
-    Accepts AllocationProportions or any non-negative weight vector. The
-    default multinomial draw matches how traffic actually splits when each
-    visitor is routed independently; the deterministic alternative assigns
-    floors and hands leftovers to the largest remainders, breaking ties
-    toward the lowest arm index.
+    Accepts AllocationProportions or any non-negative weight vector; the
+    weights are normalised to shares first. The multinomial draw matches how
+    traffic actually splits when each visitor is routed independently.
     """
     total = int(total)
     if total < 0:
@@ -203,17 +201,7 @@ def allocate_trials(
         raise ValueError("allocation weights must be non-negative finite numbers")
     if weights.sum() <= 0:
         raise ValueError("allocation weights must not all be zero")
-    shares = weights / weights.sum()
-    if method == "multinomial":
-        return rng.multinomial(total, shares).astype(np.int64)
-    if method == "largest_remainder":
-        exact = total * shares
-        base = np.floor(exact).astype(np.int64)
-        leftover = total - int(base.sum())
-        order = np.argsort(-(exact - base), kind="stable")
-        base[order[:leftover]] += 1
-        return base
-    raise ValueError(f"unknown allocation method {method!r}")
+    return rng.multinomial(total, weights / weights.sum()).astype(np.int64)
 
 
 def draw_rewards(allocated: np.ndarray, true_p, rng: np.random.Generator) -> np.ndarray:
@@ -277,7 +265,7 @@ def _environment_arms(spec: EnvironmentSpec) -> int:
     return spec.rounds[0][0].arms
 
 
-def run_experiment(config: ExperimentConfig, spec: EnvironmentSpec) -> list[RoundRecord]:
+def run_experiment(config: ExperimentConfig, spec: EnvironmentSpec) -> ExperimentResult:
     """One policy against one environment for the configured rounds.
 
     Per round: propose proportions (uniform until the first posterior
@@ -299,51 +287,52 @@ def run_experiment(config: ExperimentConfig, spec: EnvironmentSpec) -> list[Roun
     streams = np.random.SeedSequence(config.seed).spawn(4)
     rng_env, rng_alloc, rng_reward, rng_policy = (np.random.default_rng(s) for s in streams)
     runner = _make_runner(config)
-    records = []
-    for round_index in range(1, config.rounds + 1):
+    table = (config.rounds, config.arms)
+    result = ExperimentResult(
+        proportions=np.empty(table),
+        allocated=np.empty(table, dtype=np.int64),
+        successes=np.empty(table, dtype=np.int64),
+        true_p=np.empty(table),
+        regret=np.empty(config.rounds),
+        expected_clicks=np.empty(config.rounds),
+    )
+    for row in range(config.rounds):
+        round_index = row + 1
         try:
             proportions = runner.propose(rng_policy)
         except BanditError as exc:
             raise SimulationError(config.policy.value, round_index, str(exc)) from exc
         trials = (
-            spec.rounds[round_index - 1][1]
-            if isinstance(spec, RegimeSchedule)
-            else config.trials_per_round
+            spec.rounds[row][1] if isinstance(spec, RegimeSchedule) else config.trials_per_round
         )
         allocated = allocate_trials(proportions, trials, rng_alloc)
-        true_p = env_step(spec, round_index, rng_env)
+        true_p = env_step(spec, round_index, rng_env).p
         successes = draw_rewards(allocated, true_p, rng_reward)
         try:
             runner.observe(RoundData(allocated, successes))
         except BanditError as exc:
             raise SimulationError(config.policy.value, round_index, str(exc)) from exc
-        best = float(np.max(true_p.p))
-        regret = float(np.sum(allocated * (best - true_p.p)))
-        clicks = float(np.sum(allocated * true_p.p))
-        records.append(
-            RoundRecord(round_index, proportions, allocated, successes, true_p, regret, clicks)
-        )
-    return records
-
-
-def _replication_task(args: tuple[ExperimentConfig, EnvironmentSpec]) -> list[RoundRecord]:
-    return run_experiment(*args)
+        result.proportions[row] = proportions.p
+        result.allocated[row] = allocated
+        result.successes[row] = successes
+        result.true_p[row] = true_p
+        result.regret[row] = np.sum(allocated * (np.max(true_p) - true_p))
+        result.expected_clicks[row] = np.sum(allocated * true_p)
+    return result
 
 
 @dataclass(frozen=True)
 class SimulationSummary:
-    """Per-replication records plus the aggregates the reports need."""
+    """Per-round regret and expected clicks of paired replications: for
+    each policy, one array of shape (replications, rounds) per quantity."""
 
     policies: tuple[PolicyKind, ...]
-    rounds: int
-    records: Mapping[PolicyKind, tuple[tuple[RoundRecord, ...], ...]]
+    regret: Mapping[PolicyKind, np.ndarray]
+    expected_clicks: Mapping[PolicyKind, np.ndarray]
 
     def cumulative_regret(self, policy: PolicyKind) -> np.ndarray:
         """Cumulative regret curves, shape (replications, rounds)."""
-        per_round = np.array(
-            [[record.regret for record in rep] for rep in self.records[PolicyKind(policy)]]
-        )
-        return per_round.cumsum(axis=1)
+        return self.regret[PolicyKind(policy)].cumsum(axis=1)
 
     def mean_cumulative_regret(self, policy: PolicyKind) -> np.ndarray:
         return self.cumulative_regret(policy).mean(axis=0)
@@ -355,13 +344,12 @@ class SimulationSummary:
         return curves.std(axis=0, ddof=1) / np.sqrt(curves.shape[0])
 
     def total_expected_clicks(self, policy: PolicyKind) -> np.ndarray:
-        """Expected clicks summed over rounds, one entry per replication."""
-        return np.array(
-            [
-                sum(record.expected_clicks for record in rep)
-                for rep in self.records[PolicyKind(policy)]
-            ]
-        )
+        """Expected clicks summed over rounds, one entry per replication.
+
+        The sum runs left to right, as ``cumsum`` does; ``sum(axis=1)``
+        would add pairwise and round differently.
+        """
+        return self.expected_clicks[PolicyKind(policy)].cumsum(axis=1)[:, -1]
 
 
 def run_replications(
@@ -378,23 +366,22 @@ def run_replications(
     chosen = tuple(PolicyKind(p) for p in (policies if policies is not None else (config.policy,)))
     if not chosen:
         raise ValueError("at least one policy is required")
-    tasks = [
-        (replace(config, policy=policy, seed=config.seed + rep), spec)
+    configs = [
+        replace(config, policy=policy, seed=config.seed + rep)
         for policy in chosen
         for rep in range(config.replications)
     ]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_replication_task, tasks))
+            results = list(pool.map(run_experiment, configs, repeat(spec)))
     else:
-        results = [_replication_task(task) for task in tasks]
-    records: dict[PolicyKind, tuple[tuple[RoundRecord, ...], ...]] = {}
-    for index, policy in enumerate(chosen):
-        start = index * config.replications
-        records[policy] = tuple(
-            tuple(results[start + rep]) for rep in range(config.replications)
-        )
-    return SimulationSummary(chosen, config.rounds, records)
+        results = list(map(run_experiment, configs, repeat(spec)))
+
+    def by_policy(column: str) -> dict[PolicyKind, np.ndarray]:
+        stacked = np.stack([getattr(result, column) for result in results])
+        return dict(zip(chosen, stacked.reshape(len(chosen), config.replications, -1)))
+
+    return SimulationSummary(chosen, by_policy("regret"), by_policy("expected_clicks"))
 
 
 def single_best_arm_logits(arms: int, p_optimal: float, p_suboptimal: float) -> np.ndarray:

@@ -134,6 +134,12 @@ def test_invalid_config_returns_exit_code_2(tmp_path, capsys):
     write_json(config, simulate_config(d=-0.5))
     assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
     assert "'d'" in capsys.readouterr().err
+    write_json(config, simulate_config())
+    for jobs in ("0", "-2"):
+        argv = ["simulate", "--config", str(config), "--out", str(tmp_path / "o"), "--jobs", jobs]
+        assert main(argv) == 2
+        assert "jobs" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_missing_config_file_returns_exit_code_2(tmp_path, capsys):
@@ -201,12 +207,37 @@ def test_continuous_writes_rounds_and_decisions(tmp_path):
 
 
 def test_continuous_rejects_bad_round(tmp_path, capsys):
-    scenario = continuous_scenario()
-    scenario["rounds"][0]["p"] = {"A": 0.32}  # missing arms
+    """Each malformed scenario exits 2 with a message naming the field."""
+
+    def top(**fields):
+        return lambda scenario: scenario.update(fields)
+
+    def first_round(field, key, value):
+        def mutate(scenario):
+            scenario["rounds"][0][field][key] = value
+        return mutate
+
+    cases = [
+        (lambda scenario: scenario["rounds"][0].update(p={"A": 0.32}), "round 1"),  # missing arms
+        (top(seed="5"), "'seed'"),
+        (top(seed=1.5), "'seed'"),
+        (top(seed=-1), "'seed'"),
+        (top(n_draws="10"), "'n_draws'"),
+        (top(n_draws=True), "'n_draws'"),
+        (top(n_draws=0), "'n_draws'"),
+        (first_round("p", "A", "x"), "round 1"),
+        (first_round("p", "A", None), "round 1"),
+        (first_round("active", 0, ["A"]), "round 1"),
+    ]
     config = tmp_path / "scenario.json"
-    write_json(config, scenario)
-    assert main(["continuous", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
-    assert "round 1" in capsys.readouterr().err
+    for mutate, named in cases:
+        scenario = continuous_scenario()
+        mutate(scenario)
+        write_json(config, scenario)
+        assert main(["continuous", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and named in err, (scenario, err)
+    assert not (tmp_path / "o").exists()
 
 
 def test_continuous_rejects_unknown_mode(tmp_path, capsys):

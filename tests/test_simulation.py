@@ -1,11 +1,14 @@
 """Simulation harness: environments, allocation arithmetic, replications."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.special import expit, logit
 
 from orbandit import (
     ExperimentConfig,
+    ExperimentResult,
     InvalidRoundError,
     LogitDrift,
     PolicyKind,
@@ -132,21 +135,6 @@ def test_multinomial_allocation_sums_to_total():
     assert counts.min() >= 0
 
 
-def test_largest_remainder_allocation_is_deterministic():
-    rng = np.random.default_rng(5)
-    counts = allocate_trials(
-        np.array([0.5, 0.3, 0.2]), 101, rng, method="largest_remainder"
-    )
-    assert counts.sum() == 101
-    np.testing.assert_array_equal(counts, [51, 30, 20])
-
-
-def test_largest_remainder_breaks_ties_toward_lowest_index():
-    rng = np.random.default_rng(6)
-    counts = allocate_trials(np.array([0.5, 0.5]), 5, rng, method="largest_remainder")
-    np.testing.assert_array_equal(counts, [3, 2])
-
-
 def test_draw_rewards_bounds_and_determinism():
     allocated = np.array([1000, 0, 500])
     p = np.array([0.3, 0.5, 0.9])
@@ -176,29 +164,28 @@ def small_config(policy, seed=21, **overrides):
 
 def test_run_experiment_produces_one_record_per_round():
     config = small_config(PolicyKind.OR_TS)
-    records = run_experiment(config, drift_environment(4, 0.31, 0.30, 0.0))
-    assert len(records) == 8
-    for i, record in enumerate(records, start=1):
-        assert record.round == i
-        assert record.allocated.sum() == 1500
-        assert record.regret >= 0.0
-        assert record.proportions.p.sum() == pytest.approx(1.0)
+    result = run_experiment(config, drift_environment(4, 0.31, 0.30, 0.0))
+    assert isinstance(result, ExperimentResult)
+    for column in (result.proportions, result.allocated, result.successes, result.true_p):
+        assert column.shape == (8, 4)
+    assert result.regret.shape == result.expected_clicks.shape == (8,)
+    np.testing.assert_array_equal(result.allocated.sum(axis=1), np.full(8, 1500))
+    assert np.all(result.regret >= 0.0)
+    np.testing.assert_allclose(result.proportions.sum(axis=1), np.ones(8), atol=1e-12)
 
 
 def test_regret_is_expected_shortfall_against_best_arm():
     config = small_config(PolicyKind.BETA_TS, rounds=1)
-    records = run_experiment(config, drift_environment(4, 0.31, 0.30, 0.0))
-    record = records[0]
-    expected = np.sum(record.allocated * (0.31 - record.true_p.p))
-    assert record.regret == pytest.approx(expected, abs=1e-9)
+    result = run_experiment(config, drift_environment(4, 0.31, 0.30, 0.0))
+    expected = np.sum(result.allocated[0] * (0.31 - result.true_p[0]))
+    assert result.regret[0] == pytest.approx(expected, abs=1e-9)
 
 
 def test_expected_clicks_complements_regret():
     config = small_config(PolicyKind.FULL_TS, rounds=2)
-    records = run_experiment(config, drift_environment(4, 0.31, 0.30, 0.0))
-    for record in records:
-        clicks = np.sum(record.allocated * record.true_p.p)
-        assert record.expected_clicks == pytest.approx(clicks, abs=1e-9)
+    result = run_experiment(config, drift_environment(4, 0.31, 0.30, 0.0))
+    clicks = np.sum(result.allocated * result.true_p, axis=1)
+    np.testing.assert_allclose(result.expected_clicks, clicks, rtol=0, atol=1e-9)
 
 
 def test_run_experiment_checks_environment_arm_count():
@@ -221,10 +208,9 @@ def test_same_seed_reproduces_run_exactly():
     spec = drift_environment(4, 0.31, 0.30, 5.0)
     a = run_experiment(config, spec)
     b = run_experiment(config, spec)
-    for ra, rb in zip(a, b):
-        np.testing.assert_array_equal(ra.allocated, rb.allocated)
-        np.testing.assert_array_equal(ra.successes, rb.successes)
-        np.testing.assert_array_equal(ra.true_p.p, rb.true_p.p)
+    np.testing.assert_array_equal(a.allocated, b.allocated)
+    np.testing.assert_array_equal(a.successes, b.successes)
+    np.testing.assert_array_equal(a.true_p, b.true_p)
 
 
 def test_policies_share_environment_within_a_replication():
@@ -235,10 +221,10 @@ def test_policies_share_environment_within_a_replication():
         kind: run_experiment(small_config(kind), spec)
         for kind in (PolicyKind.BETA_TS, PolicyKind.FULL_TS, PolicyKind.OR_TS)
     }
-    for round_index in range(8):
-        reference = runs[PolicyKind.BETA_TS][round_index].true_p.p
-        for kind in (PolicyKind.FULL_TS, PolicyKind.OR_TS):
-            np.testing.assert_array_equal(runs[kind][round_index].true_p.p, reference)
+    reference = runs[PolicyKind.BETA_TS].true_p
+    assert reference.shape == (8, 4)
+    for kind in (PolicyKind.FULL_TS, PolicyKind.OR_TS):
+        np.testing.assert_array_equal(runs[kind].true_p, reference)
 
 
 def test_run_replications_summary_shapes():
@@ -254,6 +240,24 @@ def test_run_replications_summary_shapes():
         assert summary.mean_cumulative_regret(kind).shape == (8,)
         assert summary.stderr_cumulative_regret(kind).shape == (8,)
         assert summary.total_expected_clicks(kind).shape == (4,)
+
+
+def test_replications_stack_each_run_experiment_exactly():
+    """Row r of a policy's columns is run_experiment at seed + r, bit for
+    bit, and the click totals add each row left to right."""
+    config = small_config(PolicyKind.OR_TS, replications=3)
+    spec = drift_environment(4, 0.31, 0.30, 10.0)
+    policies = (PolicyKind.BETA_TS, PolicyKind.FULL_TS, PolicyKind.OR_TS)
+    summary = run_replications(config, spec, policies=policies)
+    for kind in policies:
+        regret, clicks = summary.regret[kind], summary.expected_clicks[kind]
+        assert regret.shape == clicks.shape == (3, 8)
+        totals = summary.total_expected_clicks(kind)
+        for rep in range(3):
+            single = run_experiment(replace(config, policy=kind, seed=config.seed + rep), spec)
+            np.testing.assert_array_equal(regret[rep], single.regret)
+            np.testing.assert_array_equal(clicks[rep], single.expected_clicks)
+            assert totals[rep] == sum(clicks[rep].tolist())
 
 
 def test_parallel_and_serial_replications_agree():
