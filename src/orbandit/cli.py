@@ -37,16 +37,24 @@ from .simulation import (
 
 __all__ = ["main", "cmd_simulate", "cmd_continuous"]
 
-_ALL_POLICIES = (PolicyKind.BETA_TS, PolicyKind.FULL_TS, PolicyKind.OR_TS)
+_ALL_POLICIES = tuple(PolicyKind)
+_POLICY_CHOICES = [p.value for p in _ALL_POLICIES] + ["all"]
 
-_CONFIG_DEFAULTS: dict[str, Any] = {
-    "n_draws": 10_000,
-    "d": 0.0,
-    "p_optimal": 0.31,
-    "p_suboptimal": 0.30,
+_INF = float("inf")
+
+# One row per numeric `simulate` config field: type, bounds and default, in
+# the order of the --<field> flags. A field whose default is None is required.
+_SIMULATE_FIELDS: dict[str, tuple[type, float, float, Any]] = {
+    "rounds": (int, 1, _INF, None),
+    "trials": (int, 1, _INF, None),
+    "replications": (int, 1, _INF, None),
+    "d": (float, 0.0, _INF, 0.0),
+    "seed": (int, 0, _INF, None),
+    "n_draws": (int, 1, _INF, 10_000),
+    "arms": (int, 1, _INF, None),
+    "p_optimal": (float, 0.0, 1.0, 0.31),
+    "p_suboptimal": (float, 0.0, 1.0, 0.30),
 }
-
-_REQUIRED_FIELDS = ("arms", "rounds", "trials", "replications", "policy", "seed")
 
 
 def _fmt(value: Any) -> str:
@@ -78,11 +86,15 @@ def _require_int(cfg: Mapping[str, Any], field: str, minimum: int) -> int:
     return value
 
 
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _require_number(cfg: Mapping[str, Any], field: str, low: float, high: float) -> float:
     if field not in cfg:
         raise ConfigError(f"field '{field}' is required")
     value = cfg[field]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise ConfigError(f"field '{field}' must be a number, got {value!r}")
     if not low <= float(value) <= high:
         raise ConfigError(f"field '{field}' must be within [{low}, {high}], got {value}")
@@ -135,43 +147,25 @@ def _resolve_simulate_config(args: argparse.Namespace) -> tuple[dict[str, Any], 
         raw = dict(manifest["config"])
         if "environment" not in raw and isinstance(manifest.get("environment"), dict):
             raw["environment"] = manifest["environment"]
-    cfg = dict(_CONFIG_DEFAULTS)
+    cfg = {field: default for field, (*_, default) in _SIMULATE_FIELDS.items()
+           if default is not None}
     cfg.update(raw)
-    overrides = {
-        "policy": args.policy,
-        "rounds": args.rounds,
-        "trials": args.trials,
-        "replications": args.replications,
-        "d": args.d,
-        "seed": args.seed,
-        "n_draws": args.n_draws,
-        "arms": args.arms,
-        "p_optimal": args.p_optimal,
-        "p_suboptimal": args.p_suboptimal,
-    }
-    cfg.update({k: v for k, v in overrides.items() if v is not None})
+    for field in ("policy", *_SIMULATE_FIELDS):
+        if getattr(args, field) is not None:
+            cfg[field] = getattr(args, field)
 
-    for field in _REQUIRED_FIELDS:
-        if field not in cfg:
-            raise ConfigError(f"field '{field}' is required")
     resolved = {
-        "arms": _require_int(cfg, "arms", 1),
-        "rounds": _require_int(cfg, "rounds", 1),
-        "trials": _require_int(cfg, "trials", 1),
-        "replications": _require_int(cfg, "replications", 1),
-        "seed": _require_int(cfg, "seed", 0),
-        "n_draws": _require_int(cfg, "n_draws", 1),
-        "d": _require_number(cfg, "d", 0.0, float("inf")),
-        "p_optimal": _require_number(cfg, "p_optimal", 0.0, 1.0),
-        "p_suboptimal": _require_number(cfg, "p_suboptimal", 0.0, 1.0),
+        field: _require_int(cfg, field, low) if kind is int
+        else _require_number(cfg, field, low, high)
+        for field, (kind, low, high, _) in _SIMULATE_FIELDS.items()
     }
-    policy = cfg["policy"]
-    valid_policies = {p.value for p in _ALL_POLICIES} | {"all"}
-    if policy not in valid_policies:
+    if "policy" not in cfg:
+        raise ConfigError("field 'policy' is required")
+    if cfg["policy"] not in _POLICY_CHOICES:
         raise ConfigError(
-            f"field 'policy' must be one of {sorted(valid_policies)}, got {policy!r}"
+            f"field 'policy' must be one of {sorted(_POLICY_CHOICES)}, got {cfg['policy']!r}"
         )
-    resolved["policy"] = policy
+    resolved["policy"] = cfg["policy"]
 
     if "environment" in cfg and cfg["environment"] is not None:
         spec = _parse_environment(cfg["environment"])
@@ -277,9 +271,16 @@ def _parse_scenario(path: str) -> ContinuousScenario:
         active = block.get("active")
         if not isinstance(active, list) or not active:
             raise ConfigError(f"round {index}: field 'active' must be a non-empty list")
+        if not all(isinstance(arm, str) for arm in active):
+            raise ConfigError(f"round {index}: field 'active' must list arm ids as strings, "
+                              f"got {active!r}")
         p = block.get("p")
         if not isinstance(p, dict):
             raise ConfigError(f"round {index}: field 'p' must map arm ids to probabilities")
+        for arm, value in p.items():
+            if not _is_number(value):
+                raise ConfigError(f"round {index}: field 'p' for arm {arm!r} must be a number, "
+                                  f"got {value!r}")
         trials = block.get("trials", default_trials)
         if not isinstance(trials, int) or isinstance(trials, bool) or trials < 0:
             raise ConfigError(f"round {index}: field 'trials' must be a non-negative integer")
@@ -287,19 +288,23 @@ def _parse_scenario(path: str) -> ContinuousScenario:
             rounds.append(ScenarioRound(tuple(active), p, trials))
         except (BanditError, TypeError, ValueError) as exc:
             raise ConfigError(f"round {index}: {exc}") from exc
-    mode = raw.get("mode", UpdateMode.ODDS_RATIO.value)
+    # Only the fields the file sets are passed on, so the scenario's own
+    # defaults are the only defaults.
+    options: dict[str, Any] = {}
+    if "mode" in raw:
+        try:
+            options["mode"] = UpdateMode(raw["mode"])
+        except ValueError as exc:
+            raise ConfigError(
+                f"field 'mode' must be 'full' or 'odds_ratio', got {raw['mode']!r}"
+            ) from exc
+    for field, minimum in (("seed", 0), ("n_draws", 1)):
+        if field in raw:
+            options[field] = _require_int(raw, field, minimum)
+    if "on_continuity_break" in raw:
+        options["on_break"] = raw["on_continuity_break"]
     try:
-        mode = UpdateMode(mode)
-    except ValueError as exc:
-        raise ConfigError(f"field 'mode' must be 'full' or 'odds_ratio', got {mode!r}") from exc
-    fields = {"seed": 0, "n_draws": 10_000, **raw}
-    seed = _require_int(fields, "seed", 0)
-    n_draws = _require_int(fields, "n_draws", 1)
-    on_break = raw.get("on_continuity_break", "reinitialize")
-    try:
-        return ContinuousScenario(
-            tuple(rounds), mode=mode, seed=seed, n_draws=n_draws, on_break=on_break
-        )
+        return ContinuousScenario(tuple(rounds), **options)
     except (BanditError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -343,16 +348,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     simulate = sub.add_parser("simulate", help="run the replication harness from a JSON config")
     simulate.add_argument("--config", required=True, help="JSON config or a previously emitted manifest.json")
-    simulate.add_argument("--policy", choices=["beta_ts", "full_ts", "or_ts", "all"], default=None)
-    simulate.add_argument("--rounds", type=int, default=None)
-    simulate.add_argument("--trials", type=int, default=None)
-    simulate.add_argument("--replications", type=int, default=None)
-    simulate.add_argument("--d", type=float, default=None)
-    simulate.add_argument("--seed", type=int, default=None)
-    simulate.add_argument("--n-draws", dest="n_draws", type=int, default=None)
-    simulate.add_argument("--arms", type=int, default=None)
-    simulate.add_argument("--p-optimal", dest="p_optimal", type=float, default=None)
-    simulate.add_argument("--p-suboptimal", dest="p_suboptimal", type=float, default=None)
+    simulate.add_argument("--policy", choices=_POLICY_CHOICES)
+    for field, (kind, *_) in _SIMULATE_FIELDS.items():
+        simulate.add_argument("--" + field.replace("_", "-"), dest=field, type=kind)
     simulate.add_argument("--jobs", type=int, default=1)
     simulate.add_argument("--out", required=True, help="output directory")
     simulate.set_defaults(handler=cmd_simulate)

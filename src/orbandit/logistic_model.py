@@ -31,6 +31,14 @@ __all__ = [
 # Convergence tolerance on the gradient infinity-norm of the mode search.
 GRAD_TOL = 1e-10
 
+# The mode search also stops once the Newton decrement -grad.step is this
+# small, and when it ends without converging it still accepts the last
+# iterate if the last decrement is below the looser bound. At large counts
+# the gradient's rounding noise (about n * eps) sits far above GRAD_TOL,
+# while the decrement is affine-invariant and still reaches the float floor.
+DECREMENT_TOL = 1e-20
+STALLED_DECREMENT_TOL = 1e-12
+
 # A prior precision diagonal at or below this is treated as flat in that
 # coordinate when deciding whether degenerate counts need smoothing.
 FLAT_DIAG_TOL = 1e-10
@@ -200,10 +208,12 @@ def _newton_mode(n: np.ndarray, c: np.ndarray, prior: GaussianBelief) -> np.ndar
     step, and halves the step until the objective decreases. Singular
     systems (flat directions with no data) fall back to the minimal-norm
     solution, which leaves those coordinates at the prior mean because
-    their gradient is zero.
+    their gradient is zero. Stops on a small gradient or a small Newton
+    decrement.
     """
     mu = prior.mean.copy()
     value, grad = _value_and_grad(mu, n, c, prior)
+    decrement = np.inf
     for _ in range(MAX_NEWTON_ITER):
         grad_norm = np.max(np.abs(grad))
         if grad_norm <= GRAD_TOL:
@@ -213,6 +223,9 @@ def _newton_mode(n: np.ndarray, c: np.ndarray, prior: GaussianBelief) -> np.ndar
             step = np.linalg.solve(hess, -grad)
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
+        decrement = float(-grad @ step)
+        if decrement <= DECREMENT_TOL:
+            return mu
         # The likelihood saturates within a few tens of logits, so a longer
         # step only reflects a near-singular curvature; cap it to keep the
         # line search inside representable territory.
@@ -238,7 +251,7 @@ def _newton_mode(n: np.ndarray, c: np.ndarray, prior: GaussianBelief) -> np.ndar
         if not improved:
             break
     grad_norm = float(np.max(np.abs(grad)))
-    if grad_norm <= GRAD_TOL:
+    if grad_norm <= GRAD_TOL or decrement <= STALLED_DECREMENT_TOL:
         return mu
     raise OptimizationFailureError(
         f"mode search did not converge (gradient infinity-norm {grad_norm:.3e})",

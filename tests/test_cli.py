@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from orbandit import OptimizationFailureError, simulation
 from orbandit.cli import main
 
 
@@ -162,8 +163,9 @@ def test_unknown_policy_returns_exit_code_2(tmp_path, capsys):
     assert "policy" in capsys.readouterr().err
 
 
-def test_runtime_failure_returns_exit_code_1(tmp_path, capsys):
-    """A schedule shorter than the configured rounds fails at runtime."""
+def test_runtime_failure_returns_exit_code_1(tmp_path, capsys, monkeypatch):
+    """A schedule shorter than the configured rounds fails at runtime, and
+    so does a mode search that fails in round 2; neither writes output."""
     config = tmp_path / "config.json"
     payload = simulate_config(arms=2, rounds=4, policy="beta_ts")
     payload["environment"] = {
@@ -173,6 +175,20 @@ def test_runtime_failure_returns_exit_code_1(tmp_path, capsys):
     write_json(config, payload)
     assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
     assert "runtime error" in capsys.readouterr().err
+
+    real_update = simulation.or_ts_update
+
+    def failing_update(state, data):
+        if state.round_index == 1:
+            raise OptimizationFailureError("forced", last_iterate=None, grad_norm=1.0)
+        return real_update(state, data)
+
+    monkeypatch.setattr(simulation, "or_ts_update", failing_update)
+    write_json(config, simulate_config())
+    argv = ["simulate", "--config", str(config), "--out", str(tmp_path / "o"), "--policy", "or_ts"]
+    assert main(argv) == 1
+    assert "policy or_ts failed at round 2" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def continuous_scenario():
@@ -225,9 +241,11 @@ def test_continuous_rejects_bad_round(tmp_path, capsys):
         (top(n_draws="10"), "'n_draws'"),
         (top(n_draws=True), "'n_draws'"),
         (top(n_draws=0), "'n_draws'"),
-        (first_round("p", "A", "x"), "round 1"),
-        (first_round("p", "A", None), "round 1"),
-        (first_round("active", 0, ["A"]), "round 1"),
+        (first_round("p", "A", "x"), "round 1: field 'p' for arm 'A'"),
+        (first_round("p", "A", None), "round 1: field 'p' for arm 'A'"),
+        (first_round("p", "A", True), "round 1: field 'p' for arm 'A'"),
+        (first_round("active", 0, ["A"]), "round 1: field 'active'"),
+        (first_round("active", 0, 1), "round 1: field 'active'"),
     ]
     config = tmp_path / "scenario.json"
     for mutate, named in cases:

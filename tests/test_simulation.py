@@ -188,6 +188,23 @@ def test_expected_clicks_complements_regret():
     np.testing.assert_allclose(result.expected_clicks, clicks, rtol=0, atol=1e-9)
 
 
+@pytest.mark.parametrize("trials", [10**6, 10**8, 10**10])
+def test_logistic_policies_complete_at_heavy_traffic(trials):
+    """At these counts the gradient's rounding noise sits above the mode
+    search's absolute tolerance; the search must still converge in every
+    round, stopping on the Newton decrement."""
+    spec = drift_environment(10, 0.31, 0.30, 20.0)
+    for kind in (PolicyKind.FULL_TS, PolicyKind.OR_TS):
+        for seed in (1, 2, 3):
+            config = ExperimentConfig(
+                arms=10, rounds=20, trials_per_round=trials, replications=1,
+                policy=kind, seed=seed, n_draws=2000,
+            )
+            result = run_experiment(config, spec)
+            np.testing.assert_array_equal(result.allocated.sum(axis=1), np.full(20, trials))
+            assert np.all(np.isfinite(result.regret))
+
+
 def test_run_experiment_checks_environment_arm_count():
     from orbandit import InvalidDimensionError
 
