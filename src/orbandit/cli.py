@@ -76,8 +76,6 @@ def _load_json(path: str) -> Any:
 
 
 def _require_int(cfg: Mapping[str, Any], field: str, minimum: int) -> int:
-    if field not in cfg:
-        raise ConfigError(f"field '{field}' is required")
     value = cfg[field]
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"field '{field}' must be an integer, got {value!r}")
@@ -91,8 +89,6 @@ def _is_number(value: Any) -> bool:
 
 
 def _require_number(cfg: Mapping[str, Any], field: str, low: float, high: float) -> float:
-    if field not in cfg:
-        raise ConfigError(f"field '{field}' is required")
     value = cfg[field]
     if not _is_number(value):
         raise ConfigError(f"field '{field}' must be a number, got {value!r}")
@@ -154,13 +150,14 @@ def _resolve_simulate_config(args: argparse.Namespace) -> tuple[dict[str, Any], 
         if getattr(args, field) is not None:
             cfg[field] = getattr(args, field)
 
+    for field in (*_SIMULATE_FIELDS, "policy"):
+        if field not in cfg:
+            raise ConfigError(f"field '{field}' is required")
     resolved = {
         field: _require_int(cfg, field, low) if kind is int
         else _require_number(cfg, field, low, high)
         for field, (kind, low, high, _) in _SIMULATE_FIELDS.items()
     }
-    if "policy" not in cfg:
-        raise ConfigError("field 'policy' is required")
     if cfg["policy"] not in _POLICY_CHOICES:
         raise ConfigError(
             f"field 'policy' must be one of {sorted(_POLICY_CHOICES)}, got {cfg['policy']!r}"

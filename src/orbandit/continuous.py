@@ -7,7 +7,7 @@ join with flat coordinates, and the reference is re-anchored whenever the
 current one sits out the round. A round that shares fewer than two arms
 with the tracked set cannot transfer any relative information, so the
 registry either restarts from flat beliefs or, optionally, falls back to a
-full-rank update through the single shared arm.
+full-rank update, which needs only one shared arm.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .policy import (
     full_ts_update,
     or_ts_update,
 )
+from .simulation import allocate_trials, draw_rewards
 
 __all__ = [
     "Continuity",
@@ -52,6 +53,10 @@ __all__ = [
 ]
 
 ArmId = Hashable
+
+# Shared arms a round needs to extend an updated registry: a full-rank
+# update carries absolute levels, an odds-ratio update only differences.
+_SHARED_ARMS_NEEDED = {UpdateMode.FULL: 1, UpdateMode.ODDS_RATIO: 2}
 
 
 class Continuity(Enum):
@@ -136,9 +141,23 @@ def check_continuity(active: Sequence[ArmId], registry: ArmRegistry) -> Continui
     ratios, and a single anchor cannot transfer any ordering among the
     arms actually competing this round.
     """
-    active = _validated_active(active)
-    overlap = set(active) & set(registry.arms)
-    return Continuity.CONTINUE_BANDIT if len(overlap) >= 2 else Continuity.REINITIALIZE
+    overlap = set(_validated_active(active)) & set(registry.arms)
+    enough = len(overlap) >= _SHARED_ARMS_NEEDED[UpdateMode.ODDS_RATIO]
+    return Continuity.CONTINUE_BANDIT if enough else Continuity.REINITIALIZE
+
+
+def _absorbs(registry: ArmRegistry, active: Sequence[ArmId], mode: UpdateMode) -> bool:
+    """The continuity rule of ``absorb_round``."""
+    shared = set(active) & set(registry.arms)
+    return registry.round == 0 or len(shared) >= _SHARED_ARMS_NEEDED[mode]
+
+
+def _anchored(registry: ArmRegistry, active: Sequence[ArmId]) -> ArmRegistry:
+    """Re-anchor to the first active arm in registry order when the reference sits out."""
+    shared = [a for a in registry.arms if a in active]
+    if not shared or registry.reference in shared:
+        return registry
+    return reanchor_reference(registry, shared[0])
 
 
 def reanchor_reference(registry: ArmRegistry, new_reference: ArmId) -> ArmRegistry:
@@ -177,18 +196,14 @@ def plan_round(
     fall back to the manual 1/|active| share.
     """
     active = _validated_active(active)
-    tracked = set(registry.arms)
+    working = _anchored(registry, active)
+    tracked = set(working.arms)
     observed = tuple(a for a in active if a in tracked)
     unobserved = tuple(a for a in active if a not in tracked)
     m = len(active)
     proportions = np.full(m, 1.0 / m)
     if observed:
-        working = registry
-        observed_set = set(observed)
-        if working.reference not in observed_set:
-            anchor = next(a for a in working.arms if a in observed_set)
-            working = reanchor_reference(working, anchor)
-        keep = [i for i, a in enumerate(working.arms) if a in observed_set]
+        keep = [i for i, a in enumerate(working.arms) if a in observed]
         marginal = marginalize_keep(working.belief, keep)
         if marginal.is_proper():
             base = allocation_proportions(marginal, n_draws, rng)
@@ -203,8 +218,6 @@ def absorb_round(
     active: Sequence[ArmId],
     data: RoundData,
     mode: UpdateMode,
-    *,
-    require_continuity: bool = True,
 ) -> ArmRegistry:
     """Fold one round of counts into the registry.
 
@@ -212,8 +225,8 @@ def absorb_round(
     flat coordinates, arms sitting out the round contribute zero counts,
     and the reference is re-anchored into the overlap when it sits out.
     A registry that has never been updated absorbs any round; otherwise
-    fewer than two shared arms raises unless the caller explicitly opts
-    out of the continuity requirement.
+    the round must share at least one tracked arm for a full-rank update
+    and two for an odds-ratio update, or ``ContinuityError`` is raised.
     """
     active = _validated_active(active)
     mode = UpdateMode(mode)
@@ -221,36 +234,27 @@ def absorb_round(
         raise InvalidRoundError(
             f"count vectors cover {data.arms} arms but the round has {len(active)}"
         )
-    working = registry if registry.arms else ArmRegistry.fresh(active)
-    active_set = set(active)
-    overlap = [a for a in working.arms if a in active_set]
-    if require_continuity and working.round > 0 and len(overlap) < 2:
+    if not _absorbs(registry, active, mode):
         raise ContinuityError(
-            f"round shares {len(overlap)} arm(s) with the tracked set; reinitialize instead"
+            f"a {mode.value} update needs {_SHARED_ARMS_NEEDED[mode]} arm(s) shared with "
+            "the tracked set; reinitialize instead"
         )
-    if working.reference not in active_set and overlap:
-        working = reanchor_reference(working, overlap[0])
+    working = _anchored(registry, active)
     tracked = set(working.arms)
     new_arms = tuple(a for a in active if a not in tracked)
+    arms = working.arms[:-1] + new_arms + working.arms[-1:]
+    belief = working.belief
     if new_arms:
-        old_k = len(working.arms)
-        arms = working.arms[:-1] + new_arms + working.arms[-1:]
-        k = len(arms)
-        mean = np.insert(working.belief.mean, old_k - 1, np.zeros(len(new_arms)))
-        precision = np.zeros((k, k))
-        old_pos = list(range(old_k - 1)) + [k - 1]
-        precision[np.ix_(old_pos, old_pos)] = working.belief.precision
+        old_pos = [i for i, a in enumerate(arms) if a in tracked]
+        mean = np.zeros(len(arms))
+        mean[old_pos] = belief.mean
+        precision = np.zeros((len(arms), len(arms)))
+        precision[np.ix_(old_pos, old_pos)] = belief.precision
         belief = GaussianBelief(mean, precision)
-    else:
-        arms = working.arms
-        belief = working.belief
-    position = {a: i for i, a in enumerate(active)}
+    where = [arms.index(a) for a in active]
     n_full = np.zeros(len(arms), dtype=np.int64)
     c_full = np.zeros(len(arms), dtype=np.int64)
-    for pos, arm in enumerate(arms):
-        if arm in position:
-            n_full[pos] = data.n[position[arm]]
-            c_full[pos] = data.c[position[arm]]
+    n_full[where], c_full[where] = data.n, data.c
     state = LogisticPolicyState(belief, mode, working.round)
     if mode is UpdateMode.ODDS_RATIO:
         state = or_ts_update(state, RoundData(n_full, c_full))
@@ -331,12 +335,10 @@ def run_continuous(scenario: ContinuousScenario) -> ContinuousResult:
 
     Each round: decide continuity, reinitialize if required (or fall back
     to one full-rank update through the overlap when the scenario opts
-    in), plan traffic, draw rewards, and absorb the counts. Deterministic
-    for a fixed scenario seed, with separate streams for allocation noise,
-    rewards, and policy sampling.
+    in), re-anchor, plan traffic, draw rewards, and absorb the counts.
+    Deterministic for a fixed scenario seed, with separate streams for
+    allocation noise, rewards, and policy sampling.
     """
-    from .simulation import allocate_trials, draw_rewards
-
     streams = np.random.SeedSequence(scenario.seed).spawn(3)
     rng_alloc, rng_reward, rng_policy = (np.random.default_rng(s) for s in streams)
     registry = ArmRegistry.empty()
@@ -344,24 +346,17 @@ def run_continuous(scenario: ContinuousScenario) -> ContinuousResult:
     for index, rnd in enumerate(scenario.rounds, start=1):
         decision = check_continuity(rnd.active, registry)
         mode = scenario.mode
-        require = True
         if decision is Continuity.REINITIALIZE:
-            shared = len(set(rnd.active) & set(registry.arms))
-            if scenario.on_break == "full_rank" and registry.round > 0 and shared >= 1:
+            if (scenario.on_break == "full_rank" and registry.round > 0
+                    and _absorbs(registry, rnd.active, UpdateMode.FULL)):
                 mode = UpdateMode.FULL
-                require = False
             else:
                 registry = ArmRegistry.fresh(rnd.active)
+        registry = _anchored(registry, rnd.active)
         plan = plan_round(registry, rnd.active, scenario.n_draws, rng_policy)
         allocated = allocate_trials(plan.proportions, rnd.trials, rng_alloc)
         true_p = np.array([rnd.p[a] for a in rnd.active], dtype=float)
         successes = draw_rewards(allocated, true_p, rng_reward)
-        registry = absorb_round(
-            registry,
-            rnd.active,
-            RoundData(allocated, successes),
-            mode,
-            require_continuity=require,
-        )
+        registry = absorb_round(registry, rnd.active, RoundData(allocated, successes), mode)
         outcomes.append(RoundOutcome(index, decision, plan, allocated, successes, true_p))
     return ContinuousResult(tuple(outcomes), registry)

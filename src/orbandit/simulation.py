@@ -113,6 +113,14 @@ class PolicyKind(str, Enum):
     OR_TS = "or_ts"
 
 
+def _check_count(name: str, value, minimum: int) -> None:
+    """Reject a value that is not an integer (bools included) or is below ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a single simulated experiment needs besides the environment."""
@@ -127,11 +135,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "policy", PolicyKind(self.policy))
-        for name in ("arms", "rounds", "trials_per_round", "replications", "n_draws"):
-            if int(getattr(self, name)) < 1:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        for name in ("arms", "rounds", "trials_per_round", "replications", "n_draws", "seed"):
+            _check_count(name, getattr(self, name), 0 if name == "seed" else 1)
 
 
 @dataclass(frozen=True)
@@ -363,6 +368,7 @@ def run_replications(
     Replication r runs with seed ``config.seed + r`` for every policy, so
     policies can be compared pairwise on identical environment draws.
     """
+    _check_count("jobs", jobs, 1)
     chosen = tuple(PolicyKind(p) for p in (policies if policies is not None else (config.policy,)))
     if not chosen:
         raise ValueError("at least one policy is required")

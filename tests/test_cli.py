@@ -126,6 +126,17 @@ def test_explicit_environment_block(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["environment"]["kind"] == "regime_schedule"
 
+    payload = simulate_config(arms=2, policy="or_ts", rounds=3)
+    payload["environment"] = {"kind": "logit_drift", "base_beta": [-0.8, -0.85], "sigma": 0.5}
+    write_json(config, payload)
+    first, second = tmp_path / "drift1", tmp_path / "drift2"
+    assert main(["simulate", "--config", str(config), "--out", str(first)]) == 0
+    manifest = json.loads((first / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["environment"] == payload["environment"]
+    assert main(["simulate", "--config", str(first / "manifest.json"), "--out", str(second)]) == 0
+    for name in ("regret.csv", "summary.csv"):
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+
 
 def test_invalid_config_returns_exit_code_2(tmp_path, capsys):
     config = tmp_path / "config.json"
@@ -135,6 +146,19 @@ def test_invalid_config_returns_exit_code_2(tmp_path, capsys):
     write_json(config, simulate_config(d=-0.5))
     assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
     assert "'d'" in capsys.readouterr().err
+    without_rounds = simulate_config()
+    del without_rounds["rounds"]
+    without_policy = simulate_config()
+    del without_policy["policy"]
+    unknown_kind = simulate_config(environment={"kind": "random_walk"})
+    for payload, named in (
+        (without_rounds, "field 'rounds' is required"),
+        (without_policy, "field 'policy' is required"),
+        (unknown_kind, "field 'environment.kind'"),
+    ):
+        write_json(config, payload)
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert named in capsys.readouterr().err
     write_json(config, simulate_config())
     for jobs in ("0", "-2"):
         argv = ["simulate", "--config", str(config), "--out", str(tmp_path / "o"), "--jobs", jobs]

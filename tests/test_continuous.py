@@ -47,10 +47,20 @@ def test_single_shared_arm_breaks_continuity():
 
 
 def test_absorb_round_raises_on_broken_continuity():
+    """An updated registry needs one shared arm for a full-rank update and
+    two for an odds-ratio update."""
     registry = seeded_registry()
     data = RoundData(np.array([10, 10]), np.array([2, 3]))
-    with pytest.raises(ContinuityError):
-        absorb_round(registry, ("D", "E"), data, UpdateMode.ODDS_RATIO)
+    for active, mode in (
+        (("D", "E"), UpdateMode.ODDS_RATIO),
+        (("D", "E"), UpdateMode.FULL),
+        (("C", "D"), UpdateMode.ODDS_RATIO),
+    ):
+        with pytest.raises(ContinuityError):
+            absorb_round(registry, active, data, mode)
+    absorbed = absorb_round(registry, ("C", "D"), data, UpdateMode.FULL)
+    assert absorbed.arms == ("A", "B", "D", "C")
+    assert absorbed.round == 2
 
 
 # --- registry bookkeeping -----------------------------------------------------

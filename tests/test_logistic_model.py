@@ -13,6 +13,7 @@ from orbandit import (
     fit_map,
     hessian_lambda,
     laplace_update,
+    logistic_model,
     make_flat_belief,
     neg_log_posterior,
     probs_from_params,
@@ -185,6 +186,15 @@ def test_optimization_failure_reports_last_iterate():
     error = OptimizationFailureError("no", np.array([1.0]), 2.0)
     assert error.grad_norm == 2.0
     np.testing.assert_array_equal(error.last_iterate, [1.0])
+
+
+def test_unconverged_mode_search_raises_with_last_iterate(monkeypatch):
+    monkeypatch.setattr(logistic_model, "MAX_NEWTON_ITER", 1)
+    data = RoundData(np.array([100, 100, 100]), np.array([31, 30, 28]))
+    with pytest.raises(OptimizationFailureError) as caught:
+        laplace_update(make_flat_belief(3), data)
+    assert np.all(np.isfinite(caught.value.last_iterate))
+    assert caught.value.grad_norm > logistic_model.GRAD_TOL
 
 
 # --- Laplace update ----------------------------------------------------------

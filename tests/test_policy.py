@@ -197,6 +197,29 @@ def test_or_update_flattens_only_the_reference_coordinate():
     assert drained.belief.precision[0, 0] > 0.0
 
 
+@pytest.mark.parametrize("update, mode", [
+    (full_ts_update, UpdateMode.FULL),
+    (or_ts_update, UpdateMode.ODDS_RATIO),
+], ids=["full", "odds_ratio"])
+@pytest.mark.parametrize("n, c", [
+    ([10_000] * 5, [1, 0, 2, 1, 0]),
+    ([10**6] * 5, [104, 95, 110, 99, 101]),
+    ([500, 0, 500, 500], [150, 0, 160, 170]),
+    ([200, 200, 200], [200, 200, 200]),
+], ids=["rare_1e4", "rare_1e6", "zero_trial_arm", "all_success"])
+def test_updates_finish_at_extreme_counts(update, mode, n, c):
+    """Rare rates, an arm with no trials and arms with only successes: every
+    round's mode search ends with a finite mean, and the arm with no trials
+    keeps a flat precision row."""
+    data = RoundData(np.array(n), np.array(c))
+    state = LogisticPolicyState.flat_start(data.arms, mode)
+    for _ in range(3):
+        state = update(state, data)
+        assert np.all(np.isfinite(state.belief.mean))
+        for arm in np.flatnonzero(data.n == 0):
+            np.testing.assert_array_equal(state.belief.precision[arm], 0.0)
+
+
 def test_updates_reject_dimension_mismatch():
     from orbandit import InvalidDimensionError
 

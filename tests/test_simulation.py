@@ -306,3 +306,10 @@ def test_config_validation():
         small_config(PolicyKind.OR_TS, arms=0)
     with pytest.raises(ValueError):
         small_config(PolicyKind.OR_TS, seed=-1)
+    for field, value in (("arms", 2.5), ("seed", 1.5), ("rounds", True), ("n_draws", "10")):
+        with pytest.raises(ValueError, match=field):
+            small_config(PolicyKind.OR_TS, **{field: value})
+    config = small_config(PolicyKind.OR_TS, arms=np.int64(4), seed=np.uint32(21))
+    for jobs in (0, 1.0):
+        with pytest.raises(ValueError, match="jobs"):
+            run_replications(config, drift_environment(4, 0.31, 0.30, 0.0), jobs=jobs)
