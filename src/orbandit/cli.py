@@ -23,7 +23,6 @@ from . import __version__
 from .continuous import ContinuousScenario, ScenarioRound, run_continuous
 from .errors import BanditError, ConfigError
 from .logistic_model import ProbVector
-from .policy import UpdateMode
 from .simulation import (
     EnvironmentSpec,
     ExperimentConfig,
@@ -31,6 +30,7 @@ from .simulation import (
     PolicyKind,
     RegimeSchedule,
     Stationary,
+    _check_count,
     drift_environment,
     run_replications,
 )
@@ -75,22 +75,9 @@ def _load_json(path: str) -> Any:
         raise ConfigError(f"{path} is not valid JSON (line {exc.lineno}, column {exc.colno})") from exc
 
 
-def _require_int(cfg: Mapping[str, Any], field: str, minimum: int) -> int:
-    value = cfg[field]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"field '{field}' must be an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"field '{field}' must be >= {minimum}, got {value}")
-    return value
-
-
-def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _require_number(cfg: Mapping[str, Any], field: str, low: float, high: float) -> float:
     value = cfg[field]
-    if not _is_number(value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"field '{field}' must be a number, got {value!r}")
     if not low <= float(value) <= high:
         raise ConfigError(f"field '{field}' must be within [{low}, {high}], got {value}")
@@ -110,12 +97,10 @@ def _parse_environment(block: Mapping[str, Any]) -> EnvironmentSpec:
             )
         if kind == "regime_schedule":
             rounds = tuple(
-                (ProbVector(np.asarray(r["p"], dtype=float)), int(r["trials"]))
+                (ProbVector(np.asarray(r["p"], dtype=float)), r["trials"])
                 for r in block["rounds"]
             )
             return RegimeSchedule(rounds)
-    except ConfigError:
-        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"field 'environment' ({kind}): {exc}") from exc
     raise ConfigError(f"field 'environment.kind' must be one of stationary, "
@@ -154,7 +139,7 @@ def _resolve_simulate_config(args: argparse.Namespace) -> tuple[dict[str, Any], 
         if field not in cfg:
             raise ConfigError(f"field '{field}' is required")
     resolved = {
-        field: _require_int(cfg, field, low) if kind is int
+        field: _check_count(field, cfg[field], low) if kind is int
         else _require_number(cfg, field, low, high)
         for field, (kind, low, high, _) in _SIMULATE_FIELDS.items()
     }
@@ -274,35 +259,18 @@ def _parse_scenario(path: str) -> ContinuousScenario:
         p = block.get("p")
         if not isinstance(p, dict):
             raise ConfigError(f"round {index}: field 'p' must map arm ids to probabilities")
-        for arm, value in p.items():
-            if not _is_number(value):
-                raise ConfigError(f"round {index}: field 'p' for arm {arm!r} must be a number, "
-                                  f"got {value!r}")
-        trials = block.get("trials", default_trials)
-        if not isinstance(trials, int) or isinstance(trials, bool) or trials < 0:
-            raise ConfigError(f"round {index}: field 'trials' must be a non-negative integer")
         try:
-            rounds.append(ScenarioRound(tuple(active), p, trials))
-        except (BanditError, TypeError, ValueError) as exc:
-            raise ConfigError(f"round {index}: {exc}") from exc
-    # Only the fields the file sets are passed on, so the scenario's own
-    # defaults are the only defaults.
-    options: dict[str, Any] = {}
-    if "mode" in raw:
-        try:
-            options["mode"] = UpdateMode(raw["mode"])
+            rounds.append(ScenarioRound(tuple(active), p, block.get("trials", default_trials)))
         except ValueError as exc:
-            raise ConfigError(
-                f"field 'mode' must be 'full' or 'odds_ratio', got {raw['mode']!r}"
-            ) from exc
-    for field, minimum in (("seed", 0), ("n_draws", 1)):
-        if field in raw:
-            options[field] = _require_int(raw, field, minimum)
+            raise ConfigError(f"round {index}: {exc}") from exc
+    # Only the fields the file sets are passed on, unchecked, so the
+    # scenario's own defaults and checks are the only ones.
+    options = {field: raw[field] for field in ("mode", "seed", "n_draws") if field in raw}
     if "on_continuity_break" in raw:
         options["on_break"] = raw["on_continuity_break"]
     try:
         return ContinuousScenario(tuple(rounds), **options)
-    except (BanditError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 

@@ -14,11 +14,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from numbers import Real
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ContinuityError, InvalidDimensionError, InvalidRoundError, UnknownArmError
+from .errors import (
+    ConfigError,
+    ContinuityError,
+    InvalidDimensionError,
+    InvalidRoundError,
+    UnknownArmError,
+)
 from .gaussian_belief import (
     GaussianBelief,
     compose_reindex,
@@ -35,7 +42,7 @@ from .policy import (
     full_ts_update,
     or_ts_update,
 )
-from .simulation import allocate_trials, draw_rewards
+from .simulation import _check_count, allocate_trials, draw_rewards
 
 __all__ = [
     "Continuity",
@@ -60,10 +67,13 @@ _SHARED_ARMS_NEEDED = {UpdateMode.FULL: 1, UpdateMode.ODDS_RATIO: 2}
 
 
 class Continuity(Enum):
-    """Whether a new round can extend the running experiment."""
+    """How a round relates to the running experiment: it extends the bandit,
+    restarts it from flat beliefs, or keeps the tracked history through one
+    full-rank update (the scenario's ``full_rank`` fallback)."""
 
     CONTINUE_BANDIT = "continue_bandit"
     REINITIALIZE = "reinitialize"
+    FULL_RANK = "full_rank"
 
 
 def _validated_active(active: Sequence[ArmId]) -> tuple[ArmId, ...]:
@@ -137,9 +147,12 @@ class RoundPlan:
 def check_continuity(active: Sequence[ArmId], registry: ArmRegistry) -> Continuity:
     """Continue only when at least two active arms are already tracked.
 
-    One shared arm is not enough: relative information is carried by odds
-    ratios, and a single anchor cannot transfer any ordering among the
-    arms actually competing this round.
+    This is the odds-ratio requirement: relative information is carried by
+    odds ratios, and a single anchor cannot transfer any ordering among the
+    arms actually competing this round. A full-rank update keeps absolute
+    levels and can extend an updated registry through one shared arm
+    (``absorb_round``); ``run_continuous`` takes that path only when the
+    scenario opts into the ``full_rank`` fallback.
     """
     overlap = set(_validated_active(active)) & set(registry.arms)
     enough = len(overlap) >= _SHARED_ARMS_NEEDED[UpdateMode.ODDS_RATIO]
@@ -275,16 +288,17 @@ class ScenarioRound:
         active = _validated_active(self.active)
         object.__setattr__(self, "active", active)
         object.__setattr__(self, "p", dict(self.p))
+        for arm, value in self.p.items():
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ConfigError(f"field 'p' for arm {arm!r} must be a number, got {value!r}")
         for arm in active:
             if arm not in self.p:
                 raise InvalidRoundError(f"no success probability given for arm {arm!r}")
-            value = float(self.p[arm])
-            if not 0.0 < value < 1.0:
+            if not 0.0 < self.p[arm] < 1.0:
                 raise InvalidRoundError(
-                    f"success probability for arm {arm!r} must be in (0, 1), got {value}"
+                    f"success probability for arm {arm!r} must be in (0, 1), got {self.p[arm]}"
                 )
-        if self.trials < 0:
-            raise InvalidRoundError("trials must be non-negative")
+        _check_count("trials", self.trials, 0)
 
 
 @dataclass(frozen=True)
@@ -299,13 +313,16 @@ class ContinuousScenario:
 
     def __post_init__(self):
         object.__setattr__(self, "rounds", tuple(self.rounds))
-        object.__setattr__(self, "mode", UpdateMode(self.mode))
+        try:
+            object.__setattr__(self, "mode", UpdateMode(self.mode))
+        except ValueError as exc:
+            raise ConfigError(
+                f"field 'mode' must be 'full' or 'odds_ratio', got {self.mode!r}"
+            ) from exc
         if not self.rounds:
             raise InvalidRoundError("scenario must contain at least one round")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-        if self.n_draws < 1:
-            raise ValueError("n_draws must be positive")
+        _check_count("seed", self.seed, 0)
+        _check_count("n_draws", self.n_draws, 1)
         if self.on_break not in ("reinitialize", "full_rank"):
             raise ValueError(
                 f"on_break must be 'reinitialize' or 'full_rank', got {self.on_break!r}"
@@ -349,7 +366,7 @@ def run_continuous(scenario: ContinuousScenario) -> ContinuousResult:
         if decision is Continuity.REINITIALIZE:
             if (scenario.on_break == "full_rank" and registry.round > 0
                     and _absorbs(registry, rnd.active, UpdateMode.FULL)):
-                mode = UpdateMode.FULL
+                decision, mode = Continuity.FULL_RANK, UpdateMode.FULL
             else:
                 registry = ArmRegistry.fresh(rnd.active)
         registry = _anchored(registry, rnd.active)

@@ -60,8 +60,9 @@ class InvalidRoundError(BanditError, ValueError):
 
 
 class ContinuityError(BanditError):
-    """The new round shares fewer than two arms with the tracked set, so the
-    running experiment cannot absorb it without reinitializing."""
+    """The new round shares too few arms with an updated tracked set for the
+    requested update (one for full-rank, two for odds-ratio), so the running
+    experiment cannot absorb it without reinitializing."""
 
 
 class UnknownArmError(BanditError, ValueError):
@@ -85,4 +86,5 @@ class SimulationError(BanditError):
 
 
 class ConfigError(BanditError, ValueError):
-    """A configuration or scenario file failed validation."""
+    """A field of a library config or scenario, or of the file it was read
+    from, failed validation."""

@@ -19,7 +19,13 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 from scipy.special import expit, logit
 
-from .errors import BanditError, InvalidDimensionError, InvalidRoundError, SimulationError
+from .errors import (
+    BanditError,
+    ConfigError,
+    InvalidDimensionError,
+    InvalidRoundError,
+    SimulationError,
+)
 from .logistic_model import ProbVector, RoundData
 from .policy import (
     AllocationProportions,
@@ -53,6 +59,16 @@ __all__ = [
     "drift_environment",
     "two_regime_schedule",
 ]
+
+
+def _check_count(name: str, value, minimum: int):
+    """Return ``value`` if it is an integer (bools excluded) of at least
+    ``minimum``; otherwise raise ``ConfigError`` naming the field."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"field '{name}' must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"field '{name}' must be >= {minimum}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -92,15 +108,12 @@ class RegimeSchedule:
     rounds: tuple[tuple[ProbVector, int], ...]
 
     def __post_init__(self):
-        rounds = tuple((p, int(t)) for p, t in self.rounds)
+        rounds = tuple((p, int(_check_count("trials", t, 0))) for p, t in self.rounds)
         if not rounds:
             raise InvalidRoundError("schedule must contain at least one round")
         width = rounds[0][0].arms
-        for p, trials in rounds:
-            if p.arms != width:
-                raise InvalidDimensionError("all schedule rounds must cover the same arms")
-            if trials < 0:
-                raise ValueError("scheduled trials must be non-negative")
+        if any(p.arms != width for p, _ in rounds):
+            raise InvalidDimensionError("all schedule rounds must cover the same arms")
         object.__setattr__(self, "rounds", rounds)
 
 
@@ -111,14 +124,6 @@ class PolicyKind(str, Enum):
     BETA_TS = "beta_ts"
     FULL_TS = "full_ts"
     OR_TS = "or_ts"
-
-
-def _check_count(name: str, value, minimum: int) -> None:
-    """Reject a value that is not an integer (bools included) or is below ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 @dataclass(frozen=True)

@@ -151,10 +151,14 @@ def test_invalid_config_returns_exit_code_2(tmp_path, capsys):
     without_policy = simulate_config()
     del without_policy["policy"]
     unknown_kind = simulate_config(environment={"kind": "random_walk"})
+    fractional_trials = simulate_config(arms=2, environment={
+        "kind": "regime_schedule", "rounds": [{"p": [0.3, 0.2], "trials": 2.5}] * 4,
+    })
     for payload, named in (
         (without_rounds, "field 'rounds' is required"),
         (without_policy, "field 'policy' is required"),
         (unknown_kind, "field 'environment.kind'"),
+        (fractional_trials, "field 'environment' (regime_schedule): field 'trials'"),
     ):
         write_json(config, payload)
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
@@ -230,20 +234,25 @@ def continuous_scenario():
 
 
 def test_continuous_writes_rounds_and_decisions(tmp_path):
+    """Round 3 shares one arm with the tracked set: it reinitializes, or
+    with the full-rank fallback keeps the history and records that."""
     config = tmp_path / "scenario.json"
-    write_json(config, continuous_scenario())
-    out = tmp_path / "out"
-    assert main(["continuous", "--config", str(config), "--out", str(out)]) == 0
+    for on_break in ("reinitialize", "full_rank"):
+        scenario = continuous_scenario()
+        scenario["on_continuity_break"] = on_break
+        write_json(config, scenario)
+        out = tmp_path / on_break
+        assert main(["continuous", "--config", str(config), "--out", str(out)]) == 0
 
-    rounds = read_csv(out / "rounds.csv")
-    assert rounds[0] == ["round", "arm_id", "proportion", "allocated", "successes", "true_p"]
-    assert len(rounds) == 1 + 3 + 3 + 2  # one row per active arm per round
+        rounds = read_csv(out / "rounds.csv")
+        assert rounds[0] == ["round", "arm_id", "proportion", "allocated", "successes", "true_p"]
+        assert len(rounds) == 1 + 3 + 3 + 2  # one row per active arm per round
 
-    decisions = read_csv(out / "continuity.csv")
-    assert decisions[0] == ["round", "decision"]
-    assert decisions[1] == ["1", "reinitialize"]
-    assert decisions[2] == ["2", "continue_bandit"]
-    assert decisions[3] == ["3", "reinitialize"]
+        decisions = read_csv(out / "continuity.csv")
+        assert decisions[0] == ["round", "decision"]
+        assert decisions[1] == ["1", "reinitialize"]
+        assert decisions[2] == ["2", "continue_bandit"]
+        assert decisions[3] == ["3", on_break]
 
 
 def test_continuous_rejects_bad_round(tmp_path, capsys):
@@ -257,6 +266,9 @@ def test_continuous_rejects_bad_round(tmp_path, capsys):
             scenario["rounds"][0][field][key] = value
         return mutate
 
+    def in_round(index, **fields):
+        return lambda scenario: scenario["rounds"][index - 1].update(fields)
+
     cases = [
         (lambda scenario: scenario["rounds"][0].update(p={"A": 0.32}), "round 1"),  # missing arms
         (top(seed="5"), "'seed'"),
@@ -268,8 +280,13 @@ def test_continuous_rejects_bad_round(tmp_path, capsys):
         (first_round("p", "A", "x"), "round 1: field 'p' for arm 'A'"),
         (first_round("p", "A", None), "round 1: field 'p' for arm 'A'"),
         (first_round("p", "A", True), "round 1: field 'p' for arm 'A'"),
+        (first_round("p", "A", 10**400), "round 1: success probability for arm 'A'"),
         (first_round("active", 0, ["A"]), "round 1: field 'active'"),
         (first_round("active", 0, 1), "round 1: field 'active'"),
+        (in_round(2, trials=2.5), "round 2: field 'trials'"),
+        (in_round(1, trials=True), "round 1: field 'trials'"),
+        (in_round(3, trials=-1), "round 3: field 'trials'"),
+        (lambda scenario: scenario.pop("trials"), "round 1: field 'trials'"),
     ]
     config = tmp_path / "scenario.json"
     for mutate, named in cases:

@@ -5,6 +5,7 @@ import pytest
 
 from orbandit import (
     ArmRegistry,
+    ConfigError,
     Continuity,
     ContinuityError,
     ContinuousScenario,
@@ -243,18 +244,33 @@ def test_run_continuous_full_rank_fallback_keeps_shared_history():
         rounds, seed=14, n_draws=1000, on_break="full_rank"
     )
     result = run_continuous(scenario)
-    assert result.rounds[1].decision is Continuity.REINITIALIZE
+    assert result.rounds[1].decision is Continuity.FULL_RANK
     # with the full-rank fallback the registry still remembers A and B
     assert set(result.registry.arms) == {"A", "B", "C", "D"}
 
 
 def test_scenario_round_validates_probabilities():
+    """Probabilities and trials are checked by the round, naming the field."""
     with pytest.raises(ValueError):
         ScenarioRound(("A", "B"), {"A": 0.5}, 100)
     with pytest.raises(ValueError):
         ScenarioRound(("A", "B"), {"A": 0.5, "B": 1.5}, 100)
+    for p, trials, named in (
+        ({"A": 0.5, "B": 0.4}, 2.5, "field 'trials'"),
+        ({"A": 0.5, "B": 0.4}, True, "field 'trials'"),
+        ({"A": 0.5, "B": "0.3"}, 100, "field 'p' for arm 'B'"),
+    ):
+        with pytest.raises(ConfigError, match=named):
+            ScenarioRound(("A", "B"), p, trials)
 
 
 def test_scenario_rejects_unknown_break_strategy():
+    """The scenario checks its seed, draw count and mode, naming the field."""
     with pytest.raises(ValueError):
         ContinuousScenario(scenario_rounds(), on_break="carry_on")
+    for field, value in (
+        ("seed", 1.5), ("seed", True), ("seed", "3"),
+        ("n_draws", 2.5), ("n_draws", True), ("mode", "hybrid"),
+    ):
+        with pytest.raises(ConfigError, match=f"field '{field}'"):
+            ContinuousScenario(scenario_rounds(), **{field: value})

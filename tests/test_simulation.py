@@ -93,6 +93,9 @@ def test_regime_schedule_returns_block_probs_and_trials():
     assert [trials for _, trials in spec.rounds] == [100, 200]
     with pytest.raises(InvalidRoundError):
         env_step(spec, 3, rng)
+    for trials in (2.5, True, "100", -1):
+        with pytest.raises(ValueError, match="field 'trials'"):
+            RegimeSchedule(((ProbVector(np.array([0.3, 0.2])), trials),))
 
 
 def test_two_regime_schedule_shapes_and_shift():
