@@ -293,10 +293,10 @@ class ScenarioRound:
                 raise ConfigError(f"field 'p' for arm {arm!r} must be a number, got {value!r}")
         for arm in active:
             if arm not in self.p:
-                raise InvalidRoundError(f"no success probability given for arm {arm!r}")
+                raise ConfigError(f"field 'p' has no entry for arm {arm!r}")
             if not 0.0 < self.p[arm] < 1.0:
-                raise InvalidRoundError(
-                    f"success probability for arm {arm!r} must be in (0, 1), got {self.p[arm]}"
+                raise ConfigError(
+                    f"field 'p' for arm {arm!r} must be in (0, 1), got {self.p[arm]}"
                 )
         _check_count("trials", self.trials, 0)
 
@@ -324,8 +324,8 @@ class ContinuousScenario:
         _check_count("seed", self.seed, 0)
         _check_count("n_draws", self.n_draws, 1)
         if self.on_break not in ("reinitialize", "full_rank"):
-            raise ValueError(
-                f"on_break must be 'reinitialize' or 'full_rank', got {self.on_break!r}"
+            raise ConfigError(
+                f"field 'on_break' must be 'reinitialize' or 'full_rank', got {self.on_break!r}"
             )
 
 

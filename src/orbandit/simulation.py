@@ -441,15 +441,10 @@ def two_regime_schedule(
     base = logit(np.asarray(base_p, dtype=float).reshape(-1))
     if base.size < 1 or not np.all(np.isfinite(base)):
         raise ValueError("base probabilities must be a non-empty vector inside (0, 1)")
-    blocks = [int(b) for b in block_rounds]
-    if any(b < 1 for b in blocks):
-        raise ValueError("each block must contain at least one round")
-    if np.isscalar(trials):
-        per_block = [int(trials)] * len(blocks)
-    else:
-        per_block = [int(t) for t in trials]
-        if len(per_block) != len(blocks):
-            raise ValueError("need one trial total per block")
+    blocks = [_check_count("block_rounds", b, 1) for b in block_rounds]
+    per_block = [trials] * len(blocks) if np.isscalar(trials) else list(trials)
+    if len(per_block) != len(blocks):
+        raise ValueError("need one trial total per block")
     rng = np.random.default_rng(seed)
     rounds = []
     for block_index, block_len in enumerate(blocks):

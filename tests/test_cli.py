@@ -234,14 +234,16 @@ def continuous_scenario():
 
 
 def test_continuous_writes_rounds_and_decisions(tmp_path):
-    """Round 3 shares one arm with the tracked set: it reinitializes, or
-    with the full-rank fallback keeps the history and records that."""
+    """Round 3 shares one arm with the tracked set: by default it
+    reinitializes, and with the full-rank fallback it keeps the history and
+    records that."""
     config = tmp_path / "scenario.json"
-    for on_break in ("reinitialize", "full_rank"):
+    for on_break, round_3 in ((None, "reinitialize"), ("full_rank", "full_rank")):
         scenario = continuous_scenario()
-        scenario["on_continuity_break"] = on_break
+        if on_break is not None:
+            scenario["on_continuity_break"] = on_break
         write_json(config, scenario)
-        out = tmp_path / on_break
+        out = tmp_path / round_3
         assert main(["continuous", "--config", str(config), "--out", str(out)]) == 0
 
         rounds = read_csv(out / "rounds.csv")
@@ -252,7 +254,7 @@ def test_continuous_writes_rounds_and_decisions(tmp_path):
         assert decisions[0] == ["round", "decision"]
         assert decisions[1] == ["1", "reinitialize"]
         assert decisions[2] == ["2", "continue_bandit"]
-        assert decisions[3] == ["3", on_break]
+        assert decisions[3] == ["3", round_3]
 
 
 def test_continuous_rejects_bad_round(tmp_path, capsys):
@@ -270,17 +272,19 @@ def test_continuous_rejects_bad_round(tmp_path, capsys):
         return lambda scenario: scenario["rounds"][index - 1].update(fields)
 
     cases = [
-        (lambda scenario: scenario["rounds"][0].update(p={"A": 0.32}), "round 1"),  # missing arms
+        (lambda scenario: scenario["rounds"][0].update(p={"A": 0.32}), "round 1: field 'p'"),
         (top(seed="5"), "'seed'"),
         (top(seed=1.5), "'seed'"),
         (top(seed=-1), "'seed'"),
         (top(n_draws="10"), "'n_draws'"),
         (top(n_draws=True), "'n_draws'"),
         (top(n_draws=0), "'n_draws'"),
+        (top(on_continuity_break="carry_on"), "field 'on_break'"),
         (first_round("p", "A", "x"), "round 1: field 'p' for arm 'A'"),
         (first_round("p", "A", None), "round 1: field 'p' for arm 'A'"),
         (first_round("p", "A", True), "round 1: field 'p' for arm 'A'"),
-        (first_round("p", "A", 10**400), "round 1: success probability for arm 'A'"),
+        (first_round("p", "A", 10**400), "round 1: field 'p' for arm 'A'"),
+        (first_round("p", "A", 1), "round 1: field 'p' for arm 'A'"),
         (first_round("active", 0, ["A"]), "round 1: field 'active'"),
         (first_round("active", 0, 1), "round 1: field 'active'"),
         (in_round(2, trials=2.5), "round 2: field 'trials'"),

@@ -251,11 +251,9 @@ def test_run_continuous_full_rank_fallback_keeps_shared_history():
 
 def test_scenario_round_validates_probabilities():
     """Probabilities and trials are checked by the round, naming the field."""
-    with pytest.raises(ValueError):
-        ScenarioRound(("A", "B"), {"A": 0.5}, 100)
-    with pytest.raises(ValueError):
-        ScenarioRound(("A", "B"), {"A": 0.5, "B": 1.5}, 100)
     for p, trials, named in (
+        ({"A": 0.5}, 100, "field 'p' has no entry for arm 'B'"),
+        ({"A": 0.5, "B": 1.5}, 100, "field 'p' for arm 'B'"),
         ({"A": 0.5, "B": 0.4}, 2.5, "field 'trials'"),
         ({"A": 0.5, "B": 0.4}, True, "field 'trials'"),
         ({"A": 0.5, "B": "0.3"}, 100, "field 'p' for arm 'B'"),
@@ -265,11 +263,10 @@ def test_scenario_round_validates_probabilities():
 
 
 def test_scenario_rejects_unknown_break_strategy():
-    """The scenario checks its seed, draw count and mode, naming the field."""
-    with pytest.raises(ValueError):
-        ContinuousScenario(scenario_rounds(), on_break="carry_on")
+    """The scenario checks its break strategy, seed, draw count and mode,
+    naming the field."""
     for field, value in (
-        ("seed", 1.5), ("seed", True), ("seed", "3"),
+        ("on_break", "carry_on"), ("seed", 1.5), ("seed", True), ("seed", "3"),
         ("n_draws", 2.5), ("n_draws", True), ("mode", "hybrid"),
     ):
         with pytest.raises(ConfigError, match=f"field '{field}'"):

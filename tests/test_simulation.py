@@ -7,6 +7,7 @@ import pytest
 from scipy.special import expit, logit
 
 from orbandit import (
+    ConfigError,
     ExperimentConfig,
     ExperimentResult,
     InvalidRoundError,
@@ -115,6 +116,14 @@ def test_two_regime_schedule_shapes_and_shift():
         second_block, expit(logit(np.array([0.035, 0.030, 0.030, 0.030])) - 1.0), atol=1e-12
     )
     assert all(trials == 5000 for _, trials in spec.rounds)
+    for field, options in (
+        ("trials", {"trials": 2.5}),
+        ("trials", {"trials": (5000, True)}),
+        ("block_rounds", {"block_rounds": (3, 2.5)}),
+        ("block_rounds", {"block_rounds": (3, 0)}),
+    ):
+        with pytest.raises(ConfigError, match=f"field '{field}'"):
+            two_regime_schedule((0.035, 0.030), **options)
 
 
 def test_two_regime_schedule_daily_jitter_is_shared_and_seeded():
