@@ -17,11 +17,9 @@ import time
 from pathlib import Path
 from typing import Any, Mapping
 
-import numpy as np
-
 from . import __version__
 from .continuous import ContinuousScenario, ScenarioRound, run_continuous
-from .errors import BanditError, ConfigError
+from .errors import BanditError, ConfigError, _check_count, _check_number
 from .logistic_model import ProbVector
 from .simulation import (
     EnvironmentSpec,
@@ -30,7 +28,6 @@ from .simulation import (
     PolicyKind,
     RegimeSchedule,
     Stationary,
-    _check_count,
     drift_environment,
     run_replications,
 )
@@ -75,32 +72,17 @@ def _load_json(path: str) -> Any:
         raise ConfigError(f"{path} is not valid JSON (line {exc.lineno}, column {exc.colno})") from exc
 
 
-def _require_number(cfg: Mapping[str, Any], field: str, low: float, high: float) -> float:
-    value = cfg[field]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"field '{field}' must be a number, got {value!r}")
-    if not low <= float(value) <= high:
-        raise ConfigError(f"field '{field}' must be within [{low}, {high}], got {value}")
-    return float(value)
-
-
 def _parse_environment(block: Mapping[str, Any]) -> EnvironmentSpec:
     if not isinstance(block, Mapping) or "kind" not in block:
         raise ConfigError("field 'environment' must be an object with a 'kind'")
     kind = block["kind"]
     try:
         if kind == "stationary":
-            return Stationary(ProbVector(np.asarray(block["p"], dtype=float)))
+            return Stationary(ProbVector(block["p"]))
         if kind == "logit_drift":
-            return LogitDrift(
-                np.asarray(block["base_beta"], dtype=float), float(block["sigma"])
-            )
+            return LogitDrift(block["base_beta"], block["sigma"])
         if kind == "regime_schedule":
-            rounds = tuple(
-                (ProbVector(np.asarray(r["p"], dtype=float)), r["trials"])
-                for r in block["rounds"]
-            )
-            return RegimeSchedule(rounds)
+            return RegimeSchedule(tuple((ProbVector(r["p"]), r["trials"]) for r in block["rounds"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"field 'environment' ({kind}): {exc}") from exc
     raise ConfigError(f"field 'environment.kind' must be one of stationary, "
@@ -140,7 +122,7 @@ def _resolve_simulate_config(args: argparse.Namespace) -> tuple[dict[str, Any], 
             raise ConfigError(f"field '{field}' is required")
     resolved = {
         field: _check_count(field, cfg[field], low) if kind is int
-        else _require_number(cfg, field, low, high)
+        else _check_number(field, cfg[field], low, high)
         for field, (kind, low, high, _) in _SIMULATE_FIELDS.items()
     }
     if cfg["policy"] not in _POLICY_CHOICES:

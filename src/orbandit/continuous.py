@@ -25,6 +25,7 @@ from .errors import (
     InvalidDimensionError,
     InvalidRoundError,
     UnknownArmError,
+    _check_count,
 )
 from .gaussian_belief import (
     GaussianBelief,
@@ -33,7 +34,7 @@ from .gaussian_belief import (
     marginalize_keep,
     transform,
 )
-from .logistic_model import RoundData
+from .logistic_model import ProbVector, RoundData
 from .policy import (
     AllocationProportions,
     LogisticPolicyState,
@@ -42,7 +43,7 @@ from .policy import (
     full_ts_update,
     or_ts_update,
 )
-from .simulation import _check_count, allocate_trials, draw_rewards
+from .simulation import allocate_trials, draw_rewards
 
 __all__ = [
     "Continuity",
@@ -106,8 +107,7 @@ class ArmRegistry:
             raise InvalidDimensionError(
                 f"belief dimension {self.belief.dim} does not match arm count {len(arms)}"
             )
-        if self.round < 0:
-            raise ValueError("round must be non-negative")
+        _check_count("round", self.round, 0)
         object.__setattr__(self, "arms", arms)
 
     @property
@@ -372,8 +372,9 @@ def run_continuous(scenario: ContinuousScenario) -> ContinuousResult:
         registry = _anchored(registry, rnd.active)
         plan = plan_round(registry, rnd.active, scenario.n_draws, rng_policy)
         allocated = allocate_trials(plan.proportions, rnd.trials, rng_alloc)
-        true_p = np.array([rnd.p[a] for a in rnd.active], dtype=float)
+        # A round's p may hold any real number, a Fraction included.
+        true_p = ProbVector([float(rnd.p[a]) for a in rnd.active])
         successes = draw_rewards(allocated, true_p, rng_reward)
         registry = absorb_round(registry, rnd.active, RoundData(allocated, successes), mode)
-        outcomes.append(RoundOutcome(index, decision, plan, allocated, successes, true_p))
+        outcomes.append(RoundOutcome(index, decision, plan, allocated, successes, true_p.p))
     return ContinuousResult(tuple(outcomes), registry)

@@ -1,6 +1,21 @@
-"""Exception types raised by the bandit engine."""
+"""Exception types raised by the bandit engine, and the input rules that
+raise ``ConfigError``.
+
+Every layer checks its inputs with the three rules kept here, next to the
+error they raise, and each rule names the field it rejects:
+``_check_count`` for integer counts and indices, ``_check_number`` for
+real scalars, and ``_numbers`` for numeric arrays. ``_frozen_numbers``
+applies ``_numbers`` to a field of a frozen dataclass and stores the
+read-only result in its place.
+"""
 
 from __future__ import annotations
+
+import math
+import sys
+from numbers import Integral, Real
+
+import numpy as np
 
 __all__ = [
     "BanditError",
@@ -88,3 +103,56 @@ class SimulationError(BanditError):
 class ConfigError(BanditError, ValueError):
     """A field of a library config or scenario, or of the file it was read
     from, failed validation."""
+
+
+def _check_count(name: str, value, minimum: int):
+    """Return ``value`` if it is an integer (bools excluded) of at least
+    ``minimum``; otherwise raise ``ConfigError`` naming the field."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ConfigError(f"field '{name}' must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"field '{name}' must be >= {minimum}, got {value}")
+    return value
+
+
+def _check_number(name: str, value, low: float, high: float = math.inf) -> float:
+    """Return ``value`` as a float if it is a finite real number (bools
+    excluded) within [low, high]; otherwise raise ``ConfigError`` naming
+    the field."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ConfigError(f"field '{name}' must be a number, got {value!r}")
+    # The magnitude bound also rejects nan, infinities and integers too
+    # large for a float.
+    if not (low <= value <= high and abs(value) <= sys.float_info.max):
+        raise ConfigError(f"field '{name}' must be finite and within [{low}, {high}], got {value}")
+    return float(value)
+
+
+def _numbers(name: str, value, dtype=float, vector: bool = True) -> np.ndarray:
+    """A read-only ``dtype`` copy of ``value``, flattened when ``vector``.
+
+    The value must hold integers or floats (bools, strings and objects are
+    rejected), every element must be finite and, for an integer ``dtype``,
+    whole and within its range; otherwise ``ConfigError`` names the field.
+    """
+    array = np.asarray(value)
+    kind = array.dtype.kind
+    if kind not in "iuf":
+        raise ConfigError(f"field '{name}' must hold integers or floats, got dtype {array.dtype}")
+    if kind == "f" and not np.isfinite(array).all():
+        raise ConfigError(f"field '{name}' must be finite")
+    stored = array.astype(dtype)
+    if kind == "f" and stored.dtype.kind != "f" and not np.array_equal(stored, array):
+        raise ConfigError(f"field '{name}' must hold whole numbers that fit {stored.dtype}")
+    if vector:
+        stored = stored.reshape(-1)
+    stored.setflags(write=False)
+    return stored
+
+
+def _frozen_numbers(owner, name: str, dtype=float, vector: bool = True) -> np.ndarray:
+    """Check the field ``name`` of the frozen dataclass ``owner`` with
+    ``_numbers``, store the result in its place and return it."""
+    stored = _numbers(name, getattr(owner, name), dtype, vector)
+    object.__setattr__(owner, name, stored)
+    return stored

@@ -29,6 +29,9 @@ from .errors import (
     InvalidDimensionError,
     InvalidPermutationError,
     InvalidTransformError,
+    _check_count,
+    _frozen_numbers,
+    _numbers,
 )
 
 __all__ = [
@@ -77,15 +80,12 @@ class GaussianBelief:
     _factor: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mean = np.array(self.mean, dtype=float).reshape(-1)
-        precision = np.array(self.precision, dtype=float)
-        d = mean.size
+        d = _frozen_numbers(self, "mean").size
+        precision = _numbers("precision", self.precision, vector=False)
         if precision.shape != (d, d):
             raise InvalidDimensionError(
                 f"precision shape {precision.shape} does not match mean length {d}"
             )
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(precision))):
-            raise ValueError("belief entries must be finite")
         # Symmetrize on every construction for numerical cleanliness.
         precision = 0.5 * (precision + precision.T)
         # The precision is a permutation of diag(block, 0) over its
@@ -108,9 +108,7 @@ class GaussianBelief:
             factor = None
         else:
             factor.setflags(write=False)
-        mean.setflags(write=False)
         precision.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "precision", precision)
         object.__setattr__(self, "_factor", factor)
 
@@ -148,20 +146,16 @@ class TransformMatrix:
     inverse: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        entries = np.array(self.entries, dtype=float)
+        entries = _frozen_numbers(self, "entries", vector=False)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1] or entries.shape[0] < 1:
             raise InvalidTransformError(f"transform must be square, got shape {entries.shape}")
-        if not np.all(np.isfinite(entries)):
-            raise InvalidTransformError("transform entries must be finite")
         try:
             inverse = np.linalg.solve(entries, np.eye(entries.shape[0]))
         except np.linalg.LinAlgError as exc:
             raise InvalidTransformError("transform is singular") from exc
         if not np.all(np.isfinite(inverse)):
             raise InvalidTransformError("transform is numerically singular")
-        entries.setflags(write=False)
         inverse.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "inverse", inverse)
 
     @property
@@ -171,9 +165,7 @@ class TransformMatrix:
 
 def make_flat_belief(dim: int) -> GaussianBelief:
     """Improper uniform belief: zero mean, zero precision."""
-    dim = int(dim)
-    if dim < 1:
-        raise InvalidDimensionError(f"belief dimension must be positive, got {dim}")
+    _check_count("dim", dim, 1)
     return GaussianBelief(np.zeros(dim), np.zeros((dim, dim)))
 
 
@@ -183,10 +175,7 @@ def build_c_ind(num_arms: int) -> TransformMatrix:
     Row i < K adds the reference coordinate to coordinate i; the last row
     passes the reference coordinate through unchanged.
     """
-    k = int(num_arms)
-    if k < 1:
-        raise InvalidDimensionError(f"arm count must be positive, got {k}")
-    entries = np.eye(k)
+    entries = np.eye(_check_count("num_arms", num_arms, 1))
     entries[:, -1] = 1.0
     return TransformMatrix(entries)
 
@@ -198,7 +187,7 @@ def build_c_f(perm: Sequence[int]) -> TransformMatrix:
     position j; applying the matrix to a per-arm vector moves entry j to
     position ``perm[j]``.
     """
-    perm = np.asarray(perm, dtype=int).reshape(-1)
+    perm = _numbers("perm", perm, int)
     k = perm.size
     if k < 1:
         raise InvalidPermutationError("permutation must be non-empty")
@@ -217,7 +206,7 @@ def compose_reindex(perm: Sequence[int], num_arms: int) -> TransformMatrix:
     parameter vector of the relabeled model: per-arm probabilities follow
     the permutation exactly, including when the reference arm moves.
     """
-    k = int(num_arms)
+    k = _check_count("num_arms", num_arms, 1)
     c_f = build_c_f(perm)
     if c_f.dim != k:
         raise InvalidPermutationError(
@@ -251,7 +240,7 @@ def marginalize_keep(belief: GaussianBelief, keep: Sequence[int]) -> GaussianBel
     directions carry no coupling, so they integrate out to nothing, and a
     fully flat belief marginalizes to a flat belief.
     """
-    keep = list(int(i) for i in keep)
+    keep = _numbers("keep", keep, int).tolist()
     d = belief.dim
     if len(keep) < 1:
         raise InvalidDimensionError("must keep at least one coordinate")
@@ -303,9 +292,7 @@ def sample(belief: GaussianBelief, count: int, rng: np.random.Generator) -> np.n
     draws ``z @ L⁻¹``: one triangular multiply, written into the normals'
     own buffer, so no covariance matrix is formed.
     """
-    count = int(count)
-    if count < 1:
-        raise ValueError(f"sample count must be positive, got {count}")
+    _check_count("count", count, 1)
     if belief._factor is None:
         raise CannotSampleError("cannot sample from an improper belief")
     z = rng.standard_normal((count, belief.dim))

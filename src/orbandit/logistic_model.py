@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .errors import InvalidDimensionError, OptimizationFailureError
+from .errors import InvalidDimensionError, OptimizationFailureError, _frozen_numbers, _numbers
 from .gaussian_belief import GaussianBelief
 
 __all__ = [
@@ -62,18 +62,14 @@ class RoundData:
     c: np.ndarray
 
     def __post_init__(self):
-        n = np.array(self.n, dtype=np.int64).reshape(-1)
-        c = np.array(self.c, dtype=np.int64).reshape(-1)
+        n = _frozen_numbers(self, "n", np.int64)
+        c = _frozen_numbers(self, "c", np.int64)
         if n.size < 1 or n.shape != c.shape:
             raise InvalidDimensionError(
                 f"count vectors must be non-empty and equal length, got {n.shape} and {c.shape}"
             )
         if np.any(n < 0) or np.any(c < 0) or np.any(c > n):
             raise ValueError("counts must satisfy 0 <= c_i <= n_i")
-        n.setflags(write=False)
-        c.setflags(write=False)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "c", c)
 
     @property
     def arms(self) -> int:
@@ -87,13 +83,11 @@ class ProbVector:
     p: np.ndarray
 
     def __post_init__(self):
-        p = np.array(self.p, dtype=float).reshape(-1)
+        p = _frozen_numbers(self, "p")
         if p.size < 1:
             raise InvalidDimensionError("probability vector must be non-empty")
         if not np.all((p > 0.0) & (p < 1.0)):
             raise ValueError("probabilities must lie strictly inside (0, 1)")
-        p.setflags(write=False)
-        object.__setattr__(self, "p", p)
 
     @property
     def arms(self) -> int:
@@ -113,7 +107,7 @@ def probs_from_params(params) -> ProbVector:
     Overflow-safe for arbitrarily large parameters; results are clipped to
     the open unit interval at the float64 boundary.
     """
-    params = np.asarray(params, dtype=float).reshape(-1)
+    params = _numbers("params", params)
     if params.size < 1:
         raise InvalidDimensionError("parameter vector must be non-empty")
     return ProbVector(np.clip(expit(_arm_logits(params)), _P_LO, _P_HI))
@@ -147,7 +141,7 @@ def neg_log_posterior(mu, data: RoundData, prior: GaussianBelief) -> tuple[float
     dropped. An improper prior contributes only through directions where
     its precision is non-zero.
     """
-    mu = np.asarray(mu, dtype=float).reshape(-1)
+    mu = _numbers("mu", mu)
     if mu.size != data.arms or mu.size != prior.dim:
         raise InvalidDimensionError(
             f"parameter length {mu.size}, data arms {data.arms}, prior dim {prior.dim} must agree"
@@ -174,7 +168,7 @@ def hessian_lambda(mu, data: RoundData) -> np.ndarray:
     Positive semidefinite always, and positive definite whenever every arm
     has at least one trial.
     """
-    mu = np.asarray(mu, dtype=float).reshape(-1)
+    mu = _numbers("mu", mu)
     if mu.size != data.arms:
         raise InvalidDimensionError(
             f"parameter length {mu.size} does not match data arms {data.arms}"

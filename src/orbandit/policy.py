@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidDimensionError
+from .errors import InvalidDimensionError, _check_count, _frozen_numbers
 from .gaussian_belief import (
     GaussianBelief,
     embed_flat_last,
@@ -53,16 +53,12 @@ class BetaState:
     beta: np.ndarray
 
     def __post_init__(self):
-        alpha = np.array(self.alpha, dtype=float).reshape(-1)
-        beta = np.array(self.beta, dtype=float).reshape(-1)
+        alpha = _frozen_numbers(self, "alpha")
+        beta = _frozen_numbers(self, "beta")
         if alpha.size < 1 or alpha.shape != beta.shape:
             raise InvalidDimensionError("alpha and beta must be non-empty and equal length")
         if np.any(alpha <= 0) or np.any(beta <= 0):
             raise ValueError("Beta parameters must be positive")
-        alpha.setflags(write=False)
-        beta.setflags(write=False)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
 
     @property
     def arms(self) -> int:
@@ -71,9 +67,7 @@ class BetaState:
     @classmethod
     def uniform_prior(cls, num_arms: int) -> "BetaState":
         """Beta(1, 1) on every arm."""
-        num_arms = int(num_arms)
-        if num_arms < 1:
-            raise InvalidDimensionError(f"arm count must be positive, got {num_arms}")
+        _check_count("num_arms", num_arms, 1)
         return cls(np.ones(num_arms), np.ones(num_arms))
 
 
@@ -88,8 +82,7 @@ class LogisticPolicyState:
     def __post_init__(self):
         if self.belief.dim < 1:
             raise InvalidDimensionError("policy belief must cover at least one arm")
-        if self.round_index < 0:
-            raise ValueError("round index must be non-negative")
+        _check_count("round_index", self.round_index, 0)
         object.__setattr__(self, "mode", UpdateMode(self.mode))
 
     @classmethod
@@ -104,13 +97,11 @@ class AllocationProportions:
     p: np.ndarray
 
     def __post_init__(self):
-        p = np.array(self.p, dtype=float).reshape(-1)
+        p = _frozen_numbers(self, "p")
         if p.size < 1:
             raise InvalidDimensionError("proportions must be non-empty")
         if np.any(p < 0) or abs(float(p.sum()) - 1.0) > 1e-9:
             raise ValueError("proportions must be non-negative and sum to one")
-        p.setflags(write=False)
-        object.__setattr__(self, "p", p)
 
     @property
     def arms(self) -> int:
@@ -119,9 +110,7 @@ class AllocationProportions:
 
 def initial_proportions(num_arms: int) -> AllocationProportions:
     """Uniform split used before the first posterior exists."""
-    num_arms = int(num_arms)
-    if num_arms < 1:
-        raise InvalidDimensionError(f"arm count must be positive, got {num_arms}")
+    _check_count("num_arms", num_arms, 1)
     return AllocationProportions(np.full(num_arms, 1.0 / num_arms))
 
 
@@ -134,9 +123,7 @@ def allocation_proportions(
     zero, which ranks arms by their log odds against the reference without
     moving the shared base rate; ties break toward the lowest arm index.
     """
-    n_draws = int(n_draws)
-    if n_draws < 1:
-        raise ValueError(f"draw count must be positive, got {n_draws}")
+    _check_count("n_draws", n_draws, 1)
     scores = sample(belief, n_draws, rng)
     scores[:, -1] = 0.0
     winners = np.argmax(scores, axis=1)
@@ -181,9 +168,7 @@ def beta_ts_proportions(
     state: BetaState, n_draws: int, rng: np.random.Generator
 ) -> AllocationProportions:
     """Monte Carlo winner frequencies under independent Beta posteriors."""
-    n_draws = int(n_draws)
-    if n_draws < 1:
-        raise ValueError(f"draw count must be positive, got {n_draws}")
+    _check_count("n_draws", n_draws, 1)
     draws = rng.beta(state.alpha, state.beta, size=(n_draws, state.arms))
     winners = np.argmax(draws, axis=1)
     counts = np.bincount(winners, minlength=state.arms)

@@ -21,10 +21,13 @@ from scipy.special import expit, logit
 
 from .errors import (
     BanditError,
-    ConfigError,
     InvalidDimensionError,
     InvalidRoundError,
     SimulationError,
+    _check_count,
+    _check_number,
+    _frozen_numbers,
+    _numbers,
 )
 from .logistic_model import ProbVector, RoundData
 from .policy import (
@@ -61,16 +64,6 @@ __all__ = [
 ]
 
 
-def _check_count(name: str, value, minimum: int):
-    """Return ``value`` if it is an integer (bools excluded) of at least
-    ``minimum``; otherwise raise ``ConfigError`` naming the field."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigError(f"field '{name}' must be an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"field '{name}' must be >= {minimum}, got {value}")
-    return value
-
-
 @dataclass(frozen=True)
 class Stationary:
     """Success probabilities fixed for every round."""
@@ -90,14 +83,9 @@ class LogitDrift:
     sigma: float
 
     def __post_init__(self):
-        base = np.array(self.base_beta, dtype=float).reshape(-1)
-        if base.size < 1 or not np.all(np.isfinite(base)):
-            raise InvalidDimensionError("base logits must be a non-empty finite vector")
-        if not np.isfinite(self.sigma) or self.sigma < 0:
-            raise ValueError(f"drift scale must be non-negative, got {self.sigma}")
-        base.setflags(write=False)
-        object.__setattr__(self, "base_beta", base)
-        object.__setattr__(self, "sigma", float(self.sigma))
+        if _frozen_numbers(self, "base_beta").size < 1:
+            raise InvalidDimensionError("base logits must be a non-empty vector")
+        object.__setattr__(self, "sigma", _check_number("sigma", self.sigma, 0.0))
 
 
 @dataclass(frozen=True)
@@ -170,14 +158,12 @@ def sigma_from_d(d: float, p_optimal: float, p_suboptimal: float) -> float:
         raise ValueError(
             f"need 0 < p_suboptimal < p_optimal < 1, got {p_suboptimal} and {p_optimal}"
         )
-    return float(d) * float(logit(p_optimal) - logit(p_suboptimal))
+    return _check_number("d", d, 0.0) * float(logit(p_optimal) - logit(p_suboptimal))
 
 
 def env_step(spec: EnvironmentSpec, round_index: int, rng: np.random.Generator) -> ProbVector:
     """Success probabilities for the given 1-based round."""
-    round_index = int(round_index)
-    if round_index < 1:
-        raise InvalidRoundError(f"round index must be >= 1, got {round_index}")
+    _check_count("round_index", round_index, 1)
     if isinstance(spec, Stationary):
         return spec.p
     if isinstance(spec, LogitDrift):
@@ -192,38 +178,30 @@ def env_step(spec: EnvironmentSpec, round_index: int, rng: np.random.Generator) 
     raise TypeError(f"unknown environment spec {type(spec).__name__}")
 
 
-def allocate_trials(proportions, total: int, rng: np.random.Generator) -> np.ndarray:
+def allocate_trials(
+    proportions: AllocationProportions, total: int, rng: np.random.Generator
+) -> np.ndarray:
     """Split a round's trial budget across arms by one multinomial draw.
 
-    Accepts AllocationProportions or any non-negative weight vector; the
-    weights are normalised to shares first. The multinomial draw matches how
+    The shares are divided by their sum first, so their rounding error
+    (up to 1e-9) never reaches the draw. The multinomial draw matches how
     traffic actually splits when each visitor is routed independently.
     """
-    total = int(total)
-    if total < 0:
-        raise ValueError(f"trial total must be non-negative, got {total}")
-    weights = (
-        proportions.p
-        if isinstance(proportions, AllocationProportions)
-        else np.asarray(proportions, dtype=float).reshape(-1)
-    )
-    if weights.size < 1 or not np.all(np.isfinite(weights)) or np.any(weights < 0):
-        raise ValueError("allocation weights must be non-negative finite numbers")
-    if weights.sum() <= 0:
-        raise ValueError("allocation weights must not all be zero")
-    return rng.multinomial(total, weights / weights.sum()).astype(np.int64)
+    _check_count("total", total, 0)
+    p = proportions.p
+    return rng.multinomial(total, p / p.sum()).astype(np.int64)
 
 
-def draw_rewards(allocated: np.ndarray, true_p, rng: np.random.Generator) -> np.ndarray:
+def draw_rewards(allocated, true_p: ProbVector, rng: np.random.Generator) -> np.ndarray:
     """Binomial successes per arm for the given trial counts."""
-    allocated = np.asarray(allocated, dtype=np.int64).reshape(-1)
-    p = true_p.p if isinstance(true_p, ProbVector) else np.asarray(true_p, dtype=float).reshape(-1)
+    allocated = _numbers("allocated", allocated, np.int64)
+    p = true_p.p
     if allocated.shape != p.shape:
         raise InvalidDimensionError(
             f"allocated shape {allocated.shape} does not match probabilities {p.shape}"
         )
-    if np.any(allocated < 0) or np.any(p < 0) or np.any(p > 1):
-        raise ValueError("trial counts must be non-negative and probabilities within [0, 1]")
+    if np.any(allocated < 0):
+        raise ValueError("trial counts must be non-negative")
     return rng.binomial(allocated, p).astype(np.int64)
 
 
@@ -316,8 +294,9 @@ def run_experiment(config: ExperimentConfig, spec: EnvironmentSpec) -> Experimen
             spec.rounds[row][1] if isinstance(spec, RegimeSchedule) else config.trials_per_round
         )
         allocated = allocate_trials(proportions, trials, rng_alloc)
-        true_p = env_step(spec, round_index, rng_env).p
-        successes = draw_rewards(allocated, true_p, rng_reward)
+        env_p = env_step(spec, round_index, rng_env)
+        successes = draw_rewards(allocated, env_p, rng_reward)
+        true_p = env_p.p
         try:
             runner.observe(RoundData(allocated, successes))
         except BanditError as exc:
@@ -397,9 +376,7 @@ def run_replications(
 
 def single_best_arm_logits(arms: int, p_optimal: float, p_suboptimal: float) -> np.ndarray:
     """Per-arm logits with arm 0 at the optimal rate and the rest tied."""
-    arms = int(arms)
-    if arms < 1:
-        raise InvalidDimensionError(f"arm count must be positive, got {arms}")
+    _check_count("arms", arms, 1)
     if not 0.0 < p_suboptimal < p_optimal < 1.0:
         raise ValueError(
             f"need 0 < p_suboptimal < p_optimal < 1, got {p_suboptimal} and {p_optimal}"
@@ -438,7 +415,7 @@ def two_regime_schedule(
     relative arm quality never changes. ``trials`` may be a scalar or one
     total per block. Deterministic for a fixed seed.
     """
-    base = logit(np.asarray(base_p, dtype=float).reshape(-1))
+    base = logit(_numbers("base_p", base_p))
     if base.size < 1 or not np.all(np.isfinite(base)):
         raise ValueError("base probabilities must be a non-empty vector inside (0, 1)")
     blocks = [_check_count("block_rounds", b, 1) for b in block_rounds]

@@ -154,11 +154,24 @@ def test_invalid_config_returns_exit_code_2(tmp_path, capsys):
     fractional_trials = simulate_config(arms=2, environment={
         "kind": "regime_schedule", "rounds": [{"p": [0.3, 0.2], "trials": 2.5}] * 4,
     })
+    string_p = simulate_config(arms=2, environment={
+        "kind": "regime_schedule", "rounds": [{"p": [0.3, "0.2"], "trials": 400}] * 4,
+    })
+
+    def drift(sigma):
+        return simulate_config(arms=2, environment={
+            "kind": "logit_drift", "base_beta": [-0.8, -0.85], "sigma": sigma,
+        })
+
     for payload, named in (
         (without_rounds, "field 'rounds' is required"),
         (without_policy, "field 'policy' is required"),
         (unknown_kind, "field 'environment.kind'"),
         (fractional_trials, "field 'environment' (regime_schedule): field 'trials'"),
+        (string_p, "field 'environment' (regime_schedule): field 'p'"),
+        (drift("0.5"), "field 'environment' (logit_drift): field 'sigma'"),
+        (drift(True), "field 'environment' (logit_drift): field 'sigma'"),
+        (simulate_config(d=10**400), "field 'd'"),
     ):
         write_json(config, payload)
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 2

@@ -62,6 +62,8 @@ def test_absorb_round_raises_on_broken_continuity():
     absorbed = absorb_round(registry, ("C", "D"), data, UpdateMode.FULL)
     assert absorbed.arms == ("A", "B", "D", "C")
     assert absorbed.round == 2
+    with pytest.raises(ConfigError, match="field 'round'"):
+        ArmRegistry(registry.arms, registry.belief, round=1.5)
 
 
 # --- registry bookkeeping -----------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from orbandit import (
     CannotSampleError,
+    ConfigError,
     GaussianBelief,
     InvalidDimensionError,
     InvalidPermutationError,
@@ -49,6 +50,8 @@ def test_constructor_symmetrizes_small_asymmetry():
 def test_constructor_rejects_mismatched_shapes():
     with pytest.raises(InvalidDimensionError):
         GaussianBelief(np.zeros(3), np.eye(2))
+    with pytest.raises(ConfigError, match="field 'dim'"):
+        make_flat_belief(2.5)
 
 
 def test_constructor_rejects_non_finite_entries():
@@ -166,6 +169,8 @@ def test_permutation_matrix_moves_positions():
 def test_permutation_must_be_bijection():
     with pytest.raises(InvalidPermutationError):
         build_c_f((0, 0, 2))
+    with pytest.raises(ConfigError, match="field 'perm'"):
+        build_c_f([0, 1.7])
 
 
 def test_compose_reindex_is_integer_exact():
@@ -269,6 +274,8 @@ def test_marginalize_keep_rejects_bad_indices():
         marginalize_keep(belief, [1, 1])
     with pytest.raises(InvalidDimensionError):
         marginalize_keep(belief, [])
+    with pytest.raises(ConfigError, match="field 'keep'"):
+        marginalize_keep(belief, [0.5, 2])
 
 
 def test_marginalize_keep_partially_flat_belief():
@@ -323,3 +330,5 @@ def test_sample_count_must_be_positive():
     belief = GaussianBelief(np.zeros(2), np.eye(2))
     with pytest.raises(ValueError):
         sample(belief, 0, np.random.default_rng(8))
+    with pytest.raises(ConfigError, match="field 'count'"):
+        sample(belief, 2.5, np.random.default_rng(8))

@@ -5,6 +5,7 @@ import pytest
 from scipy.special import expit, logit
 
 from orbandit import (
+    ConfigError,
     GaussianBelief,
     InvalidDimensionError,
     OptimizationFailureError,
@@ -36,6 +37,9 @@ def test_round_data_validates_counts():
         RoundData(np.array([10, -1]), np.array([0, 0]))
     with pytest.raises(ValueError):
         RoundData(np.array([], dtype=int), np.array([], dtype=int))
+    for n in ([2.5, 3], ["4", 3]):
+        with pytest.raises(ConfigError, match="field 'n'"):
+            RoundData(n, [1, 1])
 
 
 def test_prob_vector_requires_open_interval():
@@ -43,6 +47,8 @@ def test_prob_vector_requires_open_interval():
         ProbVector(np.array([0.0, 0.5]))
     with pytest.raises(ValueError):
         ProbVector(np.array([0.5, 1.0]))
+    with pytest.raises(ConfigError, match="field 'params'"):
+        probs_from_params(["0.5", "1"])
 
 
 def test_probs_from_params_reference_and_offsets():
@@ -180,6 +186,11 @@ def test_map_converges_at_large_counts():
 def test_map_dimension_mismatch_raises():
     with pytest.raises(InvalidDimensionError):
         fit_map(RoundData(np.array([5, 5]), np.array([1, 1])), make_flat_belief(3))
+    data = RoundData(np.array([5, 5]), np.array([1, 1]))
+    with pytest.raises(ConfigError, match="field 'mu'"):
+        hessian_lambda(["0.1", True], data)
+    with pytest.raises(ConfigError, match="field 'mu'"):
+        neg_log_posterior([0.0, np.inf], data, make_flat_belief(2))
 
 
 def test_optimization_failure_reports_last_iterate():

@@ -7,6 +7,7 @@ from orbandit import (
     AllocationProportions,
     ArmRegistry,
     BetaState,
+    ConfigError,
     GaussianBelief,
     LogisticPolicyState,
     RoundData,
@@ -38,6 +39,8 @@ def test_proportions_must_sum_to_one():
         AllocationProportions(np.array([0.5, 0.4]))
     with pytest.raises(ValueError):
         AllocationProportions(np.array([0.5, -0.1, 0.6]))
+    with pytest.raises(ConfigError, match="field 'p'"):
+        AllocationProportions([np.nan])
 
 
 def test_allocation_zero_mean_identity_is_symmetric_in_leading_arms():
@@ -62,6 +65,8 @@ def test_allocation_requires_proper_belief():
     rng = np.random.default_rng(102)
     with pytest.raises(CannotSampleError):
         allocation_proportions(make_flat_belief(3), 100, rng)
+    with pytest.raises(ConfigError, match="field 'n_draws'"):
+        allocation_proportions(GaussianBelief(np.zeros(2), np.eye(2)), 2.5, rng)
 
 
 def test_allocation_is_deterministic_given_generator_state():
@@ -145,6 +150,9 @@ def test_beta_proportions_favor_better_arm():
 def test_beta_state_validates_positivity():
     with pytest.raises(ValueError):
         BetaState(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
+    for alpha, beta, field in (([np.nan, 1.0], [1.0, 1.0], "alpha"), ([1.0], [np.inf], "beta")):
+        with pytest.raises(ConfigError, match=f"field '{field}'"):
+            BetaState(alpha, beta)
 
 
 # --- full-rank and odds-ratio updates ----------------------------------------
@@ -226,6 +234,8 @@ def test_updates_reject_dimension_mismatch():
     state = LogisticPolicyState.flat_start(3, UpdateMode.FULL)
     with pytest.raises(InvalidDimensionError):
         full_ts_update(state, RoundData(np.array([5, 5]), np.array([1, 1])))
+    with pytest.raises(ConfigError, match="field 'round_index'"):
+        LogisticPolicyState(state.belief, UpdateMode.FULL, round_index=1.5)
 
 
 def test_round_counter_increments_per_update():

@@ -7,6 +7,7 @@ import pytest
 from scipy.special import expit, logit
 
 from orbandit import (
+    AllocationProportions,
     ConfigError,
     ExperimentConfig,
     ExperimentResult,
@@ -40,6 +41,9 @@ def test_sigma_from_d_frozen_values():
 def test_sigma_from_d_requires_ordered_probabilities():
     with pytest.raises(ValueError):
         sigma_from_d(1.0, 0.30, 0.31)
+    for d in ("2", -1.0):
+        with pytest.raises(ConfigError, match="field 'd'"):
+            sigma_from_d(d, 0.31, 0.30)
 
 
 def test_stationary_environment_returns_same_probs_every_round():
@@ -142,14 +146,14 @@ def test_two_regime_schedule_daily_jitter_is_shared_and_seeded():
 
 def test_multinomial_allocation_sums_to_total():
     rng = np.random.default_rng(4)
-    counts = allocate_trials(np.array([0.5, 0.3, 0.2]), 10_000, rng)
+    counts = allocate_trials(AllocationProportions(np.array([0.5, 0.3, 0.2])), 10_000, rng)
     assert counts.sum() == 10_000
     assert counts.min() >= 0
 
 
 def test_draw_rewards_bounds_and_determinism():
     allocated = np.array([1000, 0, 500])
-    p = np.array([0.3, 0.5, 0.9])
+    p = ProbVector(np.array([0.3, 0.5, 0.9]))
     a = draw_rewards(allocated, p, np.random.default_rng(7))
     b = draw_rewards(allocated, p, np.random.default_rng(7))
     np.testing.assert_array_equal(a, b)
