@@ -134,12 +134,9 @@ def _resolve_simulate_config(args: argparse.Namespace) -> tuple[dict[str, Any], 
     if "environment" in cfg and cfg["environment"] is not None:
         spec = _parse_environment(cfg["environment"])
     else:
-        try:
-            spec = drift_environment(
-                resolved["arms"], resolved["p_optimal"], resolved["p_suboptimal"], resolved["d"]
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        spec = drift_environment(
+            resolved["arms"], resolved["p_optimal"], resolved["p_suboptimal"], resolved["d"]
+        )
     resolved["environment"] = _serialize_environment(spec)
     return resolved, spec
 
@@ -153,8 +150,6 @@ def _write_csv(path: Path, header: list[str], rows: list[list[Any]]) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    if args.jobs < 1:
-        raise ConfigError(f"flag '--jobs' must be >= 1, got {args.jobs}")
     resolved, spec = _resolve_simulate_config(args)
     policies = (
         _ALL_POLICIES if resolved["policy"] == "all" else (PolicyKind(resolved["policy"]),)
@@ -250,10 +245,7 @@ def _parse_scenario(path: str) -> ContinuousScenario:
     options = {field: raw[field] for field in ("mode", "seed", "n_draws") if field in raw}
     if "on_continuity_break" in raw:
         options["on_break"] = raw["on_continuity_break"]
-    try:
-        return ContinuousScenario(tuple(rounds), **options)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ContinuousScenario(tuple(rounds), **options)
 
 
 def cmd_continuous(args: argparse.Namespace) -> int:

@@ -20,11 +20,11 @@ from typing import Hashable, Mapping, Sequence
 import numpy as np
 
 from .errors import (
+    BanditError,
     ConfigError,
     ContinuityError,
-    InvalidDimensionError,
-    InvalidRoundError,
-    UnknownArmError,
+    SimulationError,
+    _check_choice,
     _check_count,
 )
 from .gaussian_belief import (
@@ -80,9 +80,9 @@ class Continuity(Enum):
 def _validated_active(active: Sequence[ArmId]) -> tuple[ArmId, ...]:
     active = tuple(active)
     if not active:
-        raise InvalidRoundError("a round must include at least one arm")
+        raise ConfigError("a round must include at least one arm")
     if len(set(active)) != len(active):
-        raise InvalidRoundError(f"active arm identifiers must be unique, got {active!r}")
+        raise ConfigError(f"active arm identifiers must be unique, got {active!r}")
     return active
 
 
@@ -102,9 +102,9 @@ class ArmRegistry:
     def __post_init__(self):
         arms = tuple(self.arms)
         if len(set(arms)) != len(arms):
-            raise InvalidRoundError(f"arm identifiers must be unique, got {arms!r}")
+            raise ConfigError(f"arm identifiers must be unique, got {arms!r}")
         if self.belief.dim != len(arms):
-            raise InvalidDimensionError(
+            raise ConfigError(
                 f"belief dimension {self.belief.dim} does not match arm count {len(arms)}"
             )
         _check_count("round", self.round, 0)
@@ -137,11 +137,11 @@ class RoundPlan:
 
     def __post_init__(self):
         if set(self.observed) | set(self.unobserved) != set(self.active):
-            raise InvalidRoundError("observed and unobserved must partition the active set")
+            raise ConfigError("observed and unobserved must partition the active set")
         if set(self.observed) & set(self.unobserved):
-            raise InvalidRoundError("observed and unobserved must be disjoint")
+            raise ConfigError("observed and unobserved must be disjoint")
         if self.proportions.arms != len(self.active):
-            raise InvalidDimensionError("proportions must cover the active set")
+            raise ConfigError("proportions must cover the active set")
 
 
 def check_continuity(active: Sequence[ArmId], registry: ArmRegistry) -> Continuity:
@@ -182,7 +182,7 @@ def reanchor_reference(registry: ArmRegistry, new_reference: ArmId) -> ArmRegist
     """
     arms = registry.arms
     if new_reference not in arms:
-        raise UnknownArmError(f"arm {new_reference!r} is not tracked")
+        raise ConfigError(f"arm {new_reference!r} is not tracked")
     if registry.reference == new_reference:
         return registry
     k = len(arms)
@@ -242,9 +242,9 @@ def absorb_round(
     and two for an odds-ratio update, or ``ContinuityError`` is raised.
     """
     active = _validated_active(active)
-    mode = UpdateMode(mode)
+    mode = _check_choice("mode", UpdateMode, mode)
     if data.arms != len(active):
-        raise InvalidRoundError(
+        raise ConfigError(
             f"count vectors cover {data.arms} arms but the round has {len(active)}"
         )
     if not _absorbs(registry, active, mode):
@@ -313,14 +313,9 @@ class ContinuousScenario:
 
     def __post_init__(self):
         object.__setattr__(self, "rounds", tuple(self.rounds))
-        try:
-            object.__setattr__(self, "mode", UpdateMode(self.mode))
-        except ValueError as exc:
-            raise ConfigError(
-                f"field 'mode' must be 'full' or 'odds_ratio', got {self.mode!r}"
-            ) from exc
+        object.__setattr__(self, "mode", _check_choice("mode", UpdateMode, self.mode))
         if not self.rounds:
-            raise InvalidRoundError("scenario must contain at least one round")
+            raise ConfigError("scenario must contain at least one round")
         _check_count("seed", self.seed, 0)
         _check_count("n_draws", self.n_draws, 1)
         if self.on_break not in ("reinitialize", "full_rank"):
@@ -354,27 +349,31 @@ def run_continuous(scenario: ContinuousScenario) -> ContinuousResult:
     to one full-rank update through the overlap when the scenario opts
     in), re-anchor, plan traffic, draw rewards, and absorb the counts.
     Deterministic for a fixed scenario seed, with separate streams for
-    allocation noise, rewards, and policy sampling.
+    allocation noise, rewards, and policy sampling. An error inside round N
+    is raised as ``SimulationError`` naming the round's update mode and N.
     """
     streams = np.random.SeedSequence(scenario.seed).spawn(3)
     rng_alloc, rng_reward, rng_policy = (np.random.default_rng(s) for s in streams)
     registry = ArmRegistry.empty()
     outcomes = []
     for index, rnd in enumerate(scenario.rounds, start=1):
-        decision = check_continuity(rnd.active, registry)
         mode = scenario.mode
-        if decision is Continuity.REINITIALIZE:
-            if (scenario.on_break == "full_rank" and registry.round > 0
-                    and _absorbs(registry, rnd.active, UpdateMode.FULL)):
-                decision, mode = Continuity.FULL_RANK, UpdateMode.FULL
-            else:
-                registry = ArmRegistry.fresh(rnd.active)
-        registry = _anchored(registry, rnd.active)
-        plan = plan_round(registry, rnd.active, scenario.n_draws, rng_policy)
-        allocated = allocate_trials(plan.proportions, rnd.trials, rng_alloc)
-        # A round's p may hold any real number, a Fraction included.
-        true_p = ProbVector([float(rnd.p[a]) for a in rnd.active])
-        successes = draw_rewards(allocated, true_p, rng_reward)
-        registry = absorb_round(registry, rnd.active, RoundData(allocated, successes), mode)
+        try:
+            decision = check_continuity(rnd.active, registry)
+            if decision is Continuity.REINITIALIZE:
+                if (scenario.on_break == "full_rank" and registry.round > 0
+                        and _absorbs(registry, rnd.active, UpdateMode.FULL)):
+                    decision, mode = Continuity.FULL_RANK, UpdateMode.FULL
+                else:
+                    registry = ArmRegistry.fresh(rnd.active)
+            registry = _anchored(registry, rnd.active)
+            plan = plan_round(registry, rnd.active, scenario.n_draws, rng_policy)
+            allocated = allocate_trials(plan.proportions, rnd.trials, rng_alloc)
+            # A round's p may hold any real number, a Fraction included.
+            true_p = ProbVector([float(rnd.p[a]) for a in rnd.active])
+            successes = draw_rewards(allocated, true_p, rng_reward)
+            registry = absorb_round(registry, rnd.active, RoundData(allocated, successes), mode)
+        except BanditError as exc:
+            raise SimulationError(mode.value, index, str(exc)) from exc
         outcomes.append(RoundOutcome(index, decision, plan, allocated, successes, true_p.p))
     return ContinuousResult(tuple(outcomes), registry)

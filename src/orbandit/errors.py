@@ -1,51 +1,41 @@
 """Exception types raised by the bandit engine, and the input rules that
 raise ``ConfigError``.
 
-Every layer checks its inputs with the three rules kept here, next to the
+There is one class per kind of fault. ``ConfigError`` is a bad argument;
+``CannotSampleError``, ``OptimizationFailureError`` and
+``ContinuityError`` are faults of the computation itself; and
+``SimulationError`` names the round in which a run failed. So whether an
+input was bad or a run failed is decided here, by the class raised.
+
+Every layer checks its inputs with the four rules kept here, next to the
 error they raise, and each rule names the field it rejects:
 ``_check_count`` for integer counts and indices, ``_check_number`` for
-real scalars, and ``_numbers`` for numeric arrays. ``_frozen_numbers``
-applies ``_numbers`` to a field of a frozen dataclass and stores the
-read-only result in its place.
+real scalars, ``_check_choice`` for enum values, and ``_numbers`` for
+numeric arrays. ``_frozen_numbers`` applies ``_numbers`` to a field of a
+frozen dataclass and stores the read-only result in its place.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from enum import Enum
 from numbers import Integral, Real
 
 import numpy as np
 
 __all__ = [
     "BanditError",
-    "InvalidDimensionError",
-    "InvalidPermutationError",
-    "InvalidTransformError",
     "CannotSampleError",
     "OptimizationFailureError",
-    "InvalidRoundError",
     "ContinuityError",
-    "UnknownArmError",
     "SimulationError",
     "ConfigError",
 ]
 
 
 class BanditError(Exception):
-    """Base class for all errors raised by this package."""
-
-
-class InvalidDimensionError(BanditError, ValueError):
-    """A dimension or shape argument is inconsistent or out of range."""
-
-
-class InvalidPermutationError(BanditError, ValueError):
-    """A relabeling map is not a bijection on the arm positions."""
-
-
-class InvalidTransformError(BanditError, ValueError):
-    """A parameter transform matrix is not square or not invertible."""
+    """Base class of every error the package raises."""
 
 
 class CannotSampleError(BanditError):
@@ -69,25 +59,18 @@ class OptimizationFailureError(BanditError):
         return (type(self), (self.args[0], self.last_iterate, self.grad_norm))
 
 
-class InvalidRoundError(BanditError, ValueError):
-    """A round's inputs are malformed (empty arm set, mismatched counts,
-    or a round index outside the schedule)."""
-
-
 class ContinuityError(BanditError):
     """The new round shares too few arms with an updated tracked set for the
     requested update (one for full-rank, two for odds-ratio), so the running
     experiment cannot absorb it without reinitializing."""
 
 
-class UnknownArmError(BanditError, ValueError):
-    """An arm identifier is not present in the registry."""
-
-
 class SimulationError(BanditError):
-    """A policy failed during a simulated experiment.
+    """A policy failed during a simulated experiment or a changing-arms
+    scenario.
 
-    Carries the policy name and the 1-based round index where it failed.
+    Carries the policy name (a scenario's update mode) and the 1-based
+    round index where it failed.
     """
 
     def __init__(self, policy: str, round_index: int, message: str):
@@ -101,8 +84,11 @@ class SimulationError(BanditError):
 
 
 class ConfigError(BanditError, ValueError):
-    """A field of a library config or scenario, or of the file it was read
-    from, failed validation."""
+    """A bad argument: a field of a config, scenario or value type, or of
+    the file it came from.
+
+    It is a ``ValueError`` too, so ``except ValueError`` code keeps working.
+    """
 
 
 def _check_count(name: str, value, minimum: int):
@@ -128,6 +114,18 @@ def _check_number(name: str, value, low: float, high: float = math.inf) -> float
     return float(value)
 
 
+def _check_choice(name: str, kind: type[Enum], value):
+    """Return ``value`` as a member of the enum ``kind``; otherwise raise
+    ``ConfigError`` naming the field and the values it takes."""
+    try:
+        return kind(value)
+    except ValueError as exc:
+        *others, last = (repr(member.value) for member in kind)
+        raise ConfigError(
+            f"field '{name}' must be {', '.join(others)} or {last}, got {value!r}"
+        ) from exc
+
+
 def _numbers(name: str, value, dtype=float, vector: bool = True) -> np.ndarray:
     """A read-only ``dtype`` copy of ``value``, flattened when ``vector``.
 
@@ -135,7 +133,10 @@ def _numbers(name: str, value, dtype=float, vector: bool = True) -> np.ndarray:
     rejected), every element must be finite and, for an integer ``dtype``,
     whole and within its range; otherwise ``ConfigError`` names the field.
     """
-    array = np.asarray(value)
+    try:
+        array = np.asarray(value)
+    except ValueError as exc:
+        raise ConfigError(f"field '{name}' must be a rectangular array: {exc}") from exc
     kind = array.dtype.kind
     if kind not in "iuf":
         raise ConfigError(f"field '{name}' must hold integers or floats, got dtype {array.dtype}")

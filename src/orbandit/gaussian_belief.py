@@ -24,15 +24,7 @@ import numpy as np
 from scipy.linalg.blas import dtrmm
 from scipy.linalg.lapack import dtrtri
 
-from .errors import (
-    CannotSampleError,
-    InvalidDimensionError,
-    InvalidPermutationError,
-    InvalidTransformError,
-    _check_count,
-    _frozen_numbers,
-    _numbers,
-)
+from .errors import CannotSampleError, ConfigError, _check_count, _frozen_numbers, _numbers
 
 __all__ = [
     "GaussianBelief",
@@ -83,7 +75,7 @@ class GaussianBelief:
         d = _frozen_numbers(self, "mean").size
         precision = _numbers("precision", self.precision, vector=False)
         if precision.shape != (d, d):
-            raise InvalidDimensionError(
+            raise ConfigError(
                 f"precision shape {precision.shape} does not match mean length {d}"
             )
         # Symmetrize on every construction for numerical cleanliness.
@@ -101,7 +93,7 @@ class GaussianBelief:
         if factor is None:
             min_eig = float(np.linalg.eigvalsh(precision)[0])
             if min_eig < -EIG_TOL:
-                raise ValueError(
+                raise ConfigError(
                     f"precision is not positive semidefinite (min eigenvalue {min_eig:.3e})"
                 )
         elif flat.any():
@@ -148,13 +140,13 @@ class TransformMatrix:
     def __post_init__(self):
         entries = _frozen_numbers(self, "entries", vector=False)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1] or entries.shape[0] < 1:
-            raise InvalidTransformError(f"transform must be square, got shape {entries.shape}")
+            raise ConfigError(f"transform must be square, got shape {entries.shape}")
         try:
             inverse = np.linalg.solve(entries, np.eye(entries.shape[0]))
         except np.linalg.LinAlgError as exc:
-            raise InvalidTransformError("transform is singular") from exc
+            raise ConfigError("transform is singular") from exc
         if not np.all(np.isfinite(inverse)):
-            raise InvalidTransformError("transform is numerically singular")
+            raise ConfigError("transform is numerically singular")
         inverse.setflags(write=False)
         object.__setattr__(self, "inverse", inverse)
 
@@ -190,9 +182,9 @@ def build_c_f(perm: Sequence[int]) -> TransformMatrix:
     perm = _numbers("perm", perm, int)
     k = perm.size
     if k < 1:
-        raise InvalidPermutationError("permutation must be non-empty")
+        raise ConfigError("permutation must be non-empty")
     if not np.array_equal(np.sort(perm), np.arange(k)):
-        raise InvalidPermutationError(f"{perm.tolist()} is not a permutation of 0..{k - 1}")
+        raise ConfigError(f"{perm.tolist()} is not a permutation of 0..{k - 1}")
     entries = np.zeros((k, k))
     entries[perm, np.arange(k)] = 1.0
     return TransformMatrix(entries)
@@ -209,7 +201,7 @@ def compose_reindex(perm: Sequence[int], num_arms: int) -> TransformMatrix:
     k = _check_count("num_arms", num_arms, 1)
     c_f = build_c_f(perm)
     if c_f.dim != k:
-        raise InvalidPermutationError(
+        raise ConfigError(
             f"permutation length {c_f.dim} does not match arm count {k}"
         )
     c_ind = build_c_ind(k).entries
@@ -224,7 +216,7 @@ def transform(belief: GaussianBelief, matrix: TransformMatrix) -> GaussianBelief
     zero precision stays zero and proper beliefs stay proper.
     """
     if matrix.dim != belief.dim:
-        raise InvalidDimensionError(
+        raise ConfigError(
             f"transform dimension {matrix.dim} does not match belief dimension {belief.dim}"
         )
     inverse = matrix.inverse
@@ -243,10 +235,10 @@ def marginalize_keep(belief: GaussianBelief, keep: Sequence[int]) -> GaussianBel
     keep = _numbers("keep", keep, int).tolist()
     d = belief.dim
     if len(keep) < 1:
-        raise InvalidDimensionError("must keep at least one coordinate")
+        raise ConfigError("must keep at least one coordinate")
     kept = set(keep)
     if len(kept) != len(keep) or any(i < 0 or i >= d for i in keep):
-        raise InvalidDimensionError(f"invalid coordinate subset {keep} for dimension {d}")
+        raise ConfigError(f"invalid coordinate subset {keep} for dimension {d}")
     drop = [i for i in range(d) if i not in kept]
     m = len(keep)
     order = keep + drop

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .errors import InvalidDimensionError, OptimizationFailureError, _frozen_numbers, _numbers
+from .errors import ConfigError, OptimizationFailureError, _frozen_numbers, _numbers
 from .gaussian_belief import GaussianBelief
 
 __all__ = [
@@ -65,11 +65,11 @@ class RoundData:
         n = _frozen_numbers(self, "n", np.int64)
         c = _frozen_numbers(self, "c", np.int64)
         if n.size < 1 or n.shape != c.shape:
-            raise InvalidDimensionError(
+            raise ConfigError(
                 f"count vectors must be non-empty and equal length, got {n.shape} and {c.shape}"
             )
         if np.any(n < 0) or np.any(c < 0) or np.any(c > n):
-            raise ValueError("counts must satisfy 0 <= c_i <= n_i")
+            raise ConfigError("counts must satisfy 0 <= c_i <= n_i")
 
     @property
     def arms(self) -> int:
@@ -85,9 +85,9 @@ class ProbVector:
     def __post_init__(self):
         p = _frozen_numbers(self, "p")
         if p.size < 1:
-            raise InvalidDimensionError("probability vector must be non-empty")
+            raise ConfigError("probability vector must be non-empty")
         if not np.all((p > 0.0) & (p < 1.0)):
-            raise ValueError("probabilities must lie strictly inside (0, 1)")
+            raise ConfigError("probabilities must lie strictly inside (0, 1)")
 
     @property
     def arms(self) -> int:
@@ -109,7 +109,7 @@ def probs_from_params(params) -> ProbVector:
     """
     params = _numbers("params", params)
     if params.size < 1:
-        raise InvalidDimensionError("parameter vector must be non-empty")
+        raise ConfigError("parameter vector must be non-empty")
     return ProbVector(np.clip(expit(_arm_logits(params)), _P_LO, _P_HI))
 
 
@@ -143,7 +143,7 @@ def neg_log_posterior(mu, data: RoundData, prior: GaussianBelief) -> tuple[float
     """
     mu = _numbers("mu", mu)
     if mu.size != data.arms or mu.size != prior.dim:
-        raise InvalidDimensionError(
+        raise ConfigError(
             f"parameter length {mu.size}, data arms {data.arms}, prior dim {prior.dim} must agree"
         )
     return _value_and_grad(mu, data.n.astype(float), data.c.astype(float), prior)
@@ -170,7 +170,7 @@ def hessian_lambda(mu, data: RoundData) -> np.ndarray:
     """
     mu = _numbers("mu", mu)
     if mu.size != data.arms:
-        raise InvalidDimensionError(
+        raise ConfigError(
             f"parameter length {mu.size} does not match data arms {data.arms}"
         )
     return _curvature(mu, data.n.astype(float))
@@ -261,7 +261,7 @@ def fit_map(data: RoundData, prior: GaussianBelief) -> np.ndarray:
     per-arm log odds re-expressed against the reference arm.
     """
     if data.arms != prior.dim:
-        raise InvalidDimensionError(
+        raise ConfigError(
             f"data arms {data.arms} do not match prior dimension {prior.dim}"
         )
     n, c = _effective_counts(data, prior)
@@ -276,7 +276,7 @@ def laplace_update(prior: GaussianBelief, data: RoundData) -> GaussianBelief:
     leaves the belief unchanged.
     """
     if data.arms != prior.dim:
-        raise InvalidDimensionError(
+        raise ConfigError(
             f"data arms {data.arms} do not match prior dimension {prior.dim}"
         )
     n, c = _effective_counts(data, prior)

@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidDimensionError, _check_count, _frozen_numbers
+from .errors import ConfigError, _check_choice, _check_count, _frozen_numbers
 from .gaussian_belief import (
     GaussianBelief,
     embed_flat_last,
@@ -56,9 +56,9 @@ class BetaState:
         alpha = _frozen_numbers(self, "alpha")
         beta = _frozen_numbers(self, "beta")
         if alpha.size < 1 or alpha.shape != beta.shape:
-            raise InvalidDimensionError("alpha and beta must be non-empty and equal length")
+            raise ConfigError("alpha and beta must be non-empty and equal length")
         if np.any(alpha <= 0) or np.any(beta <= 0):
-            raise ValueError("Beta parameters must be positive")
+            raise ConfigError("Beta parameters must be positive")
 
     @property
     def arms(self) -> int:
@@ -81,13 +81,13 @@ class LogisticPolicyState:
 
     def __post_init__(self):
         if self.belief.dim < 1:
-            raise InvalidDimensionError("policy belief must cover at least one arm")
+            raise ConfigError("policy belief must cover at least one arm")
         _check_count("round_index", self.round_index, 0)
-        object.__setattr__(self, "mode", UpdateMode(self.mode))
+        object.__setattr__(self, "mode", _check_choice("mode", UpdateMode, self.mode))
 
     @classmethod
     def flat_start(cls, num_arms: int, mode: UpdateMode) -> "LogisticPolicyState":
-        return cls(make_flat_belief(num_arms), UpdateMode(mode), 0)
+        return cls(make_flat_belief(num_arms), mode, 0)
 
 
 @dataclass(frozen=True)
@@ -99,9 +99,9 @@ class AllocationProportions:
     def __post_init__(self):
         p = _frozen_numbers(self, "p")
         if p.size < 1:
-            raise InvalidDimensionError("proportions must be non-empty")
+            raise ConfigError("proportions must be non-empty")
         if np.any(p < 0) or abs(float(p.sum()) - 1.0) > 1e-9:
-            raise ValueError("proportions must be non-negative and sum to one")
+            raise ConfigError("proportions must be non-negative and sum to one")
 
     @property
     def arms(self) -> int:
@@ -158,7 +158,7 @@ def or_ts_update(state: LogisticPolicyState, data: RoundData) -> LogisticPolicyS
 def beta_ts_update(state: BetaState, data: RoundData) -> BetaState:
     """Conjugate update: successes raise alpha, failures raise beta."""
     if data.arms != state.arms:
-        raise InvalidDimensionError(
+        raise ConfigError(
             f"data arms {data.arms} do not match state arms {state.arms}"
         )
     return BetaState(state.alpha + data.c, state.beta + (data.n - data.c))

@@ -21,9 +21,9 @@ from scipy.special import expit, logit
 
 from .errors import (
     BanditError,
-    InvalidDimensionError,
-    InvalidRoundError,
+    ConfigError,
     SimulationError,
+    _check_choice,
     _check_count,
     _check_number,
     _frozen_numbers,
@@ -84,7 +84,7 @@ class LogitDrift:
 
     def __post_init__(self):
         if _frozen_numbers(self, "base_beta").size < 1:
-            raise InvalidDimensionError("base logits must be a non-empty vector")
+            raise ConfigError("base logits must be a non-empty vector")
         object.__setattr__(self, "sigma", _check_number("sigma", self.sigma, 0.0))
 
 
@@ -98,10 +98,10 @@ class RegimeSchedule:
     def __post_init__(self):
         rounds = tuple((p, int(_check_count("trials", t, 0))) for p, t in self.rounds)
         if not rounds:
-            raise InvalidRoundError("schedule must contain at least one round")
+            raise ConfigError("schedule must contain at least one round")
         width = rounds[0][0].arms
         if any(p.arms != width for p, _ in rounds):
-            raise InvalidDimensionError("all schedule rounds must cover the same arms")
+            raise ConfigError("all schedule rounds must cover the same arms")
         object.__setattr__(self, "rounds", rounds)
 
 
@@ -127,7 +127,7 @@ class ExperimentConfig:
     n_draws: int = 10_000
 
     def __post_init__(self):
-        object.__setattr__(self, "policy", PolicyKind(self.policy))
+        object.__setattr__(self, "policy", _check_choice("policy", PolicyKind, self.policy))
         for name in ("arms", "rounds", "trials_per_round", "replications", "n_draws", "seed"):
             _check_count(name, getattr(self, name), 0 if name == "seed" else 1)
 
@@ -155,7 +155,7 @@ def sigma_from_d(d: float, p_optimal: float, p_suboptimal: float) -> float:
     logit gap between the best and runner-up success probabilities.
     """
     if not 0.0 < p_suboptimal < p_optimal < 1.0:
-        raise ValueError(
+        raise ConfigError(
             f"need 0 < p_suboptimal < p_optimal < 1, got {p_suboptimal} and {p_optimal}"
         )
     return _check_number("d", d, 0.0) * float(logit(p_optimal) - logit(p_suboptimal))
@@ -171,11 +171,11 @@ def env_step(spec: EnvironmentSpec, round_index: int, rng: np.random.Generator) 
         return ProbVector(expit(spec.base_beta + shift))
     if isinstance(spec, RegimeSchedule):
         if round_index > len(spec.rounds):
-            raise InvalidRoundError(
+            raise ConfigError(
                 f"round {round_index} is beyond the {len(spec.rounds)}-round schedule"
             )
         return spec.rounds[round_index - 1][0]
-    raise TypeError(f"unknown environment spec {type(spec).__name__}")
+    raise ConfigError(f"unknown environment spec {type(spec).__name__}")
 
 
 def allocate_trials(
@@ -197,11 +197,11 @@ def draw_rewards(allocated, true_p: ProbVector, rng: np.random.Generator) -> np.
     allocated = _numbers("allocated", allocated, np.int64)
     p = true_p.p
     if allocated.shape != p.shape:
-        raise InvalidDimensionError(
+        raise ConfigError(
             f"allocated shape {allocated.shape} does not match probabilities {p.shape}"
         )
     if np.any(allocated < 0):
-        raise ValueError("trial counts must be non-negative")
+        raise ConfigError("trial counts must be non-negative")
     return rng.binomial(allocated, p).astype(np.int64)
 
 
@@ -265,11 +265,11 @@ def run_experiment(config: ExperimentConfig, spec: EnvironmentSpec) -> Experimen
     decisions.
     """
     if _environment_arms(spec) != config.arms:
-        raise InvalidDimensionError(
+        raise ConfigError(
             f"environment covers {_environment_arms(spec)} arms, config expects {config.arms}"
         )
     if isinstance(spec, RegimeSchedule) and config.rounds > len(spec.rounds):
-        raise InvalidRoundError(
+        raise ConfigError(
             f"config asks for {config.rounds} rounds but the schedule has {len(spec.rounds)}"
         )
     streams = np.random.SeedSequence(config.seed).spawn(4)
@@ -321,7 +321,7 @@ class SimulationSummary:
 
     def cumulative_regret(self, policy: PolicyKind) -> np.ndarray:
         """Cumulative regret curves, shape (replications, rounds)."""
-        return self.regret[PolicyKind(policy)].cumsum(axis=1)
+        return self.regret[_check_choice("policy", PolicyKind, policy)].cumsum(axis=1)
 
     def mean_cumulative_regret(self, policy: PolicyKind) -> np.ndarray:
         return self.cumulative_regret(policy).mean(axis=0)
@@ -338,7 +338,8 @@ class SimulationSummary:
         The sum runs left to right, as ``cumsum`` does; ``sum(axis=1)``
         would add pairwise and round differently.
         """
-        return self.expected_clicks[PolicyKind(policy)].cumsum(axis=1)[:, -1]
+        clicks = self.expected_clicks[_check_choice("policy", PolicyKind, policy)]
+        return clicks.cumsum(axis=1)[:, -1]
 
 
 def run_replications(
@@ -353,9 +354,10 @@ def run_replications(
     policies can be compared pairwise on identical environment draws.
     """
     _check_count("jobs", jobs, 1)
-    chosen = tuple(PolicyKind(p) for p in (policies if policies is not None else (config.policy,)))
+    chosen = tuple(_check_choice("policies", PolicyKind, p)
+                   for p in (policies if policies is not None else (config.policy,)))
     if not chosen:
-        raise ValueError("at least one policy is required")
+        raise ConfigError("at least one policy is required")
     configs = [
         replace(config, policy=policy, seed=config.seed + rep)
         for policy in chosen
@@ -378,7 +380,7 @@ def single_best_arm_logits(arms: int, p_optimal: float, p_suboptimal: float) -> 
     """Per-arm logits with arm 0 at the optimal rate and the rest tied."""
     _check_count("arms", arms, 1)
     if not 0.0 < p_suboptimal < p_optimal < 1.0:
-        raise ValueError(
+        raise ConfigError(
             f"need 0 < p_suboptimal < p_optimal < 1, got {p_suboptimal} and {p_optimal}"
         )
     base = np.full(arms, float(logit(p_suboptimal)))
@@ -417,11 +419,11 @@ def two_regime_schedule(
     """
     base = logit(_numbers("base_p", base_p))
     if base.size < 1 or not np.all(np.isfinite(base)):
-        raise ValueError("base probabilities must be a non-empty vector inside (0, 1)")
+        raise ConfigError("base probabilities must be a non-empty vector inside (0, 1)")
     blocks = [_check_count("block_rounds", b, 1) for b in block_rounds]
     per_block = [trials] * len(blocks) if np.isscalar(trials) else list(trials)
     if len(per_block) != len(blocks):
-        raise ValueError("need one trial total per block")
+        raise ConfigError("need one trial total per block")
     rng = np.random.default_rng(seed)
     rounds = []
     for block_index, block_len in enumerate(blocks):

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from orbandit import OptimizationFailureError, simulation
+from orbandit import OptimizationFailureError, continuous, simulation
 from orbandit.cli import main
 
 
@@ -157,6 +157,10 @@ def test_invalid_config_returns_exit_code_2(tmp_path, capsys):
     string_p = simulate_config(arms=2, environment={
         "kind": "regime_schedule", "rounds": [{"p": [0.3, "0.2"], "trials": 400}] * 4,
     })
+    short_schedule = simulate_config(arms=2, rounds=4, policy="beta_ts", environment={
+        "kind": "regime_schedule", "rounds": [{"p": [0.3, 0.2], "trials": 400}],
+    })
+    arms_mismatch = simulate_config(arms=3, environment={"kind": "stationary", "p": [0.3, 0.2]})
 
     def drift(sigma):
         return simulate_config(arms=2, environment={
@@ -172,10 +176,13 @@ def test_invalid_config_returns_exit_code_2(tmp_path, capsys):
         (drift("0.5"), "field 'environment' (logit_drift): field 'sigma'"),
         (drift(True), "field 'environment' (logit_drift): field 'sigma'"),
         (simulate_config(d=10**400), "field 'd'"),
+        (short_schedule, "config asks for 4 rounds but the schedule has 1"),
+        (arms_mismatch, "environment covers 2 arms, config expects 3"),
     ):
         write_json(config, payload)
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and named in err, (payload, err)
     write_json(config, simulate_config())
     for jobs in ("0", "-2"):
         argv = ["simulate", "--config", str(config), "--out", str(tmp_path / "o"), "--jobs", jobs]
@@ -205,18 +212,9 @@ def test_unknown_policy_returns_exit_code_2(tmp_path, capsys):
 
 
 def test_runtime_failure_returns_exit_code_1(tmp_path, capsys, monkeypatch):
-    """A schedule shorter than the configured rounds fails at runtime, and
-    so does a mode search that fails in round 2; neither writes output."""
+    """A mode search that fails in round 2 is a runtime failure in both
+    commands: exit 1, the round named, and no output written."""
     config = tmp_path / "config.json"
-    payload = simulate_config(arms=2, rounds=4, policy="beta_ts")
-    payload["environment"] = {
-        "kind": "regime_schedule",
-        "rounds": [{"p": [0.3, 0.2], "trials": 400}],
-    }
-    write_json(config, payload)
-    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
-    assert "runtime error" in capsys.readouterr().err
-
     real_update = simulation.or_ts_update
 
     def failing_update(state, data):
@@ -229,6 +227,21 @@ def test_runtime_failure_returns_exit_code_1(tmp_path, capsys, monkeypatch):
     argv = ["simulate", "--config", str(config), "--out", str(tmp_path / "o"), "--policy", "or_ts"]
     assert main(argv) == 1
     assert "policy or_ts failed at round 2" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+    absorbs = []
+
+    def failing_absorb(state, data):
+        absorbs.append(state)
+        if len(absorbs) == 2:
+            raise OptimizationFailureError("forced", last_iterate=None, grad_norm=1.0)
+        return real_update(state, data)
+
+    monkeypatch.setattr(continuous, "or_ts_update", failing_absorb)
+    write_json(config, continuous_scenario())
+    assert main(["continuous", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error") and "failed at round 2" in err, err
     assert not (tmp_path / "o").exists()
 
 

@@ -12,7 +12,6 @@ from orbandit import (
     GaussianBelief,
     RoundData,
     ScenarioRound,
-    UnknownArmError,
     UpdateMode,
     absorb_round,
     check_continuity,
@@ -119,7 +118,7 @@ def test_reanchor_moves_reference_and_preserves_distribution():
 
 
 def test_reanchor_to_unknown_arm_raises():
-    with pytest.raises(UnknownArmError):
+    with pytest.raises(ConfigError):
         reanchor_reference(seeded_registry(), "Z")
 
 

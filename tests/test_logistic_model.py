@@ -7,7 +7,6 @@ from scipy.special import expit, logit
 from orbandit import (
     ConfigError,
     GaussianBelief,
-    InvalidDimensionError,
     OptimizationFailureError,
     ProbVector,
     RoundData,
@@ -31,21 +30,21 @@ def random_belief(k, rng, scale=1.0):
 
 
 def test_round_data_validates_counts():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         RoundData(np.array([10, 10]), np.array([11, 0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         RoundData(np.array([10, -1]), np.array([0, 0]))
     with pytest.raises(ValueError):
         RoundData(np.array([], dtype=int), np.array([], dtype=int))
-    for n in ([2.5, 3], ["4", 3]):
+    for n in ([2.5, 3], ["4", 3], [[1, 2], [3]]):
         with pytest.raises(ConfigError, match="field 'n'"):
             RoundData(n, [1, 1])
 
 
 def test_prob_vector_requires_open_interval():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         ProbVector(np.array([0.0, 0.5]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         ProbVector(np.array([0.5, 1.0]))
     with pytest.raises(ConfigError, match="field 'params'"):
         probs_from_params(["0.5", "1"])
@@ -184,7 +183,7 @@ def test_map_converges_at_large_counts():
 
 
 def test_map_dimension_mismatch_raises():
-    with pytest.raises(InvalidDimensionError):
+    with pytest.raises(ConfigError):
         fit_map(RoundData(np.array([5, 5]), np.array([1, 1])), make_flat_belief(3))
     data = RoundData(np.array([5, 5]), np.array([1, 1]))
     with pytest.raises(ConfigError, match="field 'mu'"):

@@ -35,9 +35,9 @@ def test_initial_proportions_are_uniform():
 
 
 def test_proportions_must_sum_to_one():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         AllocationProportions(np.array([0.5, 0.4]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         AllocationProportions(np.array([0.5, -0.1, 0.6]))
     with pytest.raises(ConfigError, match="field 'p'"):
         AllocationProportions([np.nan])
@@ -148,7 +148,7 @@ def test_beta_proportions_favor_better_arm():
 
 
 def test_beta_state_validates_positivity():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         BetaState(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
     for alpha, beta, field in (([np.nan, 1.0], [1.0, 1.0], "alpha"), ([1.0], [np.inf], "beta")):
         with pytest.raises(ConfigError, match=f"field '{field}'"):
@@ -229,13 +229,13 @@ def test_updates_finish_at_extreme_counts(update, mode, n, c):
 
 
 def test_updates_reject_dimension_mismatch():
-    from orbandit import InvalidDimensionError
-
     state = LogisticPolicyState.flat_start(3, UpdateMode.FULL)
-    with pytest.raises(InvalidDimensionError):
+    with pytest.raises(ConfigError):
         full_ts_update(state, RoundData(np.array([5, 5]), np.array([1, 1])))
     with pytest.raises(ConfigError, match="field 'round_index'"):
         LogisticPolicyState(state.belief, UpdateMode.FULL, round_index=1.5)
+    with pytest.raises(ConfigError, match="field 'mode' must be 'full' or 'odds_ratio'"):
+        LogisticPolicyState(state.belief, "hybrid")
 
 
 def test_round_counter_increments_per_update():

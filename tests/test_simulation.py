@@ -11,7 +11,6 @@ from orbandit import (
     ConfigError,
     ExperimentConfig,
     ExperimentResult,
-    InvalidRoundError,
     LogitDrift,
     PolicyKind,
     ProbVector,
@@ -39,8 +38,10 @@ def test_sigma_from_d_frozen_values():
 
 
 def test_sigma_from_d_requires_ordered_probabilities():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         sigma_from_d(1.0, 0.30, 0.31)
+    with pytest.raises(ConfigError):
+        single_best_arm_logits(4, 0.30, 0.31)
     for d in ("2", -1.0):
         with pytest.raises(ConfigError, match="field 'd'"):
             sigma_from_d(d, 0.31, 0.30)
@@ -96,8 +97,10 @@ def test_regime_schedule_returns_block_probs_and_trials():
     np.testing.assert_array_equal(env_step(spec, 1, rng).p, [0.3, 0.2])
     np.testing.assert_array_equal(env_step(spec, 2, rng).p, [0.1, 0.05])
     assert [trials for _, trials in spec.rounds] == [100, 200]
-    with pytest.raises(InvalidRoundError):
+    with pytest.raises(ConfigError):
         env_step(spec, 3, rng)
+    with pytest.raises(ConfigError, match="unknown environment spec"):
+        env_step(spec.rounds, 1, rng)
     for trials in (2.5, True, "100", -1):
         with pytest.raises(ValueError, match="field 'trials'"):
             RegimeSchedule(((ProbVector(np.array([0.3, 0.2])), trials),))
@@ -128,6 +131,10 @@ def test_two_regime_schedule_shapes_and_shift():
     ):
         with pytest.raises(ConfigError, match=f"field '{field}'"):
             two_regime_schedule((0.035, 0.030), **options)
+    with pytest.raises(ConfigError, match="inside"):
+        two_regime_schedule((0.035, 1.0))
+    with pytest.raises(ConfigError, match="per block"):
+        two_regime_schedule((0.035, 0.030), trials=(5000,))
 
 
 def test_two_regime_schedule_daily_jitter_is_shared_and_seeded():
@@ -222,17 +229,15 @@ def test_logistic_policies_complete_at_heavy_traffic(trials):
 
 
 def test_run_experiment_checks_environment_arm_count():
-    from orbandit import InvalidDimensionError
-
     config = small_config(PolicyKind.OR_TS)
-    with pytest.raises(InvalidDimensionError):
+    with pytest.raises(ConfigError):
         run_experiment(config, drift_environment(5, 0.31, 0.30, 0.0))
 
 
 def test_regime_schedule_must_cover_all_rounds():
     config = small_config(PolicyKind.BETA_TS, rounds=3)
     spec = two_regime_schedule((0.03, 0.02, 0.02, 0.02), block_rounds=(1, 1), trials=1500)
-    with pytest.raises(InvalidRoundError):
+    with pytest.raises(ConfigError):
         run_experiment(config, spec)
 
 
@@ -266,6 +271,8 @@ def test_run_replications_summary_shapes():
     policies = (PolicyKind.BETA_TS, PolicyKind.OR_TS)
     summary = run_replications(config, spec, policies=policies)
     assert summary.policies == policies
+    with pytest.raises(ConfigError, match="field 'policy'"):
+        summary.cumulative_regret("ucb")
     for kind in policies:
         cum = summary.cumulative_regret(kind)
         assert cum.shape == (4, 8)
@@ -329,3 +336,9 @@ def test_config_validation():
     for jobs in (0, 1.0):
         with pytest.raises(ValueError, match="jobs"):
             run_replications(config, drift_environment(4, 0.31, 0.30, 0.0), jobs=jobs)
+    with pytest.raises(ConfigError, match="at least one policy"):
+        run_replications(config, drift_environment(4, 0.31, 0.30, 0.0), policies=())
+    with pytest.raises(ConfigError, match="field 'policies'"):
+        run_replications(config, drift_environment(4, 0.31, 0.30, 0.0), policies=("ucb",))
+    with pytest.raises(ConfigError, match="field 'policy' must be 'beta_ts', 'full_ts' or 'or_ts'"):
+        small_config("ucb")
