@@ -28,6 +28,7 @@ from .simulation import (
     PolicyKind,
     RegimeSchedule,
     Stationary,
+    _environment,
     drift_environment,
     run_replications,
 )
@@ -133,6 +134,9 @@ def _resolve_simulate_config(args: argparse.Namespace) -> tuple[dict[str, Any], 
 
     if "environment" in cfg and cfg["environment"] is not None:
         spec = _parse_environment(cfg["environment"])
+        arms, _ = _environment(spec)
+        if arms != resolved["arms"]:
+            raise ConfigError(f"environment covers {arms} arms, config expects {resolved['arms']}")
     else:
         spec = drift_environment(
             resolved["arms"], resolved["p_optimal"], resolved["p_suboptimal"], resolved["d"]
@@ -155,7 +159,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         _ALL_POLICIES if resolved["policy"] == "all" else (PolicyKind(resolved["policy"]),)
     )
     config = ExperimentConfig(
-        arms=resolved["arms"],
         rounds=resolved["rounds"],
         trials_per_round=resolved["trials"],
         replications=resolved["replications"],

@@ -29,6 +29,7 @@ from .errors import (
 )
 from .gaussian_belief import (
     GaussianBelief,
+    _embed_flat,
     compose_reindex,
     make_flat_belief,
     marginalize_keep,
@@ -258,21 +259,13 @@ def absorb_round(
     arms = working.arms[:-1] + new_arms + working.arms[-1:]
     belief = working.belief
     if new_arms:
-        old_pos = [i for i, a in enumerate(arms) if a in tracked]
-        mean = np.zeros(len(arms))
-        mean[old_pos] = belief.mean
-        precision = np.zeros((len(arms), len(arms)))
-        precision[np.ix_(old_pos, old_pos)] = belief.precision
-        belief = GaussianBelief(mean, precision)
+        belief = _embed_flat(belief, [i for i, a in enumerate(arms) if a in tracked], len(arms))
     where = [arms.index(a) for a in active]
     n_full = np.zeros(len(arms), dtype=np.int64)
     c_full = np.zeros(len(arms), dtype=np.int64)
     n_full[where], c_full[where] = data.n, data.c
-    state = LogisticPolicyState(belief, mode, working.round)
-    if mode is UpdateMode.ODDS_RATIO:
-        state = or_ts_update(state, RoundData(n_full, c_full))
-    else:
-        state = full_ts_update(state, RoundData(n_full, c_full))
+    update = or_ts_update if mode is UpdateMode.ODDS_RATIO else full_ts_update
+    state = update(LogisticPolicyState(belief, mode, working.round), RoundData(n_full, c_full))
     return ArmRegistry(arms, state.belief, working.round + 1)
 
 

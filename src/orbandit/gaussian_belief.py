@@ -172,13 +172,8 @@ def build_c_ind(num_arms: int) -> TransformMatrix:
     return TransformMatrix(entries)
 
 
-def build_c_f(perm: Sequence[int]) -> TransformMatrix:
-    """Permutation matrix for relabeling arm positions.
-
-    ``perm[j]`` is the new (0-based) position of the arm currently at
-    position j; applying the matrix to a per-arm vector moves entry j to
-    position ``perm[j]``.
-    """
+def _permutation_matrix(perm: Sequence[int]) -> np.ndarray:
+    """Entries of ``build_c_f``, after checking ``perm`` is a permutation."""
     perm = _numbers("perm", perm, int)
     k = perm.size
     if k < 1:
@@ -187,7 +182,17 @@ def build_c_f(perm: Sequence[int]) -> TransformMatrix:
         raise ConfigError(f"{perm.tolist()} is not a permutation of 0..{k - 1}")
     entries = np.zeros((k, k))
     entries[perm, np.arange(k)] = 1.0
-    return TransformMatrix(entries)
+    return entries
+
+
+def build_c_f(perm: Sequence[int]) -> TransformMatrix:
+    """Permutation matrix for relabeling arm positions.
+
+    ``perm[j]`` is the new (0-based) position of the arm currently at
+    position j; applying the matrix to a per-arm vector moves entry j to
+    position ``perm[j]``.
+    """
+    return TransformMatrix(_permutation_matrix(perm))
 
 
 def compose_reindex(perm: Sequence[int], num_arms: int) -> TransformMatrix:
@@ -199,13 +204,12 @@ def compose_reindex(perm: Sequence[int], num_arms: int) -> TransformMatrix:
     the permutation exactly, including when the reference arm moves.
     """
     k = _check_count("num_arms", num_arms, 1)
-    c_f = build_c_f(perm)
-    if c_f.dim != k:
-        raise ConfigError(
-            f"permutation length {c_f.dim} does not match arm count {k}"
-        )
-    c_ind = build_c_ind(k).entries
-    entries = np.linalg.solve(c_ind, c_f.entries @ c_ind)
+    entries = _permutation_matrix(perm)
+    if entries.shape[0] != k:
+        raise ConfigError(f"permutation length {entries.shape[0]} does not match arm count {k}")
+    # C_ind⁻¹ C_f C_ind from 0/1 rows, exactly and without a solve:
+    entries[:, -1] = 1.0  # C_f C_ind, as every row of C_f sums to one
+    entries[:-1] -= entries[-1]  # C_ind⁻¹ subtracts the last row from the others
     return TransformMatrix(entries)
 
 
@@ -270,10 +274,15 @@ def embed_flat_last(belief: GaussianBelief, start_last: float = 0.0) -> Gaussian
     and column, so the result is always improper in that direction; the
     mean entry only seeds later mode searches.
     """
-    d = belief.dim
-    mean = np.append(belief.mean, float(start_last))
-    precision = np.zeros((d + 1, d + 1))
-    precision[:d, :d] = belief.precision
+    return _embed_flat(belief, np.arange(belief.dim), belief.dim + 1, float(start_last))
+
+
+def _embed_flat(belief: GaussianBelief, positions, dim: int, start: float = 0.0) -> GaussianBelief:
+    """``belief`` at ``positions`` of a ``dim``-wide belief, flat elsewhere with mean ``start``."""
+    mean = np.full(dim, start)
+    mean[positions] = belief.mean
+    precision = np.zeros((dim, dim))
+    precision[np.ix_(positions, positions)] = belief.precision
     return GaussianBelief(mean, precision)
 
 

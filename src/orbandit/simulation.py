@@ -2,10 +2,11 @@
 
 Environments produce per-arm success probabilities per round: a constant
 vector, a logit-space random walk where one shared draw shifts every arm
-together each round, or an explicit per-round schedule. The harness runs a
-policy against an environment round by round, returns allocations and
-regret as per-round columns, and stacks paired replications across
-policies.
+together each round, or an explicit per-round schedule. The environment
+sets the arm count; a schedule also sets the rounds and their trials. The
+harness runs a policy against an environment round by round, returns
+allocations and regret as per-round columns, and stacks paired
+replications across policies.
 """
 
 from __future__ import annotations
@@ -116,9 +117,8 @@ class PolicyKind(str, Enum):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a single simulated experiment needs besides the environment."""
+    """Run settings of one simulated experiment; the environment sets its arms."""
 
-    arms: int
     rounds: int
     trials_per_round: int
     replications: int
@@ -128,7 +128,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "policy", _check_choice("policy", PolicyKind, self.policy))
-        for name in ("arms", "rounds", "trials_per_round", "replications", "n_draws", "seed"):
+        for name in ("rounds", "trials_per_round", "replications", "n_draws", "seed"):
             _check_count(name, getattr(self, name), 0 if name == "seed" else 1)
 
 
@@ -161,21 +161,29 @@ def sigma_from_d(d: float, p_optimal: float, p_suboptimal: float) -> float:
     return _check_number("d", d, 0.0) * float(logit(p_optimal) - logit(p_suboptimal))
 
 
+def _environment(spec: EnvironmentSpec) -> tuple[int, tuple | None]:
+    """What a spec fixes for a whole run: its arm count and, for a
+    schedule, its (probabilities, trials) rounds (None otherwise)."""
+    if isinstance(spec, Stationary):
+        return spec.p.arms, None
+    if isinstance(spec, LogitDrift):
+        return spec.base_beta.size, None
+    if isinstance(spec, RegimeSchedule):
+        return spec.rounds[0][0].arms, spec.rounds
+    raise ConfigError(f"unknown environment spec {type(spec).__name__}")
+
+
 def env_step(spec: EnvironmentSpec, round_index: int, rng: np.random.Generator) -> ProbVector:
     """Success probabilities for the given 1-based round."""
     _check_count("round_index", round_index, 1)
-    if isinstance(spec, Stationary):
-        return spec.p
+    _, schedule = _environment(spec)
     if isinstance(spec, LogitDrift):
-        shift = rng.normal(0.0, spec.sigma)
-        return ProbVector(expit(spec.base_beta + shift))
-    if isinstance(spec, RegimeSchedule):
-        if round_index > len(spec.rounds):
-            raise ConfigError(
-                f"round {round_index} is beyond the {len(spec.rounds)}-round schedule"
-            )
-        return spec.rounds[round_index - 1][0]
-    raise ConfigError(f"unknown environment spec {type(spec).__name__}")
+        return ProbVector(expit(spec.base_beta + rng.normal(0.0, spec.sigma)))
+    if schedule is None:
+        return spec.p
+    if round_index > len(schedule):
+        raise ConfigError(f"round {round_index} is beyond the {len(schedule)}-round schedule")
+    return schedule[round_index - 1][0]
 
 
 def allocate_trials(
@@ -232,25 +240,15 @@ class _LogisticRunner:
         return allocation_proportions(self.state.belief, self.n_draws, rng)
 
     def observe(self, data: RoundData) -> None:
-        if self.state.mode is UpdateMode.ODDS_RATIO:
-            self.state = or_ts_update(self.state, data)
-        else:
-            self.state = full_ts_update(self.state, data)
+        update = or_ts_update if self.state.mode is UpdateMode.ODDS_RATIO else full_ts_update
+        self.state = update(self.state, data)
 
 
-def _make_runner(config: ExperimentConfig):
+def _make_runner(config: ExperimentConfig, arms: int):
     if config.policy is PolicyKind.BETA_TS:
-        return _BetaRunner(config.arms, config.n_draws)
+        return _BetaRunner(arms, config.n_draws)
     mode = UpdateMode.ODDS_RATIO if config.policy is PolicyKind.OR_TS else UpdateMode.FULL
-    return _LogisticRunner(config.arms, config.n_draws, mode)
-
-
-def _environment_arms(spec: EnvironmentSpec) -> int:
-    if isinstance(spec, Stationary):
-        return spec.p.arms
-    if isinstance(spec, LogitDrift):
-        return spec.base_beta.size
-    return spec.rounds[0][0].arms
+    return _LogisticRunner(arms, config.n_draws, mode)
 
 
 def run_experiment(config: ExperimentConfig, spec: EnvironmentSpec) -> ExperimentResult:
@@ -264,18 +262,15 @@ def run_experiment(config: ExperimentConfig, spec: EnvironmentSpec) -> Experimen
     seed face identical environments and differ only through their own
     decisions.
     """
-    if _environment_arms(spec) != config.arms:
+    arms, schedule = _environment(spec)
+    if schedule is not None and config.rounds > len(schedule):
         raise ConfigError(
-            f"environment covers {_environment_arms(spec)} arms, config expects {config.arms}"
-        )
-    if isinstance(spec, RegimeSchedule) and config.rounds > len(spec.rounds):
-        raise ConfigError(
-            f"config asks for {config.rounds} rounds but the schedule has {len(spec.rounds)}"
+            f"config asks for {config.rounds} rounds but the schedule has {len(schedule)}"
         )
     streams = np.random.SeedSequence(config.seed).spawn(4)
     rng_env, rng_alloc, rng_reward, rng_policy = (np.random.default_rng(s) for s in streams)
-    runner = _make_runner(config)
-    table = (config.rounds, config.arms)
+    runner = _make_runner(config, arms)
+    table = (config.rounds, arms)
     result = ExperimentResult(
         proportions=np.empty(table),
         allocated=np.empty(table, dtype=np.int64),
@@ -290,9 +285,7 @@ def run_experiment(config: ExperimentConfig, spec: EnvironmentSpec) -> Experimen
             proportions = runner.propose(rng_policy)
         except BanditError as exc:
             raise SimulationError(config.policy.value, round_index, str(exc)) from exc
-        trials = (
-            spec.rounds[row][1] if isinstance(spec, RegimeSchedule) else config.trials_per_round
-        )
+        trials = config.trials_per_round if schedule is None else schedule[row][1]
         allocated = allocate_trials(proportions, trials, rng_alloc)
         env_p = env_step(spec, round_index, rng_env)
         successes = draw_rewards(allocated, env_p, rng_reward)

@@ -160,7 +160,6 @@ def test_acceptance_06_stationary_regret_parity():
     at most a factor-two premium over full-rank."""
     started = time.perf_counter()
     config = ExperimentConfig(
-        arms=10,
         rounds=50,
         trials_per_round=10_000,
         replications=20,
@@ -184,7 +183,6 @@ def test_acceptance_07_drift_robustness():
     """Under shared drift of twenty logit gaps the odds-ratio policy has the
     lowest mean cumulative regret and wins most paired replications."""
     config = ExperimentConfig(
-        arms=10,
         rounds=50,
         trials_per_round=10_000,
         replications=20,
@@ -219,7 +217,6 @@ def test_acceptance_08_two_regime_uplift():
         seed=0,
     )
     config = ExperimentConfig(
-        arms=4,
         rounds=18,
         trials_per_round=20_000,
         replications=20,

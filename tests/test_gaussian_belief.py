@@ -1,5 +1,7 @@
 """Gaussian beliefs in precision form: construction, transforms, marginals."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,16 @@ def test_permutation_must_be_bijection():
 def test_compose_reindex_is_integer_exact():
     matrix = compose_reindex((2, 1, 0), 3).entries
     np.testing.assert_array_equal(matrix, np.round(matrix))
+
+
+def test_compose_reindex_is_the_conjugated_permutation_for_every_small_perm():
+    """The entries equal C_ind⁻¹ C_f C_ind exactly, for every permutation
+    of up to six arms."""
+    for k in range(1, 7):
+        c_ind = build_c_ind(k).entries
+        for perm in itertools.permutations(range(k)):
+            expected = np.linalg.inv(c_ind) @ build_c_f(perm).entries @ c_ind
+            np.testing.assert_array_equal(compose_reindex(perm, k).entries, expected)
 
 
 def test_transform_preserves_distribution():

@@ -173,7 +173,6 @@ def test_draw_rewards_bounds_and_determinism():
 
 def small_config(policy, seed=21, **overrides):
     base = dict(
-        arms=4,
         rounds=8,
         trials_per_round=1500,
         replications=3,
@@ -220,7 +219,7 @@ def test_logistic_policies_complete_at_heavy_traffic(trials):
     for kind in (PolicyKind.FULL_TS, PolicyKind.OR_TS):
         for seed in (1, 2, 3):
             config = ExperimentConfig(
-                arms=10, rounds=20, trials_per_round=trials, replications=1,
+                rounds=20, trials_per_round=trials, replications=1,
                 policy=kind, seed=seed, n_draws=2000,
             )
             result = run_experiment(config, spec)
@@ -228,10 +227,21 @@ def test_logistic_policies_complete_at_heavy_traffic(trials):
             assert np.all(np.isfinite(result.regret))
 
 
-def test_run_experiment_checks_environment_arm_count():
+def test_unknown_environment_spec_is_a_config_error():
     config = small_config(PolicyKind.OR_TS)
-    with pytest.raises(ConfigError):
-        run_experiment(config, drift_environment(5, 0.31, 0.30, 0.0))
+    with pytest.raises(ConfigError, match="unknown environment spec"):
+        run_experiment(config, object())
+    with pytest.raises(ConfigError, match="unknown environment spec"):
+        run_replications(config, {"kind": "stationary"})
+    with pytest.raises(ConfigError, match="unknown environment spec"):
+        env_step(object(), 1, np.random.default_rng(0))
+
+
+def test_run_experiment_takes_the_arm_count_from_the_environment():
+    config = small_config(PolicyKind.OR_TS, rounds=2)
+    for arms in (2, 5):
+        result = run_experiment(config, drift_environment(arms, 0.31, 0.30, 0.0))
+        assert result.proportions.shape == result.true_p.shape == (2, arms)
 
 
 def test_regime_schedule_must_cover_all_rounds():
@@ -326,13 +336,13 @@ def test_config_validation():
     with pytest.raises(ValueError):
         small_config(PolicyKind.OR_TS, rounds=0)
     with pytest.raises(ValueError):
-        small_config(PolicyKind.OR_TS, arms=0)
+        small_config(PolicyKind.OR_TS, replications=0)
     with pytest.raises(ValueError):
         small_config(PolicyKind.OR_TS, seed=-1)
-    for field, value in (("arms", 2.5), ("seed", 1.5), ("rounds", True), ("n_draws", "10")):
+    for field, value in (("replications", 2.5), ("seed", 1.5), ("rounds", True), ("n_draws", "10")):
         with pytest.raises(ValueError, match=field):
             small_config(PolicyKind.OR_TS, **{field: value})
-    config = small_config(PolicyKind.OR_TS, arms=np.int64(4), seed=np.uint32(21))
+    config = small_config(PolicyKind.OR_TS, replications=np.int64(3), seed=np.uint32(21))
     for jobs in (0, 1.0):
         with pytest.raises(ValueError, match="jobs"):
             run_replications(config, drift_environment(4, 0.31, 0.30, 0.0), jobs=jobs)
