@@ -4,9 +4,10 @@ Beliefs are kept as (mean, precision) rather than (mean, covariance) so the
 uniform starting prior is representable exactly as a zero precision matrix,
 and batch updates can add curvature terms in place. Each belief factors its
 precision once, at construction; that lower Cholesky factor decides
-properness, and its triangular inverse both maps standard normals to draws
-and yields the covariance, so no covariance is formed unless a caller asks
-for one.
+properness. Its triangular inverse is computed at most once per belief, on
+first use, and serves every caller: it maps standard normals to draws,
+yields the covariance, and gives the allocation screen its score spreads,
+so no covariance is formed unless a caller asks for one.
 
 The parameter vector for a K-arm model is (b_1, ..., b_{K-1}, b_K), where
 b_i for i < K is the log odds ratio of arm i against the last (reference)
@@ -18,6 +19,7 @@ moving the reference, without changing the per-arm probabilities.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -112,21 +114,25 @@ class GaussianBelief:
         """True when the precision is positive definite."""
         return self._factor is not None
 
+    @cached_property
+    def inverse_factor(self) -> np.ndarray:
+        """L⁻¹ for the precision's lower Cholesky factor L, read-only and
+        lower triangular like L; a draw z @ L⁻¹ has the belief's covariance,
+        so column j holds coordinate j's loadings on the normals. Computed
+        on first use and kept; requires a proper belief."""
+        if self._factor is None:
+            raise CannotSampleError("an improper belief has no covariance and cannot be sampled")
+        if not self._factor.size:
+            return self._factor
+        inverse, _ = dtrtri(self._factor, lower=1)
+        inverse.setflags(write=False)
+        return inverse
+
     def covariance(self) -> np.ndarray:
         """Materialized covariance; requires a proper belief."""
-        if self._factor is None:
-            raise CannotSampleError("improper belief has no covariance")
-        inv_factor = _inverse_factor(self._factor)
+        inv_factor = self.inverse_factor
         cov = inv_factor.T @ inv_factor
         return 0.5 * (cov + cov.T)
-
-
-def _inverse_factor(factor: np.ndarray) -> np.ndarray:
-    """Inverse of a lower Cholesky factor, lower triangular like it."""
-    if not factor.size:
-        return factor
-    inverse, _ = dtrtri(factor, lower=1)
-    return inverse
 
 
 @dataclass(frozen=True)
@@ -294,10 +300,8 @@ def sample(belief: GaussianBelief, count: int, rng: np.random.Generator) -> np.n
     own buffer, so no covariance matrix is formed.
     """
     _check_count("count", count, 1)
-    if belief._factor is None:
-        raise CannotSampleError("cannot sample from an improper belief")
+    inverse = belief.inverse_factor
     z = rng.standard_normal((count, belief.dim))
-    inverse = _inverse_factor(belief._factor)
     draws = dtrmm(1.0, inverse, z.T, side=0, lower=1, trans_a=1, overwrite_b=1).T
     draws += belief.mean
     return draws

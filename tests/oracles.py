@@ -2,7 +2,10 @@
 
 Everything here is deliberately written from first principles — dense
 matrices, finite differences, grid quadrature — rather than reusing the
-package's own formulas, so agreement is evidence and not tautology.
+package's own formulas, so agreement is evidence and not tautology. The
+exceptions are the two full-draw allocation functions, the package's own
+allocation before it screened arms, kept as they were to check the
+screen against.
 """
 
 from __future__ import annotations
@@ -10,10 +13,15 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import solve_triangular
 
+from orbandit import AllocationProportions, BetaState, GaussianBelief, sample
+from orbandit.errors import _check_count
+
 __all__ = [
+    "allocation_proportions",
     "arm_logit_matrix",
     "backsolve_sample",
     "backsolve_winner_counts",
+    "beta_ts_proportions",
     "dense_objective",
     "fd_gradient",
     "fd_hessian",
@@ -137,3 +145,31 @@ def backsolve_winner_counts(mean, precision, n_draws: int, rng: np.random.Genera
     scores = backsolve_sample(mean, precision, n_draws, rng)
     scores[:, -1] = 0.0
     return np.bincount(np.argmax(scores, axis=1), minlength=scores.shape[1])
+
+
+def allocation_proportions(
+    belief: GaussianBelief, n_draws: int, rng: np.random.Generator
+) -> AllocationProportions:
+    """Thompson proportions: the Monte Carlo winner frequency per arm.
+
+    Each posterior draw is scored with the reference coordinate replaced by
+    zero, which ranks arms by their log odds against the reference without
+    moving the shared base rate; ties break toward the lowest arm index.
+    """
+    _check_count("n_draws", n_draws, 1)
+    scores = sample(belief, n_draws, rng)
+    scores[:, -1] = 0.0
+    winners = np.argmax(scores, axis=1)
+    counts = np.bincount(winners, minlength=belief.dim)
+    return AllocationProportions(counts / float(n_draws))
+
+
+def beta_ts_proportions(
+    state: BetaState, n_draws: int, rng: np.random.Generator
+) -> AllocationProportions:
+    """Monte Carlo winner frequencies under independent Beta posteriors."""
+    _check_count("n_draws", n_draws, 1)
+    draws = rng.beta(state.alpha, state.beta, size=(n_draws, state.arms))
+    winners = np.argmax(draws, axis=1)
+    counts = np.bincount(winners, minlength=state.arms)
+    return AllocationProportions(counts / float(n_draws))

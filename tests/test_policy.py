@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import betaincinv
 
 from orbandit import (
     AllocationProportions,
@@ -145,6 +146,19 @@ def test_beta_proportions_favor_better_arm():
     state = beta_ts_update(state, RoundData(np.array([1000, 1000]), np.array([350, 300])))
     props = beta_ts_proportions(state, 50_000, np.random.default_rng(104))
     assert props.p[0] > 0.9
+
+
+def test_beta_screen_settles_a_clear_leader_without_drawing():
+    """Arms 15 posterior standard deviations apart are settled before any
+    draw. The upper quantile must be computed as 1 − betaincinv(b, a, δ):
+    betaincinv(a, b, 1 − δ) reads 1.0 for δ below 1.1e-16, since 1 − δ
+    rounds to 1, and no arm would ever be dropped."""
+    assert betaincinv(3e5, 7e5, 1 - 1e-18) == 1.0
+    rng = np.random.default_rng(105)
+    before = rng.bit_generator.state
+    props = beta_ts_proportions(BetaState([3.1e5, 3.0e5], [6.9e5, 7.0e5]), 10_000, rng)
+    np.testing.assert_array_equal(props.p, [1.0, 0.0])
+    assert rng.bit_generator.state == before
 
 
 def test_beta_state_validates_positivity():

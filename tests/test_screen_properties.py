@@ -1,0 +1,152 @@
+"""Property checks for the dominance screen in front of the Thompson draws.
+
+The screened allocation must be the full draw's, bit for bit, whenever the
+screen keeps every arm; a settled decision must be one the full draw makes
+too; and every arm the screen drops must be one whose chance of tying or
+beating the leader is within the screen's per-draw budget, computed here
+from the forward distribution functions rather than the screen's own
+quantiles and factors.
+"""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.special import betainc, betaincc, ndtr
+
+import oracles
+from orbandit import (
+    SCREEN_EPS,
+    BetaState,
+    GaussianBelief,
+    allocation_proportions,
+    beta_ts_proportions,
+)
+from orbandit.policy import _beta_survivors, _gaussian_survivors
+
+properties = settings(derandomize=True, deadline=None, max_examples=100)
+seeds = st.integers(0, 2**32 - 1)
+draw_counts = st.sampled_from([1, 50, 10_000])
+# Draws of the oracle that must agree with a settled decision.
+SETTLED_CHECK_DRAWS = 100_000
+# Slack for the rounding of the check's own arithmetic.
+RTOL = 1e-6
+
+
+@st.composite
+def beta_states(draw):
+    """Posteriors after up to 3e7 trials per arm, at rates 0.02–0.6."""
+    k = draw(st.integers(2, 6))
+    rates = np.array(draw(st.lists(st.floats(0.02, 0.6), min_size=k, max_size=k)))
+    trials = np.array(draw(st.lists(
+        st.sampled_from([0, 30, 3_000, 300_000, 30_000_000]), min_size=k, max_size=k)))
+    return BetaState(1.0 + rates * trials, 1.0 + (1.0 - rates) * trials)
+
+
+@st.composite
+def gaussian_beliefs(draw):
+    """Proper beliefs with correlated coordinates, at precisions from 1 to
+    1e6 times a random Gram matrix and means spread 0.1–5 wide."""
+    k = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(seeds))
+    scale = draw(st.sampled_from([1.0, 1e2, 1e4, 1e6]))
+    spread = draw(st.sampled_from([0.1, 1.0, 5.0]))
+    root = rng.normal(size=(k, k))
+    return GaussianBelief(spread * rng.normal(size=k), scale * (root @ root.T + 0.5 * np.eye(k)))
+
+
+def assert_settled(p, leader, rng, seed, oracle):
+    """One-hot on ``leader``, the generator untouched, and the full draw
+    with ``SETTLED_CHECK_DRAWS`` draws from the same state agreeing."""
+    expected = np.zeros(p.size)
+    expected[leader] = 1.0
+    np.testing.assert_array_equal(p, expected)
+    assert rng.bit_generator.state == np.random.default_rng(seed).bit_generator.state
+    np.testing.assert_array_equal(
+        oracle(SETTLED_CHECK_DRAWS, np.random.default_rng(seed)).p, expected)
+
+
+@properties
+@given(state=beta_states(), n_draws=draw_counts, seed=seeds)
+@example(state=BetaState([3.1e5, 3.0e5], [6.9e5, 7.0e5]), n_draws=10_000, seed=0)
+@example(state=BetaState([3.1e5, 3.0e5, 2e3], [6.9e5, 7.0e5, 8e3]), n_draws=10_000, seed=0)
+def test_beta_screen_matches_the_full_draw(state, n_draws, seed):
+    """Every arm kept: the full draw's bits and generator state. One arm
+    kept: a settled decision. Some kept: the full draw over the kept arms,
+    bit for bit, and zero for the others."""
+    keep = _beta_survivors(state, n_draws)
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    p = beta_ts_proportions(state, n_draws, rng).p
+    if keep.sum() == 1:
+        assert_settled(p, np.flatnonzero(keep)[0], rng, seed,
+                       lambda draws, r: oracles.beta_ts_proportions(state, draws, r))
+        return
+    kept = BetaState(state.alpha[keep], state.beta[keep])
+    np.testing.assert_array_equal(p[keep], oracles.beta_ts_proportions(kept, n_draws, oracle_rng).p)
+    assert not p[~keep].any()
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def lower_quantile(a, b, q):
+    """The point t with P(Beta(a, b) ≤ t) = q, by bisection on ``betainc``."""
+    lo, hi = 0.0, 1.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if betainc(a, b, mid) <= q:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@properties
+@given(state=beta_states(), n_draws=draw_counts)
+def test_beta_screen_drops_only_arms_within_budget(state, n_draws):
+    """For a dropped arm j and the leader i, with t the leader's lower
+    δ-quantile, P(X_i ≤ t) + P(X_j ≥ t) bounds P(X_j ≥ X_i); it must be
+    within 2δ, δ = ε / (2 n_draws (K − 1))."""
+    keep = _beta_survivors(state, n_draws)
+    a, b = state.alpha, state.beta
+    leader = int(np.argmax(a / (a + b)))
+    assert keep[leader]
+    delta = SCREEN_EPS / (2.0 * n_draws * (state.arms - 1))
+    t = lower_quantile(a[leader], b[leader], delta)
+    for j in np.flatnonzero(~keep):
+        chance = betainc(a[leader], b[leader], t) + betaincc(a[j], b[j], t)
+        assert chance <= 2.0 * delta * (1.0 + RTOL), (j, chance, delta)
+
+
+@properties
+@given(belief=gaussian_beliefs(), n_draws=draw_counts, seed=seeds)
+def test_gaussian_screen_matches_the_full_draw(belief, n_draws, seed):
+    """Some arm besides the leader kept: the full draw's bits and generator
+    state. Only the leader kept: a settled decision."""
+    keep = _gaussian_survivors(belief, n_draws)
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    p = allocation_proportions(belief, n_draws, rng).p
+    if keep.sum() == 1:
+        assert_settled(p, np.flatnonzero(keep)[0], rng, seed,
+                       lambda draws, r: oracles.allocation_proportions(belief, draws, r))
+        return
+    np.testing.assert_array_equal(p, oracles.allocation_proportions(belief, n_draws, oracle_rng).p)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@properties
+@given(belief=gaussian_beliefs(), n_draws=draw_counts)
+def test_gaussian_screen_drops_only_arms_within_budget(belief, n_draws):
+    """No dropped arm ties or beats the leader in one draw with probability
+    Φ(−gap / sd) above ε / (n_draws (K − 1)), with the score covariance
+    taken from the inverse of the precision and the reference scored 0."""
+    keep = _gaussian_survivors(belief, n_draws)
+    cov = np.linalg.inv(belief.precision)
+    cov[-1, :] = 0.0
+    cov[:, -1] = 0.0
+    mean = belief.mean.copy()
+    mean[-1] = 0.0
+    leader = int(np.argmax(mean))
+    assert keep[leader]
+    budget = SCREEN_EPS / (n_draws * (belief.dim - 1))
+    for j in np.flatnonzero(~keep):
+        sd = np.sqrt(cov[leader, leader] + cov[j, j] - 2.0 * cov[leader, j])
+        chance = ndtr(-(mean[leader] - mean[j]) / sd)
+        assert chance <= budget * (1.0 + RTOL), (j, chance, budget)
