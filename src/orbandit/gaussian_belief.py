@@ -300,8 +300,20 @@ def sample(belief: GaussianBelief, count: int, rng: np.random.Generator) -> np.n
     own buffer, so no covariance matrix is formed.
     """
     _check_count("count", count, 1)
+    return _draw_into(belief, np.empty((count, belief.dim)), rng)
+
+
+def _draw_into(belief: GaussianBelief, out: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Fill the C-contiguous (rows, dim) array ``out`` with draws from a
+    proper belief, in place, and return it.
+
+    The normals fill ``out`` in C order, the order of one
+    ``standard_normal((rows, dim))`` call, and the triangular multiply runs
+    in place, so ``sample`` and the blocked Thompson tally share one path
+    from normals to draws.
+    """
     inverse = belief.inverse_factor
-    z = rng.standard_normal((count, belief.dim))
-    draws = dtrmm(1.0, inverse, z.T, side=0, lower=1, trans_a=1, overwrite_b=1).T
+    rng.standard_normal(out=out)
+    draws = dtrmm(1.0, inverse, out.T, side=0, lower=1, trans_a=1, overwrite_b=1).T
     draws += belief.mean
     return draws

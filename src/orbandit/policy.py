@@ -12,6 +12,13 @@ chance of tying or beating the leader in a draw, summed over every draw
 and every screened arm, stays within ``SCREEN_EPS``. The decision then
 needs only the surviving arms' draws, and none when the leader alone
 survives.
+
+The draws that remain are made and tallied block by block: each block of
+rows, about ``_BLOCK_ELEMENTS`` scores, is drawn, reduced to its winners
+and added to an integer count. A decision's working memory is one block,
+whatever ``n_draws`` is. The generator fills arrays in C order, so the
+blocks consume exactly the stream of one full (n_draws, arms) draw: the
+proportions and the generator state are the same bits.
 """
 
 from __future__ import annotations
@@ -25,10 +32,10 @@ from scipy.special import betaincinv, ndtri
 from .errors import ConfigError, _check_choice, _check_count, _frozen_numbers
 from .gaussian_belief import (
     GaussianBelief,
+    _draw_into,
     embed_flat_last,
     make_flat_belief,
     marginalize_drop_last,
-    sample,
 )
 from .logistic_model import RoundData, laplace_update
 
@@ -50,6 +57,10 @@ __all__ = [
 # Monte Carlo one: the chance, over all draws and all screened arms, that a
 # screened arm would have tied or beaten the leader.
 SCREEN_EPS = 1e-12
+
+# Scores per block of the Thompson tally: 2^18 float64 values, 2 MiB. Ten
+# thousand draws of up to 26 arms fit in one block.
+_BLOCK_ELEMENTS = 2**18
 
 
 class UpdateMode(str, Enum):
@@ -134,6 +145,31 @@ def _one_hot(arms: int, leader: int) -> AllocationProportions:
     return AllocationProportions(p)
 
 
+def _block_rows(width: int, n_draws: int) -> int:
+    """Rows of draws per block of the tally, for ``width`` columns."""
+    return min(n_draws, max(1, _BLOCK_ELEMENTS // width))
+
+
+def _tally_winners(n_draws: int, width: int, draw, zero_last: bool) -> np.ndarray:
+    """Winner counts per column over ``n_draws`` draws of ``width`` scores,
+    made ``_block_rows`` at a time by ``draw(m)``, which returns an (m,
+    width) array. With ``zero_last`` the last column scores zero. Ties go
+    to the lowest column, as in one argmax over all the draws."""
+    rows = _block_rows(width, n_draws)
+    counts = np.zeros(width, dtype=np.int64)
+    for start in range(0, n_draws, rows):
+        scores = draw(min(rows, n_draws - start))
+        if zero_last:
+            scores[:, -1] = 0.0
+        winners = scores.argmax(axis=1)
+        # Free the block before the next one is drawn, so that it reuses
+        # the same heap memory; with two blocks alive, the heap is trimmed
+        # and grown again and the next block pays fresh page faults.
+        del scores
+        counts += np.bincount(winners, minlength=width)
+    return counts
+
+
 def _gaussian_survivors(belief: GaussianBelief, n_draws: int) -> np.ndarray:
     """Mask of the arms the dominance screen keeps for a proper belief.
 
@@ -181,6 +217,14 @@ def allocation_proportions(
     the survivors would take the factor of their marginal, a second
     factorization.
 
+    The draws are made and tallied in blocks of rows (``_tally_winners``),
+    each written into one reused buffer, so memory does not grow with
+    ``n_draws``. The generator fills the buffer in C order, row after row,
+    so consecutive blocks consume exactly the normals of one
+    (n_draws, K) call, and each row's draw and winner depend on that row
+    alone: the proportions and the generator state equal those of one
+    full draw.
+
     Soundness: couple the one-hot result with a full draw. They differ
     only if some dropped arm ties or beats the leader in some draw, and
     each of at most n_draws (K − 1) such events has probability below
@@ -192,10 +236,9 @@ def allocation_proportions(
     keep = _gaussian_survivors(belief, n_draws)
     if keep.sum() == 1 and belief.dim > 1:
         return _one_hot(belief.dim, int(keep.argmax()))
-    scores = sample(belief, n_draws, rng)
-    scores[:, -1] = 0.0
-    winners = np.argmax(scores, axis=1)
-    counts = np.bincount(winners, minlength=belief.dim)
+    buffer = np.empty((_block_rows(belief.dim, n_draws), belief.dim))
+    counts = _tally_winners(n_draws, belief.dim, lambda m: _draw_into(belief, buffer[:m], rng),
+                            zero_last=True)
     return AllocationProportions(counts / float(n_draws))
 
 
@@ -266,6 +309,13 @@ def beta_ts_proportions(
     When every arm survives, the draws are made exactly as without the
     screen, so the result and the generator state are the same bits.
 
+    The Beta draws are made and tallied in blocks of rows
+    (``_tally_winners``), so memory does not grow with ``n_draws``. The
+    generator fills each block in C order, one Beta variate per entry, so
+    consecutive blocks consume exactly the stream of one
+    (n_draws, survivors) call, and the proportions and the generator state
+    equal those of one full draw.
+
     Soundness: the arms are independent, so the survivors' draws have the
     same joint law as their columns in a full draw; couple the two. The
     survivors keep their order, so ties break alike, and the results
@@ -279,8 +329,9 @@ def beta_ts_proportions(
     survivors = np.flatnonzero(_beta_survivors(state, n_draws))
     if survivors.size == 1 and state.arms > 1:
         return _one_hot(state.arms, int(survivors[0]))
-    draws = rng.beta(state.alpha[survivors], state.beta[survivors],
-                     size=(n_draws, survivors.size))
-    winners = survivors[np.argmax(draws, axis=1)]
-    counts = np.bincount(winners, minlength=state.arms)
+    alpha, beta = state.alpha[survivors], state.beta[survivors]
+    counts = np.zeros(state.arms, dtype=np.int64)
+    counts[survivors] = _tally_winners(
+        n_draws, survivors.size, lambda m: rng.beta(alpha, beta, size=(m, survivors.size)),
+        zero_last=False)
     return AllocationProportions(counts / float(n_draws))

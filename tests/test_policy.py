@@ -1,5 +1,7 @@
 """Thompson-sampling policies: allocation and the three update rules."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import betaincinv
@@ -24,6 +26,9 @@ from orbandit import (
     or_ts_update,
     sample,
 )
+from orbandit.policy import _beta_survivors, _block_rows, _gaussian_survivors
+
+import oracles
 from oracles import backsolve_sample, backsolve_winner_counts
 
 
@@ -167,6 +172,69 @@ def test_beta_state_validates_positivity():
     for alpha, beta, field in (([np.nan, 1.0], [1.0, 1.0], "alpha"), ([1.0], [np.inf], "beta")):
         with pytest.raises(ConfigError, match=f"field '{field}'"):
             BetaState(alpha, beta)
+
+
+# --- blocked draws and tally -------------------------------------------------
+
+
+def spread_beta_state(k, seed):
+    """Posterior after 30 trials per arm at rates 0.1–0.5: no arm is
+    settled, so the screen keeps every arm."""
+    rng = np.random.default_rng(seed)
+    successes = rng.binomial(30, rng.uniform(0.1, 0.5, size=k))
+    return BetaState(1.0 + successes, 31.0 - successes)
+
+
+# (policy, its full-draw oracle, its screen, arm count -> a state the
+# screen keeps whole)
+BLOCKED_POLICIES = {
+    "gaussian": (allocation_proportions, oracles.allocation_proportions, _gaussian_survivors,
+                 lambda k: or_ts_belief(k, 10_000, k)),
+    "beta": (beta_ts_proportions, oracles.beta_ts_proportions, _beta_survivors,
+             lambda k: spread_beta_state(k, k)),
+}
+
+
+@pytest.mark.parametrize("policy", sorted(BLOCKED_POLICIES))
+@pytest.mark.parametrize("k, n_draws, spans_blocks", [
+    (200, 10_007, True),
+    (2, 300_001, True),
+    (200, 1, False),
+    (2, 1, False),
+])
+def test_blocked_tally_matches_one_full_draw(policy, k, n_draws, spans_blocks):
+    """Draws tallied block by block, with a last partial block, give the
+    proportions and the generator state of one (n_draws, K) draw, bit for
+    bit."""
+    proportions, oracle, screen, make = BLOCKED_POLICIES[policy]
+    state = make(k)
+    assert screen(state, n_draws).all()
+    rows = _block_rows(k, n_draws)
+    assert (n_draws > rows and n_draws % rows != 0) == spans_blocks
+    rng, oracle_rng = np.random.default_rng(30), np.random.default_rng(30)
+    p = proportions(state, n_draws, rng).p
+    np.testing.assert_array_equal(p, oracle(state, n_draws, oracle_rng).p)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+# Bound on the traced peak of one decision; a full (50_000, 200) draw is 77 MiB.
+DECISION_PEAK_BYTES = 8_000_000
+
+
+@pytest.mark.parametrize("policy", sorted(BLOCKED_POLICIES))
+def test_allocation_memory_does_not_grow_with_n_draws(policy):
+    """At K=200 and 50k draws, with every arm kept, one decision's traced
+    peak stays within one block and a few K-sized arrays."""
+    proportions, _, screen, make = BLOCKED_POLICIES[policy]
+    state = make(200)
+    assert screen(state, 50_000).all()
+    tracemalloc.start()
+    try:
+        proportions(state, 50_000, np.random.default_rng(31))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < DECISION_PEAK_BYTES, peak
 
 
 # --- full-rank and odds-ratio updates ----------------------------------------
