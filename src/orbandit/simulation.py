@@ -148,16 +148,22 @@ class ExperimentResult:
     expected_clicks: np.ndarray
 
 
+def _check_rates(p_optimal: float, p_suboptimal: float) -> tuple[float, float]:
+    """Both rates as floats; ``ConfigError`` unless 0 < p_suboptimal < p_optimal < 1."""
+    high = _check_number("p_optimal", p_optimal, 0.0, 1.0)
+    low = _check_number("p_suboptimal", p_suboptimal, 0.0, 1.0)
+    if not 0.0 < low < high < 1.0:
+        raise ConfigError(f"need 0 < p_suboptimal < p_optimal < 1, got {low} and {high}")
+    return high, low
+
+
 def sigma_from_d(d: float, p_optimal: float, p_suboptimal: float) -> float:
     """Drift scale calibrated to the optimality gap.
 
     ``d`` is the shared drift's standard deviation measured in units of the
     logit gap between the best and runner-up success probabilities.
     """
-    if not 0.0 < p_suboptimal < p_optimal < 1.0:
-        raise ConfigError(
-            f"need 0 < p_suboptimal < p_optimal < 1, got {p_suboptimal} and {p_optimal}"
-        )
+    p_optimal, p_suboptimal = _check_rates(p_optimal, p_suboptimal)
     return _check_number("d", d, 0.0) * float(logit(p_optimal) - logit(p_suboptimal))
 
 
@@ -213,50 +219,42 @@ def draw_rewards(allocated, true_p: ProbVector, rng: np.random.Generator) -> np.
     return rng.binomial(allocated, p).astype(np.int64)
 
 
-class _BetaRunner:
-    def __init__(self, arms: int, n_draws: int):
-        self.state = BetaState.uniform_prior(arms)
-        self.n_draws = n_draws
-        self.updates = 0
-
-    def propose(self, rng: np.random.Generator) -> AllocationProportions:
-        if self.updates == 0:
-            return initial_proportions(self.state.arms)
-        return beta_ts_proportions(self.state, self.n_draws, rng)
-
-    def observe(self, data: RoundData) -> None:
-        self.state = beta_ts_update(self.state, data)
-        self.updates += 1
+_PolicyState = Union[BetaState, LogisticPolicyState]
 
 
-class _LogisticRunner:
-    def __init__(self, arms: int, n_draws: int, mode: UpdateMode):
-        self.state = LogisticPolicyState.flat_start(arms, mode)
-        self.n_draws = n_draws
-
-    def propose(self, rng: np.random.Generator) -> AllocationProportions:
-        if not self.state.belief.is_proper():
-            return initial_proportions(self.state.belief.dim)
-        return allocation_proportions(self.state.belief, self.n_draws, rng)
-
-    def observe(self, data: RoundData) -> None:
-        update = or_ts_update if self.state.mode is UpdateMode.ODDS_RATIO else full_ts_update
-        self.state = update(self.state, data)
+def _initial_state(policy: PolicyKind, arms: int) -> _PolicyState:
+    if policy is PolicyKind.BETA_TS:
+        return BetaState.uniform_prior(arms)
+    mode = UpdateMode.ODDS_RATIO if policy is PolicyKind.OR_TS else UpdateMode.FULL
+    return LogisticPolicyState.flat_start(arms, mode)
 
 
-def _make_runner(config: ExperimentConfig, arms: int):
-    if config.policy is PolicyKind.BETA_TS:
-        return _BetaRunner(arms, config.n_draws)
-    mode = UpdateMode.ODDS_RATIO if config.policy is PolicyKind.OR_TS else UpdateMode.FULL
-    return _LogisticRunner(arms, config.n_draws, mode)
+# _propose and _update look the policy functions up in this module at call
+# time, so a tracer or a fault injection that rebinds them here is reached.
+def _propose(state: _PolicyState, n_draws: int, rng: np.random.Generator) -> AllocationProportions:
+    """Thompson proportions after round 1; a logistic state splits evenly
+    while its belief is improper."""
+    if isinstance(state, BetaState):
+        return beta_ts_proportions(state, n_draws, rng)
+    if not state.belief.is_proper():
+        return initial_proportions(state.belief.dim)
+    return allocation_proportions(state.belief, n_draws, rng)
+
+
+def _update(state: _PolicyState, data: RoundData) -> _PolicyState:
+    if isinstance(state, BetaState):
+        return beta_ts_update(state, data)
+    if state.mode is UpdateMode.ODDS_RATIO:
+        return or_ts_update(state, data)
+    return full_ts_update(state, data)
 
 
 def run_experiment(config: ExperimentConfig, spec: EnvironmentSpec) -> ExperimentResult:
     """One policy against one environment for the configured rounds.
 
-    Per round: propose proportions (uniform until the first posterior
-    exists), split the trial budget, step the environment, draw rewards,
-    update the policy, and record regret against that round's best arm.
+    Per round: propose proportions (an even split in round 1), split the
+    trial budget, step the environment, draw rewards, update the policy
+    state, and record regret against that round's best arm.
     Four independent substreams (environment, allocation, rewards, policy
     sampling) are derived from the seed, so two policies run with the same
     seed face identical environments and differ only through their own
@@ -269,7 +267,7 @@ def run_experiment(config: ExperimentConfig, spec: EnvironmentSpec) -> Experimen
         )
     streams = np.random.SeedSequence(config.seed).spawn(4)
     rng_env, rng_alloc, rng_reward, rng_policy = (np.random.default_rng(s) for s in streams)
-    runner = _make_runner(config, arms)
+    state = _initial_state(config.policy, arms)
     table = (config.rounds, arms)
     result = ExperimentResult(
         proportions=np.empty(table),
@@ -282,7 +280,8 @@ def run_experiment(config: ExperimentConfig, spec: EnvironmentSpec) -> Experimen
     for row in range(config.rounds):
         round_index = row + 1
         try:
-            proportions = runner.propose(rng_policy)
+            proportions = (initial_proportions(arms) if row == 0
+                           else _propose(state, config.n_draws, rng_policy))
         except BanditError as exc:
             raise SimulationError(config.policy.value, round_index, str(exc)) from exc
         trials = config.trials_per_round if schedule is None else schedule[row][1]
@@ -291,7 +290,7 @@ def run_experiment(config: ExperimentConfig, spec: EnvironmentSpec) -> Experimen
         successes = draw_rewards(allocated, env_p, rng_reward)
         true_p = env_p.p
         try:
-            runner.observe(RoundData(allocated, successes))
+            state = _update(state, RoundData(allocated, successes))
         except BanditError as exc:
             raise SimulationError(config.policy.value, round_index, str(exc)) from exc
         result.proportions[row] = proportions.p
@@ -372,10 +371,7 @@ def run_replications(
 def single_best_arm_logits(arms: int, p_optimal: float, p_suboptimal: float) -> np.ndarray:
     """Per-arm logits with arm 0 at the optimal rate and the rest tied."""
     _check_count("arms", arms, 1)
-    if not 0.0 < p_suboptimal < p_optimal < 1.0:
-        raise ConfigError(
-            f"need 0 < p_suboptimal < p_optimal < 1, got {p_suboptimal} and {p_optimal}"
-        )
+    p_optimal, p_suboptimal = _check_rates(p_optimal, p_suboptimal)
     base = np.full(arms, float(logit(p_suboptimal)))
     base[0] = float(logit(p_optimal))
     return base
@@ -417,7 +413,9 @@ def two_regime_schedule(
     per_block = [trials] * len(blocks) if np.isscalar(trials) else list(trials)
     if len(per_block) != len(blocks):
         raise ConfigError("need one trial total per block")
-    rng = np.random.default_rng(seed)
+    boundary_shift = _check_number("boundary_shift", boundary_shift, -np.inf)
+    daily_sigma = _check_number("daily_sigma", daily_sigma, 0.0)
+    rng = np.random.default_rng(_check_count("seed", seed, 0))
     rounds = []
     for block_index, block_len in enumerate(blocks):
         offset = boundary_shift * block_index

@@ -176,6 +176,9 @@ def test_invalid_config_returns_exit_code_2(tmp_path, capsys):
         (drift("0.5"), "field 'environment' (logit_drift): field 'sigma'"),
         (drift(True), "field 'environment' (logit_drift): field 'sigma'"),
         (simulate_config(d=10**400), "field 'd'"),
+        # The drift saturates the rates in round 1's environment step: a bad
+        # input, not a failure of the policy.
+        (simulate_config(d=1e6), "probabilities must lie strictly inside (0, 1)"),
         (short_schedule, "config asks for 4 rounds but the schedule has 1"),
         (arms_mismatch, "environment covers 2 arms, config expects 3"),
     ):

@@ -8,6 +8,7 @@ from scipy.special import expit, logit
 
 from orbandit import (
     AllocationProportions,
+    BetaState,
     ConfigError,
     ExperimentConfig,
     ExperimentResult,
@@ -17,6 +18,7 @@ from orbandit import (
     RegimeSchedule,
     Stationary,
     allocate_trials,
+    beta_ts_proportions,
     draw_rewards,
     drift_environment,
     env_step,
@@ -45,6 +47,12 @@ def test_sigma_from_d_requires_ordered_probabilities():
     for d in ("2", -1.0):
         with pytest.raises(ConfigError, match="field 'd'"):
             sigma_from_d(d, 0.31, 0.30)
+    with pytest.raises(ConfigError, match="field 'p_optimal'"):
+        sigma_from_d(1.0, "0.31", 0.30)
+    with pytest.raises(ConfigError, match="field 'p_suboptimal'"):
+        single_best_arm_logits(3, 0.31, "0.30")
+    with pytest.raises(ConfigError, match="need 0 < p_suboptimal < p_optimal < 1"):
+        drift_environment(3, 0.31, 0.31, 1.0)
 
 
 def test_stationary_environment_returns_same_probs_every_round():
@@ -128,6 +136,12 @@ def test_two_regime_schedule_shapes_and_shift():
         ("trials", {"trials": (5000, True)}),
         ("block_rounds", {"block_rounds": (3, 2.5)}),
         ("block_rounds", {"block_rounds": (3, 0)}),
+        ("daily_sigma", {"daily_sigma": -1.0}),
+        ("daily_sigma", {"daily_sigma": float("nan")}),
+        ("daily_sigma", {"daily_sigma": "0.5"}),
+        ("boundary_shift", {"boundary_shift": "x"}),
+        ("seed", {"seed": -1}),
+        ("seed", {"seed": 1.5}),
     ):
         with pytest.raises(ConfigError, match=f"field '{field}'"):
             two_regime_schedule((0.035, 0.030), **options)
@@ -242,6 +256,25 @@ def test_run_experiment_takes_the_arm_count_from_the_environment():
     for arms in (2, 5):
         result = run_experiment(config, drift_environment(arms, 0.31, 0.30, 0.0))
         assert result.proportions.shape == result.true_p.shape == (2, arms)
+
+
+def test_round_one_splits_evenly_and_later_rounds_keep_each_policys_rule():
+    """Round 1 is an even split for every policy and draws nothing from the
+    policy stream. Later, beta_ts always draws, while a logistic policy
+    splits evenly as long as its belief is improper (here: after a round
+    without trials)."""
+    p = ProbVector(np.array([0.3, 0.31, 0.29]))
+    spec = RegimeSchedule(tuple((p, trials) for trials in (0, 100, 0, 5000)))
+    runs = {
+        kind: run_experiment(small_config(kind, seed=3, rounds=4, n_draws=1000), spec)
+        for kind in PolicyKind
+    }
+    for result in runs.values():
+        np.testing.assert_array_equal(result.proportions[0], np.full(3, 1 / 3))
+    rng_policy = np.random.default_rng(np.random.SeedSequence(3).spawn(4)[3])
+    expected = beta_ts_proportions(BetaState.uniform_prior(3), 1000, rng_policy)
+    np.testing.assert_array_equal(runs[PolicyKind.BETA_TS].proportions[1], expected.p)
+    np.testing.assert_array_equal(runs[PolicyKind.FULL_TS].proportions[1], np.full(3, 1 / 3))
 
 
 def test_regime_schedule_must_cover_all_rounds():
