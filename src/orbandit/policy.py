@@ -13,12 +13,18 @@ and every screened arm, stays within ``SCREEN_EPS``. The decision then
 needs only the surviving arms' draws, and none when the leader alone
 survives.
 
-The draws that remain are made and tallied block by block: each block of
-rows, about ``_BLOCK_ELEMENTS`` scores, is drawn, reduced to its winners
-and added to an integer count. A decision's working memory is one block,
-whatever ``n_draws`` is. The generator fills arrays in C order, so the
-blocks consume exactly the stream of one full (n_draws, arms) draw: the
-proportions and the generator state are the same bits.
+The Gaussian draws that remain are made and tallied block by block: each
+block of rows, about ``_BLOCK_ELEMENTS`` scores, is drawn, reduced to its
+winners and added to an integer count. A decision's working memory is one
+block, whatever ``n_draws`` is. The generator fills arrays in C order, so
+the blocks consume exactly the stream of one full (n_draws, arms) draw:
+the proportions and the generator state are the same bits.
+
+The Beta draws are made column by column instead: each surviving arm's
+``n_draws`` scores come from one call of ``_beta_column``, which inverts
+the distribution function exactly when a shape is 1, and a running best
+score per draw picks the winners. Memory is a few ``n_draws``-long
+arrays, and the stream does not depend on the block size.
 """
 
 from __future__ import annotations
@@ -58,8 +64,8 @@ __all__ = [
 # screened arm would have tied or beaten the leader.
 SCREEN_EPS = 1e-12
 
-# Scores per block of the Thompson tally: 2^18 float64 values, 2 MiB. Ten
-# thousand draws of up to 26 arms fit in one block.
+# Scores per block of the Gaussian Thompson tally: 2^18 float64 values,
+# 2 MiB. Ten thousand draws of up to 26 arms fit in one block.
 _BLOCK_ELEMENTS = 2**18
 
 
@@ -150,17 +156,16 @@ def _block_rows(width: int, n_draws: int) -> int:
     return min(n_draws, max(1, _BLOCK_ELEMENTS // width))
 
 
-def _tally_winners(n_draws: int, width: int, draw, zero_last: bool) -> np.ndarray:
+def _tally_winners(n_draws: int, width: int, draw) -> np.ndarray:
     """Winner counts per column over ``n_draws`` draws of ``width`` scores,
     made ``_block_rows`` at a time by ``draw(m)``, which returns an (m,
-    width) array. With ``zero_last`` the last column scores zero. Ties go
-    to the lowest column, as in one argmax over all the draws."""
+    width) array. The last column scores zero. Ties go to the lowest
+    column, as in one argmax over all the draws."""
     rows = _block_rows(width, n_draws)
     counts = np.zeros(width, dtype=np.int64)
     for start in range(0, n_draws, rows):
         scores = draw(min(rows, n_draws - start))
-        if zero_last:
-            scores[:, -1] = 0.0
+        scores[:, -1] = 0.0
         winners = scores.argmax(axis=1)
         # Free the block before the next one is drawn, so that it reuses
         # the same heap memory; with two blocks alive, the heap is trimmed
@@ -237,8 +242,7 @@ def allocation_proportions(
     if keep.sum() == 1 and belief.dim > 1:
         return _one_hot(belief.dim, int(keep.argmax()))
     buffer = np.empty((_block_rows(belief.dim, n_draws), belief.dim))
-    counts = _tally_winners(n_draws, belief.dim, lambda m: _draw_into(belief, buffer[:m], rng),
-                            zero_last=True)
+    counts = _tally_winners(n_draws, belief.dim, lambda m: _draw_into(belief, buffer[:m], rng))
     return AllocationProportions(counts / float(n_draws))
 
 
@@ -298,23 +302,38 @@ def _beta_survivors(state: BetaState, n_draws: int) -> np.ndarray:
     return ~(ceilings < floor)
 
 
+def _beta_column(a: float, b: float, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``n`` draws from Beta(a, b).
+
+    When a shape is 1 the distribution function inverts in closed form,
+    and one uniform per draw is far cheaper than numpy's Beta sampler,
+    which draws Beta(1, 1) by Johnk's method. With U uniform on [0, 1):
+    Beta(1, b) is 1 − (1 − U)^(1/b), written −expm1(log1p(−U) / b) so that
+    a large b keeps its digits, and Beta(a, 1) is (1 − U)^(1/a). Other
+    shapes take one scalar-parameter ``rng.beta`` call.
+    """
+    if a == 1.0:
+        return -np.expm1(np.log1p(-rng.random(n)) / b)
+    if b == 1.0:
+        return (1.0 - rng.random(n)) ** (1.0 / a)
+    return rng.beta(a, b, n)
+
+
 def beta_ts_proportions(
     state: BetaState, n_draws: int, rng: np.random.Generator
 ) -> AllocationProportions:
     """Monte Carlo winner frequencies under independent Beta posteriors.
 
     A dominance screen runs first (``_beta_survivors``); only the arms it
-    keeps are drawn, as one (n_draws, survivors) block of Beta draws, and
-    a lone survivor is returned one-hot without touching the generator.
-    When every arm survives, the draws are made exactly as without the
-    screen, so the result and the generator state are the same bits.
+    keeps are drawn, and a lone survivor is returned one-hot without
+    touching the generator.
 
-    The Beta draws are made and tallied in blocks of rows
-    (``_tally_winners``), so memory does not grow with ``n_draws``. The
-    generator fills each block in C order, one Beta variate per entry, so
-    consecutive blocks consume exactly the stream of one
-    (n_draws, survivors) call, and the proportions and the generator state
-    equal those of one full draw.
+    The draws are made column by column: each surviving arm, in arm order,
+    takes its ``n_draws`` scores from one ``_beta_column`` call. A running
+    best score and winning arm per draw are replaced only on a strictly
+    greater score, so ties go to the lowest arm, as in one argmax over the
+    (n_draws, survivors) matrix of those columns. Memory is a few
+    ``n_draws``-long arrays, whatever the arm count.
 
     Soundness: the arms are independent, so the survivors' draws have the
     same joint law as their columns in a full draw; couple the two. The
@@ -329,9 +348,12 @@ def beta_ts_proportions(
     survivors = np.flatnonzero(_beta_survivors(state, n_draws))
     if survivors.size == 1 and state.arms > 1:
         return _one_hot(state.arms, int(survivors[0]))
-    alpha, beta = state.alpha[survivors], state.beta[survivors]
-    counts = np.zeros(state.arms, dtype=np.int64)
-    counts[survivors] = _tally_winners(
-        n_draws, survivors.size, lambda m: rng.beta(alpha, beta, size=(m, survivors.size)),
-        zero_last=False)
+    best = np.full(n_draws, -np.inf)
+    winners = np.zeros(n_draws, dtype=np.intp)
+    for arm in survivors:
+        column = _beta_column(state.alpha[arm], state.beta[arm], n_draws, rng)
+        ahead = column > best
+        winners[ahead] = arm
+        np.maximum(best, column, out=best)
+    counts = np.bincount(winners, minlength=state.arms)
     return AllocationProportions(counts / float(n_draws))

@@ -30,6 +30,7 @@ from .errors import (
     _frozen_numbers,
     _numbers,
 )
+from .gaussian_belief import GaussianBelief
 from .logistic_model import ProbVector, RoundData
 from .policy import (
     AllocationProportions,
@@ -233,12 +234,25 @@ def _initial_state(policy: PolicyKind, arms: int) -> _PolicyState:
 # time, so a tracer or a fault injection that rebinds them here is reached.
 def _propose(state: _PolicyState, n_draws: int, rng: np.random.Generator) -> AllocationProportions:
     """Thompson proportions after round 1; a logistic state splits evenly
-    while its belief is improper."""
+    while the law of its scored coordinates is improper.
+
+    Every coordinate but the last is scored; the last, the reference's
+    base rate, scores zero. When the last coordinate is flat (its
+    precision row is zero, as after an odds-ratio update on a round
+    without trials), that row couples it to nothing, so giving it unit
+    precision leaves the scored coordinates' law unchanged and may make
+    the belief proper.
+    """
     if isinstance(state, BetaState):
         return beta_ts_proportions(state, n_draws, rng)
-    if not state.belief.is_proper():
-        return initial_proportions(state.belief.dim)
-    return allocation_proportions(state.belief, n_draws, rng)
+    belief = state.belief
+    if not belief.is_proper() and not belief.precision[-1].any():
+        precision = belief.precision.copy()
+        precision[-1, -1] = 1.0
+        belief = GaussianBelief(belief.mean, precision)
+    if not belief.is_proper():
+        return initial_proportions(belief.dim)
+    return allocation_proportions(belief, n_draws, rng)
 
 
 def _update(state: _PolicyState, data: RoundData) -> _PolicyState:

@@ -1,10 +1,12 @@
 """Thompson-sampling policies: allocation and the three update rules."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from scipy.special import betaincinv
+from scipy import stats
+from scipy.special import betainc, betaincinv
 
 from orbandit import (
     AllocationProportions,
@@ -26,7 +28,7 @@ from orbandit import (
     or_ts_update,
     sample,
 )
-from orbandit.policy import _beta_survivors, _block_rows, _gaussian_survivors
+from orbandit.policy import _beta_column, _beta_survivors, _block_rows, _gaussian_survivors
 
 import oracles
 from oracles import backsolve_sample, backsolve_winner_counts
@@ -174,6 +176,64 @@ def test_beta_state_validates_positivity():
             BetaState(alpha, beta)
 
 
+# --- Beta columns -------------------------------------------------------------
+
+
+# Each branch of _beta_column: Beta(1, b) and Beta(a, 1) by the inverse
+# distribution function, the rest by rng.beta.
+BETA_SHAPES = [(1.0, 1.0), (1.0, 5e3), (7e2, 1.0), (0.5, 0.5), (3.0, 700.0), (3e5, 7e5)]
+
+
+@pytest.mark.parametrize("a, b", BETA_SHAPES)
+def test_beta_column_follows_the_beta_law(a, b):
+    draws = _beta_column(a, b, 20_000, np.random.default_rng(40))
+    assert draws.shape == (20_000,)
+    assert stats.kstest(draws, stats.beta(a, b).cdf).pvalue > 1e-3
+
+
+class FixedUniforms:
+    """Stands in for a generator whose uniforms are the given values."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values)
+
+    def random(self, n):
+        return np.resize(self.values, n)
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 1.0), (1.0, 5e3), (1.0, 1e-3), (7e2, 1.0), (1e-3, 1.0)])
+def test_beta_column_maps_the_ends_of_the_uniform_without_warnings(a, b):
+    """U = 0 and the largest U below 1 give finite draws in [0, 1]."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        draws = _beta_column(a, b, 2, FixedUniforms([0.0, np.nextafter(1.0, 0.0)]))
+    assert np.all((draws >= 0.0) & (draws <= 1.0))
+
+
+def two_arm_win_chance(a0, b0, a1, b1, points=200_000):
+    """P(X1 > X0) for independent X0 ~ Beta(a0, b0), X1 ~ Beta(a1, b1):
+    the mean of F0(F1⁻¹(u)) over u in (0, 1), by the midpoint rule."""
+    u = (np.arange(points) + 0.5) / points
+    return float(betainc(a0, b0, betaincinv(a1, b1, u)).mean())
+
+
+@pytest.mark.parametrize("alpha, beta", [
+    ([1.0, 1.0], [1.0, 1.0]),
+    ([1.0, 3.0], [1.0, 5.0]),
+    ([1.0, 2.0], [4.0, 1.0]),
+    ([0.5, 1.0], [0.5, 1.0]),
+    ([30.0, 1.0], [70.0, 1.0]),
+    ([3.0, 4.0], [700.0, 650.0]),
+])
+def test_two_arm_winner_frequency_matches_quadrature(alpha, beta):
+    n_draws = 200_000
+    state = BetaState(alpha, beta)
+    assert _beta_survivors(state, n_draws).all()
+    p = beta_ts_proportions(state, n_draws, np.random.default_rng(41)).p
+    chance = two_arm_win_chance(alpha[0], beta[0], alpha[1], beta[1])
+    assert abs(p[1] - chance) < 5.0 * np.sqrt(chance * (1.0 - chance) / n_draws) + 1e-4
+
+
 # --- blocked draws and tally -------------------------------------------------
 
 
@@ -203,9 +263,9 @@ BLOCKED_POLICIES = {
     (2, 1, False),
 ])
 def test_blocked_tally_matches_one_full_draw(policy, k, n_draws, spans_blocks):
-    """Draws tallied block by block, with a last partial block, give the
-    proportions and the generator state of one (n_draws, K) draw, bit for
-    bit."""
+    """Draws tallied block by block (Gaussian, with a last partial block)
+    or column by column (Beta) give the proportions and the generator
+    state of one (n_draws, K) draw, bit for bit."""
     proportions, oracle, screen, make = BLOCKED_POLICIES[policy]
     state = make(k)
     assert screen(state, n_draws).all()
@@ -224,7 +284,8 @@ DECISION_PEAK_BYTES = 8_000_000
 @pytest.mark.parametrize("policy", sorted(BLOCKED_POLICIES))
 def test_allocation_memory_does_not_grow_with_n_draws(policy):
     """At K=200 and 50k draws, with every arm kept, one decision's traced
-    peak stays within one block and a few K-sized arrays."""
+    peak stays within one Gaussian block, or a few Beta columns, and a few
+    K-sized arrays."""
     proportions, _, screen, make = BLOCKED_POLICIES[policy]
     state = make(200)
     assert screen(state, 50_000).all()

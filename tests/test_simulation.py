@@ -261,8 +261,8 @@ def test_run_experiment_takes_the_arm_count_from_the_environment():
 def test_round_one_splits_evenly_and_later_rounds_keep_each_policys_rule():
     """Round 1 is an even split for every policy and draws nothing from the
     policy stream. Later, beta_ts always draws, while a logistic policy
-    splits evenly as long as its belief is improper (here: after a round
-    without trials)."""
+    splits evenly as long as its scored coordinates are improper (here:
+    after a first round without trials)."""
     p = ProbVector(np.array([0.3, 0.31, 0.29]))
     spec = RegimeSchedule(tuple((p, trials) for trials in (0, 100, 0, 5000)))
     runs = {
@@ -275,6 +275,24 @@ def test_round_one_splits_evenly_and_later_rounds_keep_each_policys_rule():
     expected = beta_ts_proportions(BetaState.uniform_prior(3), 1000, rng_policy)
     np.testing.assert_array_equal(runs[PolicyKind.BETA_TS].proportions[1], expected.p)
     np.testing.assert_array_equal(runs[PolicyKind.FULL_TS].proportions[1], np.full(3, 1 / 3))
+
+
+def test_or_ts_draws_after_a_round_without_trials():
+    """A round without trials leaves the odds-ratio belief flat only in the
+    base-rate coordinate, which is scored as zero, so or_ts still draws
+    from the proper law of the scored coordinates. That law is full_ts's
+    here, since both saw the same counts: round 4 agrees with full_ts
+    within Monte Carlo error, and is far from an even split. With every
+    coordinate flat (round 2), both split evenly."""
+    p = ProbVector(np.array([0.3, 0.31, 0.29]))
+    spec = RegimeSchedule(tuple((p, trials) for trials in (0, 100, 0, 5000)))
+    odds, full = (
+        run_experiment(small_config(kind, seed=3, rounds=4, n_draws=1000), spec).proportions
+        for kind in (PolicyKind.OR_TS, PolicyKind.FULL_TS)
+    )
+    np.testing.assert_array_equal(odds[1], np.full(3, 1 / 3))
+    assert odds[3].max() > 0.9
+    np.testing.assert_allclose(odds[3], full[3], atol=0.03)
 
 
 def test_regime_schedule_must_cover_all_rounds():
