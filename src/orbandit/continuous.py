@@ -40,6 +40,7 @@ from .policy import (
     AllocationProportions,
     LogisticPolicyState,
     UpdateMode,
+    _scored_belief,
     allocation_proportions,
     full_ts_update,
     or_ts_update,
@@ -206,8 +207,9 @@ def plan_round(
     arms share the remaining |observed|/|active| of the traffic according
     to Thompson winner frequencies computed on the belief marginalized to
     exactly those arms (re-anchoring first if the reference sits out). If
-    that marginal is not yet proper in every direction, all active arms
-    fall back to the manual 1/|active| share.
+    that marginal's scored coordinates, all but the reference's base rate,
+    are not yet proper in every direction, all active arms fall back to
+    the manual 1/|active| share.
     """
     active = _validated_active(active)
     working = _anchored(registry, active)
@@ -218,7 +220,7 @@ def plan_round(
     proportions = np.full(m, 1.0 / m)
     if observed:
         keep = [i for i, a in enumerate(working.arms) if a in observed]
-        marginal = marginalize_keep(working.belief, keep)
+        marginal = _scored_belief(marginalize_keep(working.belief, keep))
         if marginal.is_proper():
             base = allocation_proportions(marginal, n_draws, rng)
             share = len(observed) / m

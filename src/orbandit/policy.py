@@ -20,11 +20,13 @@ block, whatever ``n_draws`` is. The generator fills arrays in C order, so
 the blocks consume exactly the stream of one full (n_draws, arms) draw:
 the proportions and the generator state are the same bits.
 
-The Beta draws are made column by column instead: each surviving arm's
-``n_draws`` scores come from one call of ``_beta_column``, which inverts
-the distribution function exactly when a shape is 1, and a running best
-score per draw picks the winners. Memory is a few ``n_draws``-long
-arrays, and the stream does not depend on the block size.
+The Beta draws are made column by column instead, in chunks of
+``_BETA_CHUNK`` draws: within a chunk each surviving arm's scores come
+from one call of ``_beta_column``, which inverts the distribution
+function exactly when the first shape is 1, and a running best score per
+draw picks the winners. Memory is a few chunk-long arrays, whatever
+``n_draws`` is, and the stream depends on the chunk size but not on the
+Gaussian block size.
 """
 
 from __future__ import annotations
@@ -67,6 +69,10 @@ SCREEN_EPS = 1e-12
 # Scores per block of the Gaussian Thompson tally: 2^18 float64 values,
 # 2 MiB. Ten thousand draws of up to 26 arms fit in one block.
 _BLOCK_ELEMENTS = 2**18
+
+# Draws per chunk of the Beta tally: the default ``n_draws``, so that a
+# default decision is one chunk of a few 80 kB arrays.
+_BETA_CHUNK = 10_000
 
 
 class UpdateMode(str, Enum):
@@ -205,6 +211,24 @@ def _gaussian_survivors(belief: GaussianBelief, n_draws: int) -> np.ndarray:
     return ~(mean[leader] - mean > z * spread)
 
 
+def _scored_belief(belief: GaussianBelief) -> GaussianBelief:
+    """A belief with the same law over the scored coordinates, proper
+    exactly when that law is.
+
+    Every coordinate but the last is scored; the last, the reference's
+    base rate, scores zero. When the last coordinate is flat (its
+    precision row is zero, as after an odds-ratio update on a round
+    without trials), that row couples it to nothing, so giving it unit
+    precision leaves the scored coordinates' law unchanged. Any other flat
+    direction moves some scored coordinate, and is kept.
+    """
+    if belief.precision[-1].any():
+        return belief
+    precision = belief.precision.copy()
+    precision[-1, -1] = 1.0
+    return GaussianBelief(belief.mean, precision)
+
+
 def allocation_proportions(
     belief: GaussianBelief, n_draws: int, rng: np.random.Generator
 ) -> AllocationProportions:
@@ -305,17 +329,16 @@ def _beta_survivors(state: BetaState, n_draws: int) -> np.ndarray:
 def _beta_column(a: float, b: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """``n`` draws from Beta(a, b).
 
-    When a shape is 1 the distribution function inverts in closed form,
-    and one uniform per draw is far cheaper than numpy's Beta sampler,
-    which draws Beta(1, 1) by Johnk's method. With U uniform on [0, 1):
-    Beta(1, b) is 1 − (1 − U)^(1/b), written −expm1(log1p(−U) / b) so that
-    a large b keeps its digits, and Beta(a, 1) is (1 − U)^(1/a). Other
-    shapes take one scalar-parameter ``rng.beta`` call.
+    Beta(1, b), which covers an arm still at its Beta(1, 1) prior, has the
+    distribution function 1 − (1 − x)^b, inverted in closed form: with U
+    uniform on [0, 1), a draw is 1 − (1 − U)^(1/b), written
+    −expm1(log1p(−U) / b) so that a large b keeps its digits. One uniform
+    per draw is far cheaper than numpy's Beta sampler, which draws
+    Beta(1, 1) by Johnk's method. Other shapes take one scalar-parameter
+    ``rng.beta`` call.
     """
     if a == 1.0:
         return -np.expm1(np.log1p(-rng.random(n)) / b)
-    if b == 1.0:
-        return (1.0 - rng.random(n)) ** (1.0 / a)
     return rng.beta(a, b, n)
 
 
@@ -328,12 +351,13 @@ def beta_ts_proportions(
     keeps are drawn, and a lone survivor is returned one-hot without
     touching the generator.
 
-    The draws are made column by column: each surviving arm, in arm order,
-    takes its ``n_draws`` scores from one ``_beta_column`` call. A running
-    best score and winning arm per draw are replaced only on a strictly
-    greater score, so ties go to the lowest arm, as in one argmax over the
-    (n_draws, survivors) matrix of those columns. Memory is a few
-    ``n_draws``-long arrays, whatever the arm count.
+    The draws are made in chunks of ``_BETA_CHUNK`` rows, column by column
+    within a chunk: each surviving arm, in arm order, takes the chunk's
+    scores from one ``_beta_column`` call. A running best score and
+    winning arm per draw are replaced only on a strictly greater score, so
+    ties go to the lowest arm, as in one argmax over the (n_draws,
+    survivors) matrix of those columns. Memory is a few chunk-long arrays,
+    whatever the arm count and ``n_draws``.
 
     Soundness: the arms are independent, so the survivors' draws have the
     same joint law as their columns in a full draw; couple the two. The
@@ -348,12 +372,14 @@ def beta_ts_proportions(
     survivors = np.flatnonzero(_beta_survivors(state, n_draws))
     if survivors.size == 1 and state.arms > 1:
         return _one_hot(state.arms, int(survivors[0]))
-    best = np.full(n_draws, -np.inf)
-    winners = np.zeros(n_draws, dtype=np.intp)
-    for arm in survivors:
-        column = _beta_column(state.alpha[arm], state.beta[arm], n_draws, rng)
-        ahead = column > best
-        winners[ahead] = arm
-        np.maximum(best, column, out=best)
-    counts = np.bincount(winners, minlength=state.arms)
+    counts = np.zeros(state.arms, dtype=np.int64)
+    for start in range(0, n_draws, _BETA_CHUNK):
+        rows = min(_BETA_CHUNK, n_draws - start)
+        best = np.full(rows, -np.inf)
+        winners = np.zeros(rows, dtype=np.intp)
+        for arm in survivors:
+            column = _beta_column(state.alpha[arm], state.beta[arm], rows, rng)
+            winners[column > best] = arm
+            np.maximum(best, column, out=best)
+        counts += np.bincount(winners, minlength=state.arms)
     return AllocationProportions(counts / float(n_draws))

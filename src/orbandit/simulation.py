@@ -30,13 +30,13 @@ from .errors import (
     _frozen_numbers,
     _numbers,
 )
-from .gaussian_belief import GaussianBelief
 from .logistic_model import ProbVector, RoundData
 from .policy import (
     AllocationProportions,
     BetaState,
     LogisticPolicyState,
     UpdateMode,
+    _scored_belief,
     allocation_proportions,
     beta_ts_proportions,
     beta_ts_update,
@@ -234,22 +234,10 @@ def _initial_state(policy: PolicyKind, arms: int) -> _PolicyState:
 # time, so a tracer or a fault injection that rebinds them here is reached.
 def _propose(state: _PolicyState, n_draws: int, rng: np.random.Generator) -> AllocationProportions:
     """Thompson proportions after round 1; a logistic state splits evenly
-    while the law of its scored coordinates is improper.
-
-    Every coordinate but the last is scored; the last, the reference's
-    base rate, scores zero. When the last coordinate is flat (its
-    precision row is zero, as after an odds-ratio update on a round
-    without trials), that row couples it to nothing, so giving it unit
-    precision leaves the scored coordinates' law unchanged and may make
-    the belief proper.
-    """
+    while the law of its scored coordinates is improper."""
     if isinstance(state, BetaState):
         return beta_ts_proportions(state, n_draws, rng)
-    belief = state.belief
-    if not belief.is_proper() and not belief.precision[-1].any():
-        precision = belief.precision.copy()
-        precision[-1, -1] = 1.0
-        belief = GaussianBelief(belief.mean, precision)
+    belief = _scored_belief(state.belief)
     if not belief.is_proper():
         return initial_proportions(belief.dim)
     return allocation_proportions(belief, n_draws, rng)

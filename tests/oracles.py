@@ -6,7 +6,8 @@ package's own formulas, so agreement is evidence and not tautology. The
 exceptions are the two full-draw allocation functions, which check the
 screen and the tally: the Gaussian one is the package's allocation before
 it screened arms or drew in blocks, and the Beta one draws each arm's
-column with the package's own ``_beta_column`` into one full matrix.
+column, chunk by chunk, with the package's own ``_beta_column`` into one
+full matrix.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from scipy.linalg import solve_triangular
 
 from orbandit import AllocationProportions, BetaState, GaussianBelief, sample
 from orbandit.errors import _check_count
-from orbandit.policy import _beta_column
+from orbandit.policy import _BETA_CHUNK, _beta_column
 
 __all__ = [
     "allocation_proportions",
@@ -170,12 +171,15 @@ def beta_ts_proportions(
     state: BetaState, n_draws: int, rng: np.random.Generator
 ) -> AllocationProportions:
     """Monte Carlo winner frequencies under independent Beta posteriors:
-    one ``_beta_column`` call per arm, in arm order, fills one full
-    (n_draws, K) matrix, and one argmax picks each draw's winner."""
+    for each chunk of ``_BETA_CHUNK`` rows, one ``_beta_column`` call per
+    arm, in arm order, fills its part of one full (n_draws, K) matrix, and
+    one argmax picks each draw's winner."""
     _check_count("n_draws", n_draws, 1)
     draws = np.empty((n_draws, state.arms))
-    for arm in range(state.arms):
-        draws[:, arm] = _beta_column(state.alpha[arm], state.beta[arm], n_draws, rng)
+    for start in range(0, n_draws, _BETA_CHUNK):
+        rows = draws[start : start + _BETA_CHUNK]
+        for arm in range(state.arms):
+            rows[:, arm] = _beta_column(state.alpha[arm], state.beta[arm], len(rows), rng)
     winners = np.argmax(draws, axis=1)
     counts = np.bincount(winners, minlength=state.arms)
     return AllocationProportions(counts / float(n_draws))

@@ -14,6 +14,7 @@ from orbandit import (
     ScenarioRound,
     UpdateMode,
     absorb_round,
+    allocation_proportions,
     check_continuity,
     marginalize_keep,
     plan_round,
@@ -167,8 +168,6 @@ def test_plan_marginalizes_to_the_active_subset():
     """Planning over a subset matches allocation on the marginal belief."""
     registry = seeded_registry((40, 15, 10), (80, 50, 50))
     plan = plan_round(registry, ("A", "C"), 100_000, np.random.default_rng(3))
-    from orbandit import allocation_proportions
-
     marginal = marginalize_keep(registry.belief, [0, 2])
     direct = allocation_proportions(marginal, 100_000, np.random.default_rng(4))
     np.testing.assert_allclose(plan.proportions.p, direct.p, atol=0.01)
@@ -189,6 +188,22 @@ def test_plan_falls_back_to_uniform_when_marginal_is_improper():
     plan = plan_round(registry, ("B", "D"), 2000, np.random.default_rng(6))
     assert plan.observed == ("B", "D")
     np.testing.assert_allclose(plan.proportions.p, [0.5, 0.5])
+
+
+def test_plan_draws_when_only_the_reference_base_rate_is_flat():
+    """The reference's base rate scores zero, so when its coordinate alone
+    is flat the scored coordinates' law is proper: planning draws, bit for
+    bit as allocation on the belief with that coordinate given unit
+    precision, instead of falling back to an even split."""
+    mean = np.array([0.5, -0.1, -1.0])
+    precision = np.array([[40.0, -10.0, 0.0], [-10.0, 30.0, 0.0], [0.0, 0.0, 0.0]])
+    registry = ArmRegistry(("A", "B", "C"), GaussianBelief(mean, precision), round=2)
+    plan = plan_round(registry, ("A", "B", "C"), 10_000, np.random.default_rng(7))
+    precision[-1, -1] = 1.0
+    direct = allocation_proportions(GaussianBelief(mean, precision), 10_000,
+                                    np.random.default_rng(7))
+    np.testing.assert_array_equal(plan.proportions.p, direct.p)
+    assert plan.proportions.p[0] > 0.9
 
 
 # --- scenario runner -----------------------------------------------------------

@@ -28,7 +28,13 @@ from orbandit import (
     or_ts_update,
     sample,
 )
-from orbandit.policy import _beta_column, _beta_survivors, _block_rows, _gaussian_survivors
+from orbandit.policy import (
+    _BETA_CHUNK,
+    _beta_column,
+    _beta_survivors,
+    _block_rows,
+    _gaussian_survivors,
+)
 
 import oracles
 from oracles import backsolve_sample, backsolve_winner_counts
@@ -179,8 +185,8 @@ def test_beta_state_validates_positivity():
 # --- Beta columns -------------------------------------------------------------
 
 
-# Each branch of _beta_column: Beta(1, b) and Beta(a, 1) by the inverse
-# distribution function, the rest by rng.beta.
+# Each branch of _beta_column: Beta(1, b) by the inverse distribution
+# function, the rest by rng.beta.
 BETA_SHAPES = [(1.0, 1.0), (1.0, 5e3), (7e2, 1.0), (0.5, 0.5), (3.0, 700.0), (3e5, 7e5)]
 
 
@@ -201,7 +207,7 @@ class FixedUniforms:
         return np.resize(self.values, n)
 
 
-@pytest.mark.parametrize("a, b", [(1.0, 1.0), (1.0, 5e3), (1.0, 1e-3), (7e2, 1.0), (1e-3, 1.0)])
+@pytest.mark.parametrize("a, b", [(1.0, 1.0), (1.0, 5e3), (1.0, 1e-3)])
 def test_beta_column_maps_the_ends_of_the_uniform_without_warnings(a, b):
     """U = 0 and the largest U below 1 give finite draws in [0, 1]."""
     with warnings.catch_warnings():
@@ -246,12 +252,12 @@ def spread_beta_state(k, seed):
 
 
 # (policy, its full-draw oracle, its screen, arm count -> a state the
-# screen keeps whole)
+# screen keeps whole, (arm count, n_draws) -> rows per block or chunk)
 BLOCKED_POLICIES = {
     "gaussian": (allocation_proportions, oracles.allocation_proportions, _gaussian_survivors,
-                 lambda k: or_ts_belief(k, 10_000, k)),
+                 lambda k: or_ts_belief(k, 50 * k, k), _block_rows),
     "beta": (beta_ts_proportions, oracles.beta_ts_proportions, _beta_survivors,
-             lambda k: spread_beta_state(k, k)),
+             lambda k: spread_beta_state(k, k), lambda k, n_draws: min(n_draws, _BETA_CHUNK)),
 }
 
 
@@ -263,13 +269,13 @@ BLOCKED_POLICIES = {
     (2, 1, False),
 ])
 def test_blocked_tally_matches_one_full_draw(policy, k, n_draws, spans_blocks):
-    """Draws tallied block by block (Gaussian, with a last partial block)
-    or column by column (Beta) give the proportions and the generator
-    state of one (n_draws, K) draw, bit for bit."""
-    proportions, oracle, screen, make = BLOCKED_POLICIES[policy]
+    """Draws tallied block by block (Gaussian) or column by column within
+    chunks (Beta), with a last partial block or chunk, give the proportions
+    and the generator state of one (n_draws, K) draw, bit for bit."""
+    proportions, oracle, screen, make, block_rows = BLOCKED_POLICIES[policy]
     state = make(k)
     assert screen(state, n_draws).all()
-    rows = _block_rows(k, n_draws)
+    rows = block_rows(k, n_draws)
     assert (n_draws > rows and n_draws % rows != 0) == spans_blocks
     rng, oracle_rng = np.random.default_rng(30), np.random.default_rng(30)
     p = proportions(state, n_draws, rng).p
@@ -277,25 +283,28 @@ def test_blocked_tally_matches_one_full_draw(policy, k, n_draws, spans_blocks):
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
-# Bound on the traced peak of one decision; a full (50_000, 200) draw is 77 MiB.
+# Bound on the traced peak of one decision; a full (50_000, 200) draw is
+# 77 MiB, a full (1_000_000, 20) draw 153 MiB, and one 1_000_000-long
+# float64 array 8 MB.
 DECISION_PEAK_BYTES = 8_000_000
 
 
 @pytest.mark.parametrize("policy", sorted(BLOCKED_POLICIES))
 def test_allocation_memory_does_not_grow_with_n_draws(policy):
-    """At K=200 and 50k draws, with every arm kept, one decision's traced
-    peak stays within one Gaussian block, or a few Beta columns, and a few
-    K-sized arrays."""
-    proportions, _, screen, make = BLOCKED_POLICIES[policy]
-    state = make(200)
-    assert screen(state, 50_000).all()
-    tracemalloc.start()
-    try:
-        proportions(state, 50_000, np.random.default_rng(31))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < DECISION_PEAK_BYTES, peak
+    """At K=200 with 50k draws and at K=20 with 1M draws, with every arm
+    kept, one decision's traced peak stays within one Gaussian block, or a
+    few Beta chunks, and a few K-sized arrays."""
+    proportions, _, screen, make, _ = BLOCKED_POLICIES[policy]
+    for k, n_draws in ((200, 50_000), (20, 1_000_000)):
+        state = make(k)
+        assert screen(state, n_draws).all()
+        tracemalloc.start()
+        try:
+            proportions(state, n_draws, np.random.default_rng(31))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < DECISION_PEAK_BYTES, (k, n_draws, peak)
 
 
 # --- full-rank and odds-ratio updates ----------------------------------------
