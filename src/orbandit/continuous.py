@@ -30,10 +30,9 @@ from .errors import (
 from .gaussian_belief import (
     GaussianBelief,
     _embed_flat,
-    compose_reindex,
+    _move_reference,
     make_flat_belief,
     marginalize_keep,
-    transform,
 )
 from .logistic_model import ProbVector, RoundData
 from .policy import (
@@ -179,20 +178,18 @@ def reanchor_reference(registry: ArmRegistry, new_reference: ArmId) -> ArmRegist
     """Move the reference role to another tracked arm.
 
     The arms are reordered so the new reference sits last (others keep
-    their relative order) and the belief is pushed through the matching
-    parameter transform, so per-arm probabilities are unchanged.
+    their relative order) and the belief is re-expressed against it by
+    index arithmetic (``_move_reference``), so per-arm probabilities are
+    unchanged.
     """
     arms = registry.arms
     if new_reference not in arms:
         raise ConfigError(f"arm {new_reference!r} is not tracked")
     if registry.reference == new_reference:
         return registry
-    k = len(arms)
     r = arms.index(new_reference)
     new_arms = arms[:r] + arms[r + 1 :] + (new_reference,)
-    perm = list(range(r)) + [k - 1] + list(range(r, k - 1))
-    matrix = compose_reindex(perm, k)
-    return ArmRegistry(new_arms, transform(registry.belief, matrix), registry.round)
+    return ArmRegistry(new_arms, _move_reference(registry.belief, r), registry.round)
 
 
 def plan_round(

@@ -11,9 +11,12 @@ so no covariance is formed unless a caller asks for one.
 
 The parameter vector for a K-arm model is (b_1, ..., b_{K-1}, b_K), where
 b_i for i < K is the log odds ratio of arm i against the last (reference)
-arm and b_K is the reference arm's own log odds. ``build_c_ind`` maps this
-vector to per-arm log odds; ``compose_reindex`` relabels arms, including
-moving the reference, without changing the per-arm probabilities.
+arm and b_K is the reference arm's own log odds. ``_move_reference``
+relabels the reference by index arithmetic, in O(K²); ``compose_reindex``
+and ``transform`` are the same relabeling as a dense parameter transform,
+for any permutation. Marginals go through one Cholesky factor of the
+dropped block (``marginalize_keep``), or one rank-one Schur complement
+when only the last coordinate is dropped.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg.blas import dtrmm
+from scipy.linalg.blas import dtrmm, dtrsm
 from scipy.linalg.lapack import dtrtri
 
 from .errors import CannotSampleError, ConfigError, _check_count, _frozen_numbers, _numbers
@@ -32,8 +35,6 @@ __all__ = [
     "GaussianBelief",
     "TransformMatrix",
     "make_flat_belief",
-    "build_c_ind",
-    "build_c_f",
     "compose_reindex",
     "transform",
     "marginalize_drop_last",
@@ -50,6 +51,18 @@ PIVOT_TOL = 1e-10
 # semidefiniteness after symmetrization; checked only for precisions whose
 # Cholesky factorization fails.
 EIG_TOL = 1e-9
+
+
+def _cholesky(block: np.ndarray) -> np.ndarray | None:
+    """Lower Cholesky factor of a symmetric block, or None when the
+    factorization fails or a pivot's square is within ``PIVOT_TOL``."""
+    try:
+        factor = np.linalg.cholesky(block)
+    except np.linalg.LinAlgError:
+        return None
+    if block.size and factor.diagonal().min() ** 2 <= PIVOT_TOL:
+        return None
+    return factor
 
 
 @dataclass(frozen=True)
@@ -86,12 +99,7 @@ class GaussianBelief:
         # exactly-zero rows, so it is PSD exactly when the block is.
         flat = ~precision.any(axis=1)
         block = precision[np.ix_(~flat, ~flat)] if flat.any() else precision
-        try:
-            factor = np.linalg.cholesky(block)
-        except np.linalg.LinAlgError:
-            factor = None
-        if block.size and factor is not None and factor.diagonal().min() ** 2 <= PIVOT_TOL:
-            factor = None
+        factor = _cholesky(block)
         if factor is None:
             min_eig = float(np.linalg.eigvalsh(precision)[0])
             if min_eig < -EIG_TOL:
@@ -167,19 +175,9 @@ def make_flat_belief(dim: int) -> GaussianBelief:
     return GaussianBelief(np.zeros(dim), np.zeros((dim, dim)))
 
 
-def build_c_ind(num_arms: int) -> TransformMatrix:
-    """Matrix sending odds-ratio parameters to per-arm log odds.
-
-    Row i < K adds the reference coordinate to coordinate i; the last row
-    passes the reference coordinate through unchanged.
-    """
-    entries = np.eye(_check_count("num_arms", num_arms, 1))
-    entries[:, -1] = 1.0
-    return TransformMatrix(entries)
-
-
 def _permutation_matrix(perm: Sequence[int]) -> np.ndarray:
-    """Entries of ``build_c_f``, after checking ``perm`` is a permutation."""
+    """Permutation matrix moving entry j of a per-arm vector to position
+    ``perm[j]``, after checking ``perm`` is a permutation."""
     perm = _numbers("perm", perm, int)
     k = perm.size
     if k < 1:
@@ -189,16 +187,6 @@ def _permutation_matrix(perm: Sequence[int]) -> np.ndarray:
     entries = np.zeros((k, k))
     entries[perm, np.arange(k)] = 1.0
     return entries
-
-
-def build_c_f(perm: Sequence[int]) -> TransformMatrix:
-    """Permutation matrix for relabeling arm positions.
-
-    ``perm[j]`` is the new (0-based) position of the arm currently at
-    position j; applying the matrix to a per-arm vector moves entry j to
-    position ``perm[j]``.
-    """
-    return TransformMatrix(_permutation_matrix(perm))
 
 
 def compose_reindex(perm: Sequence[int], num_arms: int) -> TransformMatrix:
@@ -233,14 +221,56 @@ def transform(belief: GaussianBelief, matrix: TransformMatrix) -> GaussianBelief
     return GaussianBelief(matrix.entries @ belief.mean, inverse.T @ belief.precision @ inverse)
 
 
+def _move_reference(belief: GaussianBelief, r: int) -> GaussianBelief:
+    """The belief over the same arms after arm ``r`` becomes the reference.
+
+    The coordinates are reordered so that arm r sits last and the old
+    reference second to last, the others keeping their order. With b_r
+    arm r's coordinate and b_K the base rate, every other odds-ratio
+    coordinate b_i becomes b_i − b_r, the old reference's becomes −b_r and
+    the base rate becomes b_K + b_r, so every arm keeps its log odds. That
+    is the mean. The precision P, reordered alike, goes through the
+    inverse map c = T b', where T is the identity except that column K−1
+    is v = (−1, …, −1, 1, −1) and column K is e_{K−1}. So Tᵀ P T differs
+    from P only in the last two rows and columns: row and column K−1
+    become P v, with vᵀ P v on the diagonal, and the last row and column
+    take the old reference's row and column of P. The
+    cost is one reordering copy and one matrix-vector product, O(K²). This
+    is ``transform(belief, compose_reindex(perm, K))`` for the permutation
+    that moves arm r last; the mean matches it bit for bit.
+    """
+    k = belief.dim
+    order = np.r_[0:r, r + 1 : k, r]
+    mean = belief.mean[order]
+    shift, base = mean[-1], mean[-2]
+    mean[:-2] -= shift
+    mean[-2] = -shift
+    mean[-1] = base + shift
+    precision = belief.precision.take(order, 0).take(order, 1)
+    v = np.full(k, -1.0)
+    v[-2] = 1.0
+    column = precision @ v
+    column[-2], column[-1] = v @ column, column[-2]
+    precision[:, -1] = precision[:, -2]
+    precision[-1] = precision[-2]
+    precision[:, -2] = column
+    precision[-2] = column
+    return GaussianBelief(mean, precision)
+
+
 def marginalize_keep(belief: GaussianBelief, keep: Sequence[int]) -> GaussianBelief:
     """Marginal belief over a subset of coordinates, in the given order.
 
-    Works directly in precision form: the retained block minus the coupling
-    through the dropped block's pseudo-inverse. The pseudo-inverse makes
-    this total over valid (positive semidefinite) precisions: flat dropped
-    directions carry no coupling, so they integrate out to nothing, and a
-    fully flat belief marginalizes to a flat belief.
+    Works directly in precision form: the kept block minus B A⁻¹ Bᵀ, for
+    the dropped block A and the coupling B of kept to dropped coordinates.
+    Dropped coordinates whose row of A is exactly zero are flat; they
+    couple to nothing and integrate out to nothing, so a fully flat belief
+    marginalizes to a flat belief. The rest of A is factored as L Lᵀ, and
+    the coupling enters as WᵀW with W = L⁻¹Bᵀ, one triangular solve. A
+    block that fails that factorization (see ``_cholesky``) is singular or
+    nearly so; it goes through its eigenpairs instead, as a pseudo-inverse
+    with a 1e-12 cut-off relative to the largest eigenvalue, which keeps
+    this total over valid (positive semidefinite) precisions.
     """
     keep = _numbers("keep", keep, int).tolist()
     d = belief.dim
@@ -249,28 +279,46 @@ def marginalize_keep(belief: GaussianBelief, keep: Sequence[int]) -> GaussianBel
     kept = set(keep)
     if len(kept) != len(keep) or any(i < 0 or i >= d for i in keep):
         raise ConfigError(f"invalid coordinate subset {keep} for dimension {d}")
-    drop = [i for i in range(d) if i not in kept]
-    m = len(keep)
-    order = keep + drop
-    p = belief.precision.take(order, axis=0).take(order, axis=1)
-    marginal = p[:m, :m]
-    if drop:
-        # Pseudo-inverse of the dropped block from its eigenpairs, with a
-        # 1e-12 cut-off relative to the largest.
-        eigvals, eigvecs = np.linalg.eigh(p[m:, m:])
-        scale = np.abs(eigvals)
-        live = scale > 1e-12 * scale.max()
-        coupling = p[:m, m:] @ eigvecs[:, live]
-        # Outer products over their eigenvalues: one dropped coordinate
-        # rounds exactly as the rank-one Schur complement does.
-        outer = coupling[:, None, :] * coupling[None, :, :]
-        marginal = marginal - (outer / eigvals[live]).sum(axis=2)
+    p = belief.precision
+    marginal = p.take(keep, 0).take(keep, 1)
+    drop = np.array([i for i in range(d) if i not in kept], dtype=np.intp)
+    rows = p.take(drop, 0)
+    live = rows.take(drop, 1).any(axis=1)
+    if live.any():
+        drop, rows = drop[live], rows[live]
+        block = rows.take(drop, 1)
+        # The precision is symmetric, so Bᵀ is the dropped rows' kept columns.
+        coupling_t = rows.take(keep, 1)
+        factor = _cholesky(block)
+        if factor is not None:
+            # Lᵀ in Fortran order is L's own buffer, so L is not copied.
+            root = dtrsm(1.0, factor.T, coupling_t, lower=0, trans_a=1)
+            marginal -= root.T @ root
+        else:
+            eigvals, eigvecs = np.linalg.eigh(block)
+            scale = np.abs(eigvals)
+            nonzero = scale > 1e-12 * scale.max()
+            loadings = coupling_t.T @ eigvecs[:, nonzero]
+            marginal -= (loadings / eigvals[nonzero]) @ loadings.T
     return GaussianBelief(belief.mean[keep], marginal)
+
+
+def _drop_last_precision(precision: np.ndarray) -> np.ndarray:
+    """Precision of the marginal over all coordinates but the last: the
+    rank-one Schur complement P[:-1, :-1] − p pᵀ / P[-1, -1] with
+    p = P[:-1, -1], or P[:-1, :-1] when the last coordinate is flat."""
+    pivot = precision[-1, -1]
+    if pivot == 0.0:
+        return precision[:-1, :-1]
+    coupling = precision[:-1, -1]
+    return precision[:-1, :-1] - np.multiply.outer(coupling, coupling) / pivot
 
 
 def marginalize_drop_last(belief: GaussianBelief) -> GaussianBelief:
     """Marginal over all coordinates but the last."""
-    return marginalize_keep(belief, range(belief.dim - 1))
+    if belief.dim < 2:
+        raise ConfigError("must keep at least one coordinate")
+    return GaussianBelief(belief.mean[:-1], _drop_last_precision(belief.precision))
 
 
 def embed_flat_last(belief: GaussianBelief, start_last: float = 0.0) -> GaussianBelief:

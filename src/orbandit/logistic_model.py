@@ -15,16 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .errors import ConfigError, OptimizationFailureError, _frozen_numbers, _numbers
+from .errors import ConfigError, OptimizationFailureError, _frozen_numbers
 from .gaussian_belief import GaussianBelief
 
 __all__ = [
     "RoundData",
     "ProbVector",
-    "probs_from_params",
-    "neg_log_posterior",
-    "hessian_lambda",
-    "fit_map",
     "laplace_update",
 ]
 
@@ -48,10 +44,6 @@ MAX_HALVINGS = 30
 
 # Largest Newton step (infinity-norm) attempted in one iteration.
 MAX_STEP_NORM = 100.0
-
-# Clip probabilities into the open unit interval at the float64 boundary.
-_P_LO = float(np.finfo(float).tiny)
-_P_HI = float(np.nextafter(1.0, 0.0))
 
 
 @dataclass(frozen=True)
@@ -101,18 +93,6 @@ def _arm_logits(params: np.ndarray) -> np.ndarray:
     return q
 
 
-def probs_from_params(params) -> ProbVector:
-    """Map a parameter vector to per-arm success probabilities.
-
-    Overflow-safe for arbitrarily large parameters; results are clipped to
-    the open unit interval at the float64 boundary.
-    """
-    params = _numbers("params", params)
-    if params.size < 1:
-        raise ConfigError("parameter vector must be non-empty")
-    return ProbVector(np.clip(expit(_arm_logits(params)), _P_LO, _P_HI))
-
-
 def _value_and_grad(
     mu: np.ndarray, n: np.ndarray, c: np.ndarray, prior: GaussianBelief
 ) -> tuple[float, np.ndarray]:
@@ -134,21 +114,6 @@ def _value_and_grad(
     return value, grad
 
 
-def neg_log_posterior(mu, data: RoundData, prior: GaussianBelief) -> tuple[float, np.ndarray]:
-    """Objective minimized by the posterior-mode search, with its gradient.
-
-    Constant terms (binomial coefficients, the Gaussian normalizer) are
-    dropped. An improper prior contributes only through directions where
-    its precision is non-zero.
-    """
-    mu = _numbers("mu", mu)
-    if mu.size != data.arms or mu.size != prior.dim:
-        raise ConfigError(
-            f"parameter length {mu.size}, data arms {data.arms}, prior dim {prior.dim} must agree"
-        )
-    return _value_and_grad(mu, data.n.astype(float), data.c.astype(float), prior)
-
-
 def _curvature(mu: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Likelihood curvature at ``mu``: arrow pattern with per-arm weights
     n_i * p_i * (1 - p_i) on the diagonal and reference row/column, and the
@@ -160,20 +125,6 @@ def _curvature(mu: np.ndarray, n: np.ndarray) -> np.ndarray:
     h[-1, :-1] = w[:-1]
     h[-1, -1] = w.sum()
     return h
-
-
-def hessian_lambda(mu, data: RoundData) -> np.ndarray:
-    """Hessian of the round's negative log likelihood at ``mu``.
-
-    Positive semidefinite always, and positive definite whenever every arm
-    has at least one trial.
-    """
-    mu = _numbers("mu", mu)
-    if mu.size != data.arms:
-        raise ConfigError(
-            f"parameter length {mu.size} does not match data arms {data.arms}"
-        )
-    return _curvature(mu, data.n.astype(float))
 
 
 def _effective_counts(data: RoundData, prior: GaussianBelief) -> tuple[np.ndarray, np.ndarray]:
@@ -252,20 +203,6 @@ def _newton_mode(n: np.ndarray, c: np.ndarray, prior: GaussianBelief) -> np.ndar
         last_iterate=mu,
         grad_norm=grad_norm,
     )
-
-
-def fit_map(data: RoundData, prior: GaussianBelief) -> np.ndarray:
-    """Posterior mode of one round's counts under a Gaussian prior.
-
-    With a fully flat prior and interior counts this is the closed-form
-    per-arm log odds re-expressed against the reference arm.
-    """
-    if data.arms != prior.dim:
-        raise ConfigError(
-            f"data arms {data.arms} do not match prior dimension {prior.dim}"
-        )
-    n, c = _effective_counts(data, prior)
-    return _newton_mode(n, c, prior)
 
 
 def laplace_update(prior: GaussianBelief, data: RoundData) -> GaussianBelief:

@@ -38,13 +38,7 @@ import numpy as np
 from scipy.special import betaincinv, ndtri
 
 from .errors import ConfigError, _check_choice, _check_count, _frozen_numbers
-from .gaussian_belief import (
-    GaussianBelief,
-    _draw_into,
-    embed_flat_last,
-    make_flat_belief,
-    marginalize_drop_last,
-)
+from .gaussian_belief import GaussianBelief, _draw_into, _drop_last_precision, make_flat_belief
 from .logistic_model import RoundData, laplace_update
 
 __all__ = [
@@ -279,18 +273,18 @@ def full_ts_update(state: LogisticPolicyState, data: RoundData) -> LogisticPolic
 def or_ts_update(state: LogisticPolicyState, data: RoundData) -> LogisticPolicyState:
     """Absorb a round after forgetting the shared base-rate coordinate.
 
-    The prior is the belief's marginal over the odds-ratio coordinates with
-    a fresh flat coordinate appended for the base rate, seeded at the
-    previous base-rate mean to warm-start the mode search. A still-flat
-    belief passes through this construction unchanged, so the first update
+    The prior is the belief's marginal over the odds-ratio coordinates, a
+    rank-one Schur complement, with the base rate made flat: a zero last
+    precision row and column, and the previous base-rate mean kept to
+    warm-start the mode search. It is built as one belief, bit for bit
+    ``embed_flat_last(marginalize_drop_last(belief), belief.mean[-1])``. A
+    still-flat belief passes through unchanged, so the first update
     matches the full-rank policy exactly.
     """
     belief = state.belief
-    if belief.dim >= 2:
-        core = marginalize_drop_last(belief)
-    else:
-        core = GaussianBelief(np.zeros(0), np.zeros((0, 0)))
-    prior = embed_flat_last(core, start_last=float(belief.mean[-1]))
+    precision = np.zeros_like(belief.precision)
+    precision[:-1, :-1] = _drop_last_precision(belief.precision)
+    prior = GaussianBelief(belief.mean, precision)
     return LogisticPolicyState(laplace_update(prior, data), state.mode, state.round_index + 1)
 
 

@@ -3,20 +3,42 @@
 Everything here is deliberately written from first principles — dense
 matrices, finite differences, grid quadrature — rather than reusing the
 package's own formulas, so agreement is evidence and not tautology. The
-exceptions are the two full-draw allocation functions, which check the
-screen and the tally: the Gaussian one is the package's allocation before
-it screened arms or drew in blocks, and the Beta one draws each arm's
-column, chunk by chunk, with the package's own ``_beta_column`` into one
-full matrix.
+exceptions:
+
+- the two full-draw allocation functions, which check the screen and the
+  tally: the Gaussian one is the package's allocation before it screened
+  arms or drew in blocks, and the Beta one draws each arm's column, chunk
+  by chunk, with the package's own ``_beta_column`` into one full matrix;
+- ``marginalize_keep``, the package's marginal before it went through a
+  Cholesky factor: an eigen-decomposition pseudo-inverse of the dropped
+  block;
+- ``neg_log_posterior`` and ``hessian_lambda``, which put argument checks
+  in front of the package's private objective, gradient and curvature, so
+  that tests can hold those against ``dense_objective``, ``fd_gradient``
+  and ``fd_hessian``.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.special import expit
 
-from orbandit import AllocationProportions, BetaState, GaussianBelief, sample
-from orbandit.errors import _check_count
+from orbandit import (
+    AllocationProportions,
+    BetaState,
+    ConfigError,
+    GaussianBelief,
+    ProbVector,
+    RoundData,
+    TransformMatrix,
+    sample,
+)
+from orbandit.errors import _check_count, _numbers
+from orbandit.gaussian_belief import _permutation_matrix
+from orbandit.logistic_model import _curvature, _value_and_grad
 from orbandit.policy import _BETA_CHUNK, _beta_column
 
 __all__ = [
@@ -25,10 +47,16 @@ __all__ = [
     "backsolve_sample",
     "backsolve_winner_counts",
     "beta_ts_proportions",
+    "build_c_f",
+    "build_c_ind",
     "dense_objective",
     "fd_gradient",
     "fd_hessian",
     "grid_allocation_probs",
+    "hessian_lambda",
+    "marginalize_keep",
+    "neg_log_posterior",
+    "probs_from_params",
 ]
 
 
@@ -37,6 +65,75 @@ def arm_logit_matrix(k: int) -> np.ndarray:
     matrix = np.eye(k)
     matrix[:, -1] = 1.0
     return matrix
+
+
+def build_c_ind(num_arms: int) -> TransformMatrix:
+    """The paper's C_ind: odds-ratio parameters to per-arm log odds.
+
+    Row i < K adds the reference coordinate to coordinate i; the last row
+    passes the reference coordinate through unchanged.
+    """
+    return TransformMatrix(arm_logit_matrix(_check_count("num_arms", num_arms, 1)))
+
+
+def build_c_f(perm: Sequence[int]) -> TransformMatrix:
+    """The paper's C_f: the permutation matrix relabeling arm positions.
+
+    ``perm[j]`` is the new (0-based) position of the arm currently at
+    position j; applying the matrix to a per-arm vector moves entry j to
+    position ``perm[j]``.
+    """
+    return TransformMatrix(_permutation_matrix(perm))
+
+
+def probs_from_params(params) -> ProbVector:
+    """Per-arm success probabilities of a parameter vector, through the
+    dense C_ind and clipped to the open unit interval at the float64
+    boundary."""
+    params = _numbers("params", params)
+    if params.size < 1:
+        raise ConfigError("parameter vector must be non-empty")
+    p = expit(arm_logit_matrix(params.size) @ params)
+    return ProbVector(np.clip(p, np.finfo(float).tiny, np.nextafter(1.0, 0.0)))
+
+
+def neg_log_posterior(mu, data: RoundData, prior: GaussianBelief) -> tuple[float, np.ndarray]:
+    """The package's mode-search objective at ``mu`` (constants dropped),
+    with its gradient, after checking that the arguments agree."""
+    mu = _numbers("mu", mu)
+    if mu.size != data.arms or mu.size != prior.dim:
+        raise ConfigError(
+            f"parameter length {mu.size}, data arms {data.arms}, prior dim {prior.dim} must agree"
+        )
+    return _value_and_grad(mu, data.n.astype(float), data.c.astype(float), prior)
+
+
+def hessian_lambda(mu, data: RoundData) -> np.ndarray:
+    """The package's likelihood curvature at ``mu``, the Hessian of the
+    round's negative log likelihood, after checking the arguments."""
+    mu = _numbers("mu", mu)
+    if mu.size != data.arms:
+        raise ConfigError(f"parameter length {mu.size} does not match data arms {data.arms}")
+    return _curvature(mu, data.n.astype(float))
+
+
+def marginalize_keep(belief: GaussianBelief, keep: Sequence[int]) -> GaussianBelief:
+    """Marginal over the ``keep`` coordinates, in that order: the kept
+    precision block minus the coupling through the pseudo-inverse of the
+    whole dropped block, from its eigenpairs with a 1e-12 cut-off relative
+    to the largest. Flat dropped directions carry no coupling."""
+    keep = list(keep)
+    drop = [i for i in range(belief.dim) if i not in keep]
+    p = belief.precision
+    marginal = p[np.ix_(keep, keep)]
+    if drop:
+        eigvals, eigvecs = np.linalg.eigh(p[np.ix_(drop, drop)])
+        scale = np.abs(eigvals)
+        live = scale > 1e-12 * scale.max()
+        coupling = p[np.ix_(keep, drop)] @ eigvecs[:, live]
+        outer = coupling[:, None, :] * coupling[None, :, :]
+        marginal = marginal - (outer / eigvals[live]).sum(axis=2)
+    return GaussianBelief(belief.mean[keep], marginal)
 
 
 def dense_objective(n, c, prior_mean=None, prior_precision=None):

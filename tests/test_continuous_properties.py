@@ -16,12 +16,14 @@ from orbandit import (
     UpdateMode,
     absorb_round,
     allocation_proportions,
-    build_c_ind,
     compose_reindex,
     marginalize_keep,
+    reanchor_reference,
     run_continuous,
     transform,
 )
+import oracles
+from oracles import build_c_ind
 
 ARM_POOL = tuple("ABCDEF")
 P = {arm: 0.2 + 0.03 * i for i, arm in enumerate(ARM_POOL)}
@@ -42,11 +44,12 @@ def counts(active):
     return RoundData(n, np.arange(10, 10 + 5 * len(active), 5))
 
 
-def random_belief(k, seed, flat=()):
-    """A proper belief, or one flat along the given coordinates (arms never observed)."""
+def random_belief(k, seed, flat=(), rank=None):
+    """A proper belief, or one flat along the given coordinates (arms never
+    observed), or with a precision of the given rank."""
     rng = np.random.default_rng(seed)
-    root = rng.normal(size=(k, k))
-    precision = root @ root.T + 0.5 * np.eye(k)
+    root = rng.normal(size=(k, k if rank is None else rank))
+    precision = root @ root.T + (0.5 * np.eye(k) if rank is None else 0.0)
     precision[list(flat), :] = 0.0
     precision[:, list(flat)] = 0.0
     return GaussianBelief(rng.normal(size=k), precision)
@@ -130,3 +133,56 @@ def test_marginalization_commutes_with_a_reindex_keeping_the_reference(perm, see
     np.testing.assert_allclose(reindexed_first.mean, marginal_first.mean, rtol=1e-12)
     np.testing.assert_allclose(reindexed_first.precision, marginal_first.precision,
                                rtol=1e-9, atol=1e-9)
+
+
+@pytest.mark.parametrize("flat", ["none", "base_rate", "arm"])
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(k=st.integers(2, 60), seed=seeds, data=st.data())
+def test_reanchor_by_index_arithmetic_matches_the_dense_transform(flat, k, seed, data):
+    """Moving the reference by row and column operations gives the dense
+    transform's mean bit for bit, its precision within 1e-12 relative and
+    the same properness, also with a flat base rate (as after an odds-ratio
+    forget) or a flat arm other than the reference."""
+    r = data.draw(st.integers(0, k - 2), label="new reference")
+    flat_coordinates = {"none": [], "base_rate": [k - 1],
+                        "arm": [data.draw(st.integers(0, k - 2), label="flat arm")]}[flat]
+    belief = random_belief(k, seed, flat_coordinates)
+    arms = tuple(f"arm{i}" for i in range(k))
+    moved = reanchor_reference(ArmRegistry(arms, belief), arms[r])
+    perm = [*range(r), k - 1, *range(r, k - 1)]
+    dense = transform(belief, compose_reindex(perm, k))
+    assert moved.arms == arms[:r] + arms[r + 1:] + (arms[r],)
+    assert np.array_equal(moved.belief.mean, dense.mean)
+    error = np.abs(moved.belief.precision - dense.precision).max()
+    assert error <= 1e-12 * np.abs(dense.precision).max()
+    assert moved.belief.is_proper() == dense.is_proper()
+
+
+@pytest.mark.parametrize("shape", ["proper", "flat_dropped_row", "singular_dropped_block"])
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(k=st.integers(3, 30), seed=seeds, data=st.data())
+def test_cholesky_marginal_matches_the_pseudo_inverse_marginal(shape, k, seed, data):
+    """The marginal through a Cholesky factor of the dropped block matches
+    the pseudo-inverse marginal within 1e-9 relative: with a flat dropped
+    row, which couples to nothing, and with a singular dropped block that
+    has no zero row, which takes the eigenpair fallback."""
+    keep = sorted(data.draw(st.sets(st.integers(0, k - 1), min_size=1, max_size=k - 2),
+                            label="kept"))
+    drop = [i for i in range(k) if i not in keep]
+    if shape == "proper":
+        belief = random_belief(k, seed)
+    elif shape == "flat_dropped_row":
+        belief = random_belief(k, seed, [data.draw(st.sampled_from(drop), label="flat")])
+    else:
+        # A precision of rank below the dropped count, plus some precision
+        # of the kept coordinates' own so that the marginal is not zero.
+        low_rank = random_belief(k, seed, rank=data.draw(st.integers(1, len(drop) - 1),
+                                                         label="rank"))
+        precision = low_rank.precision.copy()
+        precision[keep, keep] += 1.0
+        belief = GaussianBelief(low_rank.mean, precision)
+    marginal = marginalize_keep(belief, keep)
+    expected = oracles.marginalize_keep(belief, keep)
+    assert np.array_equal(marginal.mean, expected.mean)
+    error = np.abs(marginal.precision - expected.precision).max()
+    assert error <= 1e-9 * np.abs(belief.precision).max()

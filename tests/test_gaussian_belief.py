@@ -10,8 +10,6 @@ from orbandit import (
     ConfigError,
     GaussianBelief,
     TransformMatrix,
-    build_c_f,
-    build_c_ind,
     compose_reindex,
     embed_flat_last,
     make_flat_belief,
@@ -20,7 +18,7 @@ from orbandit import (
     sample,
     transform,
 )
-from oracles import backsolve_sample
+from oracles import backsolve_sample, build_c_f, build_c_ind
 
 
 def random_proper_belief(k, rng, scale=1.0):
@@ -294,6 +292,50 @@ def test_marginalize_keep_partially_flat_belief():
     belief = GaussianBelief(np.array([1.0, 2.0, 3.0]), precision)
     marginal = marginalize_keep(belief, [0, 1])
     np.testing.assert_allclose(marginal.precision, precision[:2, :2], atol=1e-12)
+
+
+def _counting_eigh(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    return calls
+
+
+def test_marginalize_keep_factors_the_dropped_block_without_eigh(monkeypatch):
+    """A positive definite dropped block is factored, and so is one whose
+    flat rows are left out first; neither needs eigenpairs."""
+    calls = _counting_eigh(monkeypatch)
+    belief = random_proper_belief(7, np.random.default_rng(5))
+    keep = [4, 0, 2]
+    marginal = marginalize_keep(belief, keep)
+    expected = belief.covariance()[np.ix_(keep, keep)]
+    np.testing.assert_allclose(marginal.covariance(), expected, atol=1e-9)
+    precision = belief.precision.copy()
+    precision[5] = precision[:, 5] = 0.0
+    flat_row = GaussianBelief(belief.mean, precision)
+    others = [0, 1, 2, 3, 4, 6]
+    without = GaussianBelief(belief.mean[others], belief.precision[np.ix_(others, others)])
+    np.testing.assert_allclose(marginalize_keep(flat_row, keep).precision,
+                               marginalize_keep(without, keep).precision, atol=1e-12)
+    assert calls == []
+
+
+def test_marginalize_keep_takes_eigenpairs_for_a_singular_dropped_block(monkeypatch):
+    """The arrow curvature of a round in which arm 0 and the reference had
+    no trials, plus prior precision on arm 0: with arm 0 kept, the dropped
+    block (arms 1 and 2 and the reference) is singular along (1, 1, -1)
+    and has no zero row, so the factorization fails and the pseudo-inverse
+    integrates it out."""
+    weights = np.array([0.0, 3.0, 5.0, 0.0])
+    precision = np.diag(weights)
+    precision[:-1, -1] = precision[-1, :-1] = weights[:-1]
+    precision[-1, -1] = weights.sum()
+    precision[0, 0] += 2.0
+    belief = GaussianBelief(np.array([0.1, 0.2, 0.3, 0.4]), precision)
+    calls = _counting_eigh(monkeypatch)
+    marginal = marginalize_keep(belief, [0])
+    assert calls == [(3, 3)]
+    np.testing.assert_allclose(marginal.precision, [[2.0]], rtol=1e-12)
 
 
 # --- sampling ---------------------------------------------------------------

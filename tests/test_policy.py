@@ -21,11 +21,14 @@ from orbandit import (
     allocation_proportions,
     beta_ts_proportions,
     beta_ts_update,
+    embed_flat_last,
     full_ts_update,
     initial_proportions,
     make_flat_belief,
+    marginalize_drop_last,
     marginalize_keep,
     or_ts_update,
+    policy,
     sample,
 )
 from orbandit.policy import (
@@ -355,6 +358,51 @@ def test_or_update_flattens_only_the_reference_coordinate():
     assert not drained.belief.is_proper()
     np.testing.assert_array_equal(drained.belief.precision[-1], np.zeros(3))
     assert drained.belief.precision[0, 0] > 0.0
+
+
+def _forget_cases():
+    """Beliefs for the forget step, by name: random proper ones, flat last
+    rows, a last diagonal of zero beside a coupling small enough to pass
+    the semidefiniteness check, and dimension 1."""
+    rng = np.random.default_rng(31)
+    cases = {}
+    for k in (2, 3, 10, 60):
+        root = rng.normal(size=(k, k))
+        cases[f"proper-{k}"] = GaussianBelief(rng.normal(size=k), root @ root.T + 0.1 * np.eye(k))
+        precision = root @ root.T
+        precision[-1] = precision[:, -1] = 0.0
+        cases[f"flat_last_row-{k}"] = GaussianBelief(rng.normal(size=k), precision)
+    precision = np.diag([2.0, 3.0, 0.0])
+    precision[0, -1] = precision[-1, 0] = 1e-6
+    cases["zero_last_diagonal"] = GaussianBelief(np.array([0.1, -0.2, 0.3]), precision)
+    cases["dim_1"] = GaussianBelief(np.array([0.4]), np.array([[5.0]]))
+    cases["flat_dim_1"] = make_flat_belief(1)
+    return cases
+
+
+FORGET_CASES = _forget_cases()
+
+
+@pytest.mark.parametrize("case", sorted(FORGET_CASES))
+def test_or_update_prior_is_bit_for_bit_the_embedded_drop_last_marginal(case, monkeypatch):
+    """The forget step builds its prior as one belief; it must equal the
+    two-step construction exactly, so that no output moves with it. The
+    eigen-decomposition marginal, which the forget step once went
+    through, rounds the same way for one dropped coordinate."""
+    belief = FORGET_CASES[case]
+    priors = []
+    monkeypatch.setattr(policy, "laplace_update", lambda prior, data: priors.append(prior) or prior)
+    or_ts_update(LogisticPolicyState(belief, UpdateMode.ODDS_RATIO), None)
+    if belief.dim > 1:
+        cores = [marginalize_drop_last(belief), oracles.marginalize_keep(belief, range(belief.dim - 1))]
+    else:
+        cores = [GaussianBelief(np.zeros(0), np.zeros((0, 0)))]
+    (prior,) = priors
+    for core in cores:
+        expected = embed_flat_last(core, start_last=float(belief.mean[-1]))
+        assert np.array_equal(prior.mean, expected.mean)
+        assert np.array_equal(prior.precision, expected.precision)
+        assert prior.is_proper() == expected.is_proper()
 
 
 @pytest.mark.parametrize("update, mode", [
