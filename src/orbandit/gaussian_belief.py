@@ -263,14 +263,14 @@ def marginalize_keep(belief: GaussianBelief, keep: Sequence[int]) -> GaussianBel
 
     Works directly in precision form: the kept block minus B A⁻¹ Bᵀ, for
     the dropped block A and the coupling B of kept to dropped coordinates.
-    Dropped coordinates whose row of A is exactly zero are flat; they
-    couple to nothing and integrate out to nothing, so a fully flat belief
-    marginalizes to a flat belief. The rest of A is factored as L Lᵀ, and
-    the coupling enters as WᵀW with W = L⁻¹Bᵀ, one triangular solve. A
-    block that fails that factorization (see ``_cholesky``) is singular or
-    nearly so; it goes through its eigenpairs instead, as a pseudo-inverse
-    with a 1e-12 cut-off relative to the largest eigenvalue, which keeps
-    this total over valid (positive semidefinite) precisions.
+    A is factored as L Lᵀ, and the coupling enters as WᵀW with W = L⁻¹Bᵀ,
+    one triangular solve. A block that fails that factorization (see
+    ``_cholesky``), such as one with a flat row, is singular or nearly so;
+    it goes through its eigenpairs instead, as a pseudo-inverse with a
+    1e-12 cut-off relative to the largest eigenvalue, which keeps this
+    total over valid (positive semidefinite) precisions. A flat dropped
+    coordinate couples to nothing and integrates out to nothing, so a
+    fully flat belief marginalizes to a flat belief.
     """
     keep = _numbers("keep", keep, int).tolist()
     d = belief.dim
@@ -282,10 +282,8 @@ def marginalize_keep(belief: GaussianBelief, keep: Sequence[int]) -> GaussianBel
     p = belief.precision
     marginal = p.take(keep, 0).take(keep, 1)
     drop = np.array([i for i in range(d) if i not in kept], dtype=np.intp)
-    rows = p.take(drop, 0)
-    live = rows.take(drop, 1).any(axis=1)
-    if live.any():
-        drop, rows = drop[live], rows[live]
+    if drop.size:
+        rows = p.take(drop, 0)
         block = rows.take(drop, 1)
         # The precision is symmetric, so Bᵀ is the dropped rows' kept columns.
         coupling_t = rows.take(keep, 1)

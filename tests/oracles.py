@@ -38,7 +38,7 @@ from orbandit import (
 )
 from orbandit.errors import _check_count, _numbers
 from orbandit.gaussian_belief import _permutation_matrix
-from orbandit.logistic_model import _curvature, _value_and_grad
+from orbandit.logistic_model import _arm_logits, _curvature, _value_and_grad
 from orbandit.policy import _BETA_CHUNK, _beta_column
 
 __all__ = [
@@ -88,12 +88,12 @@ def build_c_f(perm: Sequence[int]) -> TransformMatrix:
 
 def probs_from_params(params) -> ProbVector:
     """Per-arm success probabilities of a parameter vector, through the
-    dense C_ind and clipped to the open unit interval at the float64
-    boundary."""
+    package's own log odds map, clipped to the open unit interval at the
+    float64 boundary."""
     params = _numbers("params", params)
     if params.size < 1:
         raise ConfigError("parameter vector must be non-empty")
-    p = expit(arm_logit_matrix(params.size) @ params)
+    p = expit(_arm_logits(params))
     return ProbVector(np.clip(p, np.finfo(float).tiny, np.nextafter(1.0, 0.0)))
 
 

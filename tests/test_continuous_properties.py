@@ -163,9 +163,9 @@ def test_reanchor_by_index_arithmetic_matches_the_dense_transform(flat, k, seed,
 @given(k=st.integers(3, 30), seed=seeds, data=st.data())
 def test_cholesky_marginal_matches_the_pseudo_inverse_marginal(shape, k, seed, data):
     """The marginal through a Cholesky factor of the dropped block matches
-    the pseudo-inverse marginal within 1e-9 relative: with a flat dropped
-    row, which couples to nothing, and with a singular dropped block that
-    has no zero row, which takes the eigenpair fallback."""
+    the pseudo-inverse marginal within 1e-9 relative. A flat dropped row
+    and a singular dropped block with no zero row both fail the factor and
+    take the eigenpair fallback."""
     keep = sorted(data.draw(st.sets(st.integers(0, k - 1), min_size=1, max_size=k - 2),
                             label="kept"))
     drop = [i for i in range(k) if i not in keep]
