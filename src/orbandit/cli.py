@@ -62,6 +62,13 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
+def _check_fields(block: Mapping[str, Any], known, where: str = "") -> None:
+    """``ConfigError`` naming every field of ``block`` that is not ``known``."""
+    unknown = [name for name in block if name not in known]
+    if unknown:
+        raise ConfigError(f"{where}unknown field(s) {', '.join(map(repr, unknown))}")
+
+
 def _load_json(path: str) -> Any:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -111,6 +118,7 @@ def _resolve_simulate_config(args: argparse.Namespace) -> tuple[dict[str, Any], 
         raw = dict(manifest["config"])
         if "environment" not in raw and isinstance(manifest.get("environment"), dict):
             raw["environment"] = manifest["environment"]
+    _check_fields(raw, {*_SIMULATE_FIELDS, "policy", "environment"})
     cfg = {field: default for field, (*_, default) in _SIMULATE_FIELDS.items()
            if default is not None}
     cfg.update(raw)
@@ -222,6 +230,7 @@ def _parse_scenario(path: str) -> ContinuousScenario:
     raw = _load_json(path)
     if not isinstance(raw, dict):
         raise ConfigError("scenario must be a JSON object")
+    _check_fields(raw, ("rounds", "trials", "mode", "seed", "n_draws", "on_continuity_break"))
     rounds_block = raw.get("rounds")
     if not isinstance(rounds_block, list) or not rounds_block:
         raise ConfigError("field 'rounds' must be a non-empty list")
@@ -230,6 +239,7 @@ def _parse_scenario(path: str) -> ContinuousScenario:
     for index, block in enumerate(rounds_block, start=1):
         if not isinstance(block, dict):
             raise ConfigError(f"round {index} must be an object")
+        _check_fields(block, ("active", "p", "trials"), f"round {index}: ")
         active = block.get("active")
         if not isinstance(active, list) or not active:
             raise ConfigError(f"round {index}: field 'active' must be a non-empty list")

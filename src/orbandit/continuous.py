@@ -8,6 +8,9 @@ current one sits out the round. A round that shares fewer than two arms
 with the tracked set cannot transfer any relative information, so the
 registry either restarts from flat beliefs or, optionally, falls back to a
 full-rank update, which needs only one shared arm.
+
+Rounds are planned and absorbed through ``simulation``'s round step
+(``_thompson``, ``_update``); this module maps arm ids onto its coordinates.
 """
 
 from __future__ import annotations
@@ -35,16 +38,8 @@ from .gaussian_belief import (
     marginalize_keep,
 )
 from .logistic_model import ProbVector, RoundData
-from .policy import (
-    AllocationProportions,
-    LogisticPolicyState,
-    UpdateMode,
-    _scored_belief,
-    allocation_proportions,
-    full_ts_update,
-    or_ts_update,
-)
-from .simulation import allocate_trials, draw_rewards
+from .policy import AllocationProportions, LogisticPolicyState, UpdateMode
+from .simulation import _thompson, _update, allocate_trials, draw_rewards
 
 __all__ = [
     "Continuity",
@@ -145,25 +140,21 @@ class RoundPlan:
             raise ConfigError("proportions must cover the active set")
 
 
+def _shares_enough(registry: ArmRegistry, active: Sequence[ArmId], mode: UpdateMode) -> bool:
+    """The continuity rule: enough tracked arms shared for a ``mode`` update."""
+    return len(set(active) & set(registry.arms)) >= _SHARED_ARMS_NEEDED[mode]
+
+
 def check_continuity(active: Sequence[ArmId], registry: ArmRegistry) -> Continuity:
     """Continue only when at least two active arms are already tracked.
 
-    This is the odds-ratio requirement: relative information is carried by
-    odds ratios, and a single anchor cannot transfer any ordering among the
-    arms actually competing this round. A full-rank update keeps absolute
-    levels and can extend an updated registry through one shared arm
-    (``absorb_round``); ``run_continuous`` takes that path only when the
-    scenario opts into the ``full_rank`` fallback.
+    This is the odds-ratio rule: one anchor cannot order the arms competing
+    this round. A full-rank update keeps absolute levels and can extend an
+    updated registry through one shared arm (``absorb_round``);
+    ``run_continuous`` takes that path only when the scenario opts in.
     """
-    overlap = set(_validated_active(active)) & set(registry.arms)
-    enough = len(overlap) >= _SHARED_ARMS_NEEDED[UpdateMode.ODDS_RATIO]
+    enough = _shares_enough(registry, _validated_active(active), UpdateMode.ODDS_RATIO)
     return Continuity.CONTINUE_BANDIT if enough else Continuity.REINITIALIZE
-
-
-def _absorbs(registry: ArmRegistry, active: Sequence[ArmId], mode: UpdateMode) -> bool:
-    """The continuity rule of ``absorb_round``."""
-    shared = set(active) & set(registry.arms)
-    return registry.round == 0 or len(shared) >= _SHARED_ARMS_NEEDED[mode]
 
 
 def _anchored(registry: ArmRegistry, active: Sequence[ArmId]) -> ArmRegistry:
@@ -203,10 +194,9 @@ def plan_round(
     Arms never seen before get a manual 1/|active| share. Already-tracked
     arms share the remaining |observed|/|active| of the traffic according
     to Thompson winner frequencies computed on the belief marginalized to
-    exactly those arms (re-anchoring first if the reference sits out). If
-    that marginal's scored coordinates, all but the reference's base rate,
-    are not yet proper in every direction, all active arms fall back to
-    the manual 1/|active| share.
+    exactly those arms (re-anchoring first if the reference sits out).
+    While that marginal's scored coordinates, all but the reference's base
+    rate, are improper, every active arm gets the manual 1/|active| share.
     """
     active = _validated_active(active)
     working = _anchored(registry, active)
@@ -217,9 +207,8 @@ def plan_round(
     proportions = np.full(m, 1.0 / m)
     if observed:
         keep = [i for i, a in enumerate(working.arms) if a in observed]
-        marginal = _scored_belief(marginalize_keep(working.belief, keep))
-        if marginal.is_proper():
-            base = allocation_proportions(marginal, n_draws, rng)
+        base = _thompson(marginalize_keep(working.belief, keep), n_draws, rng)
+        if base is not None:
             share = len(observed) / m
             ts_share = {working.arms[i]: share * w for i, w in zip(keep, base.p)}
             proportions = np.array([ts_share.get(a, 1.0 / m) for a in active])
@@ -247,11 +236,9 @@ def absorb_round(
         raise ConfigError(
             f"count vectors cover {data.arms} arms but the round has {len(active)}"
         )
-    if not _absorbs(registry, active, mode):
-        raise ContinuityError(
-            f"a {mode.value} update needs {_SHARED_ARMS_NEEDED[mode]} arm(s) shared with "
-            "the tracked set; reinitialize instead"
-        )
+    if registry.round > 0 and not _shares_enough(registry, active, mode):
+        raise ContinuityError(f"a {mode.value} update needs {_SHARED_ARMS_NEEDED[mode]} arm(s) "
+                              "shared with the tracked set; reinitialize instead")
     working = _anchored(registry, active)
     tracked = set(working.arms)
     new_arms = tuple(a for a in active if a not in tracked)
@@ -263,8 +250,7 @@ def absorb_round(
     n_full = np.zeros(len(arms), dtype=np.int64)
     c_full = np.zeros(len(arms), dtype=np.int64)
     n_full[where], c_full[where] = data.n, data.c
-    update = or_ts_update if mode is UpdateMode.ODDS_RATIO else full_ts_update
-    state = update(LogisticPolicyState(belief, mode, working.round), RoundData(n_full, c_full))
+    state = _update(LogisticPolicyState(belief, mode, working.round), RoundData(n_full, c_full))
     return ArmRegistry(arms, state.belief, working.round + 1)
 
 
@@ -354,7 +340,7 @@ def run_continuous(scenario: ContinuousScenario) -> ContinuousResult:
             decision = check_continuity(rnd.active, registry)
             if decision is Continuity.REINITIALIZE:
                 if (scenario.on_break == "full_rank" and registry.round > 0
-                        and _absorbs(registry, rnd.active, UpdateMode.FULL)):
+                        and _shares_enough(registry, rnd.active, UpdateMode.FULL)):
                     decision, mode = Continuity.FULL_RANK, UpdateMode.FULL
                 else:
                     registry = ArmRegistry.fresh(rnd.active)

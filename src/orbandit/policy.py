@@ -205,24 +205,6 @@ def _gaussian_survivors(belief: GaussianBelief, n_draws: int) -> np.ndarray:
     return ~(mean[leader] - mean > z * spread)
 
 
-def _scored_belief(belief: GaussianBelief) -> GaussianBelief:
-    """A belief with the same law over the scored coordinates, proper
-    exactly when that law is.
-
-    Every coordinate but the last is scored; the last, the reference's
-    base rate, scores zero. When the last coordinate is flat (its
-    precision row is zero, as after an odds-ratio update on a round
-    without trials), that row couples it to nothing, so giving it unit
-    precision leaves the scored coordinates' law unchanged. Any other flat
-    direction moves some scored coordinate, and is kept.
-    """
-    if belief.precision[-1].any():
-        return belief
-    precision = belief.precision.copy()
-    precision[-1, -1] = 1.0
-    return GaussianBelief(belief.mean, precision)
-
-
 def allocation_proportions(
     belief: GaussianBelief, n_draws: int, rng: np.random.Generator
 ) -> AllocationProportions:

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from orbandit import OptimizationFailureError, continuous, simulation
+from orbandit import OptimizationFailureError, simulation
 from orbandit.cli import main
 
 
@@ -28,6 +28,11 @@ def simulate_config(**overrides):
     }
     config.update(overrides)
     return config
+
+
+def manifest_config(**overrides):
+    """An emitted manifest's layout: the run's fields sit under 'config'."""
+    return {"artifact": "orbandit", "config": simulate_config(**overrides), "seed": 9}
 
 
 def read_csv(path):
@@ -181,6 +186,10 @@ def test_invalid_config_returns_exit_code_2(tmp_path, capsys):
         (simulate_config(d=1e6), "probabilities must lie strictly inside (0, 1)"),
         (short_schedule, "config asks for 4 rounds but the schedule has 1"),
         (arms_mismatch, "environment covers 2 arms, config expects 3"),
+        # A misspelt field would otherwise run, silently, on its default.
+        (simulate_config(n_draw=10), "unknown field(s) 'n_draw'"),
+        (simulate_config(p_optimum=0.9), "unknown field(s) 'p_optimum'"),
+        (manifest_config(n_draw=10), "unknown field(s) 'n_draw'"),
     ):
         write_json(config, payload)
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
@@ -240,7 +249,7 @@ def test_runtime_failure_returns_exit_code_1(tmp_path, capsys, monkeypatch):
             raise OptimizationFailureError("forced", last_iterate=None, grad_norm=1.0)
         return real_update(state, data)
 
-    monkeypatch.setattr(continuous, "or_ts_update", failing_absorb)
+    monkeypatch.setattr(simulation, "or_ts_update", failing_absorb)
     write_json(config, continuous_scenario())
     assert main(["continuous", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
@@ -320,6 +329,9 @@ def test_continuous_rejects_bad_round(tmp_path, capsys):
         (in_round(1, trials=True), "round 1: field 'trials'"),
         (in_round(3, trials=-1), "round 3: field 'trials'"),
         (lambda scenario: scenario.pop("trials"), "round 1: field 'trials'"),
+        (top(on_continuity_brake="full_rank"), "unknown field(s) 'on_continuity_brake'"),
+        (top(ndraws=10), "unknown field(s) 'ndraws'"),
+        (in_round(2, trial=100), "round 2: unknown field(s) 'trial'"),
     ]
     config = tmp_path / "scenario.json"
     for mutate, named in cases:

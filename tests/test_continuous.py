@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from orbandit import (
     ArmRegistry,
@@ -10,17 +11,22 @@ from orbandit import (
     ContinuityError,
     ContinuousScenario,
     GaussianBelief,
+    LogisticPolicyState,
+    ProbVector,
     RoundData,
     ScenarioRound,
     UpdateMode,
     absorb_round,
+    allocate_trials,
     allocation_proportions,
     check_continuity,
+    draw_rewards,
     marginalize_keep,
     plan_round,
     reanchor_reference,
     run_continuous,
     sample,
+    simulation,
 )
 
 
@@ -204,6 +210,36 @@ def test_plan_draws_when_only_the_reference_base_rate_is_flat():
                                     np.random.default_rng(7))
     np.testing.assert_array_equal(plan.proportions.p, direct.p)
     assert plan.proportions.p[0] > 0.9
+
+
+@pytest.mark.parametrize("arms", [2, 3, 10, 50])
+@pytest.mark.parametrize("mode", list(UpdateMode))
+def test_fixed_arm_set_takes_the_same_bits_through_either_step(mode, arms):
+    """Over an active set that never changes, plan_round and absorb_round
+    give the proportions, belief mean and precision of simulation's own
+    step from a flat start, bit for bit, on equal policy streams and equal
+    counts; round 3 has no trials."""
+    names = tuple(f"arm{i}" for i in range(arms))
+    true_p = ProbVector(expit(-0.85 + 0.04 * np.linspace(1.0, -1.0, arms)))
+    state = LogisticPolicyState.flat_start(arms, mode)
+    registry = ArmRegistry.fresh(names)
+    rng_step, rng_plan = np.random.default_rng(31), np.random.default_rng(31)
+    rng_data = np.random.default_rng(32)
+    drew = 0
+    for trials in (300 * arms, 300 * arms, 0, 300 * arms, 300 * arms, 300 * arms):
+        proposed = simulation._propose(state, 2000, rng_step)
+        planned = plan_round(registry, names, 2000, rng_plan).proportions
+        assert np.array_equal(proposed.p, planned.p)
+        drew += not np.all(proposed.p == proposed.p[0])
+        allocated = allocate_trials(proposed, trials, rng_data)
+        data = RoundData(allocated, draw_rewards(allocated, true_p, rng_data))
+        state = simulation._update(state, data)
+        registry = absorb_round(registry, names, data, mode)
+        assert registry.arms == names
+        assert np.array_equal(state.belief.mean, registry.belief.mean)
+        assert np.array_equal(state.belief.precision, registry.belief.precision)
+    assert rng_step.bit_generator.state == rng_plan.bit_generator.state
+    assert drew >= 3  # the rounds after round 1 reached the Thompson draws
 
 
 # --- scenario runner -----------------------------------------------------------
