@@ -39,6 +39,7 @@ _ALL_POLICIES = tuple(PolicyKind)
 _POLICY_CHOICES = [p.value for p in _ALL_POLICIES] + ["all"]
 
 _INF = float("inf")
+_MANIFEST_FIELDS = ("artifact", "version", "config", "environment", "seed", "duration_seconds")
 
 # One row per numeric `simulate` config field: type, bounds and default, in
 # the order of the --<field> flags. A field whose default is None is required.
@@ -116,8 +117,11 @@ def _resolve_simulate_config(args: argparse.Namespace) -> tuple[dict[str, Any], 
     if isinstance(raw.get("config"), dict):  # an emitted manifest doubles as a config
         manifest = raw
         raw = dict(manifest["config"])
-        if "environment" not in raw and isinstance(manifest.get("environment"), dict):
-            raw["environment"] = manifest["environment"]
+        _check_fields(manifest, _MANIFEST_FIELDS, "manifest: ")
+        raw.setdefault("environment", manifest.get("environment"))
+        for field in ("seed", "environment"):  # the rest of the top level is record-only
+            if field in manifest and manifest[field] != raw.get(field):
+                raise ConfigError(f"manifest field '{field}' disagrees with its 'config' block")
     _check_fields(raw, {*_SIMULATE_FIELDS, "policy", "environment"})
     cfg = {field: default for field, (*_, default) in _SIMULATE_FIELDS.items()
            if default is not None}
@@ -163,9 +167,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list[Any]]) -> None:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     resolved, spec = _resolve_simulate_config(args)
-    policies = (
-        _ALL_POLICIES if resolved["policy"] == "all" else (PolicyKind(resolved["policy"]),)
-    )
+    policies = _ALL_POLICIES if resolved["policy"] == "all" else (PolicyKind(resolved["policy"]),)
     config = ExperimentConfig(
         rounds=resolved["rounds"],
         trials_per_round=resolved["trials"],

@@ -233,9 +233,7 @@ def absorb_round(
     active = _validated_active(active)
     mode = _check_choice("mode", UpdateMode, mode)
     if data.arms != len(active):
-        raise ConfigError(
-            f"count vectors cover {data.arms} arms but the round has {len(active)}"
-        )
+        raise ConfigError(f"count vectors cover {data.arms} arms but the round has {len(active)}")
     if registry.round > 0 and not _shares_enough(registry, active, mode):
         raise ContinuityError(f"a {mode.value} update needs {_SHARED_ARMS_NEEDED[mode]} arm(s) "
                               "shared with the tracked set; reinitialize instead")
@@ -273,9 +271,7 @@ class ScenarioRound:
             if arm not in self.p:
                 raise ConfigError(f"field 'p' has no entry for arm {arm!r}")
             if not 0.0 < self.p[arm] < 1.0:
-                raise ConfigError(
-                    f"field 'p' for arm {arm!r} must be in (0, 1), got {self.p[arm]}"
-                )
+                raise ConfigError(f"field 'p' for arm {arm!r} must be in (0, 1), got {self.p[arm]}")
         _check_count("trials", self.trials, 0)
 
 

@@ -46,17 +46,22 @@ class CannotSampleError(BanditError):
 class OptimizationFailureError(BanditError):
     """The posterior-mode search did not converge.
 
-    Carries the last iterate and its gradient infinity-norm so callers can
+    Carries the last iterate, its gradient infinity-norm, the last Newton
+    decrement and the number of Newton iterations run, so callers can
     inspect how far the solve got.
     """
 
-    def __init__(self, message: str, last_iterate, grad_norm: float):
+    def __init__(self, message: str, last_iterate, grad_norm: float,
+                 decrement: float = math.nan, iterations: int = 0):
         super().__init__(message)
         self.last_iterate = last_iterate
         self.grad_norm = float(grad_norm)
+        self.decrement = float(decrement)
+        self.iterations = int(iterations)
 
     def __reduce__(self):
-        return (type(self), (self.args[0], self.last_iterate, self.grad_norm))
+        return (type(self), (self.args[0], self.last_iterate, self.grad_norm,
+                             self.decrement, self.iterations))
 
 
 class ContinuityError(BanditError):

@@ -90,9 +90,7 @@ class GaussianBelief:
         d = _frozen_numbers(self, "mean").size
         precision = _numbers("precision", self.precision, vector=False)
         if precision.shape != (d, d):
-            raise ConfigError(
-                f"precision shape {precision.shape} does not match mean length {d}"
-            )
+            raise ConfigError(f"precision shape {precision.shape} does not match mean length {d}")
         # Symmetrize on every construction for numerical cleanliness.
         precision = 0.5 * (precision + precision.T)
         # The precision is a permutation of diag(block, 0) over its

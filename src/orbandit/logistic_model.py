@@ -6,6 +6,8 @@ reference arm's is sigmoid(b_K), so each b_i is the log odds ratio of arm i
 against the reference and b_K carries the shared base rate. The posterior
 after a round is approximated by a Gaussian centered at the posterior mode
 with the curvature of the batch likelihood added to the prior precision.
+One likelihood evaluation per Newton iterate serves its step, its Hessian
+and, at the mode, the posterior curvature.
 """
 
 from __future__ import annotations
@@ -44,6 +46,9 @@ MAX_HALVINGS = 30
 
 # Largest Newton step (infinity-norm) attempted in one iteration.
 MAX_STEP_NORM = 100.0
+
+# The objective's float noise, relative to 1 + |value|, in the line search.
+_NOISE_FLOOR = 16.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -86,44 +91,37 @@ class ProbVector:
         return self.p.size
 
 
-def _arm_logits(params: np.ndarray) -> np.ndarray:
-    """Per-arm log odds: add the reference coordinate to every other one."""
-    q = np.array(params, dtype=float).reshape(-1)
-    q[:-1] += q[-1]
-    return q
+def _evaluate(mu: np.ndarray, n: np.ndarray, c: np.ndarray, prior: GaussianBelief):
+    """Negative log posterior (up to constants), its gradient and the
+    per-arm success probabilities at ``mu``.
 
-
-def _value_and_grad(
-    mu: np.ndarray, n: np.ndarray, c: np.ndarray, prior: GaussianBelief
-) -> tuple[float, np.ndarray]:
-    """Negative log posterior (up to constants) and its gradient.
-
+    The per-arm log odds add the reference coordinate to every other one.
     The likelihood part is evaluated as n*softplus(q) - c*q per arm, which
     is exact and never overflows; the prior part is the quadratic form in
     the prior precision, which contributes nothing along flat directions.
     """
-    q = _arm_logits(mu)
-    softplus = np.logaddexp(0.0, q)
+    q = mu.copy()
+    q[:-1] += q[-1]
     diff = mu - prior.mean
     prior_pull = prior.precision @ diff
-    value = float(np.sum(n * softplus - c * q) + 0.5 * diff @ prior_pull)
-    residual = n * expit(q) - c
-    grad = residual.copy()
-    grad[-1] = residual.sum()
+    value = float(np.add.reduce(n * np.logaddexp(0.0, q) - c * q) + 0.5 * diff @ prior_pull)
+    p = expit(q)
+    grad = n * p - c
+    grad[-1] = np.add.reduce(grad)
     grad += prior_pull
-    return value, grad
+    return value, grad, p
 
 
-def _curvature(mu: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Likelihood curvature at ``mu``: arrow pattern with per-arm weights
-    n_i * p_i * (1 - p_i) on the diagonal and reference row/column, and the
-    total weight in the corner."""
-    p = expit(_arm_logits(mu))
+def _hessian(p: np.ndarray, n: np.ndarray, precision: np.ndarray) -> np.ndarray:
+    """``precision`` plus the likelihood curvature at success probabilities
+    ``p``: an arrow with per-arm weights n_i * p_i * (1 - p_i) on the
+    diagonal and reference row/column, and the total weight in the corner."""
     w = n * p * (1.0 - p)
     h = np.diag(w)
     h[:-1, -1] = w[:-1]
     h[-1, :-1] = w[:-1]
-    h[-1, -1] = w.sum()
+    h[-1, -1] = np.add.reduce(w)
+    h += precision
     return h
 
 
@@ -139,83 +137,82 @@ def _effective_counts(data: RoundData, prior: GaussianBelief) -> tuple[np.ndarra
     """
     n = data.n.astype(float)
     c = data.c.astype(float)
-    flat = np.abs(np.diag(prior.precision)) <= FLAT_DIAG_TOL
+    flat = np.abs(prior.precision.diagonal()) <= FLAT_DIAG_TOL
+    if not flat.any():
+        return n, c
     smooth = flat & (n >= 1.0) & ((c == 0.0) | (c == n))
-    n = np.where(smooth, n + 1.0, n)
-    c = np.where(smooth, c + 0.5, c)
-    return n, c
+    return np.where(smooth, n + 1.0, n), np.where(smooth, c + 0.5, c)
 
 
-def _newton_mode(n: np.ndarray, c: np.ndarray, prior: GaussianBelief) -> np.ndarray:
-    """Damped Newton minimization of the negative log posterior.
+def _newton_mode(n: np.ndarray, c: np.ndarray, prior: GaussianBelief):
+    """Damped Newton minimization of the negative log posterior; returns
+    the mode and its per-arm success probabilities.
 
     Starts at the prior mean, solves (curvature + prior precision) for the
     step, and halves the step until the objective decreases. Singular
     systems (flat directions with no data) fall back to the minimal-norm
     solution, which leaves those coordinates at the prior mean because
     their gradient is zero. Stops on a small gradient or a small Newton
-    decrement.
+    decrement. One likelihood evaluation per candidate gives its value,
+    gradient and probabilities; the accepted iterate's probabilities serve
+    the next step's Hessian and, at the mode, the posterior curvature.
     """
     mu = prior.mean.copy()
-    value, grad = _value_and_grad(mu, n, c, prior)
+    value, grad, p = _evaluate(mu, n, c, prior)
+    grad_norm = np.maximum.reduce(np.abs(grad))
     decrement = np.inf
-    for _ in range(MAX_NEWTON_ITER):
-        grad_norm = np.max(np.abs(grad))
+    iterations = 0
+    for iterations in range(1, MAX_NEWTON_ITER + 1):
         if grad_norm <= GRAD_TOL:
-            return mu
-        hess = _curvature(mu, n) + prior.precision
+            return mu, p
+        hess = _hessian(p, n, prior.precision)
         try:
             step = np.linalg.solve(hess, -grad)
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
         decrement = float(-grad @ step)
         if decrement <= DECREMENT_TOL:
-            return mu
+            return mu, p
         # The likelihood saturates within a few tens of logits, so a longer
         # step only reflects a near-singular curvature; cap it to keep the
         # line search inside representable territory.
-        step_norm = np.max(np.abs(step))
+        step_norm = np.maximum.reduce(np.abs(step))
         if step_norm > MAX_STEP_NORM:
             step = step * (MAX_STEP_NORM / step_norm)
         # Accept on strict descent; once the value change is below the float
         # noise floor, accept on a gradient-norm drop instead (near the mode
         # Newton keeps shrinking the gradient after the value has saturated).
-        noise = 16.0 * np.finfo(float).eps * (1.0 + abs(value))
+        noise = _NOISE_FLOOR * (1.0 + abs(value))
         scale = 1.0
-        improved = False
         for _ in range(MAX_HALVINGS + 1):
             candidate = mu + scale * step
-            cand_value, cand_grad = _value_and_grad(candidate, n, c, prior)
-            descent = cand_value < value
-            polish = cand_value <= value + noise and np.max(np.abs(cand_grad)) < grad_norm
-            if descent or polish:
-                mu, value, grad = candidate, cand_value, cand_grad
-                improved = True
-                break
+            cand_value, cand_grad, cand_p = _evaluate(candidate, n, c, prior)
+            if cand_value <= value + noise:
+                cand_norm = np.maximum.reduce(np.abs(cand_grad))
+                if cand_value < value or cand_norm < grad_norm:
+                    mu, value, grad, p, grad_norm = candidate, cand_value, cand_grad, cand_p, cand_norm
+                    break
             scale *= 0.5
-        if not improved:
+        else:
             break
-    grad_norm = float(np.max(np.abs(grad)))
     if grad_norm <= GRAD_TOL or decrement <= STALLED_DECREMENT_TOL:
-        return mu
+        return mu, p
     raise OptimizationFailureError(
-        f"mode search did not converge (gradient infinity-norm {grad_norm:.3e})",
-        last_iterate=mu,
-        grad_norm=grad_norm,
-    )
+        f"mode search did not converge after {iterations} Newton iterations (gradient "
+        f"infinity-norm {grad_norm:.3e}, Newton decrement {decrement:.3e})",
+        mu, grad_norm, decrement, iterations)
 
 
 def laplace_update(prior: GaussianBelief, data: RoundData) -> GaussianBelief:
     """Gaussian posterior approximation after absorbing one round.
 
     The mean is the posterior mode; the precision is the prior precision
-    plus the likelihood curvature at that mode. A round with no trials
-    leaves the belief unchanged.
+    plus the likelihood curvature at that mode, from the mode search's
+    last likelihood evaluation. A round with no trials leaves the belief
+    unchanged.
     """
     if data.arms != prior.dim:
-        raise ConfigError(
-            f"data arms {data.arms} do not match prior dimension {prior.dim}"
-        )
+        raise ConfigError(f"data arms {data.arms} do not match prior dimension {prior.dim}")
     n, c = _effective_counts(data, prior)
-    mu = _newton_mode(n, c, prior)
-    return GaussianBelief(mu, prior.precision + _curvature(mu, n))
+    mu, p = _newton_mode(n, c, prior)
+    return GaussianBelief(mu, _hessian(p, n, prior.precision))

@@ -273,9 +273,7 @@ def or_ts_update(state: LogisticPolicyState, data: RoundData) -> LogisticPolicyS
 def beta_ts_update(state: BetaState, data: RoundData) -> BetaState:
     """Conjugate update: successes raise alpha, failures raise beta."""
     if data.arms != state.arms:
-        raise ConfigError(
-            f"data arms {data.arms} do not match state arms {state.arms}"
-        )
+        raise ConfigError(f"data arms {data.arms} do not match state arms {state.arms}")
     return BetaState(state.alpha + data.c, state.beta + (data.n - data.c))
 
 

@@ -12,10 +12,13 @@ exceptions:
 - ``marginalize_keep``, the package's marginal before it went through a
   Cholesky factor: an eigen-decomposition pseudo-inverse of the dropped
   block;
-- ``neg_log_posterior`` and ``hessian_lambda``, which put argument checks
-  in front of the package's private objective, gradient and curvature, so
-  that tests can hold those against ``dense_objective``, ``fd_gradient``
-  and ``fd_hessian``.
+- ``laplace_update``, the package's Laplace update before one likelihood
+  evaluation served each Newton step, its Hessian and the posterior
+  curvature: it evaluates the objective and gradient at each candidate and
+  recomputes the curvature from the iterate. ``neg_log_posterior`` and
+  ``hessian_lambda`` put argument checks in front of its objective,
+  gradient and curvature, so that tests can hold those against
+  ``dense_objective``, ``fd_gradient`` and ``fd_hessian``.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from orbandit import (
     BetaState,
     ConfigError,
     GaussianBelief,
+    OptimizationFailureError,
     ProbVector,
     RoundData,
     TransformMatrix,
@@ -38,7 +42,15 @@ from orbandit import (
 )
 from orbandit.errors import _check_count, _numbers
 from orbandit.gaussian_belief import _permutation_matrix
-from orbandit.logistic_model import _arm_logits, _curvature, _value_and_grad
+from orbandit.logistic_model import (
+    DECREMENT_TOL,
+    FLAT_DIAG_TOL,
+    GRAD_TOL,
+    MAX_HALVINGS,
+    MAX_NEWTON_ITER,
+    MAX_STEP_NORM,
+    STALLED_DECREMENT_TOL,
+)
 from orbandit.policy import _BETA_CHUNK, _beta_column
 
 __all__ = [
@@ -54,6 +66,7 @@ __all__ = [
     "fd_hessian",
     "grid_allocation_probs",
     "hessian_lambda",
+    "laplace_update",
     "marginalize_keep",
     "neg_log_posterior",
     "probs_from_params",
@@ -84,6 +97,141 @@ def build_c_f(perm: Sequence[int]) -> TransformMatrix:
     position ``perm[j]``.
     """
     return TransformMatrix(_permutation_matrix(perm))
+
+
+def _arm_logits(params: np.ndarray) -> np.ndarray:
+    """Per-arm log odds: add the reference coordinate to every other one."""
+    q = np.array(params, dtype=float).reshape(-1)
+    q[:-1] += q[-1]
+    return q
+
+
+def _value_and_grad(
+    mu: np.ndarray, n: np.ndarray, c: np.ndarray, prior: GaussianBelief
+) -> tuple[float, np.ndarray]:
+    """Negative log posterior (up to constants) and its gradient.
+
+    The likelihood part is evaluated as n*softplus(q) - c*q per arm, which
+    is exact and never overflows; the prior part is the quadratic form in
+    the prior precision, which contributes nothing along flat directions.
+    """
+    q = _arm_logits(mu)
+    softplus = np.logaddexp(0.0, q)
+    diff = mu - prior.mean
+    prior_pull = prior.precision @ diff
+    value = float(np.sum(n * softplus - c * q) + 0.5 * diff @ prior_pull)
+    residual = n * expit(q) - c
+    grad = residual.copy()
+    grad[-1] = residual.sum()
+    grad += prior_pull
+    return value, grad
+
+
+def _curvature(mu: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Likelihood curvature at ``mu``: arrow pattern with per-arm weights
+    n_i * p_i * (1 - p_i) on the diagonal and reference row/column, and the
+    total weight in the corner."""
+    p = expit(_arm_logits(mu))
+    w = n * p * (1.0 - p)
+    h = np.diag(w)
+    h[:-1, -1] = w[:-1]
+    h[-1, :-1] = w[:-1]
+    h[-1, -1] = w.sum()
+    return h
+
+
+def _effective_counts(data: RoundData, prior: GaussianBelief) -> tuple[np.ndarray, np.ndarray]:
+    """Counts actually used by the mode search.
+
+    An arm whose observed counts are degenerate (all failures or all
+    successes) has its maximizing log odds at infinity; when the prior is
+    also flat in that arm's coordinate nothing tempers the divergence, so
+    such arms get half a success and one extra trial. Arms with no trials
+    are left untouched: they contribute no likelihood, and their flat
+    directions are handled by the minimal-norm step in the solver.
+    """
+    n = data.n.astype(float)
+    c = data.c.astype(float)
+    flat = np.abs(np.diag(prior.precision)) <= FLAT_DIAG_TOL
+    smooth = flat & (n >= 1.0) & ((c == 0.0) | (c == n))
+    n = np.where(smooth, n + 1.0, n)
+    c = np.where(smooth, c + 0.5, c)
+    return n, c
+
+
+def _newton_mode(n: np.ndarray, c: np.ndarray, prior: GaussianBelief) -> np.ndarray:
+    """Damped Newton minimization of the negative log posterior.
+
+    Starts at the prior mean, solves (curvature + prior precision) for the
+    step, and halves the step until the objective decreases. Singular
+    systems (flat directions with no data) fall back to the minimal-norm
+    solution, which leaves those coordinates at the prior mean because
+    their gradient is zero. Stops on a small gradient or a small Newton
+    decrement.
+    """
+    mu = prior.mean.copy()
+    value, grad = _value_and_grad(mu, n, c, prior)
+    decrement = np.inf
+    for _ in range(MAX_NEWTON_ITER):
+        grad_norm = np.max(np.abs(grad))
+        if grad_norm <= GRAD_TOL:
+            return mu
+        hess = _curvature(mu, n) + prior.precision
+        try:
+            step = np.linalg.solve(hess, -grad)
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
+        decrement = float(-grad @ step)
+        if decrement <= DECREMENT_TOL:
+            return mu
+        # The likelihood saturates within a few tens of logits, so a longer
+        # step only reflects a near-singular curvature; cap it to keep the
+        # line search inside representable territory.
+        step_norm = np.max(np.abs(step))
+        if step_norm > MAX_STEP_NORM:
+            step = step * (MAX_STEP_NORM / step_norm)
+        # Accept on strict descent; once the value change is below the float
+        # noise floor, accept on a gradient-norm drop instead (near the mode
+        # Newton keeps shrinking the gradient after the value has saturated).
+        noise = 16.0 * np.finfo(float).eps * (1.0 + abs(value))
+        scale = 1.0
+        improved = False
+        for _ in range(MAX_HALVINGS + 1):
+            candidate = mu + scale * step
+            cand_value, cand_grad = _value_and_grad(candidate, n, c, prior)
+            descent = cand_value < value
+            polish = cand_value <= value + noise and np.max(np.abs(cand_grad)) < grad_norm
+            if descent or polish:
+                mu, value, grad = candidate, cand_value, cand_grad
+                improved = True
+                break
+            scale *= 0.5
+        if not improved:
+            break
+    grad_norm = float(np.max(np.abs(grad)))
+    if grad_norm <= GRAD_TOL or decrement <= STALLED_DECREMENT_TOL:
+        return mu
+    raise OptimizationFailureError(
+        f"mode search did not converge (gradient infinity-norm {grad_norm:.3e})",
+        last_iterate=mu,
+        grad_norm=grad_norm,
+    )
+
+
+def laplace_update(prior: GaussianBelief, data: RoundData) -> GaussianBelief:
+    """Gaussian posterior approximation after absorbing one round.
+
+    The mean is the posterior mode; the precision is the prior precision
+    plus the likelihood curvature at that mode. A round with no trials
+    leaves the belief unchanged.
+    """
+    if data.arms != prior.dim:
+        raise ConfigError(
+            f"data arms {data.arms} do not match prior dimension {prior.dim}"
+        )
+    n, c = _effective_counts(data, prior)
+    mu = _newton_mode(n, c, prior)
+    return GaussianBelief(mu, prior.precision + _curvature(mu, n))
 
 
 def probs_from_params(params) -> ProbVector:

@@ -89,6 +89,12 @@ def test_manifest_rerun_is_byte_identical(tmp_path):
     assert main(["simulate", "--config", str(manifest), "--out", str(second)]) == 0
     assert (first / "regret.csv").read_bytes() == (second / "regret.csv").read_bytes()
     assert (first / "summary.csv").read_bytes() == (second / "summary.csv").read_bytes()
+    # The artifact name, version and duration are a record of the run only.
+    edited = tmp_path / "edited.json"
+    write_json(edited, {**json.loads(manifest.read_text(encoding="utf-8")),
+                        "artifact": "copy", "version": "0.0.0", "duration_seconds": -1.0})
+    assert main(["simulate", "--config", str(edited), "--out", str(tmp_path / "third")]) == 0
+    assert (first / "regret.csv").read_bytes() == (tmp_path / "third" / "regret.csv").read_bytes()
 
 
 def test_manifest_contents(tmp_path):
@@ -165,7 +171,8 @@ def test_invalid_config_returns_exit_code_2(tmp_path, capsys):
     short_schedule = simulate_config(arms=2, rounds=4, policy="beta_ts", environment={
         "kind": "regime_schedule", "rounds": [{"p": [0.3, 0.2], "trials": 400}],
     })
-    arms_mismatch = simulate_config(arms=3, environment={"kind": "stationary", "p": [0.3, 0.2]})
+    stationary = {"kind": "stationary", "p": [0.3, 0.2]}
+    arms_mismatch = simulate_config(arms=3, environment=stationary)
 
     def drift(sigma):
         return simulate_config(arms=2, environment={
@@ -190,6 +197,12 @@ def test_invalid_config_returns_exit_code_2(tmp_path, capsys):
         (simulate_config(n_draw=10), "unknown field(s) 'n_draw'"),
         (simulate_config(p_optimum=0.9), "unknown field(s) 'p_optimum'"),
         (manifest_config(n_draw=10), "unknown field(s) 'n_draw'"),
+        # A manifest runs on its 'config' block, so a top-level seed or
+        # environment that says otherwise would be ignored without a word.
+        ({**manifest_config(), "seed": 123}, "manifest field 'seed' disagrees"),
+        ({**manifest_config(arms=2, environment=stationary), "environment": {**stationary, "p": [0.3, 0.25]}},
+         "manifest field 'environment' disagrees"),
+        ({**manifest_config(), "n_draws": 5}, "manifest: unknown field(s) 'n_draws'"),
     ):
         write_json(config, payload)
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 2

@@ -1,10 +1,15 @@
 """Batch likelihood, curvature, and the Laplace posterior update."""
 
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit, logit
 
 from orbandit import (
+    BanditError,
     ConfigError,
     GaussianBelief,
     OptimizationFailureError,
@@ -14,6 +19,7 @@ from orbandit import (
     logistic_model,
     make_flat_belief,
 )
+import oracles
 from oracles import (
     dense_objective,
     fd_gradient,
@@ -202,12 +208,82 @@ def test_optimization_failure_reports_last_iterate():
 
 
 def test_unconverged_mode_search_raises_with_last_iterate(monkeypatch):
+    """One Newton step settles neither round: the error carries the last
+    iterate, the gradient norm, the last decrement and the iteration count,
+    prints the three numbers, and survives the pickling that ``--jobs``
+    applies to it."""
     monkeypatch.setattr(logistic_model, "MAX_NEWTON_ITER", 1)
-    data = RoundData(np.array([100, 100, 100]), np.array([31, 30, 28]))
-    with pytest.raises(OptimizationFailureError) as caught:
-        laplace_update(make_flat_belief(3), data)
-    assert np.all(np.isfinite(caught.value.last_iterate))
-    assert caught.value.grad_norm > logistic_model.GRAD_TOL
+    rounds = (([100, 100, 100], [31, 30, 28]),
+              ([10**6] * 4, [310_000, 300_000, 295_000, 305_000]))
+    for n, c in rounds:
+        with pytest.raises(OptimizationFailureError) as caught:
+            laplace_update(make_flat_belief(len(n)), RoundData(np.array(n), np.array(c)))
+        error = caught.value
+        assert np.all(np.isfinite(error.last_iterate))
+        assert error.grad_norm > logistic_model.GRAD_TOL
+        assert error.decrement > logistic_model.STALLED_DECREMENT_TOL
+        assert error.iterations == 1
+        message = str(error)
+        for part in (f"{error.grad_norm:.3e}", f"{error.decrement:.3e}", "after 1 Newton iteration"):
+            assert part in message, message
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is OptimizationFailureError and str(copy) == message
+        assert (copy.grad_norm, copy.decrement, copy.iterations) == (
+            error.grad_norm, error.decrement, error.iterations)
+        np.testing.assert_array_equal(copy.last_iterate, error.last_iterate)
+
+
+def _reference_prior(k, kind, rng):
+    """A proper prior, a fully flat one, or a proper one whose last row and
+    column are flat, as ``or_ts`` leaves the reference after its forget."""
+    if kind == "flat":
+        return make_flat_belief(k)
+    root = rng.normal(size=(k, k))
+    precision = (root @ root.T + 0.1 * np.eye(k)) * 10.0 ** rng.uniform(-2.0, 6.0)
+    if kind == "flat_last":
+        precision[-1, :] = 0.0
+        precision[:, -1] = 0.0
+    return GaussianBelief(rng.normal(scale=2.0, size=k), precision)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    k=st.integers(2, 50),
+    kind=st.sampled_from(["proper", "flat", "flat_last"]),
+    arms=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_laplace_update_matches_the_reference_bit_for_bit(k, kind, arms, seed):
+    """The update that evaluates the likelihood once per Newton step gives
+    exactly the mean and precision of the update that evaluated it twice,
+    or fails as it did, at 1e2-1e9 trials per arm."""
+    rng = np.random.default_rng(seed)
+    prior = _reference_prior(k, kind, rng)
+    shapes = arms.draw(st.lists(st.sampled_from(["none", "failures", "successes", "mixed"]),
+                                min_size=k, max_size=k))
+    n = np.rint(10.0 ** rng.uniform(2.0, 9.0, size=k)).astype(np.int64)
+    c = rng.binomial(n, rng.uniform(0.01, 0.6, size=k))
+    for arm, shape in enumerate(shapes):
+        if shape == "none":
+            n[arm] = c[arm] = 0
+        elif shape == "failures":
+            c[arm] = 0
+        elif shape == "successes":
+            c[arm] = n[arm]
+    data = RoundData(n, c)
+    try:
+        expected = oracles.laplace_update(prior, data)
+    except BanditError as failure:
+        with pytest.raises(type(failure)) as caught:
+            laplace_update(prior, data)
+        assert type(caught.value) is type(failure)
+        if isinstance(failure, OptimizationFailureError):
+            assert caught.value.grad_norm == failure.grad_norm
+            np.testing.assert_array_equal(caught.value.last_iterate, failure.last_iterate)
+        return
+    posterior = laplace_update(prior, data)
+    assert np.array_equal(posterior.mean, expected.mean)
+    assert np.array_equal(posterior.precision, expected.precision)
 
 
 # --- Laplace update ----------------------------------------------------------
