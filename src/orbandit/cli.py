@@ -20,7 +20,6 @@ from typing import Any, Mapping
 from . import __version__
 from .continuous import ContinuousScenario, ScenarioRound, run_continuous
 from .errors import BanditError, ConfigError, _check_count, _check_number
-from .logistic_model import ProbVector
 from .simulation import (
     EnvironmentSpec,
     ExperimentConfig,
@@ -87,11 +86,11 @@ def _parse_environment(block: Mapping[str, Any]) -> EnvironmentSpec:
     kind = block["kind"]
     try:
         if kind == "stationary":
-            return Stationary(ProbVector(block["p"]))
+            return Stationary(block["p"])
         if kind == "logit_drift":
             return LogitDrift(block["base_beta"], block["sigma"])
         if kind == "regime_schedule":
-            return RegimeSchedule(tuple((ProbVector(r["p"]), r["trials"]) for r in block["rounds"]))
+            return RegimeSchedule(tuple((r["p"], r["trials"]) for r in block["rounds"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"field 'environment' ({kind}): {exc}") from exc
     raise ConfigError(f"field 'environment.kind' must be one of stationary, "

@@ -290,6 +290,8 @@ class ContinuousScenario:
         object.__setattr__(self, "mode", _check_choice("mode", UpdateMode, self.mode))
         if not self.rounds:
             raise ConfigError("scenario must contain at least one round")
+        if not all(isinstance(entry, ScenarioRound) for entry in self.rounds):
+            raise ConfigError("field 'rounds' must hold ScenarioRound entries")
         _check_count("seed", self.seed, 0)
         _check_count("n_draws", self.n_draws, 1)
         if self.on_break not in ("reinitialize", "full_rank"):

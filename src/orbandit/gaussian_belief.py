@@ -43,24 +43,24 @@ __all__ = [
     "sample",
 ]
 
-# Cholesky pivots must clear this floor for a precision matrix to count as
-# positive definite (and the belief as proper).
-PIVOT_TOL = 1e-10
+# Squared pivots, eigenvalues and diagonal entries within this fraction of a
+# symmetric matrix's largest diagonal entry count as zero, at any scale.
+REL_TOL = 1e-10
 
-# Slack allowed on the smallest eigenvalue when validating positive
-# semidefiniteness after symmetrization; checked only for precisions whose
-# Cholesky factorization fails.
-EIG_TOL = 1e-9
+
+def _zero_floor(matrix: np.ndarray) -> float:
+    """``REL_TOL`` times the largest diagonal entry of ``matrix`` (0 if none)."""
+    return REL_TOL * np.maximum.reduce(matrix.diagonal(), initial=0.0)
 
 
 def _cholesky(block: np.ndarray) -> np.ndarray | None:
     """Lower Cholesky factor of a symmetric block, or None when the
-    factorization fails or a pivot's square is within ``PIVOT_TOL``."""
+    factorization fails or a squared pivot is within its ``_zero_floor``."""
     try:
         factor = np.linalg.cholesky(block)
     except np.linalg.LinAlgError:
         return None
-    if block.size and factor.diagonal().min() ** 2 <= PIVOT_TOL:
+    if block.size and factor.diagonal().min() ** 2 <= _zero_floor(block):
         return None
     return factor
 
@@ -76,10 +76,10 @@ class GaussianBelief:
     ``embed_flat_last``.
 
     Construction factors the precision once and caches the lower Cholesky
-    factor (None when a pivot falls below ``PIVOT_TOL``, or when any row is
-    exactly zero). Exactly-zero rows are flat, so only the remaining block
-    is factored; a precision whose remaining block fails that factorization
-    is checked for positive semidefiniteness by its eigenvalues.
+    factor (None when a pivot's square is within ``_zero_floor``, or when
+    any row is exactly zero). Exactly-zero rows are flat, so only the
+    remaining block is factored; if that fails, the precision is positive
+    semidefinite unless an eigenvalue is below minus ``_zero_floor``.
     """
 
     mean: np.ndarray
@@ -100,10 +100,9 @@ class GaussianBelief:
         factor = _cholesky(block)
         if factor is None:
             min_eig = float(np.linalg.eigvalsh(precision)[0])
-            if min_eig < -EIG_TOL:
-                raise ConfigError(
-                    f"precision is not positive semidefinite (min eigenvalue {min_eig:.3e})"
-                )
+            if min_eig < -_zero_floor(precision):
+                raise ConfigError(f"precision is not positive semidefinite "
+                                  f"(min eigenvalue {min_eig:.3e})")
         elif flat.any():
             factor = None
         else:
@@ -264,8 +263,8 @@ def marginalize_keep(belief: GaussianBelief, keep: Sequence[int]) -> GaussianBel
     A is factored as L Lᵀ, and the coupling enters as WᵀW with W = L⁻¹Bᵀ,
     one triangular solve. A block that fails that factorization (see
     ``_cholesky``), such as one with a flat row, is singular or nearly so;
-    it goes through its eigenpairs instead, as a pseudo-inverse with a
-    1e-12 cut-off relative to the largest eigenvalue, which keeps this
+    it goes through its eigenpairs instead, as a pseudo-inverse that drops
+    the eigenvalues within its ``_zero_floor``, which keeps this
     total over valid (positive semidefinite) precisions. A flat dropped
     coordinate couples to nothing and integrates out to nothing, so a
     fully flat belief marginalizes to a flat belief.
@@ -292,8 +291,7 @@ def marginalize_keep(belief: GaussianBelief, keep: Sequence[int]) -> GaussianBel
             marginal -= root.T @ root
         else:
             eigvals, eigvecs = np.linalg.eigh(block)
-            scale = np.abs(eigvals)
-            nonzero = scale > 1e-12 * scale.max()
+            nonzero = np.abs(eigvals) > _zero_floor(block)
             loadings = coupling_t.T @ eigvecs[:, nonzero]
             marginal -= (loadings / eigvals[nonzero]) @ loadings.T
     return GaussianBelief(belief.mean[keep], marginal)

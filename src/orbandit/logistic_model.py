@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import ConfigError, OptimizationFailureError, _frozen_numbers
-from .gaussian_belief import GaussianBelief
+from .gaussian_belief import GaussianBelief, _zero_floor
 
 __all__ = [
     "RoundData",
@@ -30,16 +30,10 @@ __all__ = [
 GRAD_TOL = 1e-10
 
 # The mode search also stops once the Newton decrement -grad.step is this
-# small, and when it ends without converging it still accepts the last
-# iterate if the last decrement is below the looser bound. At large counts
-# the gradient's rounding noise (about n * eps) sits far above GRAD_TOL,
-# while the decrement is affine-invariant and still reaches the float floor.
+# small: at large counts the gradient's rounding noise (about n * eps) sits
+# far above GRAD_TOL, while the affine-invariant decrement still reaches the
+# float floor. A stalled search accepts a decrement within _NOISE_FLOOR.
 DECREMENT_TOL = 1e-20
-STALLED_DECREMENT_TOL = 1e-12
-
-# A prior precision diagonal at or below this is treated as flat in that
-# coordinate when deciding whether degenerate counts need smoothing.
-FLAT_DIAG_TOL = 1e-10
 
 MAX_NEWTON_ITER = 100
 MAX_HALVINGS = 30
@@ -47,7 +41,7 @@ MAX_HALVINGS = 30
 # Largest Newton step (infinity-norm) attempted in one iteration.
 MAX_STEP_NORM = 100.0
 
-# The objective's float noise, relative to 1 + |value|, in the line search.
+# The objective's float noise relative to 1 + |value|: line-search slack and stall bound.
 _NOISE_FLOOR = 16.0 * np.finfo(float).eps
 
 
@@ -96,15 +90,17 @@ def _evaluate(mu: np.ndarray, n: np.ndarray, c: np.ndarray, prior: GaussianBelie
     per-arm success probabilities at ``mu``.
 
     The per-arm log odds add the reference coordinate to every other one.
-    The likelihood part is evaluated as n*softplus(q) - c*q per arm, which
-    is exact and never overflows; the prior part is the quadratic form in
-    the prior precision, which contributes nothing along flat directions.
+    The likelihood part, c*softplus(-q) + (n-c)*softplus(q) per arm, equals
+    n*softplus(q) - c*q but sums non-negative terms, so it does not cancel at
+    large counts and ``_NOISE_FLOOR`` bounds its rounding. The prior part is
+    the quadratic form in the prior precision, zero along flat directions.
     """
     q = mu.copy()
     q[:-1] += q[-1]
     diff = mu - prior.mean
     prior_pull = prior.precision @ diff
-    value = float(np.add.reduce(n * np.logaddexp(0.0, q) - c * q) + 0.5 * diff @ prior_pull)
+    likelihood = c * np.logaddexp(0.0, -q) + (n - c) * np.logaddexp(0.0, q)
+    value = float(np.add.reduce(likelihood) + 0.5 * diff @ prior_pull)
     p = expit(q)
     grad = n * p - c
     grad[-1] = np.add.reduce(grad)
@@ -130,14 +126,14 @@ def _effective_counts(data: RoundData, prior: GaussianBelief) -> tuple[np.ndarra
 
     An arm whose observed counts are degenerate (all failures or all
     successes) has its maximizing log odds at infinity; when the prior is
-    also flat in that arm's coordinate nothing tempers the divergence, so
-    such arms get half a success and one extra trial. Arms with no trials
-    are left untouched: they contribute no likelihood, and their flat
-    directions are handled by the minimal-norm step in the solver.
+    also flat in that arm's coordinate (within its ``_zero_floor``) nothing
+    tempers the divergence, so such arms get half a success and one extra
+    trial. Arms with no trials are left untouched: they contribute no
+    likelihood, and their flat directions are handled by the minimal-norm
+    step in the solver.
     """
-    n = data.n.astype(float)
-    c = data.c.astype(float)
-    flat = np.abs(prior.precision.diagonal()) <= FLAT_DIAG_TOL
+    n, c = data.n.astype(float), data.c.astype(float)
+    flat = np.abs(prior.precision.diagonal()) <= _zero_floor(prior.precision)
     if not flat.any():
         return n, c
     smooth = flat & (n >= 1.0) & ((c == 0.0) | (c == n))
@@ -153,9 +149,11 @@ def _newton_mode(n: np.ndarray, c: np.ndarray, prior: GaussianBelief):
     systems (flat directions with no data) fall back to the minimal-norm
     solution, which leaves those coordinates at the prior mean because
     their gradient is zero. Stops on a small gradient or a small Newton
-    decrement. One likelihood evaluation per candidate gives its value,
-    gradient and probabilities; the accepted iterate's probabilities serve
-    the next step's Hessian and, at the mode, the posterior curvature.
+    decrement, or, out of iterations or halvings, on a decrement within the
+    objective's float noise. One likelihood evaluation per candidate gives
+    its value, gradient and probabilities; the accepted iterate's
+    probabilities serve the next step's Hessian and, at the mode, the
+    posterior curvature.
     """
     mu = prior.mean.copy()
     value, grad, p = _evaluate(mu, n, c, prior)
@@ -195,7 +193,7 @@ def _newton_mode(n: np.ndarray, c: np.ndarray, prior: GaussianBelief):
             scale *= 0.5
         else:
             break
-    if grad_norm <= GRAD_TOL or decrement <= STALLED_DECREMENT_TOL:
+    if grad_norm <= GRAD_TOL or decrement <= _NOISE_FLOOR * (1.0 + abs(value)):
         return mu, p
     raise OptimizationFailureError(
         f"mode search did not converge after {iterations} Newton iterations (gradient "

@@ -72,6 +72,10 @@ class Stationary:
 
     p: ProbVector
 
+    def __post_init__(self):
+        if not isinstance(self.p, ProbVector):
+            object.__setattr__(self, "p", ProbVector(self.p))
+
 
 @dataclass(frozen=True)
 class LogitDrift:
@@ -98,11 +102,10 @@ class RegimeSchedule:
     rounds: tuple[tuple[ProbVector, int], ...]
 
     def __post_init__(self):
-        rounds = tuple((p, int(_check_count("trials", t, 0))) for p, t in self.rounds)
+        rounds = tuple((Stationary(p).p, int(_check_count("trials", t, 0))) for p, t in self.rounds)
         if not rounds:
             raise ConfigError("schedule must contain at least one round")
-        width = rounds[0][0].arms
-        if any(p.arms != width for p, _ in rounds):
+        if len({p.arms for p, _ in rounds}) > 1:
             raise ConfigError("all schedule rounds must cover the same arms")
         object.__setattr__(self, "rounds", rounds)
 
@@ -409,7 +412,7 @@ def drift_environment(
     """
     base = single_best_arm_logits(arms, p_optimal, p_suboptimal)
     if d == 0:
-        return Stationary(ProbVector(expit(base)))
+        return Stationary(expit(base))
     return LogitDrift(base, sigma_from_d(d, p_optimal, p_suboptimal))
 
 
@@ -443,5 +446,5 @@ def two_regime_schedule(
         offset = boundary_shift * block_index
         for _ in range(block_len):
             jitter = rng.normal(0.0, daily_sigma) if daily_sigma > 0 else 0.0
-            rounds.append((ProbVector(expit(base + offset + jitter)), per_block[block_index]))
+            rounds.append((expit(base + offset + jitter), per_block[block_index]))
     return RegimeSchedule(tuple(rounds))

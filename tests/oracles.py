@@ -15,10 +15,11 @@ exceptions:
 - ``laplace_update``, the package's Laplace update before one likelihood
   evaluation served each Newton step, its Hessian and the posterior
   curvature: it evaluates the objective and gradient at each candidate and
-  recomputes the curvature from the iterate. ``neg_log_posterior`` and
-  ``hessian_lambda`` put argument checks in front of its objective,
-  gradient and curvature, so that tests can hold those against
-  ``dense_objective``, ``fd_gradient`` and ``fd_hessian``.
+  recomputes the curvature from the iterate. Its objective, its flat-prior
+  rule and its stall bound are the package's current ones.
+  ``neg_log_posterior`` and ``hessian_lambda`` put argument checks in front
+  of its objective, gradient and curvature, so that tests can hold those
+  against ``dense_objective``, ``fd_gradient`` and ``fd_hessian``.
 """
 
 from __future__ import annotations
@@ -41,15 +42,13 @@ from orbandit import (
     sample,
 )
 from orbandit.errors import _check_count, _numbers
-from orbandit.gaussian_belief import _permutation_matrix
+from orbandit.gaussian_belief import REL_TOL, _permutation_matrix
 from orbandit.logistic_model import (
     DECREMENT_TOL,
-    FLAT_DIAG_TOL,
     GRAD_TOL,
     MAX_HALVINGS,
     MAX_NEWTON_ITER,
     MAX_STEP_NORM,
-    STALLED_DECREMENT_TOL,
 )
 from orbandit.policy import _BETA_CHUNK, _beta_column
 
@@ -111,15 +110,16 @@ def _value_and_grad(
 ) -> tuple[float, np.ndarray]:
     """Negative log posterior (up to constants) and its gradient.
 
-    The likelihood part is evaluated as n*softplus(q) - c*q per arm, which
-    is exact and never overflows; the prior part is the quadratic form in
-    the prior precision, which contributes nothing along flat directions.
+    The likelihood part is evaluated as c*softplus(-q) + (n-c)*softplus(q)
+    per arm, which equals n*softplus(q) - c*q, never overflows and sums
+    non-negative terms; the prior part is the quadratic form in the prior
+    precision, which contributes nothing along flat directions.
     """
     q = _arm_logits(mu)
-    softplus = np.logaddexp(0.0, q)
     diff = mu - prior.mean
     prior_pull = prior.precision @ diff
-    value = float(np.sum(n * softplus - c * q) + 0.5 * diff @ prior_pull)
+    likelihood = c * np.logaddexp(0.0, -q) + (n - c) * np.logaddexp(0.0, q)
+    value = float(np.sum(likelihood) + 0.5 * diff @ prior_pull)
     residual = n * expit(q) - c
     grad = residual.copy()
     grad[-1] = residual.sum()
@@ -145,14 +145,16 @@ def _effective_counts(data: RoundData, prior: GaussianBelief) -> tuple[np.ndarra
 
     An arm whose observed counts are degenerate (all failures or all
     successes) has its maximizing log odds at infinity; when the prior is
-    also flat in that arm's coordinate nothing tempers the divergence, so
-    such arms get half a success and one extra trial. Arms with no trials
-    are left untouched: they contribute no likelihood, and their flat
-    directions are handled by the minimal-norm step in the solver.
+    also flat in that arm's coordinate (its diagonal within ``REL_TOL`` of
+    the largest) nothing tempers the divergence, so such arms get half a
+    success and one extra trial. Arms with no trials are left untouched:
+    they contribute no likelihood, and their flat directions are handled
+    by the minimal-norm step in the solver.
     """
     n = data.n.astype(float)
     c = data.c.astype(float)
-    flat = np.abs(np.diag(prior.precision)) <= FLAT_DIAG_TOL
+    diagonal = np.diag(prior.precision)
+    flat = np.abs(diagonal) <= REL_TOL * max(np.max(diagonal), 0.0)
     smooth = flat & (n >= 1.0) & ((c == 0.0) | (c == n))
     n = np.where(smooth, n + 1.0, n)
     c = np.where(smooth, c + 0.5, c)
@@ -167,8 +169,10 @@ def _newton_mode(n: np.ndarray, c: np.ndarray, prior: GaussianBelief) -> np.ndar
     systems (flat directions with no data) fall back to the minimal-norm
     solution, which leaves those coordinates at the prior mean because
     their gradient is zero. Stops on a small gradient or a small Newton
-    decrement.
+    decrement, or, once the search stalls, on a decrement within the
+    objective's float noise.
     """
+    noise_floor = 16.0 * np.finfo(float).eps
     mu = prior.mean.copy()
     value, grad = _value_and_grad(mu, n, c, prior)
     decrement = np.inf
@@ -193,7 +197,7 @@ def _newton_mode(n: np.ndarray, c: np.ndarray, prior: GaussianBelief) -> np.ndar
         # Accept on strict descent; once the value change is below the float
         # noise floor, accept on a gradient-norm drop instead (near the mode
         # Newton keeps shrinking the gradient after the value has saturated).
-        noise = 16.0 * np.finfo(float).eps * (1.0 + abs(value))
+        noise = noise_floor * (1.0 + abs(value))
         scale = 1.0
         improved = False
         for _ in range(MAX_HALVINGS + 1):
@@ -209,7 +213,7 @@ def _newton_mode(n: np.ndarray, c: np.ndarray, prior: GaussianBelief) -> np.ndar
         if not improved:
             break
     grad_norm = float(np.max(np.abs(grad)))
-    if grad_norm <= GRAD_TOL or decrement <= STALLED_DECREMENT_TOL:
+    if grad_norm <= GRAD_TOL or decrement <= noise_floor * (1.0 + abs(value)):
         return mu
     raise OptimizationFailureError(
         f"mode search did not converge (gradient infinity-norm {grad_norm:.3e})",

@@ -315,11 +315,12 @@ def test_scenario_round_validates_probabilities():
 
 
 def test_scenario_rejects_unknown_break_strategy():
-    """The scenario checks its break strategy, seed, draw count and mode,
-    naming the field."""
+    """The scenario checks its rounds, break strategy, seed, draw count and
+    mode, naming the field."""
     for field, value in (
         ("on_break", "carry_on"), ("seed", 1.5), ("seed", True), ("seed", "3"),
         ("n_draws", 2.5), ("n_draws", True), ("mode", "hybrid"),
+        ("rounds", scenario_rounds()[:1] + ({"active": ["A"], "p": {"A": 0.3}, "trials": 9},)),
     ):
         with pytest.raises(ConfigError, match=f"field '{field}'"):
-            ContinuousScenario(scenario_rounds(), **{field: value})
+            ContinuousScenario(**{"rounds": scenario_rounds(), field: value})

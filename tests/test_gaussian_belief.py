@@ -88,6 +88,18 @@ def test_nearly_singular_precision_counts_as_improper():
     assert not GaussianBelief(np.zeros(2), precision).is_proper()
 
 
+@pytest.mark.parametrize("scale", [1e-11, 1.0, 1e8])
+def test_properness_and_validity_do_not_depend_on_the_precision_scale(scale):
+    """Pivots and eigenvalues are judged against the largest diagonal
+    entry: a well-conditioned precision is proper at any scale, a pivot
+    1e-14 of the largest is flat at any scale, and an indefinite one is
+    rejected at any scale."""
+    assert GaussianBelief(np.zeros(3), scale * np.eye(3)).is_proper()
+    assert not GaussianBelief(np.zeros(2), scale * np.diag([1.0, 1e-14])).is_proper()
+    with pytest.raises(ConfigError, match="not positive semidefinite"):
+        GaussianBelief(np.zeros(2), scale * np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
 def no_eigvalsh(*args, **kwargs):
     raise AssertionError("eigvalsh ran")
 

@@ -61,6 +61,11 @@ def test_stationary_environment_returns_same_probs_every_round():
     p1 = env_step(spec, 1, rng)
     p2 = env_step(spec, 7, rng)
     np.testing.assert_array_equal(p1.p, p2.p)
+    # plain probabilities are checked into a ProbVector at construction
+    np.testing.assert_array_equal(env_step(Stationary([0.31, 0.30]), 1, rng).p, p1.p)
+    for p, named in (([0.3, 1.2], "inside"), (["0.3"], "field 'p'"), ([], "non-empty")):
+        with pytest.raises(ConfigError, match=named):
+            Stationary(p)
 
 
 def test_logit_drift_applies_one_shared_shift_per_round():
@@ -112,6 +117,13 @@ def test_regime_schedule_returns_block_probs_and_trials():
     for trials in (2.5, True, "100", -1):
         with pytest.raises(ValueError, match="field 'trials'"):
             RegimeSchedule(((ProbVector(np.array([0.3, 0.2])), trials),))
+    plain = RegimeSchedule(((np.array([0.3, 0.2]), 100), ([0.1, 0.05], 200)))
+    assert [p.p.tolist() for p, _ in plain.rounds] == [[0.3, 0.2], [0.1, 0.05]]
+    for p in (np.array([0.3, 0.0]), ["0.3", "0.2"]):
+        with pytest.raises(ConfigError):
+            RegimeSchedule(((p, 100),))
+    with pytest.raises(ConfigError, match="same arms"):
+        RegimeSchedule((([0.3, 0.2], 100), ([0.3, 0.2, 0.1], 100)))
 
 
 def test_two_regime_schedule_shapes_and_shift():
