@@ -124,20 +124,10 @@ class ArmRegistry:
 
 @dataclass(frozen=True)
 class RoundPlan:
-    """Traffic plan for one round over the active arms, in active order."""
+    """Traffic shares for one round: ``proportions.p[i]`` goes to ``active[i]``."""
 
     active: tuple[ArmId, ...]
-    observed: tuple[ArmId, ...]
-    unobserved: tuple[ArmId, ...]
     proportions: AllocationProportions
-
-    def __post_init__(self):
-        if set(self.observed) | set(self.unobserved) != set(self.active):
-            raise ConfigError("observed and unobserved must partition the active set")
-        if set(self.observed) & set(self.unobserved):
-            raise ConfigError("observed and unobserved must be disjoint")
-        if self.proportions.arms != len(self.active):
-            raise ConfigError("proportions must cover the active set")
 
 
 def _shares_enough(registry: ArmRegistry, active: Sequence[ArmId], mode: UpdateMode) -> bool:
@@ -191,28 +181,23 @@ def plan_round(
 ) -> RoundPlan:
     """Split traffic between manual exploration and Thompson sampling.
 
-    Arms never seen before get a manual 1/|active| share. Already-tracked
-    arms share the remaining |observed|/|active| of the traffic according
-    to Thompson winner frequencies computed on the belief marginalized to
-    exactly those arms (re-anchoring first if the reference sits out).
-    While that marginal's scored coordinates, all but the reference's base
-    rate, are improper, every active arm gets the manual 1/|active| share.
+    Every active arm starts at a manual 1/|active| share. The tracked
+    active arms (``keep``) then take |keep|/|active| of the traffic, split
+    by the Thompson winner frequencies of the belief marginalized to
+    exactly them (re-anchored first if the reference sits out). While that
+    marginal's scored coordinates, all but the reference's base rate, are
+    improper, every active arm keeps 1/|active|.
     """
     active = _validated_active(active)
     working = _anchored(registry, active)
-    tracked = set(working.arms)
-    observed = tuple(a for a in active if a in tracked)
-    unobserved = tuple(a for a in active if a not in tracked)
     m = len(active)
-    proportions = np.full(m, 1.0 / m)
-    if observed:
-        keep = [i for i, a in enumerate(working.arms) if a in observed]
+    shares = dict.fromkeys(active, 1.0 / m)
+    keep = [i for i, a in enumerate(working.arms) if a in shares]
+    if keep:
         base = _thompson(marginalize_keep(working.belief, keep), n_draws, rng)
         if base is not None:
-            share = len(observed) / m
-            ts_share = {working.arms[i]: share * w for i, w in zip(keep, base.p)}
-            proportions = np.array([ts_share.get(a, 1.0 / m) for a in active])
-    return RoundPlan(active, observed, unobserved, AllocationProportions(proportions))
+            shares.update((working.arms[i], len(keep) / m * w) for i, w in zip(keep, base.p))
+    return RoundPlan(active, AllocationProportions(np.array(list(shares.values()))))
 
 
 def absorb_round(

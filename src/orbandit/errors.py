@@ -98,11 +98,12 @@ class ConfigError(BanditError, ValueError):
 
 def _check_count(name: str, value, minimum: int):
     """Return ``value`` if it is an integer (bools excluded) of at least
-    ``minimum``; otherwise raise ``ConfigError`` naming the field."""
+    ``minimum`` that fits int64, as ``_numbers`` asks of count arrays;
+    otherwise raise ``ConfigError`` naming the field."""
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise ConfigError(f"field '{name}' must be an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"field '{name}' must be >= {minimum}, got {value}")
+    if not minimum <= value <= np.iinfo(np.int64).max:
+        raise ConfigError(f"field '{name}' must be >= {minimum} and fit int64, got {value}")
     return value
 
 

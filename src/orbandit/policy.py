@@ -156,25 +156,6 @@ def _block_rows(width: int, n_draws: int) -> int:
     return min(n_draws, max(1, _BLOCK_ELEMENTS // width))
 
 
-def _tally_winners(n_draws: int, width: int, draw) -> np.ndarray:
-    """Winner counts per column over ``n_draws`` draws of ``width`` scores,
-    made ``_block_rows`` at a time by ``draw(m)``, which returns an (m,
-    width) array. The last column scores zero. Ties go to the lowest
-    column, as in one argmax over all the draws."""
-    rows = _block_rows(width, n_draws)
-    counts = np.zeros(width, dtype=np.int64)
-    for start in range(0, n_draws, rows):
-        scores = draw(min(rows, n_draws - start))
-        scores[:, -1] = 0.0
-        winners = scores.argmax(axis=1)
-        # Free the block before the next one is drawn, so that it reuses
-        # the same heap memory; with two blocks alive, the heap is trimmed
-        # and grown again and the next block pays fresh page faults.
-        del scores
-        counts += np.bincount(winners, minlength=width)
-    return counts
-
-
 def _gaussian_survivors(belief: GaussianBelief, n_draws: int) -> np.ndarray:
     """Mask of the arms the dominance screen keeps for a proper belief.
 
@@ -222,8 +203,8 @@ def allocation_proportions(
     the survivors would take the factor of their marginal, a second
     factorization.
 
-    The draws are made and tallied in blocks of rows (``_tally_winners``),
-    each written into one reused buffer, so memory does not grow with
+    The draws are made and tallied in blocks of ``_block_rows`` rows, each
+    written into one reused buffer, so memory does not grow with
     ``n_draws``. The generator fills the buffer in C order, row after row,
     so consecutive blocks consume exactly the normals of one
     (n_draws, K) call, and each row's draw and winner depend on that row
@@ -241,8 +222,13 @@ def allocation_proportions(
     keep = _gaussian_survivors(belief, n_draws)
     if keep.sum() == 1 and belief.dim > 1:
         return _one_hot(belief.dim, int(keep.argmax()))
-    buffer = np.empty((_block_rows(belief.dim, n_draws), belief.dim))
-    counts = _tally_winners(n_draws, belief.dim, lambda m: _draw_into(belief, buffer[:m], rng))
+    rows = _block_rows(belief.dim, n_draws)
+    buffer = np.empty((rows, belief.dim))
+    counts = np.zeros(belief.dim, dtype=np.int64)
+    for start in range(0, n_draws, rows):
+        scores = _draw_into(belief, buffer[: min(rows, n_draws - start)], rng)
+        scores[:, -1] = 0.0
+        counts += np.bincount(scores.argmax(axis=1), minlength=belief.dim)
     return AllocationProportions(counts / float(n_draws))
 
 

@@ -20,6 +20,9 @@ exceptions:
   ``neg_log_posterior`` and ``hessian_lambda`` put argument checks in front
   of its objective, gradient and curvature, so that tests can hold those
   against ``dense_objective``, ``fd_gradient`` and ``fd_hessian``.
+
+``random_proper_belief`` is no oracle but the tests' one seeded random
+belief, kept here so that every test module draws it alike.
 """
 
 from __future__ import annotations
@@ -69,7 +72,15 @@ __all__ = [
     "marginalize_keep",
     "neg_log_posterior",
     "probs_from_params",
+    "random_proper_belief",
 ]
+
+
+def random_proper_belief(k: int, rng: np.random.Generator, ridge: float = 1.0) -> GaussianBelief:
+    """Precision R Rᵀ + ridge·I for a standard normal (k, k) matrix R, then
+    a standard normal mean: drawn from ``rng`` in that order."""
+    root = rng.normal(size=(k, k))
+    return GaussianBelief(rng.normal(size=k), root @ root.T + ridge * np.eye(k))
 
 
 def arm_logit_matrix(k: int) -> np.ndarray:

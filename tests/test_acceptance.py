@@ -17,7 +17,6 @@ from scipy.special import logit
 from orbandit import (
     ContinuousScenario,
     ExperimentConfig,
-    GaussianBelief,
     PolicyKind,
     RoundData,
     ScenarioRound,
@@ -42,14 +41,10 @@ from oracles import (
     fd_hessian,
     grid_allocation_probs,
     hessian_lambda,
+    random_proper_belief,
 )
 
 ALL_POLICIES = (PolicyKind.BETA_TS, PolicyKind.FULL_TS, PolicyKind.OR_TS)
-
-
-def random_proper_belief(k, rng, ridge=0.5):
-    root = rng.normal(size=(k, k))
-    return GaussianBelief(rng.normal(size=k), root @ root.T + ridge * np.eye(k))
 
 
 def test_acceptance_01_posterior_mode_oracle():
@@ -113,7 +108,7 @@ def test_acceptance_03_reference_invariance():
     k = 5
     c_ind = build_c_ind(k)
     for _ in range(20):
-        belief = random_proper_belief(k, rng)
+        belief = random_proper_belief(k, rng, ridge=0.5)
         perm = tuple(int(i) for i in rng.permutation(k))
 
         moved = transform(belief, compose_reindex(perm, k))
@@ -137,7 +132,7 @@ def test_acceptance_04_marginalization_consistency():
     rng = np.random.default_rng(20240401)
     for index in range(100):
         k = 2 + index % 9
-        belief = random_proper_belief(k, rng)
+        belief = random_proper_belief(k, rng, ridge=0.5)
         marginal = marginalize_drop_last(belief)
         np.testing.assert_allclose(
             marginal.covariance(), belief.covariance()[:-1, :-1], atol=1e-10
@@ -150,7 +145,7 @@ def test_acceptance_05_allocation_quadrature_oracle():
     the argmax probabilities within 0.01."""
     rng = np.random.default_rng(20240501)
     for _ in range(10):
-        belief = random_proper_belief(3, rng)
+        belief = random_proper_belief(3, rng, ridge=0.5)
         mc = allocation_proportions(belief, 100_000, np.random.default_rng(11))
         cov = belief.covariance()
         quad = grid_allocation_probs(belief.mean[:2], cov[:2, :2])

@@ -165,6 +165,10 @@ def test_invalid_config_returns_exit_code_2(tmp_path, capsys):
     fractional_trials = simulate_config(arms=2, environment={
         "kind": "regime_schedule", "rounds": [{"p": [0.3, 0.2], "trials": 2.5}] * 4,
     })
+    # Counts beyond int64 would overflow the multinomial draw.
+    huge_schedule_trials = simulate_config(arms=2, environment={
+        "kind": "regime_schedule", "rounds": [{"p": [0.3, 0.2], "trials": 10**20}] * 4,
+    })
     string_p = simulate_config(arms=2, environment={
         "kind": "regime_schedule", "rounds": [{"p": [0.3, "0.2"], "trials": 400}] * 4,
     })
@@ -184,6 +188,8 @@ def test_invalid_config_returns_exit_code_2(tmp_path, capsys):
         (without_policy, "field 'policy' is required"),
         (unknown_kind, "field 'environment.kind'"),
         (fractional_trials, "field 'environment' (regime_schedule): field 'trials'"),
+        (huge_schedule_trials, "field 'environment' (regime_schedule): field 'trials'"),
+        (simulate_config(trials=10**20), "field 'trials'"),
         (string_p, "field 'environment' (regime_schedule): field 'p'"),
         (drift("0.5"), "field 'environment' (logit_drift): field 'sigma'"),
         (drift(True), "field 'environment' (logit_drift): field 'sigma'"),
@@ -341,6 +347,8 @@ def test_continuous_rejects_bad_round(tmp_path, capsys):
         (in_round(2, trials=2.5), "round 2: field 'trials'"),
         (in_round(1, trials=True), "round 1: field 'trials'"),
         (in_round(3, trials=-1), "round 3: field 'trials'"),
+        (top(trials=10**20), "round 1: field 'trials'"),
+        (in_round(2, trials=10**20), "round 2: field 'trials'"),
         (lambda scenario: scenario.pop("trials"), "round 1: field 'trials'"),
         (top(on_continuity_brake="full_rank"), "unknown field(s) 'on_continuity_brake'"),
         (top(ndraws=10), "unknown field(s) 'ndraws'"),

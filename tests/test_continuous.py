@@ -150,20 +150,24 @@ def test_reference_reanchors_when_it_leaves_the_active_set():
 
 def test_plan_on_fresh_registry_is_uniform():
     rng = np.random.default_rng(1)
-    plan = plan_round(ArmRegistry.empty(), ("A", "B", "C"), 1000, rng)
+    registry = ArmRegistry.empty()
+    plan = plan_round(registry, ("A", "B", "C"), 1000, rng)
     np.testing.assert_allclose(plan.proportions.p, np.full(3, 1 / 3))
-    assert plan.observed == ()
-    assert plan.unobserved == ("A", "B", "C")
+    # no active arm is tracked, so each keeps exactly the manual share
+    assert registry.arms == ()
+    assert plan.active == ("A", "B", "C")
+    assert plan.proportions.p.tolist() == [1 / 3] * 3
 
 
 def test_plan_splits_between_observed_and_new_arms():
     registry = seeded_registry((40, 15, 10), (80, 50, 50))
     rng = np.random.default_rng(2)
     plan = plan_round(registry, ("A", "B", "C", "D"), 20_000, rng)
-    assert plan.observed == ("A", "B", "C")
-    assert plan.unobserved == ("D",)
+    # A, B and C are tracked; D is new
+    assert set(registry.arms) == {"A", "B", "C"}
+    assert plan.active == ("A", "B", "C", "D")
     # the new arm gets exactly 1/|active|
-    assert plan.proportions.p[3] == pytest.approx(0.25)
+    assert plan.proportions.p[3] == 1 / 4
     # observed arms share the remaining 3/4 by Thompson proportions
     assert plan.proportions.p[:3].sum() == pytest.approx(0.75)
     # arm A dominates the observed block
@@ -192,7 +196,8 @@ def test_plan_falls_back_to_uniform_when_marginal_is_improper():
     data = RoundData(np.array([60, 60, 0, 60]), np.array([25, 20, 0, 15]))
     registry = absorb_round(registry, ("A", "B", "D", "C"), data, UpdateMode.ODDS_RATIO)
     plan = plan_round(registry, ("B", "D"), 2000, np.random.default_rng(6))
-    assert plan.observed == ("B", "D")
+    # both active arms are tracked: D joined with zero trials
+    assert "B" in registry.arms and "D" in registry.arms
     np.testing.assert_allclose(plan.proportions.p, [0.5, 0.5])
 
 

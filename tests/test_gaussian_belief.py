@@ -18,13 +18,7 @@ from orbandit import (
     sample,
     transform,
 )
-from oracles import backsolve_sample, build_c_f, build_c_ind
-
-
-def random_proper_belief(k, rng, scale=1.0):
-    root = rng.normal(size=(k, k))
-    precision = root @ root.T + scale * np.eye(k)
-    return GaussianBelief(rng.normal(size=k), precision)
+from oracles import backsolve_sample, build_c_f, build_c_ind, random_proper_belief
 
 
 # --- construction -----------------------------------------------------------
@@ -88,6 +82,7 @@ def test_nearly_singular_precision_counts_as_improper():
     assert not GaussianBelief(np.zeros(2), precision).is_proper()
 
 
+@pytest.mark.blas_sensitive
 @pytest.mark.parametrize("scale", [1e-11, 1.0, 1e8])
 def test_properness_and_validity_do_not_depend_on_the_precision_scale(scale):
     """Pivots and eigenvalues are judged against the largest diagonal
@@ -240,7 +235,7 @@ def test_drop_last_matches_covariance_block():
 def test_drop_last_rounds_exactly_as_the_rank_one_schur_complement():
     rng = np.random.default_rng(7)
     for k in (2, 10, 50):
-        belief = random_proper_belief(k, rng, scale=1e3)
+        belief = random_proper_belief(k, rng, ridge=1e3)
         p = belief.precision
         rank_one = p[:-1, :-1] - np.outer(p[:-1, -1], p[-1, :-1]) / p[-1, -1]
         expected = GaussianBelief(belief.mean[:-1], rank_one)

@@ -27,12 +27,8 @@ from oracles import (
     hessian_lambda,
     neg_log_posterior,
     probs_from_params,
+    random_proper_belief,
 )
-
-
-def random_belief(k, rng, scale=1.0):
-    root = rng.normal(size=(k, k))
-    return GaussianBelief(rng.normal(size=k), root @ root.T + scale * np.eye(k))
 
 
 # --- round data and probabilities -------------------------------------------
@@ -81,7 +77,7 @@ def test_objective_value_matches_dense_reference():
     n = np.array([40, 55, 70])
     c = np.array([10, 20, 30])
     data = RoundData(n, c)
-    prior = random_belief(3, rng)
+    prior = random_proper_belief(3, rng)
     reference = dense_objective(n, c, prior.mean, prior.precision)
     for _ in range(5):
         mu = rng.normal(size=3)
@@ -95,7 +91,7 @@ def test_gradient_matches_finite_differences():
         n = rng.integers(20, 200, size=k)
         c = rng.binomial(n, 0.4)
         data = RoundData(n, c)
-        prior = random_belief(k, rng)
+        prior = random_proper_belief(k, rng)
         reference = dense_objective(n, c, prior.mean, prior.precision)
         mu = rng.normal(size=k)
         _, grad = neg_log_posterior(mu, data, prior)
@@ -147,7 +143,7 @@ def test_map_respects_informative_prior():
     rng = np.random.default_rng(13)
     n = np.array([60, 80, 90, 40])
     data = RoundData(n, rng.binomial(n, 0.35))
-    prior = random_belief(4, rng, scale=3.0)
+    prior = random_proper_belief(4, rng, ridge=3.0)
     mode = laplace_update(prior, data).mean
     _, grad = neg_log_posterior(mode, data, prior)
     assert np.max(np.abs(grad)) <= 1e-10
@@ -172,6 +168,7 @@ def test_map_smooths_degenerate_counts_under_flat_prior():
     np.testing.assert_allclose(mode[1], logit(0.5 / 21.0) - logit(0.5), atol=1e-10)
 
 
+@pytest.mark.blas_sensitive
 @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
 def test_flatness_for_smoothing_is_relative_to_the_prior_precision(scale):
     """A coordinate is flat when its prior precision is within 1e-10 of
@@ -201,6 +198,7 @@ def test_map_converges_at_large_counts():
     assert np.max(np.abs(grad)) <= 1e-10
 
 
+@pytest.mark.blas_sensitive
 @pytest.mark.parametrize("prior, trials", [
     (GaussianBelief(np.zeros(2), np.diag([2.0, 0.0])), 10**6),
     (GaussianBelief(np.zeros(2), np.diag([2.0, 0.0])), 10**7),
@@ -219,6 +217,7 @@ def test_all_success_rounds_converge_at_large_counts(prior, trials):
     assert np.max(np.abs(grad)) <= 1e-12 * trials
 
 
+@pytest.mark.blas_sensitive
 def test_flat_prior_with_an_idle_reference_gives_a_valid_improper_posterior():
     """With the reference idle under a flat prior, shifting the base rate
     against every odds ratio leaves the likelihood unchanged, so the
@@ -295,6 +294,7 @@ def _reference_prior(k, kind, rng):
     return GaussianBelief(rng.normal(scale=2.0, size=k), precision)
 
 
+@pytest.mark.blas_sensitive
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(
     k=st.integers(2, 50),
@@ -340,7 +340,7 @@ def test_laplace_update_matches_the_reference_bit_for_bit(k, kind, arms, seed):
 
 def test_laplace_update_adds_curvature_to_prior_precision():
     rng = np.random.default_rng(15)
-    prior = random_belief(3, rng, scale=2.0)
+    prior = random_proper_belief(3, rng, ridge=2.0)
     n = np.array([120, 90, 150])
     data = RoundData(n, rng.binomial(n, 0.25))
     posterior = laplace_update(prior, data)
@@ -350,7 +350,7 @@ def test_laplace_update_adds_curvature_to_prior_precision():
 
 def test_laplace_posterior_precision_matches_fd_hessian():
     rng = np.random.default_rng(16)
-    prior = random_belief(4, rng, scale=2.0)
+    prior = random_proper_belief(4, rng, ridge=2.0)
     n = np.array([200, 150, 180, 220])
     c = rng.binomial(n, 0.4)
     data = RoundData(n, c)
@@ -378,7 +378,7 @@ def test_unobserved_arm_marginal_is_untouched():
 
 def test_all_zero_round_keeps_belief_unchanged():
     rng = np.random.default_rng(17)
-    prior = random_belief(3, rng)
+    prior = random_proper_belief(3, rng)
     data = RoundData(np.zeros(3, dtype=int), np.zeros(3, dtype=int))
     posterior = laplace_update(prior, data)
     np.testing.assert_allclose(posterior.mean, prior.mean, atol=1e-12)

@@ -264,6 +264,7 @@ BLOCKED_POLICIES = {
 }
 
 
+@pytest.mark.blas_sensitive
 @pytest.mark.parametrize("policy", sorted(BLOCKED_POLICIES))
 @pytest.mark.parametrize("k, n_draws, spans_blocks", [
     (200, 10_007, True),
@@ -292,6 +293,7 @@ def test_blocked_tally_matches_one_full_draw(policy, k, n_draws, spans_blocks):
 DECISION_PEAK_BYTES = 8_000_000
 
 
+@pytest.mark.blas_sensitive
 @pytest.mark.parametrize("policy", sorted(BLOCKED_POLICIES))
 def test_allocation_memory_does_not_grow_with_n_draws(policy):
     """At K=200 with 50k draws and at K=20 with 1M draws, with every arm
