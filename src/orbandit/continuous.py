@@ -311,7 +311,8 @@ def run_continuous(scenario: ContinuousScenario) -> ContinuousResult:
     in), re-anchor, plan traffic, draw rewards, and absorb the counts.
     Deterministic for a fixed scenario seed, with separate streams for
     allocation noise, rewards, and policy sampling. An error inside round N
-    is raised as ``SimulationError`` naming the round's update mode and N.
+    is raised as ``SimulationError`` naming the round's update mode, N and
+    the scenario's seed.
     """
     streams = np.random.SeedSequence(scenario.seed).spawn(3)
     rng_alloc, rng_reward, rng_policy = (np.random.default_rng(s) for s in streams)
@@ -335,6 +336,6 @@ def run_continuous(scenario: ContinuousScenario) -> ContinuousResult:
             successes = draw_rewards(allocated, true_p, rng_reward)
             registry = absorb_round(registry, rnd.active, RoundData(allocated, successes), mode)
         except BanditError as exc:
-            raise SimulationError(mode.value, index, str(exc)) from exc
+            raise SimulationError(mode.value, index, str(exc), scenario.seed) from exc
         outcomes.append(RoundOutcome(index, decision, plan, allocated, successes, true_p.p))
     return ContinuousResult(tuple(outcomes), registry)

@@ -4,8 +4,9 @@ raise ``ConfigError``.
 There is one class per kind of fault. ``ConfigError`` is a bad argument;
 ``CannotSampleError``, ``OptimizationFailureError`` and
 ``ContinuityError`` are faults of the computation itself; and
-``SimulationError`` names the round in which a run failed. So whether an
-input was bad or a run failed is decided here, by the class raised.
+``SimulationError`` names the run and the round in which it failed. So
+whether an input was bad or a run failed is decided here, by the class
+raised.
 
 Every layer checks its inputs with the four rules kept here, next to the
 error they raise, and each rule names the field it rejects:
@@ -74,18 +75,21 @@ class SimulationError(BanditError):
     """A policy failed during a simulated experiment or a changing-arms
     scenario.
 
-    Carries the policy name (a scenario's update mode) and the 1-based
-    round index where it failed.
+    Carries the policy name (a scenario's update mode), the 1-based round
+    index where it failed and the seed of the failed run (a replication's
+    own seed, or the scenario's), which reruns that run alone.
     """
 
-    def __init__(self, policy: str, round_index: int, message: str):
-        super().__init__(f"policy {policy} failed at round {round_index}: {message}")
+    def __init__(self, policy: str, round_index: int, message: str, seed: int):
+        super().__init__(
+            f"policy {policy} failed at round {round_index} of the run with seed {seed}: {message}")
         self.policy = policy
         self.round_index = int(round_index)
+        self.seed = int(seed)
         self._message = message
 
     def __reduce__(self):
-        return (type(self), (self.policy, self.round_index, self._message))
+        return (type(self), (self.policy, self.round_index, self._message, self.seed))
 
 
 class ConfigError(BanditError, ValueError):

@@ -345,17 +345,23 @@ def sample(belief: GaussianBelief, count: int, rng: np.random.Generator) -> np.n
     return _draw_into(belief, np.empty((count, belief.dim)), rng)
 
 
-def _draw_into(belief: GaussianBelief, out: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def _draw_into(belief: GaussianBelief, out: np.ndarray, rng: np.random.Generator,
+               norms: np.ndarray | None = None) -> np.ndarray:
     """Fill the C-contiguous (rows, dim) array ``out`` with draws from a
     proper belief, in place, and return it.
 
     The normals fill ``out`` in C order, the order of one
     ``standard_normal((rows, dim))`` call, and the triangular multiply runs
     in place, so ``sample`` and the blocked Thompson tally share one path
-    from normals to draws.
+    from normals to draws. Given ``norms``, each row of normals is first
+    rescaled to the Euclidean norm given for it: a row of standard normals
+    has a uniform direction independent of its norm, so with squared
+    ``norms`` drawn from χ²(dim) the rows keep their law.
     """
     inverse = belief.inverse_factor
     rng.standard_normal(out=out)
+    if norms is not None:
+        out *= (norms / np.sqrt(np.einsum("ij,ij->i", out, out)))[:, None]
     draws = dtrmm(1.0, inverse, out.T, side=0, lower=1, trans_a=1, overwrite_b=1).T
     draws += belief.mean
     return draws

@@ -11,7 +11,7 @@ the arm of highest posterior mean, and an arm is screened out when its
 chance of tying or beating the leader in a draw, summed over every draw
 and every screened arm, stays within ``SCREEN_EPS``. The decision then
 needs only the surviving arms' draws, and none when the leader alone
-survives.
+survives or there is one arm.
 
 The Gaussian draws that remain are made and tallied block by block: each
 block of rows, about ``_BLOCK_ELEMENTS`` scores, is drawn, reduced to its
@@ -19,6 +19,14 @@ winners and added to an integer count. A decision's working memory is one
 block, whatever ``n_draws`` is. The generator fills arrays in C order, so
 the blocks consume exactly the stream of one full (n_draws, arms) draw:
 the proportions and the generator state are the same bits.
+
+That holds unless the radial split applies. A Gaussian draw whose K
+normals have a norm below the screen's radius r* is won by the leader
+whatever their direction. When that holds for at least half the draws
+in expectation, each draw is split into its norm and its direction:
+every draw gets a norm, and only the draws outside the ball get normals,
+rescaled to their norm. The winner counts keep the law of the full
+draw, with no tolerance of their own, on a different stream.
 
 The Beta draws are made column by column instead, in chunks of
 ``_BETA_CHUNK`` draws: within a chunk each surviving arm's scores come
@@ -35,10 +43,16 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import betaincinv, ndtri
+from scipy.special import betaincinv, chdtrc, ndtri
 
 from .errors import ConfigError, _check_choice, _check_count, _frozen_numbers
-from .gaussian_belief import GaussianBelief, _draw_into, _drop_last_precision, make_flat_belief
+from .gaussian_belief import (
+    REL_TOL,
+    GaussianBelief,
+    _draw_into,
+    _drop_last_precision,
+    make_flat_belief,
+)
 from .logistic_model import RoundData, laplace_update
 
 __all__ = [
@@ -156,8 +170,10 @@ def _block_rows(width: int, n_draws: int) -> int:
     return min(n_draws, max(1, _BLOCK_ELEMENTS // width))
 
 
-def _gaussian_survivors(belief: GaussianBelief, n_draws: int) -> np.ndarray:
-    """Mask of the arms the dominance screen keeps for a proper belief.
+def _gaussian_survivors(belief: GaussianBelief, n_draws: int) -> tuple[np.ndarray, int, float]:
+    """The dominance screen for a proper belief: the mask of the arms it
+    keeps, the leader, and the radius r* of the ball of normals in which
+    the leader wins every draw.
 
     Scores are the belief's coordinates with the reference fixed at zero,
     so with draws z @ L⁻¹ the score difference between arms i and j has
@@ -167,23 +183,36 @@ def _gaussian_survivors(belief: GaussianBelief, n_draws: int) -> np.ndarray:
     the leader's by more than z = −Φ⁻¹(ε / (n_draws (K − 1))) of those
     standard deviations, so it ties or beats the leader in one draw with
     probability below ε / (n_draws (K − 1)).
+
+    By Cauchy–Schwarz, a row of normals z moves the leader's lead over arm
+    j by at most ‖z‖ times that standard deviation, so the leader strictly
+    beats every arm, dropped ones included, when ‖z‖ is below the least
+    ratio of gap to standard deviation. r* is that ratio shrunk by the
+    fraction ``REL_TOL``, so that rounding in the computed scores cannot
+    hand a draw inside the ball to another arm; it is NaN when some arm
+    ties the leader in mean and spread, and infinite for one arm. A
+    one-arm belief keeps its arm.
     """
-    arms = belief.dim
-    if arms < 2:
-        return np.ones(arms, dtype=bool)
-    mean = belief.mean.copy()
-    mean[-1] = 0.0
-    leader = mean.argmax()
     # Row j of L⁻ᵀ holds score j's loadings on the normals; the reference
     # scores 0, so its row counts as zero.
     loadings = belief.inverse_factor.T
+    arms = belief.dim
+    if arms < 2:
+        return np.ones(arms, dtype=bool), 0, np.inf
+    mean = belief.mean.copy()
+    mean[-1] = 0.0
+    leader = int(mean.argmax())
     lead = loadings[leader] if leader < arms - 1 else 0.0
     diff = loadings - lead
     diff[-1] = -lead
     spread = np.sqrt(np.square(diff, out=diff).sum(axis=1))
+    gap = mean[leader] - mean
     z = -ndtri(SCREEN_EPS / (n_draws * (arms - 1)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = gap / spread
+    ratio[leader] = np.inf
     # Written so that a NaN keeps its arm.
-    return ~(mean[leader] - mean > z * spread)
+    return ~(gap > z * spread), leader, float(ratio.min() * (1.0 - REL_TOL))
 
 
 def allocation_proportions(
@@ -196,39 +225,57 @@ def allocation_proportions(
     moving the shared base rate; ties break toward the lowest arm index.
 
     A dominance screen runs first (``_gaussian_survivors``). When it drops
-    every arm but the leader, the result is one-hot on the leader and the
-    generator is not touched; otherwise all ``n_draws`` draws are made
-    exactly as without the screen, so the result and the generator state
-    are the same bits. A partial screen saves nothing here: drawing only
-    the survivors would take the factor of their marginal, a second
-    factorization.
+    every arm but the leader, or the belief has one arm, the result is
+    one-hot on the leader and the generator is not touched. A partial
+    screen saves nothing here: drawing only the survivors would take the
+    factor of their marginal, a second factorization.
 
     The draws are made and tallied in blocks of ``_block_rows`` rows, each
     written into one reused buffer, so memory does not grow with
-    ``n_draws``. The generator fills the buffer in C order, row after row,
-    so consecutive blocks consume exactly the normals of one
-    (n_draws, K) call, and each row's draw and winner depend on that row
-    alone: the proportions and the generator state equal those of one
-    full draw.
+    ``n_draws``. Each row's winner depends on that row alone.
 
-    Soundness: couple the one-hot result with a full draw. They differ
-    only if some dropped arm ties or beats the leader in some draw, and
-    each of at most n_draws (K − 1) such events has probability below
-    ε / (n_draws (K − 1)). By the union bound the one-hot result differs
-    from the full Monte Carlo result with probability below ε =
+    Radial split. A row of K standard normals is z = R·u, with R² ~ χ²(K)
+    and the direction u uniform on the sphere and independent of R. Rows
+    with R below the screen's radius r* are won by the leader whatever u
+    is. When the chance χ²(K) > r*², the share of rows outside the ball,
+    is at most one half, each block draws its rows' R² first, in one
+    ``chisquare`` call, and gives the leader every row inside the ball;
+    then the K normals of each row outside, one ``standard_normal`` call
+    for all of them, rescaled to that row's R, are tallied as usual. The
+    stream is: per block, its radii, then its outside rows' normals. The
+    rescaled rows are R·u with u uniform, so the winner counts have exactly
+    the law of the full draw. Otherwise the stream is that of one full
+    (n_draws, K) draw of normals, block by block, and the proportions and
+    the generator state equal those of one full draw.
+
+    Soundness of the screen: couple the one-hot result with a full draw.
+    They differ only if some dropped arm ties or beats the leader in some
+    draw, and each of at most n_draws (K − 1) such events has probability
+    below ε / (n_draws (K − 1)). By the union bound the one-hot result
+    differs from the full Monte Carlo result with probability below ε =
     ``SCREEN_EPS``, which bounds their total variation distance.
     """
     _check_count("n_draws", n_draws, 1)
-    keep = _gaussian_survivors(belief, n_draws)
-    if keep.sum() == 1 and belief.dim > 1:
-        return _one_hot(belief.dim, int(keep.argmax()))
-    rows = _block_rows(belief.dim, n_draws)
-    buffer = np.empty((rows, belief.dim))
-    counts = np.zeros(belief.dim, dtype=np.int64)
+    keep, leader, radius = _gaussian_survivors(belief, n_draws)
+    arms = belief.dim
+    if keep.sum() == 1:
+        return _one_hot(arms, leader)
+    # Split only when it skips half the rows; NaN radii never split.
+    floor = radius**2 if chdtrc(arms, radius**2) <= 0.5 else 0.0
+    rows = _block_rows(arms, n_draws)
+    buffer = np.empty((rows, arms))
+    counts = np.zeros(arms, dtype=np.int64)
     for start in range(0, n_draws, rows):
-        scores = _draw_into(belief, buffer[: min(rows, n_draws - start)], rng)
+        size = min(rows, n_draws - start)
+        norms = None
+        if floor:
+            squared = rng.chisquare(arms, size)
+            norms = np.sqrt(squared[squared >= floor])
+            counts[leader] += size - norms.size
+            size = norms.size
+        scores = _draw_into(belief, buffer[:size], rng, norms)
         scores[:, -1] = 0.0
-        counts += np.bincount(scores.argmax(axis=1), minlength=belief.dim)
+        counts += np.bincount(scores.argmax(axis=1), minlength=arms)
     return AllocationProportions(counts / float(n_draws))
 
 
@@ -308,8 +355,8 @@ def beta_ts_proportions(
     """Monte Carlo winner frequencies under independent Beta posteriors.
 
     A dominance screen runs first (``_beta_survivors``); only the arms it
-    keeps are drawn, and a lone survivor is returned one-hot without
-    touching the generator.
+    keeps are drawn, and a lone survivor, one arm included, is returned
+    one-hot without touching the generator.
 
     The draws are made in chunks of ``_BETA_CHUNK`` rows, column by column
     within a chunk: each surviving arm, in arm order, takes the chunk's
@@ -330,7 +377,7 @@ def beta_ts_proportions(
     """
     _check_count("n_draws", n_draws, 1)
     survivors = np.flatnonzero(_beta_survivors(state, n_draws))
-    if survivors.size == 1 and state.arms > 1:
+    if survivors.size == 1:
         return _one_hot(state.arms, int(survivors[0]))
     counts = np.zeros(state.arms, dtype=np.int64)
     for start in range(0, n_draws, _BETA_CHUNK):

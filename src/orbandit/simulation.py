@@ -308,7 +308,7 @@ def run_experiment(config: ExperimentConfig, spec: EnvironmentSpec) -> Experimen
             proportions = (initial_proportions(arms) if row == 0
                            else _propose(state, config.n_draws, rng_policy))
         except BanditError as exc:
-            raise SimulationError(config.policy.value, round_index, str(exc)) from exc
+            raise SimulationError(config.policy.value, round_index, str(exc), config.seed) from exc
         trials = config.trials_per_round if schedule is None else schedule[row][1]
         allocated = allocate_trials(proportions, trials, rng_alloc)
         env_p = env_step(spec, round_index, rng_env)
@@ -317,7 +317,7 @@ def run_experiment(config: ExperimentConfig, spec: EnvironmentSpec) -> Experimen
         try:
             state = _update(state, RoundData(allocated, successes))
         except BanditError as exc:
-            raise SimulationError(config.policy.value, round_index, str(exc)) from exc
+            raise SimulationError(config.policy.value, round_index, str(exc), config.seed) from exc
         result.proportions[row] = proportions.p
         result.allocated[row] = allocated
         result.successes[row] = successes

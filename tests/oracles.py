@@ -9,6 +9,9 @@ exceptions:
   tally: the Gaussian one is the package's allocation before it screened
   arms or drew in blocks, and the Beta one draws each arm's column, chunk
   by chunk, with the package's own ``_beta_column`` into one full matrix;
+- ``radial_winner_counts``, which lays out its stream in the package's
+  blocks of ``_block_rows`` rows, since the radial split's stream depends
+  on them; its radius comes from ``radial_split``, a back-solve per arm;
 - ``marginalize_keep``, the package's marginal before it went through a
   Cholesky factor: an eigen-decomposition pseudo-inverse of the dropped
   block;
@@ -31,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.special import expit
+from scipy.special import expit, gammaincc
 
 from orbandit import (
     AllocationProportions,
@@ -53,7 +56,7 @@ from orbandit.logistic_model import (
     MAX_NEWTON_ITER,
     MAX_STEP_NORM,
 )
-from orbandit.policy import _BETA_CHUNK, _beta_column
+from orbandit.policy import _BETA_CHUNK, _beta_column, _block_rows
 
 __all__ = [
     "allocation_proportions",
@@ -72,6 +75,8 @@ __all__ = [
     "marginalize_keep",
     "neg_log_posterior",
     "probs_from_params",
+    "radial_split",
+    "radial_winner_counts",
     "random_proper_belief",
 ]
 
@@ -408,6 +413,64 @@ def backsolve_winner_counts(mean, precision, n_draws: int, rng: np.random.Genera
     scores = backsolve_sample(mean, precision, n_draws, rng)
     scores[:, -1] = 0.0
     return np.bincount(np.argmax(scores, axis=1), minlength=scores.shape[1])
+
+
+def radial_split(mean, precision) -> tuple[int, float] | None:
+    """The leader and the radius of the radial split of a Thompson
+    decision, or None when the split does not apply.
+
+    With precision = L Lᵀ, a row of normals z gives the scores x = L⁻ᵀ z,
+    and the leader l's lead over arm j moves by z · L⁻¹ c_j, where c_j is
+    e_l − e_j with its reference entry set to zero (the reference scores
+    zero). Each L⁻¹ c_j is one back-solve. The radius is the least ratio
+    of the lead in mean to ‖L⁻¹ c_j‖ over j ≠ l, shrunk by the fraction
+    ``REL_TOL``; the split applies when a χ²(K) draw exceeds its square
+    with probability at most one half, the regularized upper incomplete
+    gamma Q(K/2, r²/2).
+    """
+    mean = np.array(mean, dtype=float)
+    mean[-1] = 0.0
+    k = mean.size
+    leader = int(np.argmax(mean))
+    others = [j for j in range(k) if j != leader]
+    leads = np.eye(k)[:, [leader]] - np.eye(k)[:, others]
+    leads[-1] = 0.0
+    factor = np.linalg.cholesky(np.asarray(precision, dtype=float))
+    spreads = np.linalg.norm(solve_triangular(factor, leads, lower=True), axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        radius = float(np.min((mean[leader] - mean[others]) / spreads)) * (1.0 - REL_TOL)
+    if not gammaincc(k / 2.0, radius * radius / 2.0) <= 0.5:
+        return None
+    return leader, radius
+
+
+def radial_winner_counts(mean, precision, n_draws: int, rng: np.random.Generator,
+                         leader: int, radius: float) -> np.ndarray:
+    """Thompson winner counts per arm with each draw split into its norm
+    and its direction.
+
+    In blocks of the package's ``_block_rows`` rows: one χ²(K) draw per
+    row, the square of its norm; rows with a norm below ``radius`` go to
+    ``leader``; then one (rows outside, K) draw of normals, each row
+    rescaled to its norm and back-solved as in ``backsolve_sample``. The
+    reference scores zero and ties go to the lowest index.
+    """
+    mean = np.asarray(mean, dtype=float)
+    k = mean.size
+    factor = np.linalg.cholesky(np.asarray(precision, dtype=float))
+    rows = _block_rows(k, n_draws)
+    counts = np.zeros(k, dtype=np.int64)
+    for start in range(0, n_draws, rows):
+        norms = np.sqrt(rng.chisquare(k, min(rows, n_draws - start)))
+        outside = norms >= radius
+        counts[leader] += np.count_nonzero(~outside)
+        directions = rng.standard_normal((np.count_nonzero(outside), k))
+        directions /= np.linalg.norm(directions, axis=1)[:, None]
+        z = directions * norms[outside][:, None]
+        scores = mean + solve_triangular(factor, z.T, lower=True, trans="T").T
+        scores[:, -1] = 0.0
+        counts += np.bincount(np.argmax(scores, axis=1), minlength=k)
+    return counts
 
 
 def allocation_proportions(

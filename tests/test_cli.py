@@ -257,7 +257,7 @@ def test_runtime_failure_returns_exit_code_1(tmp_path, capsys, monkeypatch):
     write_json(config, simulate_config())
     argv = ["simulate", "--config", str(config), "--out", str(tmp_path / "o"), "--policy", "or_ts"]
     assert main(argv) == 1
-    assert "policy or_ts failed at round 2" in capsys.readouterr().err
+    assert "policy or_ts failed at round 2 of the run with seed 9" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
     absorbs = []
@@ -272,7 +272,7 @@ def test_runtime_failure_returns_exit_code_1(tmp_path, capsys, monkeypatch):
     write_json(config, continuous_scenario())
     assert main(["continuous", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("runtime error") and "failed at round 2" in err, err
+    assert err.startswith("runtime error") and "failed at round 2 of the run with seed 5" in err, err
     assert not (tmp_path / "o").exists()
 
 

@@ -96,11 +96,12 @@ def test_allocation_is_deterministic_given_generator_state():
 # --- allocation against the back-solve oracle ---------------------------------
 
 
-def or_ts_belief(k, trials, seed, spread=0.25):
+def or_ts_belief(k, trials, seed, spread=0.25, p=None):
     """Belief after two odds-ratio rounds of ``trials`` split evenly, with
-    arm rates spread over ``spread`` above 0.05."""
+    arm rates ``p``, or else spread over ``spread`` above 0.05."""
     rng = np.random.default_rng(seed)
-    p = rng.uniform(0.05, 0.05 + spread, size=k)
+    if p is None:
+        p = rng.uniform(0.05, 0.05 + spread, size=k)
     state = LogisticPolicyState.flat_start(k, UpdateMode.ODDS_RATIO)
     for _ in range(2):
         n = np.full(k, trials // k)
@@ -120,30 +121,99 @@ def continuous_marginal(seed):
     return marginalize_keep(registry.belief, [0, 2, 3, 5])
 
 
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda: or_ts_belief(2, 10_000, 2),
-        lambda: or_ts_belief(10, 10_000, 10),
-        lambda: or_ts_belief(50, 10_000, 50),
-        lambda: or_ts_belief(200, 10_000, 200),
-        lambda: or_ts_belief(10, 1_000_000, 3, spread=0.002),
-        lambda: continuous_marginal(5),
-    ],
-    ids=["k2", "k10", "k50", "k200", "k10_1e6_trials", "continuous_marginal"],
-)
-def test_allocation_matches_the_backsolve_oracle(make):
+# id -> (belief, whether the decision takes the radial split)
+ORACLE_BELIEFS = {
+    "k2": (lambda: or_ts_belief(2, 10_000, 2), True),
+    "k10": (lambda: or_ts_belief(10, 10_000, 10), False),
+    "k50": (lambda: or_ts_belief(50, 10_000, 50), False),
+    "k200": (lambda: or_ts_belief(200, 10_000, 200), False),
+    "k10_1e6_trials": (lambda: or_ts_belief(10, 1_000_000, 3, spread=0.002), False),
+    "continuous_marginal": (lambda: continuous_marginal(5), False),
+    "k10_clear_leader": (lambda: or_ts_belief(10, 200_000, 0, p=np.r_[0.31, np.full(9, 0.30)]),
+                         True),
+}
+
+
+def oracle_winner_counts(belief, n_draws, rng, splits):
+    """The radial oracle's counts when the decision splits, the back-solve
+    oracle's otherwise; ``splits`` is the path the case must take."""
+    split = oracles.radial_split(belief.mean, belief.precision)
+    assert (split is not None) == splits
+    if split is None:
+        return backsolve_winner_counts(belief.mean, belief.precision, n_draws, rng)
+    return oracles.radial_winner_counts(belief.mean, belief.precision, n_draws, rng, *split)
+
+
+@pytest.mark.parametrize("case", list(ORACLE_BELIEFS))
+def test_allocation_matches_the_backsolve_oracle(case):
+    """Without the radial split, the proportions and the generator state
+    are the back-solve oracle's, bit for bit; with it, the radial
+    oracle's (the radii, then back-solved directions)."""
+    make, splits = ORACLE_BELIEFS[case]
     belief = make()
     assert belief.is_proper()
     rng, oracle_rng = np.random.default_rng(20), np.random.default_rng(20)
     props = allocation_proportions(belief, 10_000, rng)
-    counts = backsolve_winner_counts(belief.mean, belief.precision, 10_000, oracle_rng)
+    counts = oracle_winner_counts(belief, 10_000, oracle_rng, splits)
     np.testing.assert_array_equal(props.p, counts / 10_000.0)
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
     draws = sample(belief, 2_000, np.random.default_rng(21))
     expected = backsolve_sample(belief.mean, belief.precision, 2_000, np.random.default_rng(21))
     np.testing.assert_allclose(draws, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+
+# Significance of the law check, shared out over arms.
+LAW_ALPHA = 1e-7
+
+
+def covariance_factor_counts(belief, n_draws, rng, chunk=100_000):
+    """Winner counts from draws through the covariance's Cholesky factor,
+    a construction independent of the precision's."""
+    cov = np.linalg.inv(belief.precision)
+    factor = np.linalg.cholesky(0.5 * (cov + cov.T))
+    counts = np.zeros(belief.dim, dtype=np.int64)
+    for start in range(0, n_draws, chunk):
+        normals = rng.standard_normal((min(chunk, n_draws - start), belief.dim))
+        scores = belief.mean + normals @ factor.T
+        scores[:, -1] = 0.0
+        counts += np.bincount(np.argmax(scores, axis=1), minlength=belief.dim)
+    return counts
+
+
+@pytest.mark.parametrize("case", [case for case, (_, splits) in ORACLE_BELIEFS.items() if splits])
+def test_radial_split_keeps_the_law_of_the_full_draw(case):
+    """At 400 001 draws, four blocks at K=2, the radial split matches its
+    oracle bit for bit, and no arm's winner count differs from that of
+    independent covariance-factor draws by more than chance allows.
+    Given the sum of an arm's two counts, its count is hypergeometric
+    under one law; the binomial with the same sum and the share of the
+    draws is wider, so its tails make a conservative two-sided test."""
+    make, splits = ORACLE_BELIEFS[case]
+    belief = make()
+    n_draws = 400_001
+    rng, oracle_rng = np.random.default_rng(22), np.random.default_rng(22)
+    counts = np.rint(allocation_proportions(belief, n_draws, rng).p * n_draws).astype(np.int64)
+    np.testing.assert_array_equal(counts, oracle_winner_counts(belief, n_draws, oracle_rng, splits))
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    ref_counts = covariance_factor_counts(belief, n_draws, np.random.default_rng(23))
+    total = counts + ref_counts
+    tail = np.minimum(stats.binom.cdf(counts, total, 0.5), stats.binom.sf(counts - 1, total, 0.5))
+    assert np.all(2.0 * tail >= LAW_ALPHA / belief.dim), (counts, ref_counts)
+    assert (counts[1:] > 0).any() and (ref_counts[1:] > 0).any()
+
+
+def test_one_arm_decisions_draw_nothing():
+    """One arm is one-hot, and neither policy touches the generator."""
+    for proportions, state in (
+        (allocation_proportions, GaussianBelief(np.array([0.3]), np.array([[2.0]]))),
+        (beta_ts_proportions, BetaState.uniform_prior(1)),
+    ):
+        rng = np.random.default_rng(24)
+        before = rng.bit_generator.state
+        np.testing.assert_array_equal(proportions(state, 10_000, rng).p, [1.0])
+        assert rng.bit_generator.state == before
 
 
 # --- beta-bernoulli baseline --------------------------------------------------
@@ -257,7 +327,8 @@ def spread_beta_state(k, seed):
 # (policy, its full-draw oracle, its screen, arm count -> a state the
 # screen keeps whole, (arm count, n_draws) -> rows per block or chunk)
 BLOCKED_POLICIES = {
-    "gaussian": (allocation_proportions, oracles.allocation_proportions, _gaussian_survivors,
+    "gaussian": (allocation_proportions, oracles.allocation_proportions,
+                 lambda belief, n_draws: _gaussian_survivors(belief, n_draws)[0],
                  lambda k: or_ts_belief(k, 50 * k, k), _block_rows),
     "beta": (beta_ts_proportions, oracles.beta_ts_proportions, _beta_survivors,
              lambda k: spread_beta_state(k, k), lambda k, n_draws: min(n_draws, _BETA_CHUNK)),

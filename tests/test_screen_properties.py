@@ -1,11 +1,13 @@
 """Property checks for the dominance screen in front of the Thompson draws.
 
 The screened allocation must be the full draw's, bit for bit, whenever the
-screen keeps every arm; a settled decision must be one the full draw makes
-too; and every arm the screen drops must be one whose chance of tying or
+screen keeps every arm (or, for a Gaussian decision that takes the radial
+split, the radial oracle's); a settled decision must be one the full draw
+makes too; every arm the screen drops must be one whose chance of tying or
 beating the leader is within the screen's per-draw budget, computed here
 from the forward distribution functions rather than the screen's own
-quantiles and factors.
+quantiles and factors; and every Gaussian draw inside the radial split's
+ball must be the leader's.
 """
 
 import numpy as np
@@ -21,6 +23,7 @@ from orbandit import (
     allocation_proportions,
     beta_ts_proportions,
 )
+from orbandit.gaussian_belief import _draw_into
 from orbandit.policy import _beta_survivors, _gaussian_survivors
 
 properties = settings(derandomize=True, deadline=None, max_examples=100)
@@ -119,15 +122,22 @@ def test_beta_screen_drops_only_arms_within_budget(state, n_draws):
 @given(belief=gaussian_beliefs(), n_draws=draw_counts, seed=seeds)
 def test_gaussian_screen_matches_the_full_draw(belief, n_draws, seed):
     """Some arm besides the leader kept: the full draw's bits and generator
-    state. Only the leader kept: a settled decision."""
-    keep = _gaussian_survivors(belief, n_draws)
+    state, or the radial oracle's when the decision takes the split. Only
+    the leader kept: a settled decision."""
+    keep, _, _ = _gaussian_survivors(belief, n_draws)
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     p = allocation_proportions(belief, n_draws, rng).p
     if keep.sum() == 1:
         assert_settled(p, np.flatnonzero(keep)[0], rng, seed,
                        lambda draws, r: oracles.allocation_proportions(belief, draws, r))
         return
-    np.testing.assert_array_equal(p, oracles.allocation_proportions(belief, n_draws, oracle_rng).p)
+    split = oracles.radial_split(belief.mean, belief.precision)
+    if split is None:
+        expected = oracles.allocation_proportions(belief, n_draws, oracle_rng).p
+    else:
+        expected = oracles.radial_winner_counts(
+            belief.mean, belief.precision, n_draws, oracle_rng, *split) / float(n_draws)
+    np.testing.assert_array_equal(p, expected)
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
@@ -137,7 +147,7 @@ def test_gaussian_screen_drops_only_arms_within_budget(belief, n_draws):
     """No dropped arm ties or beats the leader in one draw with probability
     Φ(−gap / sd) above ε / (n_draws (K − 1)), with the score covariance
     taken from the inverse of the precision and the reference scored 0."""
-    keep = _gaussian_survivors(belief, n_draws)
+    keep, _, _ = _gaussian_survivors(belief, n_draws)
     cov = np.linalg.inv(belief.precision)
     cov[-1, :] = 0.0
     cov[:, -1] = 0.0
@@ -150,3 +160,41 @@ def test_gaussian_screen_drops_only_arms_within_budget(belief, n_draws):
         sd = np.sqrt(cov[leader, leader] + cov[j, j] - 2.0 * cov[leader, j])
         chance = ndtr(-(mean[leader] - mean[j]) / sd)
         assert chance <= budget * (1.0 + RTOL), (j, chance, budget)
+
+
+class FixedNormals:
+    """Stands in for a generator: fills ``out`` with preset rows."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def standard_normal(self, out):
+        out[...] = self.rows
+
+
+@properties
+@given(belief=gaussian_beliefs(), seed=seeds)
+def test_gaussian_rows_inside_the_ball_go_to_the_leader(belief, seed):
+    """Rows of normals with a norm below the screen's radius, pushed
+    through the tally's own rescale and multiply, are all won by the
+    leader. Besides random directions, each arm j gets the direction that
+    raises its score against the leader's fastest, at norms up to the
+    largest float below the radius, where only the radius's ``REL_TOL``
+    margin keeps rounding from handing the row to arm j."""
+    _, leader, radius = _gaussian_survivors(belief, 10_000)
+    if not 0.0 < radius < np.inf:
+        return
+    k = belief.dim
+    loadings = belief.inverse_factor.T.copy()
+    loadings[-1] = 0.0
+    toward = loadings - loadings[leader]
+    toward = np.delete(toward, leader, axis=0)
+    toward = toward[np.linalg.norm(toward, axis=1) > 0]
+    rng = np.random.default_rng(seed)
+    directions = np.vstack([toward, rng.normal(size=(8, k))])
+    fractions = np.array([0.0, 0.5, 0.9, 1.0 - 1e-6, np.nextafter(1.0, 0.0)])
+    rows = np.repeat(directions, fractions.size, axis=0)
+    norms = np.tile(fractions, directions.shape[0]) * radius
+    scores = _draw_into(belief, np.empty_like(rows), FixedNormals(rows), norms)
+    scores[:, -1] = 0.0
+    assert (np.argmax(scores, axis=1) == leader).all()

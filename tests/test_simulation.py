@@ -1,5 +1,6 @@
 """Simulation harness: environments, allocation arithmetic, replications."""
 
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy.special import expit, logit
 from orbandit import (
     AllocationProportions,
     BetaState,
+    CannotSampleError,
     ConfigError,
     ExperimentConfig,
     ExperimentResult,
@@ -16,6 +18,7 @@ from orbandit import (
     PolicyKind,
     ProbVector,
     RegimeSchedule,
+    SimulationError,
     Stationary,
     allocate_trials,
     beta_ts_proportions,
@@ -25,6 +28,7 @@ from orbandit import (
     run_experiment,
     run_replications,
     sigma_from_d,
+    simulation,
     single_best_arm_logits,
     two_regime_schedule,
 )
@@ -382,6 +386,32 @@ def test_parallel_and_serial_replications_agree():
         serial.cumulative_regret(PolicyKind.FULL_TS),
         parallel.cumulative_regret(PolicyKind.FULL_TS),
     )
+
+
+def test_simulation_error_names_the_failed_replication(monkeypatch):
+    """The update fails in round 1 of the one replication whose round-1
+    success counts are replication 2's: the error names that
+    replication's seed, and keeps it through the pickling that brings it
+    back from a pool worker."""
+    config = small_config(PolicyKind.OR_TS, replications=3)
+    spec = drift_environment(4, 0.31, 0.30, 0.0)
+    first = [tuple(run_experiment(replace(config, rounds=1, seed=seed), spec).successes[0])
+             for seed in range(config.seed, config.seed + 3)]
+    assert first[2] not in first[:2]
+    real_update = simulation.or_ts_update
+
+    def failing_update(state, data):
+        if state.round_index == 0 and tuple(data.c) == first[2]:
+            raise CannotSampleError("forced")
+        return real_update(state, data)
+
+    monkeypatch.setattr(simulation, "or_ts_update", failing_update)
+    with pytest.raises(SimulationError) as caught:
+        run_replications(config, spec)
+    for err in (caught.value, pickle.loads(pickle.dumps(caught.value))):
+        assert type(err) is SimulationError
+        assert (err.policy, err.round_index, err.seed) == ("or_ts", 1, 23)
+        assert "policy or_ts failed at round 1 of the run with seed 23: forced" in str(err)
 
 
 def test_stderr_uses_sample_standard_deviation():
