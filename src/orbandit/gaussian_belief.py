@@ -342,26 +342,28 @@ def sample(belief: GaussianBelief, count: int, rng: np.random.Generator) -> np.n
     own buffer, so no covariance matrix is formed.
     """
     _check_count("count", count, 1)
-    return _draw_into(belief, np.empty((count, belief.dim)), rng)
+    return _draw_into(belief.inverse_factor, belief.mean, np.empty((count, belief.dim)), rng)
 
 
-def _draw_into(belief: GaussianBelief, out: np.ndarray, rng: np.random.Generator,
-               norms: np.ndarray | None = None) -> np.ndarray:
-    """Fill the C-contiguous (rows, dim) array ``out`` with draws from a
-    proper belief, in place, and return it.
+def _draw_into(factor: np.ndarray, mean: np.ndarray, out: np.ndarray, rng: np.random.Generator,
+               norms: np.ndarray | None = None, lower: bool = True) -> np.ndarray:
+    """Fill the C-contiguous (rows, dim) array ``out`` with the draws
+    ``mean + z @ factor`` of standard normals z, in place, and return it.
 
-    The normals fill ``out`` in C order, the order of one
-    ``standard_normal((rows, dim))`` call, and the triangular multiply runs
-    in place, so ``sample`` and the blocked Thompson tally share one path
-    from normals to draws. Given ``norms``, each row of normals is first
-    rescaled to the Euclidean norm given for it: a row of standard normals
-    has a uniform direction independent of its norm, so with squared
-    ``norms`` drawn from χ²(dim) the rows keep their law.
+    ``factor`` is a (dim, dim) triangular matrix, lower or upper as
+    ``lower`` says: a belief's L⁻¹ draws the belief, and any factor F with
+    FᵀF = Σ draws a Gaussian of covariance Σ. The normals fill ``out`` in
+    C order, the order of one ``standard_normal((rows, dim))`` call, and
+    the triangular multiply runs in place, so ``sample`` and the blocked
+    Thompson tally share one path from normals to draws. Given ``norms``,
+    each row of normals is first rescaled to the Euclidean norm given for
+    it: a row of standard normals has a uniform direction independent of
+    its norm, so with squared ``norms`` drawn from χ²(dim) the rows keep
+    their law.
     """
-    inverse = belief.inverse_factor
     rng.standard_normal(out=out)
     if norms is not None:
         out *= (norms / np.sqrt(np.einsum("ij,ij->i", out, out)))[:, None]
-    draws = dtrmm(1.0, inverse, out.T, side=0, lower=1, trans_a=1, overwrite_b=1).T
-    draws += belief.mean
+    draws = dtrmm(1.0, factor, out.T, side=0, lower=int(lower), trans_a=1, overwrite_b=1).T
+    draws += mean
     return draws

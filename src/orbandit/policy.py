@@ -10,22 +10,25 @@ Both allocation functions screen the arms before drawing. The leader is
 the arm of highest posterior mean, and an arm is screened out when its
 chance of tying or beating the leader in a draw, summed over every draw
 and every screened arm, stays within ``SCREEN_EPS``. The decision then
-needs only the surviving arms' draws, and none when the leader alone
-survives or there is one arm.
+draws only the surviving arms, and nothing when the leader alone
+survives or there is one arm. A Gaussian decision that drops an arm
+draws the survivors' scores from their exact marginal, through one
+triangular factor of their covariance.
 
 The Gaussian draws that remain are made and tallied block by block: each
 block of rows, about ``_BLOCK_ELEMENTS`` scores, is drawn, reduced to its
 winners and added to an integer count. A decision's working memory is one
 block, whatever ``n_draws`` is. The generator fills arrays in C order, so
-the blocks consume exactly the stream of one full (n_draws, arms) draw:
-the proportions and the generator state are the same bits.
+the blocks consume exactly the stream of one full (n_draws, width) draw:
+with every arm kept, the proportions and the generator state are those
+of one full draw of all K coordinates, bit for bit.
 
-That holds unless the radial split applies. A Gaussian draw whose K
-normals have a norm below the screen's radius r* is won by the leader
-whatever their direction. When that holds for at least half the draws
-in expectation, each draw is split into its norm and its direction:
-every draw gets a norm, and only the draws outside the ball get normals,
-rescaled to their norm. The winner counts keep the law of the full
+That holds unless the radial split applies. A Gaussian draw whose m
+normals have a norm below a radius r* from the screen is won by the
+leader whatever their direction. When that holds for at least half the
+draws in expectation, each draw is split into its norm and its
+direction: every draw gets a norm, and only the draws outside the ball
+get normals, rescaled to their norm. The winner counts keep the law of the full
 draw, with no tolerance of their own, on a different stream.
 
 The Beta draws are made column by column instead, in chunks of
@@ -81,6 +84,8 @@ _BLOCK_ELEMENTS = 2**18
 # Draws per chunk of the Beta tally: the default ``n_draws``, so that a
 # default decision is one chunk of a few 80 kB arrays.
 _BETA_CHUNK = 10_000
+
+_EPS = float(np.finfo(float).eps)
 
 
 class UpdateMode(str, Enum):
@@ -170,49 +175,95 @@ def _block_rows(width: int, n_draws: int) -> int:
     return min(n_draws, max(1, _BLOCK_ELEMENTS // width))
 
 
+def _leads(loadings: np.ndarray, mean: np.ndarray, leader: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """The leader's lead in mean over each score, the standard deviation
+    of that lead, and the radius of the ball of normals in which the
+    leader wins every draw.
+
+    Row j of ``loadings`` holds score j's loadings on the normals, zero
+    for the reference, which scores 0. The lead over score j then has
+    standard deviation ‖loadings[leader] − loadings[j]‖. That norm is
+    exact, where var_i + var_j − 2 cov_ij loses digits to cancellation.
+
+    By Cauchy–Schwarz, a row of normals z moves the leader's lead over
+    score j by at most ‖z‖ times that lead's spread, so the leader strictly
+    beats every score when ‖z‖ is below the least ratio of gap to spread.
+    The radius is that ratio shrunk by the fraction ``REL_TOL``, or, where
+    less, the ratio after the lead loses what rounding can take from the
+    computed scores: for m normals a row, s = (m + 8) eps times the two
+    means' sizes off the gap, and s times the two loading rows' norms onto
+    the spread. That covers the m-term products, the added mean, the
+    rescale of a row to its norm and the rounding of the radius; score j's
+    sizes are bounded through the leader's, |μ_j| ≤ |μ_l| + gap and
+    ‖ℓ_j‖ ≤ ‖ℓ_l‖ + spread. It binds only when an arm trails the leader by
+    a sliver of the scores' size, as a near-duplicate arm can. The radius
+    is never below 0, and infinite when the leader is the only score.
+    """
+    lead = loadings[leader]
+    diff = loadings - lead
+    gap = mean[leader] - mean
+    spread = np.sqrt(np.square(diff, out=diff).sum(axis=1))
+    slack = (loadings.shape[1] + 8) * _EPS
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.fmin(gap / spread * (1.0 - REL_TOL),
+                        (gap * (1.0 - slack) - 2.0 * slack * abs(float(mean[leader])))
+                        / (spread * (1.0 + slack) + 2.0 * slack * float(np.sqrt(lead @ lead))))
+    ratio[leader] = np.inf
+    return gap, spread, max(float(ratio.min()), 0.0)
+
+
 def _gaussian_survivors(belief: GaussianBelief, n_draws: int) -> tuple[np.ndarray, int, float]:
     """The dominance screen for a proper belief: the mask of the arms it
     keeps, the leader, and the radius r* of the ball of normals in which
     the leader wins every draw.
 
     Scores are the belief's coordinates with the reference fixed at zero,
-    so with draws z @ L⁻¹ the score difference between arms i and j has
-    standard deviation ‖L⁻¹[:, i] − L⁻¹[:, j]‖ with the reference column
-    read as zero. That norm is exact, where var_i + var_j − 2 cov_ij loses
-    digits to cancellation. Arm j is dropped when its mean score trails
-    the leader's by more than z = −Φ⁻¹(ε / (n_draws (K − 1))) of those
-    standard deviations, so it ties or beats the leader in one draw with
-    probability below ε / (n_draws (K − 1)).
-
-    By Cauchy–Schwarz, a row of normals z moves the leader's lead over arm
-    j by at most ‖z‖ times that standard deviation, so the leader strictly
-    beats every arm, dropped ones included, when ‖z‖ is below the least
-    ratio of gap to standard deviation. r* is that ratio shrunk by the
-    fraction ``REL_TOL``, so that rounding in the computed scores cannot
-    hand a draw inside the ball to another arm; it is NaN when some arm
-    ties the leader in mean and spread, and infinite for one arm. A
-    one-arm belief keeps its arm.
+    so with draws z @ L⁻¹ score j loads on the normals through column j
+    of L⁻¹, read as zero for the reference (``_leads``). Arm j is dropped
+    when its mean score trails the leader's by more than
+    z = −Φ⁻¹(ε / (n_draws (K − 1))) standard deviations of the lead, so it
+    ties or beats the leader in one draw with probability below
+    ε / (n_draws (K − 1)). r* is the radius of ``_leads`` over every arm,
+    dropped ones included, and infinite for one arm. A one-arm belief
+    keeps its arm.
     """
-    # Row j of L⁻ᵀ holds score j's loadings on the normals; the reference
-    # scores 0, so its row counts as zero.
-    loadings = belief.inverse_factor.T
     arms = belief.dim
     if arms < 2:
         return np.ones(arms, dtype=bool), 0, np.inf
+    loadings = belief.inverse_factor.T.copy()
+    loadings[-1] = 0.0
     mean = belief.mean.copy()
     mean[-1] = 0.0
     leader = int(mean.argmax())
-    lead = loadings[leader] if leader < arms - 1 else 0.0
-    diff = loadings - lead
-    diff[-1] = -lead
-    spread = np.sqrt(np.square(diff, out=diff).sum(axis=1))
-    gap = mean[leader] - mean
+    gap, spread, radius = _leads(loadings, mean, leader)
     z = -ndtri(SCREEN_EPS / (n_draws * (arms - 1)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = gap / spread
-    ratio[leader] = np.inf
     # Written so that a NaN keeps its arm.
-    return ~(gap > z * spread), leader, float(ratio.min() * (1.0 - REL_TOL))
+    return ~(gap > z * spread), leader, radius
+
+
+def _kept_factor(belief: GaussianBelief, kept: np.ndarray, leader: int) -> tuple[np.ndarray, float]:
+    """The law of the kept arms' scores: an upper triangular R with RᵀR
+    the covariance of the kept arms' coordinates, the reference's left
+    out, and the radius of the ball in R's normals.
+
+    The coordinates' loadings on the belief's normals are their columns W
+    of L⁻¹, and RᵀR = WᵀW. R is W's thin QR factor, rows scaled to a
+    positive diagonal, so that it is the covariance's Cholesky factor
+    whatever the sign convention of the QR. The Gram matrix WᵀW is never
+    formed: for two near-duplicate arms its Cholesky factor loses the
+    spread of their difference to cancellation. The radius is that of
+    ``_leads`` over the kept arms, from R itself.
+    """
+    arms = belief.dim
+    drawn = kept[kept < arms - 1]
+    # W's rows above its first column are zero, L⁻¹ being lower triangular.
+    factor = np.linalg.qr(belief.inverse_factor[drawn[0]:, drawn], mode="r")
+    factor *= np.copysign(1.0, factor.diagonal())[:, None]
+    loadings = np.zeros((kept.size, drawn.size))
+    loadings[: drawn.size] = factor.T
+    mean = belief.mean[kept]
+    mean[drawn.size :] = 0.0
+    return factor, _leads(loadings, mean, int(np.searchsorted(kept, leader)))[2]
 
 
 def allocation_proportions(
@@ -226,56 +277,80 @@ def allocation_proportions(
 
     A dominance screen runs first (``_gaussian_survivors``). When it drops
     every arm but the leader, or the belief has one arm, the result is
-    one-hot on the leader and the generator is not touched. A partial
-    screen saves nothing here: drawing only the survivors would take the
-    factor of their marginal, a second factorization.
+    one-hot on the leader and the generator is not touched. When it keeps
+    every arm, all K coordinates are drawn through L⁻¹, the base rate
+    included, and the reference column is then scored zero.
+
+    When it drops some arms but keeps at least two, only the m scored
+    coordinates of the kept arms are drawn: a decision needs only the law
+    of the scores it ranks, and those scores are Gaussian with covariance
+    WᵀW, for W their columns of L⁻¹. They are drawn as z @ R from m
+    normals per row, R the triangular factor of ``_kept_factor``, and a
+    kept reference scores zero without a normal of its own. Dropped arms
+    get no draws and a share of 0.
 
     The draws are made and tallied in blocks of ``_block_rows`` rows, each
     written into one reused buffer, so memory does not grow with
     ``n_draws``. Each row's winner depends on that row alone.
 
-    Radial split. A row of K standard normals is z = R·u, with R² ~ χ²(K)
-    and the direction u uniform on the sphere and independent of R. Rows
-    with R below the screen's radius r* are won by the leader whatever u
-    is. When the chance χ²(K) > r*², the share of rows outside the ball,
-    is at most one half, each block draws its rows' R² first, in one
-    ``chisquare`` call, and gives the leader every row inside the ball;
-    then the K normals of each row outside, one ``standard_normal`` call
-    for all of them, rescaled to that row's R, are tallied as usual. The
-    stream is: per block, its radii, then its outside rows' normals. The
-    rescaled rows are R·u with u uniform, so the winner counts have exactly
-    the law of the full draw. Otherwise the stream is that of one full
-    (n_draws, K) draw of normals, block by block, and the proportions and
-    the generator state equal those of one full draw.
+    Radial split. A row of m standard normals is z = ρ·u, with ρ² ~ χ²(m)
+    and the direction u uniform on the sphere and independent of ρ. Rows
+    with ρ below the radius r* of the factor drawn are won by the leader
+    whatever u is: the screen's r* when every arm is kept, else the one of
+    ``_kept_factor``. When the chance χ²(m) > r*², the share of rows
+    outside the ball, is at most one half, each block draws its rows' ρ²
+    first, in one ``chisquare`` call, and gives the leader every row
+    inside the ball; then the m normals of each row outside, one
+    ``standard_normal`` call for all of them, rescaled to that row's ρ, are
+    tallied as usual. The stream is: per block, its radii, then its outside
+    rows' normals. The rescaled rows are ρ·u with u uniform, so the winner
+    counts have exactly the law of the full draw. Otherwise the stream is
+    that of one full (n_draws, m) draw of normals, block by block; with
+    every arm kept (m = K) the proportions and the generator state equal
+    those of one full draw.
 
-    Soundness of the screen: couple the one-hot result with a full draw.
-    They differ only if some dropped arm ties or beats the leader in some
-    draw, and each of at most n_draws (K − 1) such events has probability
-    below ε / (n_draws (K − 1)). By the union bound the one-hot result
-    differs from the full Monte Carlo result with probability below ε =
-    ``SCREEN_EPS``, which bounds their total variation distance.
+    Soundness of the screen: the kept arms' scores are drawn from their
+    exact joint law, so a full draw of every coordinate can be coupled
+    with them, drawn given the kept scores. The screened result, one-hot
+    or not, then differs from the full Monte Carlo result only if some
+    dropped arm ties or beats the leader in some draw, and each of at most
+    n_draws (K − 1) such events has probability below ε / (n_draws
+    (K − 1)). By the union bound the two differ with probability below
+    ε = ``SCREEN_EPS``, which bounds their total variation distance.
     """
     _check_count("n_draws", n_draws, 1)
     keep, leader, radius = _gaussian_survivors(belief, n_draws)
     arms = belief.dim
-    if keep.sum() == 1:
+    kept = np.flatnonzero(keep)
+    if kept.size == 1:
         return _one_hot(arms, leader)
-    # Split only when it skips half the rows; NaN radii never split.
-    floor = radius**2 if chdtrc(arms, radius**2) <= 0.5 else 0.0
-    rows = _block_rows(arms, n_draws)
-    buffer = np.empty((rows, arms))
+    every = kept.size == arms
+    factor, radius = (belief.inverse_factor, radius) if every else _kept_factor(belief, kept, leader)
+    width = factor.shape[0]
+    mean = belief.mean[kept[:width]]
+    # Split only when it skips half the rows.
+    floor = radius**2 if chdtrc(width, radius**2) <= 0.5 else 0.0
+    rows = _block_rows(width, n_draws)
+    buffer = np.empty((rows, width))
     counts = np.zeros(arms, dtype=np.int64)
     for start in range(0, n_draws, rows):
         size = min(rows, n_draws - start)
         norms = None
         if floor:
-            squared = rng.chisquare(arms, size)
+            squared = rng.chisquare(width, size)
             norms = np.sqrt(squared[squared >= floor])
             counts[leader] += size - norms.size
             size = norms.size
-        scores = _draw_into(belief, buffer[:size], rng, norms)
-        scores[:, -1] = 0.0
-        counts += np.bincount(scores.argmax(axis=1), minlength=arms)
+        scores = _draw_into(factor, mean, buffer[:size], rng, norms, lower=every)
+        if every:
+            # The base rate is drawn too; the reference scores zero in its place.
+            scores[:, -1] = 0.0
+        winners = scores.argmax(axis=1)
+        if kept.size > width:
+            # The undrawn reference scores zero: it wins the rows whose
+            # best drawn score is below zero.
+            winners[scores[np.arange(size), winners] < 0.0] = width
+        counts[kept] += np.bincount(winners, minlength=kept.size)
     return AllocationProportions(counts / float(n_draws))
 
 

@@ -9,9 +9,13 @@ exceptions:
   tally: the Gaussian one is the package's allocation before it screened
   arms or drew in blocks, and the Beta one draws each arm's column, chunk
   by chunk, with the package's own ``_beta_column`` into one full matrix;
-- ``radial_winner_counts``, which lays out its stream in the package's
-  blocks of ``_block_rows`` rows, since the radial split's stream depends
-  on them; its radius comes from ``radial_split``, a back-solve per arm;
+- ``radial_winner_counts`` and ``kept_winner_counts``, which lay out
+  their streams in the package's blocks of ``_block_rows`` rows, since
+  the radial split's stream depends on them; their radius comes from
+  ``radial_split``, a back-solve per arm. ``kept_winner_counts`` draws the
+  arms a screen keeps from their block of the inverted precision, the
+  covariance's own Cholesky factor, where the package reduces the
+  precision factor's inverse by a QR;
 - ``marginalize_keep``, the package's marginal before it went through a
   Cholesky factor: an eigen-decomposition pseudo-inverse of the dropped
   block;
@@ -71,6 +75,7 @@ __all__ = [
     "fd_hessian",
     "grid_allocation_probs",
     "hessian_lambda",
+    "kept_winner_counts",
     "laplace_update",
     "marginalize_keep",
     "neg_log_posterior",
@@ -415,31 +420,46 @@ def backsolve_winner_counts(mean, precision, n_draws: int, rng: np.random.Genera
     return np.bincount(np.argmax(scores, axis=1), minlength=scores.shape[1])
 
 
-def radial_split(mean, precision) -> tuple[int, float] | None:
+def radial_split(mean, precision, keep=None) -> tuple[int, float] | None:
     """The leader and the radius of the radial split of a Thompson
-    decision, or None when the split does not apply.
+    decision over the arms in the mask ``keep`` (every arm by default), or
+    None when the split does not apply.
 
     With precision = L Lᵀ, a row of normals z gives the scores x = L⁻ᵀ z,
     and the leader l's lead over arm j moves by z · L⁻¹ c_j, where c_j is
     e_l − e_j with its reference entry set to zero (the reference scores
-    zero). Each L⁻¹ c_j is one back-solve. The radius is the least ratio
-    of the lead in mean to ‖L⁻¹ c_j‖ over j ≠ l, shrunk by the fraction
-    ``REL_TOL``; the split applies when a χ²(K) draw exceeds its square
-    with probability at most one half, the regularized upper incomplete
-    gamma Q(K/2, r²/2).
+    zero). Each L⁻¹ c_j is one back-solve, as is the leader's loading
+    vector L⁻¹ e_l (zero for the reference). The split draws m normals a
+    row: K when every arm is kept, else one per kept arm but the
+    reference. The radius is the least over the kept j ≠ l of two ratios,
+    with gap_j the lead in mean and d_j = ‖L⁻¹ c_j‖: gap_j / d_j shrunk by
+    the fraction ``REL_TOL``; and, with s = (m + 8) eps, (gap_j (1 − s) −
+    2 s |mean_l|) / (d_j (1 + s) + 2 s ‖L⁻¹ e_l‖), the room left once the
+    scores' rounding is taken off. It is never below zero. The split
+    applies when a χ²(m) draw exceeds the radius squared with probability
+    at most one half, the regularized upper incomplete gamma Q(m/2, r²/2).
     """
     mean = np.array(mean, dtype=float)
     mean[-1] = 0.0
     k = mean.size
+    keep = np.ones(k, dtype=bool) if keep is None else np.asarray(keep, dtype=bool)
+    m = k if keep.all() else int(keep[:-1].sum())
     leader = int(np.argmax(mean))
-    others = [j for j in range(k) if j != leader]
-    leads = np.eye(k)[:, [leader]] - np.eye(k)[:, others]
-    leads[-1] = 0.0
+    others = [j for j in range(k) if j != leader and keep[j]]
+    units = np.eye(k)
+    units[-1] = 0.0
     factor = np.linalg.cholesky(np.asarray(precision, dtype=float))
-    spreads = np.linalg.norm(solve_triangular(factor, leads, lower=True), axis=0)
+    spreads = np.linalg.norm(solve_triangular(factor, units[:, [leader]] - units[:, others],
+                                              lower=True), axis=0)
+    size = np.linalg.norm(solve_triangular(factor, units[:, leader], lower=True))
+    gaps = mean[leader] - mean[others]
+    slack = (m + 8) * np.finfo(float).eps
     with np.errstate(divide="ignore", invalid="ignore"):
-        radius = float(np.min((mean[leader] - mean[others]) / spreads)) * (1.0 - REL_TOL)
-    if not gammaincc(k / 2.0, radius * radius / 2.0) <= 0.5:
+        shrunk = gaps / spreads * (1.0 - REL_TOL)
+        rounded = ((gaps * (1.0 - slack) - 2.0 * slack * abs(mean[leader]))
+                   / (spreads * (1.0 + slack) + 2.0 * slack * size))
+    radius = max(float(np.min(np.fmin(shrunk, rounded))), 0.0)
+    if not gammaincc(m / 2.0, radius * radius / 2.0) <= 0.5:
         return None
     return leader, radius
 
@@ -470,6 +490,47 @@ def radial_winner_counts(mean, precision, n_draws: int, rng: np.random.Generator
         scores = mean + solve_triangular(factor, z.T, lower=True, trans="T").T
         scores[:, -1] = 0.0
         counts += np.bincount(np.argmax(scores, axis=1), minlength=k)
+    return counts
+
+
+def kept_winner_counts(mean, precision, keep, n_draws: int, rng: np.random.Generator) -> np.ndarray:
+    """Thompson winner counts per arm with only the arms in the mask
+    ``keep`` drawn, from their marginal law.
+
+    The kept arms' coordinates, the reference's left out (it scores zero),
+    have as covariance S their block of ``np.linalg.inv(precision)``; with
+    S = C Cᵀ its Cholesky factor, a row of m normals z gives the scores
+    mean + C z. In blocks of the package's ``_block_rows(m, n_draws)``
+    rows: when ``radial_split(mean, precision, keep)`` applies, one χ²(m)
+    draw per row, rows with a norm below the radius going to the leader,
+    then one (rows outside, m) draw of normals, each row rescaled to its
+    norm; otherwise one (rows, m) draw. A kept reference scores zero,
+    ties go to the lowest index, and dropped arms win nothing.
+    """
+    mean = np.asarray(mean, dtype=float)
+    k = mean.size
+    arms = np.flatnonzero(keep)
+    drawn = arms[arms < k - 1]
+    m = drawn.size
+    cov = np.linalg.inv(np.asarray(precision, dtype=float))[np.ix_(drawn, drawn)]
+    factor = np.linalg.cholesky(0.5 * (cov + cov.T))
+    split = radial_split(mean, precision, keep)
+    rows = _block_rows(m, n_draws)
+    counts = np.zeros(k, dtype=np.int64)
+    for start in range(0, n_draws, rows):
+        size = min(rows, n_draws - start)
+        if split is None:
+            z = rng.standard_normal((size, m))
+        else:
+            leader, radius = split
+            norms = np.sqrt(rng.chisquare(m, size))
+            outside = norms >= radius
+            counts[leader] += np.count_nonzero(~outside)
+            z = rng.standard_normal((np.count_nonzero(outside), m))
+            z *= (norms[outside] / np.linalg.norm(z, axis=1))[:, None]
+        scores = np.zeros((z.shape[0], arms.size))
+        scores[:, :m] = mean[drawn] + z @ factor.T
+        counts[arms] += np.bincount(np.argmax(scores, axis=1), minlength=arms.size)
     return counts
 
 

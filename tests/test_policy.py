@@ -121,40 +121,56 @@ def continuous_marginal(seed):
     return marginalize_keep(registry.belief, [0, 2, 3, 5])
 
 
-# id -> (belief, whether the decision takes the radial split)
+# id -> (belief, the path its decision takes: "full" or "radial" with every
+# arm kept, "kept" or "kept radial" with some arm dropped)
 ORACLE_BELIEFS = {
-    "k2": (lambda: or_ts_belief(2, 10_000, 2), True),
-    "k10": (lambda: or_ts_belief(10, 10_000, 10), False),
-    "k50": (lambda: or_ts_belief(50, 10_000, 50), False),
-    "k200": (lambda: or_ts_belief(200, 10_000, 200), False),
-    "k10_1e6_trials": (lambda: or_ts_belief(10, 1_000_000, 3, spread=0.002), False),
-    "continuous_marginal": (lambda: continuous_marginal(5), False),
+    "k2": (lambda: or_ts_belief(2, 10_000, 2), "radial"),
+    "k10": (lambda: or_ts_belief(10, 10_000, 10), "kept"),
+    "k50": (lambda: or_ts_belief(50, 10_000, 50), "kept"),
+    "k200": (lambda: or_ts_belief(200, 10_000, 200), "full"),
+    "k10_1e6_trials": (lambda: or_ts_belief(10, 1_000_000, 3, spread=0.002), "full"),
+    "continuous_marginal": (lambda: continuous_marginal(5), "kept"),
     "k10_clear_leader": (lambda: or_ts_belief(10, 200_000, 0, p=np.r_[0.31, np.full(9, 0.30)]),
-                         True),
+                         "radial"),
+    "k10_reference_dropped": (
+        lambda: or_ts_belief(10, 20_000, 1, p=np.r_[0.32, 0.30, np.full(7, 0.2), 0.1]),
+        "kept radial"),
+    "k10_reference_kept": (
+        lambda: or_ts_belief(10, 20_000, 2, p=np.r_[0.30, np.full(8, 0.2), 0.28]),
+        "kept radial"),
 }
 
 
-def oracle_winner_counts(belief, n_draws, rng, splits):
-    """The radial oracle's counts when the decision splits, the back-solve
-    oracle's otherwise; ``splits`` is the path the case must take."""
+def oracle_winner_counts(belief, n_draws, rng, path):
+    """The oracle's counts for the path the case must take: the back-solve
+    oracle's, the radial oracle's, or, when the screen drops an arm, the
+    kept-arm oracle's over the arms it keeps."""
+    keep = _gaussian_survivors(belief, n_draws)[0]
+    if not keep.all():
+        split = oracles.radial_split(belief.mean, belief.precision, keep)
+        assert path == ("kept" if split is None else "kept radial")
+        return oracles.kept_winner_counts(belief.mean, belief.precision, keep, n_draws, rng)
     split = oracles.radial_split(belief.mean, belief.precision)
-    assert (split is not None) == splits
+    assert path == ("full" if split is None else "radial")
     if split is None:
         return backsolve_winner_counts(belief.mean, belief.precision, n_draws, rng)
     return oracles.radial_winner_counts(belief.mean, belief.precision, n_draws, rng, *split)
 
 
+@pytest.mark.blas_sensitive
 @pytest.mark.parametrize("case", list(ORACLE_BELIEFS))
 def test_allocation_matches_the_backsolve_oracle(case):
-    """Without the radial split, the proportions and the generator state
-    are the back-solve oracle's, bit for bit; with it, the radial
-    oracle's (the radii, then back-solved directions)."""
-    make, splits = ORACLE_BELIEFS[case]
+    """With every arm kept and no radial split, the proportions and the
+    generator state are the back-solve oracle's, bit for bit; with the
+    split, the radial oracle's (the radii, then back-solved directions);
+    with some arm dropped, the kept-arm oracle's (the kept arms' normals,
+    split or not, through the covariance factor of their marginal)."""
+    make, path = ORACLE_BELIEFS[case]
     belief = make()
     assert belief.is_proper()
     rng, oracle_rng = np.random.default_rng(20), np.random.default_rng(20)
     props = allocation_proportions(belief, 10_000, rng)
-    counts = oracle_winner_counts(belief, 10_000, oracle_rng, splits)
+    counts = oracle_winner_counts(belief, 10_000, oracle_rng, path)
     np.testing.assert_array_equal(props.p, counts / 10_000.0)
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
@@ -181,20 +197,28 @@ def covariance_factor_counts(belief, n_draws, rng, chunk=100_000):
     return counts
 
 
-@pytest.mark.parametrize("case", [case for case, (_, splits) in ORACLE_BELIEFS.items() if splits])
+# Law cases: every decision that splits with every arm kept, and one
+# kept-arm decision that splits and leaves out the reference.
+LAW_CASES = [case for case, (_, path) in ORACLE_BELIEFS.items() if path == "radial"]
+LAW_CASES.append("k10_reference_dropped")
+
+
+@pytest.mark.blas_sensitive
+@pytest.mark.parametrize("case", LAW_CASES)
 def test_radial_split_keeps_the_law_of_the_full_draw(case):
-    """At 400 001 draws, four blocks at K=2, the radial split matches its
-    oracle bit for bit, and no arm's winner count differs from that of
-    independent covariance-factor draws by more than chance allows.
-    Given the sum of an arm's two counts, its count is hypergeometric
-    under one law; the binomial with the same sum and the share of the
-    draws is wider, so its tails make a conservative two-sided test."""
-    make, splits = ORACLE_BELIEFS[case]
+    """At 400 001 draws, the radial split (over every arm, or over the kept
+    arms) matches its oracle bit for bit, and no arm's winner count
+    differs from that of independent covariance-factor draws of every
+    coordinate by more than chance allows. Given the sum of an arm's two
+    counts, its count is hypergeometric under one law; the binomial with
+    the same sum and the share of the draws is wider, so its tails make a
+    conservative two-sided test."""
+    make, path = ORACLE_BELIEFS[case]
     belief = make()
     n_draws = 400_001
     rng, oracle_rng = np.random.default_rng(22), np.random.default_rng(22)
     counts = np.rint(allocation_proportions(belief, n_draws, rng).p * n_draws).astype(np.int64)
-    np.testing.assert_array_equal(counts, oracle_winner_counts(belief, n_draws, oracle_rng, splits))
+    np.testing.assert_array_equal(counts, oracle_winner_counts(belief, n_draws, oracle_rng, path))
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
     ref_counts = covariance_factor_counts(belief, n_draws, np.random.default_rng(23))

@@ -2,17 +2,21 @@
 
 The screened allocation must be the full draw's, bit for bit, whenever the
 screen keeps every arm (or, for a Gaussian decision that takes the radial
-split, the radial oracle's); a settled decision must be one the full draw
-makes too; every arm the screen drops must be one whose chance of tying or
+split, the radial oracle's), and the kept-arm oracle's over the kept arms
+when it keeps some; a settled decision must be one the full draw makes
+too; every arm the screen drops must be one whose chance of tying or
 beating the leader is within the screen's per-draw budget, computed here
 from the forward distribution functions rather than the screen's own
-quantiles and factors; and every Gaussian draw inside the radial split's
-ball must be the leader's.
+quantiles and factors; every Gaussian draw inside the radial split's ball
+must be the leader's; and the kept arms' factor must keep the spreads of
+near-duplicate arms and the soundness of its own ball.
 """
 
 import numpy as np
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 from scipy.special import betainc, betaincc, ndtr
 
 import oracles
@@ -24,7 +28,7 @@ from orbandit import (
     beta_ts_proportions,
 )
 from orbandit.gaussian_belief import _draw_into
-from orbandit.policy import _beta_survivors, _gaussian_survivors
+from orbandit.policy import _beta_survivors, _gaussian_survivors, _kept_factor
 
 properties = settings(derandomize=True, deadline=None, max_examples=100)
 seeds = st.integers(0, 2**32 - 1)
@@ -118,12 +122,17 @@ def test_beta_screen_drops_only_arms_within_budget(state, n_draws):
         assert chance <= 2.0 * delta * (1.0 + RTOL), (j, chance, delta)
 
 
+@pytest.mark.blas_sensitive
 @properties
 @given(belief=gaussian_beliefs(), n_draws=draw_counts, seed=seeds)
+# Kept-arm decisions without the split: the reference dropped, then kept.
+@example(belief=GaussianBelief([1.0, 0.9, -5.0, 0.0], 100.0 * np.eye(4)), n_draws=10_000, seed=0)
+@example(belief=GaussianBelief([0.05, -5.0, 0.0], 100.0 * np.eye(3)), n_draws=10_000, seed=0)
 def test_gaussian_screen_matches_the_full_draw(belief, n_draws, seed):
-    """Some arm besides the leader kept: the full draw's bits and generator
-    state, or the radial oracle's when the decision takes the split. Only
-    the leader kept: a settled decision."""
+    """Every arm kept: the full draw's bits and generator state, or the
+    radial oracle's when the decision takes the split. One arm kept: a
+    settled decision. Some kept: the kept-arm oracle's over the kept arms,
+    bit for bit, and zero for the others."""
     keep, _, _ = _gaussian_survivors(belief, n_draws)
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     p = allocation_proportions(belief, n_draws, rng).p
@@ -131,8 +140,11 @@ def test_gaussian_screen_matches_the_full_draw(belief, n_draws, seed):
         assert_settled(p, np.flatnonzero(keep)[0], rng, seed,
                        lambda draws, r: oracles.allocation_proportions(belief, draws, r))
         return
-    split = oracles.radial_split(belief.mean, belief.precision)
-    if split is None:
+    if not keep.all():
+        expected = oracles.kept_winner_counts(
+            belief.mean, belief.precision, keep, n_draws, oracle_rng) / float(n_draws)
+        assert not expected[~keep].any()
+    elif (split := oracles.radial_split(belief.mean, belief.precision)) is None:
         expected = oracles.allocation_proportions(belief, n_draws, oracle_rng).p
     else:
         expected = oracles.radial_winner_counts(
@@ -195,6 +207,78 @@ def test_gaussian_rows_inside_the_ball_go_to_the_leader(belief, seed):
     fractions = np.array([0.0, 0.5, 0.9, 1.0 - 1e-6, np.nextafter(1.0, 0.0)])
     rows = np.repeat(directions, fractions.size, axis=0)
     norms = np.tile(fractions, directions.shape[0]) * radius
-    scores = _draw_into(belief, np.empty_like(rows), FixedNormals(rows), norms)
+    scores = _draw_into(belief.inverse_factor, belief.mean, np.empty_like(rows), FixedNormals(rows), norms)
     scores[:, -1] = 0.0
     assert (np.argmax(scores, axis=1) == leader).all()
+
+
+@st.composite
+def near_duplicate_pairs(draw):
+    """A proper belief whose scored arms i and j are coupled in precision
+    by up to 1e12, c (e_i − e_j)(e_i − e_j)ᵀ on top of 1e2 to 1e6 times a
+    random Gram matrix, so that their scores differ by about c^(−1/2)
+    while each varies by about 1; the pair leads, its two means a few
+    standard deviations of that difference apart. With it, a mask that
+    keeps the pair and drops at least one other arm."""
+    k = draw(st.integers(3, 6))
+    rng = np.random.default_rng(draw(seeds))
+    scale = draw(st.sampled_from([1e2, 1e4, 1e6]))
+    coupling = draw(st.sampled_from([1e4, 1e8, 1e12]))
+    pair = rng.permutation(k - 1)[:2]
+    root = rng.normal(size=(k, k))
+    v = np.zeros(k)
+    v[pair] = 1.0, -1.0
+    precision = scale * (root @ root.T + 0.5 * np.eye(k)) + coupling * np.outer(v, v)
+    mean = rng.normal(size=k)
+    mean[pair] = max(mean[:-1].max(), 0.0) + 1.0 + np.array([0.0, -rng.uniform(0.5, 5.0)])
+    mean[pair[1]] += (mean[pair[1]] - mean[pair[0]]) * (1.0 / np.sqrt(coupling) - 1.0)
+    belief = GaussianBelief(mean, precision)
+    assume(belief.is_proper())
+    keep = rng.random(k) < 0.5
+    keep[pair] = True
+    keep[rng.choice(np.flatnonzero(~keep)) if not keep.all() else
+         rng.choice(np.setdiff1d(np.arange(k), pair))] = False
+    return belief, keep
+
+
+@pytest.mark.blas_sensitive
+@properties
+@given(case=near_duplicate_pairs(), seed=seeds)
+def test_kept_factor_keeps_near_duplicate_spreads_and_its_ball(case, seed):
+    """The kept arms' factor R gives every pair of kept scores, the
+    reference's read as zero, the spread of their difference that a
+    back-solve through the precision's Cholesky factor gives, within 1e-9
+    relative, at couplings up to 1e12. And rows of normals with a norm
+    below its radius, drawn through R by the tally's own rescale and
+    multiply, are all the leader's: random directions, and for each kept
+    arm the direction that raises it fastest against the leader, at norms
+    up to the largest float below the radius."""
+    belief, keep = case
+    k = belief.dim
+    kept = np.flatnonzero(keep)
+    mean = belief.mean.copy()
+    mean[-1] = 0.0
+    leader = int(np.argmax(mean))
+    factor, radius = _kept_factor(belief, kept, leader)
+    m = factor.shape[0]
+    loadings = np.zeros((kept.size, m))
+    loadings[:m] = factor.T
+    spreads = np.linalg.norm(loadings[:, None] - loadings[None], axis=2)
+    leads = np.eye(k)[:, kept, None] - np.eye(k)[:, None, kept]
+    leads[-1] = 0.0
+    root = np.linalg.cholesky(belief.precision)
+    expected = np.linalg.norm(
+        solve_triangular(root, leads.reshape(k, -1), lower=True), axis=0).reshape(spreads.shape)
+    np.testing.assert_allclose(spreads, expected, rtol=1e-9, atol=0.0)
+
+    at = int(np.searchsorted(kept, leader))
+    toward = np.delete(loadings - loadings[at], at, axis=0)
+    toward = toward[np.linalg.norm(toward, axis=1) > 0]
+    directions = np.vstack([toward, np.random.default_rng(seed).normal(size=(8, m))])
+    fractions = np.array([0.0, 0.5, 0.9, 1.0 - 1e-6, np.nextafter(1.0, 0.0)])
+    rows = np.repeat(directions, fractions.size, axis=0)
+    norms = np.tile(fractions, directions.shape[0]) * radius
+    scores = np.zeros((rows.shape[0], kept.size))
+    scores[:, :m] = _draw_into(factor, belief.mean[kept[:m]], np.empty_like(rows),
+                               FixedNormals(rows), norms, lower=False)
+    assert (np.argmax(scores, axis=1) == at).all()
