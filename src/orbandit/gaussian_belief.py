@@ -358,8 +358,10 @@ def _draw_into(factor: np.ndarray, mean: np.ndarray, out: np.ndarray, rng: np.ra
     Thompson tally share one path from normals to draws. Given ``norms``,
     each row of normals is first rescaled to the Euclidean norm given for
     it: a row of standard normals has a uniform direction independent of
-    its norm, so with squared ``norms`` drawn from χ²(dim) the rows keep
-    their law.
+    its norm, so the rows are those of standard normals with that norm.
+    With squared ``norms`` drawn from χ²(dim) conditioned on reaching r²,
+    as the radial split draws them, they are rows of standard normals
+    conditioned on a norm of at least r.
     """
     rng.standard_normal(out=out)
     if norms is not None:

@@ -26,10 +26,13 @@ of one full draw of all K coordinates, bit for bit.
 That holds unless the radial split applies. A Gaussian draw whose m
 normals have a norm below a radius r* from the screen is won by the
 leader whatever their direction. When that holds for at least half the
-draws in expectation, each draw is split into its norm and its
-direction: every draw gets a norm, and only the draws outside the ball
-get normals, rescaled to their norm. The winner counts keep the law of the full
-draw, with no tolerance of their own, on a different stream.
+draws in expectation, a block first draws how many of its rows fall
+outside the ball, one binomial count, and gives the leader the rest:
+rows inside the ball are interchangeable leader wins, so only their
+number matters. Only the rows outside get a norm, from χ²(m) conditioned
+on reaching r*², and normals, rescaled to that norm. The winner counts
+keep the law of the full draw, with no tolerance of their own, on a
+different stream.
 
 The Beta draws are made column by column instead, in chunks of
 ``_BETA_CHUNK`` draws: within a chunk each surviving arm's scores come
@@ -84,6 +87,10 @@ _BLOCK_ELEMENTS = 2**18
 # Draws per chunk of the Beta tally: the default ``n_draws``, so that a
 # default decision is one chunk of a few 80 kB arrays.
 _BETA_CHUNK = 10_000
+
+# The radial split applies when at most this share of rows falls outside
+# the ball in expectation, so that it skips at least half of them.
+_SPLIT_SHARE = 0.5
 
 _EPS = float(np.finfo(float).eps)
 
@@ -266,6 +273,53 @@ def _kept_factor(belief: GaussianBelief, kept: np.ndarray, leader: int) -> tuple
     return factor, _leads(loadings, mean, int(np.searchsorted(kept, leader)))[2]
 
 
+def _gaussian_plan(
+    belief: GaussianBelief, n_draws: int
+) -> tuple[np.ndarray, int, np.ndarray | None, float, float]:
+    """How a Gaussian decision draws: the arms the screen keeps, the
+    leader, the triangular factor of the normals drawn (None when the
+    leader alone is kept), the radius r* of the ball in those normals, and
+    q = P(χ²(m) ≥ r*²), the chance that a row of the factor's m normals
+    falls outside the ball (NaN when nothing is drawn).
+
+    The factor is L⁻¹ when every arm is kept, else that of
+    ``_kept_factor``. The radial split applies when q ≤ ``_SPLIT_SHARE``.
+    """
+    keep, leader, radius = _gaussian_survivors(belief, n_draws)
+    kept = np.flatnonzero(keep)
+    if kept.size == 1:
+        return kept, leader, None, radius, np.nan
+    if kept.size == belief.dim:
+        factor = belief.inverse_factor
+    else:
+        factor, radius = _kept_factor(belief, kept, leader)
+    return kept, leader, factor, radius, float(chdtrc(factor.shape[0], radius**2))
+
+
+def _chi2_tail(m: int, floor: float, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` draws of χ²(m) conditioned on being at least ``floor`` > 0.
+
+    Dagpunar's (1978) exact rejection sampler for the upper tail of the
+    gamma law: with y = ρ²/2, s = floor/2 and k = m/2, y has density
+    ∝ y^(k−1) e^(−y) on [s, ∞). It is proposed as s + E/λ, E ~ Exp(1),
+    and accepted with probability the density over the proposal's,
+    scaled to 1 at its peak y* on [s, ∞). λ is the optimal rate, capped
+    at 1: for k < 1 (one degree of freedom) the uncapped rate exceeds 1
+    and the ratio grows without bound. The rejected proposals are redrawn,
+    all at once, round by round, and the accepted ones kept in order.
+    """
+    s, k = 0.5 * floor, 0.5 * m
+    rate = min(1.0, (s - k + np.sqrt((s - k) ** 2 + 4.0 * s)) / (2.0 * s))
+    peak = max(s, (k - 1.0) / (1.0 - rate)) if rate < 1.0 else s
+    accepted = []
+    while count:
+        y = s + rng.standard_exponential(count) / rate
+        y = y[np.log(rng.random(count)) <= (k - 1.0) * np.log(y / peak) - (1.0 - rate) * (y - peak)]
+        accepted.append(y)
+        count -= y.size
+    return 2.0 * np.concatenate(accepted)
+
+
 def allocation_proportions(
     belief: GaussianBelief, n_draws: int, rng: np.random.Generator
 ) -> AllocationProportions:
@@ -297,17 +351,24 @@ def allocation_proportions(
     and the direction u uniform on the sphere and independent of ρ. Rows
     with ρ below the radius r* of the factor drawn are won by the leader
     whatever u is: the screen's r* when every arm is kept, else the one of
-    ``_kept_factor``. When the chance χ²(m) > r*², the share of rows
-    outside the ball, is at most one half, each block draws its rows' ρ²
-    first, in one ``chisquare`` call, and gives the leader every row
-    inside the ball; then the m normals of each row outside, one
-    ``standard_normal`` call for all of them, rescaled to that row's ρ, are
-    tallied as usual. The stream is: per block, its radii, then its outside
-    rows' normals. The rescaled rows are ρ·u with u uniform, so the winner
-    counts have exactly the law of the full draw. Otherwise the stream is
-    that of one full (n_draws, m) draw of normals, block by block; with
-    every arm kept (m = K) the proportions and the generator state equal
-    those of one full draw.
+    ``_kept_factor``. The split applies when q = P(χ²(m) ≥ r*²), the
+    chance that a row falls outside the ball, is at most one half. A
+    block of n rows then draws the number of its rows outside the ball,
+    one ``binomial(n, q)`` call, and adds the rest to the leader: rows
+    inside the ball are interchangeable leader wins, so only their count
+    matters. The rows outside, when there are any, draw their ρ² from
+    χ²(m) conditioned on ρ ≥ r* (``_chi2_tail``), then their m normals,
+    one ``standard_normal`` call for all of them, each row rescaled to its
+    ρ by ``_draw_into``, and are tallied as usual; a block with none draws
+    nothing more. The stream is: per block, the count, then the radii,
+    then the outside rows' normals. Given the count, the rows outside are
+    independent rows conditioned on ρ ≥ r*, that is ρ·u with ρ from that
+    conditioned law and u uniform, so the winner counts have exactly the
+    law of the full draw. That rests on q, from ``chdtrc``, being accurate,
+    as the full draw's split rested on numpy's χ² sampler. Otherwise the
+    stream is that of one full (n_draws, m) draw of normals, block by
+    block; with every arm kept (m = K) the proportions and the generator
+    state equal those of one full draw.
 
     Soundness of the screen: the kept arms' scores are drawn from their
     exact joint law, so a full draw of every coordinate can be coupled
@@ -319,28 +380,27 @@ def allocation_proportions(
     ε = ``SCREEN_EPS``, which bounds their total variation distance.
     """
     _check_count("n_draws", n_draws, 1)
-    keep, leader, radius = _gaussian_survivors(belief, n_draws)
+    kept, leader, factor, radius, outside = _gaussian_plan(belief, n_draws)
     arms = belief.dim
-    kept = np.flatnonzero(keep)
-    if kept.size == 1:
+    if factor is None:
         return _one_hot(arms, leader)
     every = kept.size == arms
-    factor, radius = (belief.inverse_factor, radius) if every else _kept_factor(belief, kept, leader)
     width = factor.shape[0]
     mean = belief.mean[kept[:width]]
-    # Split only when it skips half the rows.
-    floor = radius**2 if chdtrc(width, radius**2) <= 0.5 else 0.0
+    split = outside <= _SPLIT_SHARE
     rows = _block_rows(width, n_draws)
     buffer = np.empty((rows, width))
     counts = np.zeros(arms, dtype=np.int64)
     for start in range(0, n_draws, rows):
         size = min(rows, n_draws - start)
         norms = None
-        if floor:
-            squared = rng.chisquare(width, size)
-            norms = np.sqrt(squared[squared >= floor])
-            counts[leader] += size - norms.size
-            size = norms.size
+        if split:
+            drawn = rng.binomial(size, outside)
+            counts[leader] += size - drawn
+            if not drawn:
+                continue
+            norms = np.sqrt(_chi2_tail(width, radius**2, drawn, rng))
+            size = drawn
         scores = _draw_into(factor, mean, buffer[:size], rng, norms, lower=every)
         if every:
             # The base rate is drawn too; the reference scores zero in its place.

@@ -12,10 +12,14 @@ exceptions:
 - ``radial_winner_counts`` and ``kept_winner_counts``, which lay out
   their streams in the package's blocks of ``_block_rows`` rows, since
   the radial split's stream depends on them; their radius comes from
-  ``radial_split``, a back-solve per arm. ``kept_winner_counts`` draws the
-  arms a screen keeps from their block of the inverted precision, the
-  covariance's own Cholesky factor, where the package reduces the
-  precision factor's inverse by a QR;
+  ``radial_split``, a back-solve per arm. Both split a block through
+  ``split_block``, which makes the package's draws in its order: the
+  binomial count of rows outside the ball, then their radii from
+  ``chi2_tail``, a copy of the package's rejection sampler written from
+  the gamma density. ``kept_winner_counts`` draws the arms a screen keeps
+  from their block of the inverted precision, the covariance's own
+  Cholesky factor, where the package reduces the precision factor's
+  inverse by a QR;
 - ``marginalize_keep``, the package's marginal before it went through a
   Cholesky factor: an eigen-decomposition pseudo-inverse of the dropped
   block;
@@ -70,6 +74,7 @@ __all__ = [
     "beta_ts_proportions",
     "build_c_f",
     "build_c_ind",
+    "chi2_tail",
     "dense_objective",
     "fd_gradient",
     "fd_hessian",
@@ -83,6 +88,7 @@ __all__ = [
     "radial_split",
     "radial_winner_counts",
     "random_proper_belief",
+    "split_block",
 ]
 
 
@@ -464,13 +470,59 @@ def radial_split(mean, precision, keep=None) -> tuple[int, float] | None:
     return leader, radius
 
 
+def chi2_tail(m: int, floor: float, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` draws of χ²(m) conditioned on being at least ``floor``, by
+    rejection from a shifted exponential (Dagpunar 1978), in the package's
+    draw order.
+
+    Half a χ²(m) draw is Gamma(m/2, 1). Above h = floor/2 its density is
+    proportional to y^(m/2 − 1) e^(−y); the proposal h + Exp(rate) has
+    density rate e^(−rate (y − h)). Their log ratio, up to a constant, is
+    (m/2 − 1) log y − (1 − rate) y, largest on [h, ∞) at its stationary
+    point or at h. The rate maximizes the acceptance, the root of
+    h rate² − (h − m/2) rate − 1 = 0, but never above 1, where the ratio
+    would grow without bound for m = 1. Each round draws ``count``
+    exponentials, then ``count`` uniforms; a proposal is kept when the
+    uniform's log is at most its log ratio less the largest, and the
+    rejected ones are redrawn in the next round.
+    """
+    h = floor / 2.0
+    shape = m / 2.0
+    rate = min(1.0, ((h - shape) + np.sqrt((h - shape) * (h - shape) + 4.0 * h)) / (2.0 * h))
+
+    def log_ratio(y):
+        return (shape - 1.0) * np.log(y) - (1.0 - rate) * y
+
+    top = h if rate == 1.0 else max(h, (shape - 1.0) / (1.0 - rate))
+    kept = np.empty(0)
+    while kept.size < count:
+        need = count - kept.size
+        y = h + rng.standard_exponential(need) / rate
+        accept = np.log(rng.random(need)) <= log_ratio(y) - log_ratio(top)
+        kept = np.concatenate([kept, y[accept]])
+    return 2.0 * kept
+
+
+def split_block(m: int, size: int, radius: float, rng: np.random.Generator) -> np.ndarray:
+    """The norms of the rows of normals outside the ball of ``radius``, for
+    one block of ``size`` rows of m normals split radially, in the
+    package's draw order: the number of rows outside, one binomial draw
+    with the chance Q(m/2, r²/2) that a χ²(m) draw reaches r², then, when
+    there are any, their squared norms from ``chi2_tail``. The other rows
+    are inside the ball."""
+    outside = rng.binomial(size, gammaincc(m / 2.0, radius * radius / 2.0))
+    if not outside:
+        return np.empty(0)
+    return np.sqrt(chi2_tail(m, radius * radius, outside, rng))
+
+
 def radial_winner_counts(mean, precision, n_draws: int, rng: np.random.Generator,
                          leader: int, radius: float) -> np.ndarray:
     """Thompson winner counts per arm with each draw split into its norm
     and its direction.
 
-    In blocks of the package's ``_block_rows`` rows: one χ²(K) draw per
-    row, the square of its norm; rows with a norm below ``radius`` go to
+    In blocks of the package's ``_block_rows`` rows: the norms of the rows
+    outside the ball from ``split_block``, the other rows going to
     ``leader``; then one (rows outside, K) draw of normals, each row
     rescaled to its norm and back-solved as in ``backsolve_sample``. The
     reference scores zero and ties go to the lowest index.
@@ -481,12 +533,14 @@ def radial_winner_counts(mean, precision, n_draws: int, rng: np.random.Generator
     rows = _block_rows(k, n_draws)
     counts = np.zeros(k, dtype=np.int64)
     for start in range(0, n_draws, rows):
-        norms = np.sqrt(rng.chisquare(k, min(rows, n_draws - start)))
-        outside = norms >= radius
-        counts[leader] += np.count_nonzero(~outside)
-        directions = rng.standard_normal((np.count_nonzero(outside), k))
+        size = min(rows, n_draws - start)
+        norms = split_block(k, size, radius, rng)
+        counts[leader] += size - norms.size
+        if not norms.size:
+            continue
+        directions = rng.standard_normal((norms.size, k))
         directions /= np.linalg.norm(directions, axis=1)[:, None]
-        z = directions * norms[outside][:, None]
+        z = directions * norms[:, None]
         scores = mean + solve_triangular(factor, z.T, lower=True, trans="T").T
         scores[:, -1] = 0.0
         counts += np.bincount(np.argmax(scores, axis=1), minlength=k)
@@ -501,11 +555,12 @@ def kept_winner_counts(mean, precision, keep, n_draws: int, rng: np.random.Gener
     have as covariance S their block of ``np.linalg.inv(precision)``; with
     S = C Cᵀ its Cholesky factor, a row of m normals z gives the scores
     mean + C z. In blocks of the package's ``_block_rows(m, n_draws)``
-    rows: when ``radial_split(mean, precision, keep)`` applies, one χ²(m)
-    draw per row, rows with a norm below the radius going to the leader,
-    then one (rows outside, m) draw of normals, each row rescaled to its
-    norm; otherwise one (rows, m) draw. A kept reference scores zero,
-    ties go to the lowest index, and dropped arms win nothing.
+    rows: when ``radial_split(mean, precision, keep)`` applies, the norms
+    of the rows outside the ball from ``split_block``, the other rows
+    going to the leader, then one (rows outside, m) draw of normals, each
+    row rescaled to its norm; otherwise one (rows, m) draw. A kept
+    reference scores zero, ties go to the lowest index, and dropped arms
+    win nothing.
     """
     mean = np.asarray(mean, dtype=float)
     k = mean.size
@@ -523,11 +578,12 @@ def kept_winner_counts(mean, precision, keep, n_draws: int, rng: np.random.Gener
             z = rng.standard_normal((size, m))
         else:
             leader, radius = split
-            norms = np.sqrt(rng.chisquare(m, size))
-            outside = norms >= radius
-            counts[leader] += np.count_nonzero(~outside)
-            z = rng.standard_normal((np.count_nonzero(outside), m))
-            z *= (norms[outside] / np.linalg.norm(z, axis=1))[:, None]
+            norms = split_block(m, size, radius, rng)
+            counts[leader] += size - norms.size
+            if not norms.size:
+                continue
+            z = rng.standard_normal((norms.size, m))
+            z *= (norms / np.linalg.norm(z, axis=1))[:, None]
         scores = np.zeros((z.shape[0], arms.size))
         scores[:, :m] = mean[drawn] + z @ factor.T
         counts[arms] += np.bincount(np.argmax(scores, axis=1), minlength=arms.size)

@@ -1,12 +1,15 @@
 """Thompson-sampling policies: allocation and the three update rules."""
 
+import importlib.util
+import json
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.special import betainc, betaincinv
+from scipy.special import betainc, betaincinv, chdtrc, chdtri
 
 from orbandit import (
     AllocationProportions,
@@ -36,6 +39,7 @@ from orbandit.policy import (
     _beta_column,
     _beta_survivors,
     _block_rows,
+    _chi2_tail,
     _gaussian_survivors,
 )
 
@@ -226,6 +230,82 @@ def test_radial_split_keeps_the_law_of_the_full_draw(case):
     tail = np.minimum(stats.binom.cdf(counts, total, 0.5), stats.binom.sf(counts - 1, total, 0.5))
     assert np.all(2.0 * tail >= LAW_ALPHA / belief.dim), (counts, ref_counts)
     assert (counts[1:] > 0).any() and (ref_counts[1:] > 0).any()
+
+
+def load_tool(name):
+    path = Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+split_share = load_tool("split_share")
+# The oracle cases' paths under the names tools/split_share.py prints.
+SPLIT_SHARE_PATHS = {"full": "full", "kept": "kept", "radial": "split", "kept radial": "split"}
+
+
+@pytest.mark.parametrize("case", list(ORACLE_BELIEFS))
+def test_split_share_names_the_path_each_decision_takes(case):
+    """The report's classifier agrees with the path the oracle cases are
+    checked to take, and its q with the split rule."""
+    make, path = ORACLE_BELIEFS[case]
+    name, q = split_share.classify(make(), 10_000)
+    assert name == SPLIT_SHARE_PATHS[path]
+    assert (q <= 0.5) == (name == "split")
+
+
+def test_split_share_reports_every_gaussian_policy(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"policy": "all", "arms": 4, "rounds": 3, "trials": 100_000,
+                                  "replications": 1, "d": 20.0, "seed": 1}))
+    assert split_share.main(["--config", str(config)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["full_ts", "or_ts"]
+    assert all(line.split(": ")[1].startswith("2 decisions") for line in lines)
+
+
+@pytest.mark.parametrize("q", [0.5, 0.16, 1e-3])
+@pytest.mark.parametrize("m", [1, 2, 3, 10, 50, 200])
+def test_chi2_tail_follows_the_conditioned_chi2_law(m, q):
+    """The split's radii: χ²(m) conditioned on reaching the floor t, the
+    upper q-quantile, at every draw count a decision can draw (m = 1 when
+    a kept-arm decision draws one coordinate) and every share of rows
+    outside the ball the split allows (q ≤ ½). Every draw is at least t,
+    and a KS test holds them against 1 − P(χ² > x) / q."""
+    floor = chdtri(m, q)
+    draws = _chi2_tail(m, floor, 20_000, np.random.default_rng(26))
+    assert draws.shape == (20_000,)
+    assert np.all(draws >= floor)
+    tail = stats.chi2(m).sf(floor)
+    assert stats.kstest(draws, lambda x: 1.0 - stats.chi2(m).sf(x) / tail).pvalue > 1e-3
+
+
+def test_a_split_block_with_no_row_outside_draws_one_binomial(monkeypatch):
+    """K = 2 with the arm 7.5 sd ahead of the reference: the screen keeps
+    both, and a row falls outside the ball with chance about 6e-13. Each
+    block then draws its binomial count, 0, and credits the leader,
+    without drawing a radius or an empty block of normals."""
+    belief = GaussianBelief(np.array([7.5, 0.3]), np.eye(2))
+    n_draws = 400_000
+    keep, leader, radius = _gaussian_survivors(belief, n_draws)
+    assert keep.all() and leader == 0
+    outside = chdtrc(2, radius**2)
+    assert 1e-13 < outside < 1e-12
+
+    def unused(*args, **kwargs):
+        raise AssertionError("an empty block must draw nothing")
+
+    monkeypatch.setattr(policy, "_chi2_tail", unused)
+    monkeypatch.setattr(policy, "_draw_into", unused)
+    rng, expected = np.random.default_rng(25), np.random.default_rng(25)
+    np.testing.assert_array_equal(allocation_proportions(belief, n_draws, rng).p, [1.0, 0.0])
+    rows = _block_rows(2, n_draws)
+    assert rows < n_draws
+    for start in range(0, n_draws, rows):
+        assert expected.binomial(min(rows, n_draws - start), outside) == 0
+    assert rng.bit_generator.state == expected.bit_generator.state
+    assert rng.bit_generator.state != np.random.default_rng(25).bit_generator.state
 
 
 def test_one_arm_decisions_draw_nothing():
