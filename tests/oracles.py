@@ -8,7 +8,9 @@ exceptions:
 - the two full-draw allocation functions, which check the screen and the
   tally: the Gaussian one is the package's allocation before it screened
   arms or drew in blocks, and the Beta one draws each arm's column, chunk
-  by chunk, with the package's own ``_beta_column`` into one full matrix;
+  by chunk, with the package's own ``_beta_column`` into one full matrix.
+  It is the Monte Carlo law the Beta quadrature replaces, and still the
+  package's tally for states with a shape below 1;
 - ``radial_winner_counts`` and ``kept_winner_counts``, which lay out
   their streams in the package's blocks of ``_block_rows`` rows, since
   the radial split's stream depends on them; their radius comes from
@@ -32,6 +34,12 @@ exceptions:
   of its objective, gradient and curvature, so that tests can hold those
   against ``dense_objective``, ``fd_gradient`` and ``fd_hessian``.
 
+``beta_win_chances`` shares nothing with the package's Beta quadrature but
+``betainc``: it takes the density from the saddle-point form of Loader
+(2000), normalized analytically, and integrates by adaptive bisection to
+an error tolerance, where the package fixes its panels in advance and
+normalizes each density by the rule's own integral.
+
 ``random_proper_belief`` is no oracle but the tests' one seeded random
 belief, kept here so that every test module draws it alike.
 """
@@ -42,7 +50,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.special import expit, gammaincc
+from scipy.special import betainc, betaln, expit, gammaincc, gammaln, roots_legendre
 
 from orbandit import (
     AllocationProportions,
@@ -64,15 +72,18 @@ from orbandit.logistic_model import (
     MAX_NEWTON_ITER,
     MAX_STEP_NORM,
 )
-from orbandit.policy import _BETA_CHUNK, _beta_column, _block_rows
+from orbandit.policy import _BETA_CHUNK, _beta_column, _beta_win_chances, _block_rows
 
 __all__ = [
     "allocation_proportions",
     "arm_logit_matrix",
     "backsolve_sample",
     "backsolve_winner_counts",
+    "beta_multinomial_proportions",
     "beta_ts_proportions",
+    "beta_win_chances",
     "build_c_f",
+    "WIN_CHANCE_L1",
     "build_c_ind",
     "chi2_tail",
     "dense_objective",
@@ -623,3 +634,111 @@ def beta_ts_proportions(
     winners = np.argmax(draws, axis=1)
     counts = np.bincount(winners, minlength=state.arms)
     return AllocationProportions(counts / float(n_draws))
+
+
+# Bound on ‖π̂ − π‖₁ for the package's Beta Thompson probabilities.
+WIN_CHANCE_L1 = 1e-11
+
+_LN_2PI = float(np.log(2.0 * np.pi))
+_GAUSS_NODES, _GAUSS_WEIGHTS = roots_legendre(8)
+
+
+def _stirlerr(n: np.ndarray) -> np.ndarray:
+    """log Γ(n + 1) − (n + ½) log n + n − ½ log 2π, by its asymptotic
+    series above 15 and directly below."""
+    nn = n * n
+    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn) / nn) / n
+    direct = gammaln(n + 1.0) - (n + 0.5) * np.log(n) + n - 0.5 * _LN_2PI
+    return np.where(n > 15.0, series, direct)
+
+
+def _bd0(x: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """The deviance x log(x / mean) + mean − x, by its series in
+    v = (x − mean) / (x + mean) when |v| < 0.1, where 11 terms leave
+    v^24 < 1e-24 of the first."""
+    v = (x - mean) / (x + mean)
+    total, term = (x - mean) * v, 2.0 * x * v
+    for j in range(1, 12):
+        term = term * v * v
+        total = total + term / (2 * j + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        direct = x * np.log(x / mean) + mean - x
+    return np.where(np.abs(v) < 0.1, total, direct)
+
+
+def beta_log_density(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """log of the Beta(a, b) density at x in (0, 1). With both shapes above
+    2 it is (a + b − 1) times the binomial probability of a − 1 successes
+    in a + b − 2 trials at rate x, in Loader's saddle-point form, which
+    keeps its digits at large shapes; otherwise the direct formula."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        direct = (a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - betaln(a, b)
+        k, n = a - 1.0, a + b - 2.0
+        deviance = (_stirlerr(n) - _stirlerr(k) - _stirlerr(n - k)
+                    - _bd0(k, n * x) - _bd0(n - k, n * (1.0 - x)))
+        saddle = np.log(a + b - 1.0) + deviance - 0.5 * (_LN_2PI + np.log(k) + np.log1p(-k / n))
+    return np.where((a > 2.0) & (b > 2.0), saddle, direct)
+
+
+def _win_integrals(lo: np.ndarray, hi: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per interval and arm j, ∫ f_j ∏_{i≠j} F_i over [lo, hi] by 8-node
+    Gauss–Legendre: an (intervals, arms) array."""
+    half = 0.5 * (hi - lo)
+    x = ((lo + half)[:, None] + half[:, None] * _GAUSS_NODES)[..., None]
+    cdf = betainc(a, b, x)
+    others = np.ones_like(cdf)
+    others[..., 1:] = np.cumprod(cdf[..., :-1], axis=-1)
+    others[..., :-1] *= np.cumprod(cdf[..., :0:-1], axis=-1)[..., ::-1]
+    integrand = np.exp(beta_log_density(a, b, x)) * others
+    return np.einsum("n,inj->ij", _GAUSS_WEIGHTS, integrand) * half[:, None]
+
+
+def beta_win_chances(alpha, beta, tol: float = 1e-16, max_levels: int = 100) -> np.ndarray:
+    """Thompson probabilities π_j = ∫₀¹ f_j ∏_{i≠j} F_i of independent
+    Beta arms with both shapes at least 1.
+
+    The interval [0, 1] is first cut at each arm's mean and at 2, 8 and 32
+    standard deviations either side, so that no density's bulk falls
+    between nodes. Each interval is then bisected until the rule on its
+    halves moves the integrals, summed over arms, by at most ``tol``.
+    """
+    a, b = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
+    mean = a / (a + b)
+    sd = np.sqrt(mean * (1.0 - mean) / (a + b + 1.0))
+    offsets = np.array([0.0, 2, -2, 8, -8, 32, -32])
+    cuts = (mean[:, None] + sd[:, None] * offsets).ravel()
+    edges = np.unique(np.r_[0.0, 1.0, cuts[(cuts > 0.0) & (cuts < 1.0)]])
+    lo, hi = edges[:-1], edges[1:]
+    whole = _win_integrals(lo, hi, a, b)
+    chances = np.zeros(a.size)
+    for _ in range(max_levels):
+        if lo.size == 0:
+            return chances
+        mid = 0.5 * (lo + hi)
+        left, right = _win_integrals(lo, mid, a, b), _win_integrals(mid, hi, a, b)
+        done = np.abs(whole - left - right).sum(axis=1) <= tol
+        chances += (left + right)[done].sum(axis=0)
+        split = ~done
+        lo, hi = np.r_[lo[split], mid[split]], np.r_[mid[split], hi[split]]
+        whole = np.r_[left[split], right[split]]
+    raise RuntimeError(f"no convergence in {max_levels} bisections")
+
+
+def beta_multinomial_proportions(
+    state: BetaState, n_draws: int, rng: np.random.Generator
+) -> AllocationProportions:
+    """The law of the Monte Carlo tally drawn directly: the winner counts
+    of n_draws iid draws are one ``rng.multinomial`` draw with the arms'
+    Thompson probabilities.
+
+    The draw takes the package's probabilities π̂ (``_beta_win_chances``)
+    after holding them to ‖π̂ − π‖₁ ≤ ``WIN_CHANCE_L1`` against π from
+    ``beta_win_chances``. It does not take π itself: numpy's binomial
+    sampler branches at p = ½, and a state such as Beta(1, 1) against
+    Beta(16, 16), with π = (½, ½) by symmetry, can put the two a rounding
+    apart on either side of it, where they draw different bits.
+    """
+    chances = _beta_win_chances(state.alpha, state.beta)
+    error = np.abs(chances - beta_win_chances(state.alpha, state.beta)).sum()
+    assert error <= WIN_CHANCE_L1, (error, state)
+    return AllocationProportions(rng.multinomial(n_draws, chances) / float(n_draws))

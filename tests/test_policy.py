@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.special import betainc, betaincinv, chdtrc, chdtri
+from scipy.special import betainc, betaincinv, chdtrc, chdtri, roots_legendre
 
 from orbandit import (
     AllocationProportions,
@@ -36,15 +36,17 @@ from orbandit import (
 )
 from orbandit.policy import (
     _BETA_CHUNK,
+    _QUAD_NODES,
     _beta_column,
     _beta_survivors,
+    _beta_win_chances,
     _block_rows,
     _chi2_tail,
     _gaussian_survivors,
 )
 
 import oracles
-from oracles import backsolve_sample, backsolve_winner_counts
+from oracles import WIN_CHANCE_L1, backsolve_sample, backsolve_winner_counts
 
 
 # --- proportions -------------------------------------------------------------
@@ -255,14 +257,29 @@ def test_split_share_names_the_path_each_decision_takes(case):
     assert (q <= 0.5) == (name == "split")
 
 
-def test_split_share_reports_every_gaussian_policy(tmp_path, capsys):
+def test_split_share_reports_every_policy(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"policy": "all", "arms": 4, "rounds": 3, "trials": 100_000,
                                   "replications": 1, "d": 20.0, "seed": 1}))
     assert split_share.main(["--config", str(config)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split(":")[0] for line in lines] == ["full_ts", "or_ts"]
+    assert [line.split(":")[0] for line in lines] == ["beta_ts", "full_ts", "or_ts"]
     assert all(line.split(": ")[1].startswith("2 decisions") for line in lines)
+    assert "quadrature" in lines[0] and "nodes quartiles" in lines[0]
+
+
+@pytest.mark.parametrize("make, path", [
+    (lambda: BetaState([3.1e5, 3.0e5], [6.9e5, 7.0e5]), "one-hot"),
+    (lambda: spread_beta_state(10, 10), "quadrature"),
+    (lambda: fractional_beta_state(10, 10), "monte-carlo"),
+    (lambda: near_tie_state(1e13), "monte-carlo"),
+], ids=["settled", "spread", "fractional", "near_tie_1e13"])
+def test_split_share_names_the_path_each_beta_decision_takes(make, path):
+    """The report's Beta classifier names the path the state's shapes and
+    screen send it down, with nodes only for the quadrature."""
+    name, nodes = split_share.classify_beta(make(), 10_000)
+    assert name == path
+    assert (nodes > 0) if path == "quadrature" else np.isnan(nodes)
 
 
 @pytest.mark.parametrize("q", [0.5, 0.16, 1e-3])
@@ -417,7 +434,7 @@ def test_two_arm_winner_frequency_matches_quadrature(alpha, beta):
     assert abs(p[1] - chance) < 5.0 * np.sqrt(chance * (1.0 - chance) / n_draws) + 1e-4
 
 
-# --- blocked draws and tally -------------------------------------------------
+# --- Beta quadrature ---------------------------------------------------------
 
 
 def spread_beta_state(k, seed):
@@ -428,14 +445,142 @@ def spread_beta_state(k, seed):
     return BetaState(1.0 + successes, 31.0 - successes)
 
 
-# (policy, its full-draw oracle, its screen, arm count -> a state the
-# screen keeps whole, (arm count, n_draws) -> rows per block or chunk)
+def fractional_beta_state(k, seed):
+    """``spread_beta_state`` with arm 0 at Beta(½, ½), which spans (0, 1),
+    so the screen keeps every arm and the decision takes the tally."""
+    state = spread_beta_state(k, seed)
+    alpha, beta = state.alpha.copy(), state.beta.copy()
+    alpha[0] = beta[0] = 0.5
+    return BetaState(alpha, beta)
+
+
+def wide_arms_beta_state(seed, rounds=5, arms=200, trials=10_000):
+    """The Beta posterior after ``rounds`` rounds of beta_ts at K=200 with
+    10k trials a round, one arm at 0.31 and the rest at 0.30, traffic
+    following the policy's own proportions: the states a K=200 study
+    decides on."""
+    rng = np.random.default_rng(seed)
+    rates = np.r_[0.31, np.full(arms - 1, 0.30)]
+    state, shares = BetaState.uniform_prior(arms), np.full(arms, 1.0 / arms)
+    for _ in range(rounds):
+        n = rng.multinomial(trials, shares)
+        state = beta_ts_update(state, RoundData(n, rng.binomial(n, rates)))
+        shares = beta_ts_proportions(state, 10_000, rng).p
+    return state
+
+
+def mpmath_win_chances(alpha, beta):
+    """π_j = ∫₀¹ f_j ∏_{i≠j} F_i in 30-digit arithmetic, by mpmath's
+    tanh-sinh rule cut at each arm's mean and 4 standard deviations either
+    side."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        a = [mpmath.mpf(v) for v in alpha]
+        b = [mpmath.mpf(v) for v in beta]
+        cuts = {mpmath.mpf(0), mpmath.mpf(1)}
+        for ai, bi in zip(a, b):
+            mean = ai / (ai + bi)
+            sd = mpmath.sqrt(mean * (1 - mean) / (ai + bi + 1))
+            cuts.update(x for x in (mean + k * sd for k in (-4, 0, 4)) if 0 < x < 1)
+
+        def integrand(j, x):
+            value = x ** (a[j] - 1) * (1 - x) ** (b[j] - 1) / mpmath.beta(a[j], b[j])
+            for i in range(len(a)):
+                if i != j:
+                    value *= mpmath.betainc(a[i], b[i], 0, x, regularized=True)
+            return value
+
+        return np.array([float(mpmath.quad(lambda x: integrand(j, x), sorted(cuts)))
+                         for j in range(len(a))])
+
+
+@pytest.mark.parametrize("alpha, beta", [
+    ([1.0, 3.0], [1.0, 5.0]),
+    ([1.0, 2.0, 3.0], [12.0, 9.0, 20.0]),
+    ([30.0, 25.0, 1.0], [70.0, 60.0, 1.0]),
+    ([9.0, 20.0, 1.5], [1.0, 4.0, 2.5]),
+    ([1.1, 1.3], [1.05, 1.9]),
+    ([60.0, 50.0, 1.0], [140.0, 150.0, 3.0]),
+])
+def test_beta_win_chances_match_30_digit_arithmetic(alpha, beta):
+    """Moderate shapes, among them Beta(1, 1), Beta(1, b) and Beta(a, 1),
+    whose modes sit on an end, and fractional shapes near 1, whose
+    densities are singular at an end."""
+    chances = _beta_win_chances(np.array(alpha), np.array(beta))
+    assert np.abs(chances - mpmath_win_chances(alpha, beta)).sum() <= WIN_CHANCE_L1
+
+
+def near_tie_state(total, arms=4):
+    """``arms`` arms at rates 0.3 apart by 0.3 standard deviations, with
+    a + b = ``total``."""
+    sd = np.sqrt(0.21 / total)
+    rates = 0.3 + 0.3 * sd * np.arange(arms)
+    return BetaState(rates * total, (1.0 - rates) * total)
+
+
+LARGE_SHAPE_STATES = {
+    **{f"near_tie_{total:.0e}": (lambda total=total: near_tie_state(total))
+       for total in (1e5, 1e7, 3e8, 1e9)},
+    "spread_k200": lambda: spread_beta_state(200, 200),
+    "wide_arms_k200": lambda: wide_arms_beta_state(3),
+}
+
+
+@pytest.mark.parametrize("case", list(LARGE_SHAPE_STATES))
+def test_beta_win_chances_match_a_finer_rule(case, monkeypatch):
+    """Large shapes and K=200 against the same panels with four times the
+    nodes, and against ``oracles.beta_win_chances`` where its density
+    keeps enough digits (a + b up to 1e7)."""
+    state = LARGE_SHAPE_STATES[case]()
+    keep = _beta_survivors(state, 10_000)
+    alpha, beta = state.alpha[keep], state.beta[keep]
+    assert keep.sum() > 1
+    chances = _beta_win_chances(alpha, beta)
+    nodes, weights = roots_legendre(4 * _QUAD_NODES.size)
+    monkeypatch.setattr(policy, "_QUAD_NODES", nodes)
+    monkeypatch.setattr(policy, "_QUAD_WEIGHTS", weights)
+    assert np.abs(chances - _beta_win_chances(alpha, beta)).sum() <= WIN_CHANCE_L1
+    if (alpha + beta).max() <= 1e7:
+        assert np.abs(chances - oracles.beta_win_chances(alpha, beta)).sum() <= WIN_CHANCE_L1
+
+
+@pytest.mark.parametrize("state", [
+    spread_beta_state(10, 10),
+    BetaState([1.0, 1.0, 3.0, 2.0], [1.0, 4.0, 5.0, 1.0]),
+    near_tie_state(1e7),
+], ids=["spread_k10", "ends", "near_tie_1e7"])
+def test_beta_quadrature_keeps_the_law_of_the_tally(state):
+    """At 400 001 draws, no arm's count from the quadrature's multinomial
+    differs from the Monte Carlo tally's by more than chance allows: the
+    binomial-tail test of ``test_radial_split_keeps_the_law_of_the_full_draw``."""
+    n_draws = 400_001
+    assert _beta_survivors(state, n_draws).all()
+    counts = np.rint(beta_ts_proportions(state, n_draws, np.random.default_rng(27)).p * n_draws)
+    ref_counts = np.rint(oracles.beta_ts_proportions(state, n_draws, np.random.default_rng(28)).p
+                         * n_draws)
+    total = counts + ref_counts
+    tail = np.minimum(stats.binom.cdf(counts, total, 0.5), stats.binom.sf(counts - 1, total, 0.5))
+    assert np.all(2.0 * tail >= LAW_ALPHA / state.arms), (counts, ref_counts)
+
+
+# --- blocked draws and tally -------------------------------------------------
+
+
+# (policy, its oracle, its screen, arm count -> a state the screen keeps
+# whole, (arm count, n_draws) -> rows per block or chunk). A Beta state
+# with shapes at least 1 takes the quadrature, so its oracle is one
+# multinomial draw with Thompson probabilities held to independently
+# computed ones; one with a shape below 1 takes the tally, whose oracle is
+# one full draw.
 BLOCKED_POLICIES = {
     "gaussian": (allocation_proportions, oracles.allocation_proportions,
                  lambda belief, n_draws: _gaussian_survivors(belief, n_draws)[0],
                  lambda k: or_ts_belief(k, 50 * k, k), _block_rows),
-    "beta": (beta_ts_proportions, oracles.beta_ts_proportions, _beta_survivors,
+    "beta": (beta_ts_proportions, oracles.beta_multinomial_proportions, _beta_survivors,
              lambda k: spread_beta_state(k, k), lambda k, n_draws: min(n_draws, _BETA_CHUNK)),
+    "beta_tally": (beta_ts_proportions, oracles.beta_ts_proportions, _beta_survivors,
+                   lambda k: fractional_beta_state(k, k),
+                   lambda k, n_draws: min(n_draws, _BETA_CHUNK)),
 }
 
 
@@ -449,8 +594,11 @@ BLOCKED_POLICIES = {
 ])
 def test_blocked_tally_matches_one_full_draw(policy, k, n_draws, spans_blocks):
     """Draws tallied block by block (Gaussian) or column by column within
-    chunks (Beta), with a last partial block or chunk, give the proportions
-    and the generator state of one (n_draws, K) draw, bit for bit."""
+    chunks (a Beta state with a shape below 1), with a last partial block
+    or chunk, give the proportions and the generator state of one
+    (n_draws, K) draw, bit for bit; a Beta state with shapes at least 1
+    gives those of one multinomial draw with probabilities within
+    ``WIN_CHANCE_L1`` of the oracle's."""
     proportions, oracle, screen, make, block_rows = BLOCKED_POLICIES[policy]
     state = make(k)
     assert screen(state, n_draws).all()
@@ -472,10 +620,12 @@ DECISION_PEAK_BYTES = 8_000_000
 @pytest.mark.parametrize("policy", sorted(BLOCKED_POLICIES))
 def test_allocation_memory_does_not_grow_with_n_draws(policy):
     """At K=200 with 50k draws and at K=20 with 1M draws, with every arm
-    kept, one decision's traced peak stays within one Gaussian block, or a
-    few Beta chunks, and a few K-sized arrays."""
+    kept, one decision's traced peak stays within one Gaussian block, a
+    few Beta chunks or one block of quadrature nodes, and a few K-sized
+    arrays; for the quadrature also at K=2000."""
     proportions, _, screen, make, _ = BLOCKED_POLICIES[policy]
-    for k, n_draws in ((200, 50_000), (20, 1_000_000)):
+    sizes = ((200, 50_000), (20, 1_000_000)) + (((2000, 10_000),) if policy == "beta" else ())
+    for k, n_draws in sizes:
         state = make(k)
         assert screen(state, n_draws).all()
         tracemalloc.start()

@@ -2,8 +2,10 @@
 
 The screened allocation must be the full draw's, bit for bit, whenever the
 screen keeps every arm (or, for a Gaussian decision that takes the radial
-split, the radial oracle's), and the kept-arm oracle's over the kept arms
-when it keeps some; a settled decision must be one the full draw makes
+split, the radial oracle's, and for a Beta decision without a shape below
+1, one multinomial draw with Thompson probabilities within 1e-11 of the
+oracle's), and
+the kept-arm oracle's over the kept arms when it keeps some; a settled decision must be one the full draw makes
 too; every arm the screen drops must be one whose chance of tying or
 beating the leader is within the screen's per-draw budget, computed here
 from the forward distribution functions rather than the screen's own
@@ -28,7 +30,7 @@ from orbandit import (
     beta_ts_proportions,
 )
 from orbandit.gaussian_belief import _draw_into
-from orbandit.policy import _beta_survivors, _gaussian_survivors, _kept_factor
+from orbandit.policy import _beta_by_quadrature, _beta_survivors, _gaussian_survivors, _kept_factor
 
 properties = settings(derandomize=True, deadline=None, max_examples=100)
 seeds = st.integers(0, 2**32 - 1)
@@ -76,10 +78,17 @@ def assert_settled(p, leader, rng, seed, oracle):
 @given(state=beta_states(), n_draws=draw_counts, seed=seeds)
 @example(state=BetaState([3.1e5, 3.0e5], [6.9e5, 7.0e5]), n_draws=10_000, seed=0)
 @example(state=BetaState([3.1e5, 3.0e5, 2e3], [6.9e5, 7.0e5, 8e3]), n_draws=10_000, seed=0)
+# Shapes below 1, or a + b above 1e12, keep the Monte Carlo tally; the
+# third arm is dropped.
+@example(state=BetaState([0.5, 2.0, 1e3], [0.5, 3.0, 9e3]), n_draws=10_000, seed=0)
+@example(state=BetaState([3e12, 3.0000004e12, 1e3], [7e12, 6.9999996e12, 9e3]),
+         n_draws=10_000, seed=0)
 def test_beta_screen_matches_the_full_draw(state, n_draws, seed):
-    """Every arm kept: the full draw's bits and generator state. One arm
-    kept: a settled decision. Some kept: the full draw over the kept arms,
-    bit for bit, and zero for the others."""
+    """One arm kept: a settled decision. Otherwise, over the kept arms,
+    one multinomial draw with Thompson probabilities held to independently
+    computed ones (``oracles.beta_multinomial_proportions``), or for a
+    kept shape below 1 or a + b above 1e12 the full draw, bit for bit and
+    with the generator state; zero for the others."""
     keep = _beta_survivors(state, n_draws)
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     p = beta_ts_proportions(state, n_draws, rng).p
@@ -88,7 +97,9 @@ def test_beta_screen_matches_the_full_draw(state, n_draws, seed):
                        lambda draws, r: oracles.beta_ts_proportions(state, draws, r))
         return
     kept = BetaState(state.alpha[keep], state.beta[keep])
-    np.testing.assert_array_equal(p[keep], oracles.beta_ts_proportions(kept, n_draws, oracle_rng).p)
+    quadrature = _beta_by_quadrature(kept.alpha, kept.beta)
+    oracle = oracles.beta_multinomial_proportions if quadrature else oracles.beta_ts_proportions
+    np.testing.assert_array_equal(p[keep], oracle(kept, n_draws, oracle_rng).p)
     assert not p[~keep].any()
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
