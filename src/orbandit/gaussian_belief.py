@@ -346,13 +346,12 @@ def sample(belief: GaussianBelief, count: int, rng: np.random.Generator) -> np.n
 
 
 def _draw_into(factor: np.ndarray, mean: np.ndarray, out: np.ndarray, rng: np.random.Generator,
-               norms: np.ndarray | None = None, lower: bool = True) -> np.ndarray:
+               norms: np.ndarray | None = None) -> np.ndarray:
     """Fill the C-contiguous (rows, dim) array ``out`` with the draws
     ``mean + z @ factor`` of standard normals z, in place, and return it.
 
-    ``factor`` is a (dim, dim) triangular matrix, lower or upper as
-    ``lower`` says: a belief's L⁻¹ draws the belief, and any factor F with
-    FᵀF = Σ draws a Gaussian of covariance Σ. The normals fill ``out`` in
+    ``factor`` is a belief's L⁻¹, a (dim, dim) lower triangular matrix, so
+    the draws have the belief's law. The normals fill ``out`` in
     C order, the order of one ``standard_normal((rows, dim))`` call, and
     the triangular multiply runs in place, so ``sample`` and the blocked
     Thompson tally share one path from normals to draws. Given ``norms``,
@@ -366,6 +365,6 @@ def _draw_into(factor: np.ndarray, mean: np.ndarray, out: np.ndarray, rng: np.ra
     rng.standard_normal(out=out)
     if norms is not None:
         out *= (norms / np.sqrt(np.einsum("ij,ij->i", out, out)))[:, None]
-    draws = dtrmm(1.0, factor, out.T, side=0, lower=int(lower), trans_a=1, overwrite_b=1).T
+    draws = dtrmm(1.0, factor, out.T, side=0, lower=1, trans_a=1, overwrite_b=1).T
     draws += mean
     return draws

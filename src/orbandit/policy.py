@@ -9,53 +9,48 @@ drift common to all arms cannot contaminate the relative parameters.
 Both allocation functions screen the arms before drawing. The leader is
 the arm of highest posterior mean, and an arm is screened out when its
 chance of tying or beating the leader in a draw, summed over every draw
-and every screened arm, stays within ``SCREEN_EPS``. The decision then
-draws only the surviving arms, and nothing when the leader alone
-survives or there is one arm. A Gaussian decision that drops an arm
-draws the survivors' scores from their exact marginal, through one
-triangular factor of their covariance.
+and every screened arm, stays within ``SCREEN_EPS``. When the leader
+alone survives, or there is one arm, nothing is drawn.
 
-The Gaussian draws that remain are made and tallied block by block: each
-block of rows, about ``_BLOCK_ELEMENTS`` scores, is drawn, reduced to its
-winners and added to an integer count. A decision's working memory is one
-block, whatever ``n_draws`` is. The generator fills arrays in C order, so
-the blocks consume exactly the stream of one full (n_draws, width) draw:
-with every arm kept, the proportions and the generator state are those
-of one full draw of all K coordinates, bit for bit.
+Quadrature. The winner counts of n_draws draws of independent arms are
+Multinomial(n_draws, π), π their Thompson probabilities
+π_j = ∫ f_j ∏_{i≠j} F_i. Such a decision computes π by Gauss–Legendre
+quadrature on panels graded to each arm's spread (``_win_chances``) and
+makes one ``multinomial`` draw, at a cost that does not grow with
+``n_draws``. Its total variation from the tally's law is at most
+n_draws ‖π̂ − π‖₁ / 2, and ‖π̂ − π‖₁ is within 1e-11 on every state
+tested. Two families feed the one integrator: the surviving Beta arms
+when every shape is at least 1 and every a + b at most 1e12, and the
+surviving arm logits of a Gaussian belief whose precision makes them
+independent, as a full-rank posterior grown from a flat start does, when
+its screen drops some arms.
 
-That holds unless the radial split applies. A Gaussian draw whose m
-normals have a norm below a radius r* from the screen is won by the
-leader whatever their direction. When that holds for at least half the
-draws in expectation, a block first draws how many of its rows fall
-outside the ball, one binomial count, and gives the leader the rest:
-rows inside the ball are interchangeable leader wins, so only their
-number matters. Only the rows outside get a norm, from χ²(m) conditioned
-on reaching r*², and normals, rescaled to that norm. The winner counts
-keep the law of the full draw, with no tolerance of their own, on a
-different stream.
+Every other Gaussian decision draws all K coordinates through the
+precision factor's inverse, in blocks of about ``_BLOCK_ELEMENTS``
+scores, each drawn, reduced to its winners and added to an integer
+count, so its memory does not grow with ``n_draws``. The blocks consume
+the stream of one full (n_draws, K) draw, and give its proportions and
+generator state bit for bit, unless the radial split applies: draws whose
+normals lie in a ball from the screen are the leader's whatever their
+direction, so a block draws how many of its rows fall outside, one
+binomial count, and normals only for those rows, rescaled to norms from
+χ²(K) conditioned on leaving the ball. That keeps the law of the full
+draw on another stream.
 
-A Beta decision draws no scores when every surviving shape is at least
-1. Its winner counts would be Multinomial(n_draws, π), π the survivors'
-Thompson probabilities, so it computes π by Gauss–Legendre quadrature of
-∫ f_j ∏_{i≠j} F_i on panels graded to each arm's spread
-(``_beta_win_chances``) and makes one ``multinomial`` draw. Its cost does
-not grow with ``n_draws``, and its total variation from the tally's law
-is at most n_draws ‖π̂ − π‖₁ / 2, with ‖π̂ − π‖₁ within 1e-11 on every
-state tested. A state with a surviving shape below 1, or with a + b above
-1e12, keeps the tally: its draws are made column by column, in chunks of ``_BETA_CHUNK`` draws,
-each surviving arm's from one call of ``_beta_column``, which inverts the
-distribution function exactly when the first shape is 1, and a running
-best score per draw picks the winners. Memory is a few chunk-long
-arrays, or one block of quadrature nodes, whatever ``n_draws`` is.
+Other Beta states keep the Monte Carlo tally, column by column in chunks
+of ``_BETA_CHUNK`` draws, each surviving arm's from one ``_beta_column``
+call, which inverts the distribution function exactly when the first
+shape is 1, and a running best score per draw picks the winners.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import betainc, betaincc, betaincinv, chdtrc, ndtri, roots_legendre
+from scipy.special import betainc, betaincc, betaincinv, chdtrc, ndtr, ndtri, roots_legendre
 
 from .errors import ConfigError, _check_choice, _check_count, _frozen_numbers
 from .gaussian_belief import (
@@ -94,12 +89,14 @@ _BLOCK_ELEMENTS = 2**18
 # default decision is one chunk of a few 80 kB arrays.
 _BETA_CHUNK = 10_000
 
-# The Beta quadrature: Gauss–Legendre nodes and weights on [−1, 1] per
-# panel, the tail chance each arm may lose beyond the integration range,
-# the (node, arm) pairs per block of betainc evaluations, and the largest
-# a + b it takes (see ``_beta_by_quadrature``).
+# The quadrature: Gauss–Legendre nodes and weights on [−1, 1] per panel,
+# the tail chance each arm may lose beyond the integration range, a normal
+# arm's reach from its mean to that quantile in standard deviations, the
+# (node, arm) pairs per block of distribution function evaluations, and
+# the largest a + b a Beta arm may have (see ``_beta_by_quadrature``).
 _QUAD_NODES, _QUAD_WEIGHTS = roots_legendre(10)
 _QUAD_DELTA = 1e-17
+_QUAD_REACH = float(-ndtri(_QUAD_DELTA))
 _QUAD_ELEMENTS = 2**15
 _QUAD_MAX_TOTAL = 1e12
 
@@ -198,57 +195,30 @@ def _block_rows(width: int, n_draws: int) -> int:
     return min(n_draws, max(1, _BLOCK_ELEMENTS // width))
 
 
-def _leads(loadings: np.ndarray, mean: np.ndarray, leader: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """The leader's lead in mean over each score, the standard deviation
-    of that lead, and the radius of the ball of normals in which the
-    leader wins every draw.
-
-    Row j of ``loadings`` holds score j's loadings on the normals, zero
-    for the reference, which scores 0. The lead over score j then has
-    standard deviation ‖loadings[leader] − loadings[j]‖. That norm is
-    exact, where var_i + var_j − 2 cov_ij loses digits to cancellation.
-
-    By Cauchy–Schwarz, a row of normals z moves the leader's lead over
-    score j by at most ‖z‖ times that lead's spread, so the leader strictly
-    beats every score when ‖z‖ is below the least ratio of gap to spread.
-    The radius is that ratio shrunk by the fraction ``REL_TOL``, or, where
-    less, the ratio after the lead loses what rounding can take from the
-    computed scores: for m normals a row, s = (m + 8) eps times the two
-    means' sizes off the gap, and s times the two loading rows' norms onto
-    the spread. That covers the m-term products, the added mean, the
-    rescale of a row to its norm and the rounding of the radius; score j's
-    sizes are bounded through the leader's, |μ_j| ≤ |μ_l| + gap and
-    ‖ℓ_j‖ ≤ ‖ℓ_l‖ + spread. It binds only when an arm trails the leader by
-    a sliver of the scores' size, as a near-duplicate arm can. The radius
-    is never below 0, and infinite when the leader is the only score.
-    """
-    lead = loadings[leader]
-    diff = loadings - lead
-    gap = mean[leader] - mean
-    spread = np.sqrt(np.square(diff, out=diff).sum(axis=1))
-    slack = (loadings.shape[1] + 8) * _EPS
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.fmin(gap / spread * (1.0 - REL_TOL),
-                        (gap * (1.0 - slack) - 2.0 * slack * abs(float(mean[leader])))
-                        / (spread * (1.0 + slack) + 2.0 * slack * float(np.sqrt(lead @ lead))))
-    ratio[leader] = np.inf
-    return gap, spread, max(float(ratio.min()), 0.0)
-
-
 def _gaussian_survivors(belief: GaussianBelief, n_draws: int) -> tuple[np.ndarray, int, float]:
     """The dominance screen for a proper belief: the mask of the arms it
     keeps, the leader, and the radius r* of the ball of normals in which
     the leader wins every draw.
 
-    Scores are the belief's coordinates with the reference fixed at zero,
-    so with draws z @ L⁻¹ score j loads on the normals through column j
-    of L⁻¹, read as zero for the reference (``_leads``). Arm j is dropped
-    when its mean score trails the leader's by more than
-    z = −Φ⁻¹(ε / (n_draws (K − 1))) standard deviations of the lead, so it
-    ties or beats the leader in one draw with probability below
-    ε / (n_draws (K − 1)). r* is the radius of ``_leads`` over every arm,
-    dropped ones included, and infinite for one arm. A one-arm belief
-    keeps its arm.
+    With draws z @ L⁻¹, score j loads on the normals through row ℓ_j of
+    (L⁻¹)ᵀ, zero for the reference, which scores 0. The leader's lead over
+    score j has standard deviation ‖ℓ_l − ℓ_j‖, exact where
+    var_l + var_j − 2 cov_lj cancels. Arm j is dropped when its mean trails
+    the leader's by more than z = −Φ⁻¹(ε / (n_draws (K − 1))) of those, so
+    it ties or beats the leader in a draw with chance below
+    ε / (n_draws (K − 1)).
+
+    By Cauchy–Schwarz a row z moves that lead by at most ‖z‖ times its
+    spread, so the leader wins when ‖z‖ is below every arm's ratio of gap
+    to spread. r* is the least ratio shrunk by the fraction ``REL_TOL``,
+    or, where less, the ratio after the lead loses what rounding can take
+    from the scores: with s = (K + 8) eps, s times the two means' sizes
+    off the gap and s times the two loading rows' norms onto the spread,
+    arm j's sizes bounded through the leader's. That covers the K-term
+    products, the added mean, the rescale of a row to its norm and the
+    rounding of r*, and binds when a near-duplicate arm trails the leader
+    by a sliver of the scores' size. r* is never below 0, and infinite for
+    one arm.
     """
     arms = belief.dim
     if arms < 2:
@@ -258,58 +228,70 @@ def _gaussian_survivors(belief: GaussianBelief, n_draws: int) -> tuple[np.ndarra
     mean = belief.mean.copy()
     mean[-1] = 0.0
     leader = int(mean.argmax())
-    gap, spread, radius = _leads(loadings, mean, leader)
+    lead = loadings[leader]
+    diff = loadings - lead
+    gap = mean[leader] - mean
+    spread = np.sqrt(np.square(diff, out=diff).sum(axis=1))
+    slack = (arms + 8) * _EPS
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.fmin(gap / spread * (1.0 - REL_TOL),
+                        (gap * (1.0 - slack) - 2.0 * slack * abs(float(mean[leader])))
+                        / (spread * (1.0 + slack) + 2.0 * slack * float(np.sqrt(lead @ lead))))
+    ratio[leader] = np.inf
     z = -ndtri(SCREEN_EPS / (n_draws * (arms - 1)))
     # Written so that a NaN keeps its arm.
-    return ~(gap > z * spread), leader, radius
+    return ~(gap > z * spread), leader, max(float(ratio.min()), 0.0)
 
 
-def _kept_factor(belief: GaussianBelief, kept: np.ndarray, leader: int) -> tuple[np.ndarray, float]:
-    """The law of the kept arms' scores: an upper triangular R with RᵀR
-    the covariance of the kept arms' coordinates, the reference's left
-    out, and the radius of the ball in R's normals.
+def _arm_logits(belief: GaussianBelief) -> tuple[np.ndarray, np.ndarray] | None:
+    """The means and standard deviations of the arm logits when the
+    precision makes them independent, else None.
 
-    The coordinates' loadings on the belief's normals are their columns W
-    of L⁻¹, and RᵀR = WᵀW. R is W's thin QR factor, rows scaled to a
-    positive diagonal, so that it is the covariance's Cholesky factor
-    whatever the sign convention of the QR. The Gram matrix WᵀW is never
-    formed: for two near-duplicate arms its Cholesky factor loses the
-    spread of their difference to cancellation. The radius is that of
-    ``_leads`` over the kept arms, from R itself.
+    The logits η_j = θ_j + θ_K (j < K) and η_K = θ_K rank the arms as the
+    scores do. Their precision is diag(d, D) exactly when the θ-precision
+    is the arrow with odds block diag(d), d above the corner in the last
+    column, and corner Σd + D. A full-rank posterior grown from a flat
+    start has it bit for bit: each round adds the likelihood's curvature,
+    itself an arrow, and marginals and re-anchors keep it.
+
+    D = corner − Σd cancels: the corner reached 1504 D on the benchmark's
+    beliefs. ``math.fsum`` rounds the difference of the stored entries
+    once, so D carries only the corner's own rounding, a relative error of
+    about eps · corner / D (3.3e-13 there), where a running sum adds up to
+    K eps · corner / D. None when D ≤ 0; d > 0 for a proper belief.
     """
-    arms = belief.dim
-    drawn = kept[kept < arms - 1]
-    # W's rows above its first column are zero, L⁻¹ being lower triangular.
-    factor = np.linalg.qr(belief.inverse_factor[drawn[0]:, drawn], mode="r")
-    factor *= np.copysign(1.0, factor.diagonal())[:, None]
-    loadings = np.zeros((kept.size, drawn.size))
-    loadings[: drawn.size] = factor.T
-    mean = belief.mean[kept]
-    mean[drawn.size :] = 0.0
-    return factor, _leads(loadings, mean, int(np.searchsorted(kept, leader)))[2]
+    precision = belief.precision
+    d = precision.diagonal()[:-1]
+    if not (np.array_equal(precision[:-1, -1], d) and np.array_equal(precision[:-1, :-1], np.diag(d))):
+        return None
+    rest = math.fsum(np.r_[precision[-1, -1], -d])
+    if not rest > 0.0:
+        return None
+    mean = belief.mean + belief.mean[-1]
+    mean[-1] = belief.mean[-1]
+    return mean, 1.0 / np.sqrt(np.r_[d, rest])
 
 
 def _gaussian_plan(
     belief: GaussianBelief, n_draws: int
-) -> tuple[np.ndarray, int, np.ndarray | None, float, float]:
-    """How a Gaussian decision draws: the arms the screen keeps, the
-    leader, the triangular factor of the normals drawn (None when the
-    leader alone is kept), the radius r* of the ball in those normals, and
-    q = P(χ²(m) ≥ r*²), the chance that a row of the factor's m normals
-    falls outside the ball (NaN when nothing is drawn).
+) -> tuple[np.ndarray, int, float, float, tuple[np.ndarray, np.ndarray] | None]:
+    """How a Gaussian decision goes: the arms the screen keeps, the leader,
+    the screen's radius r*, q = P(χ²(K) ≥ r*²), the chance that a row of K
+    normals falls outside the ball, and, for a decision by quadrature, the
+    kept arms' logit means and standard deviations (else None).
 
-    The factor is L⁻¹ when every arm is kept, else that of
-    ``_kept_factor``. The radial split applies when q ≤ ``_SPLIT_SHARE``.
+    One arm kept: one-hot, q NaN. Some arms dropped, with independent
+    logits (``_arm_logits``): quadrature, q NaN. Otherwise every
+    coordinate is drawn, split radially when q ≤ ``_SPLIT_SHARE``.
     """
     keep, leader, radius = _gaussian_survivors(belief, n_draws)
     kept = np.flatnonzero(keep)
     if kept.size == 1:
-        return kept, leader, None, radius, np.nan
-    if kept.size == belief.dim:
-        factor = belief.inverse_factor
-    else:
-        factor, radius = _kept_factor(belief, kept, leader)
-    return kept, leader, factor, radius, float(chdtrc(factor.shape[0], radius**2))
+        return kept, leader, radius, np.nan, None
+    logits = _arm_logits(belief) if kept.size < belief.dim else None
+    if logits is not None:
+        return kept, leader, radius, np.nan, (logits[0][kept], logits[1][kept])
+    return kept, leader, radius, float(chdtrc(belief.dim, radius**2)), None
 
 
 def _chi2_tail(m: int, floor: float, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -345,68 +327,61 @@ def allocation_proportions(
     zero, which ranks arms by their log odds against the reference without
     moving the shared base rate; ties break toward the lowest arm index.
 
-    A dominance screen runs first (``_gaussian_survivors``). When it drops
-    every arm but the leader, or the belief has one arm, the result is
-    one-hot on the leader and the generator is not touched. When it keeps
-    every arm, all K coordinates are drawn through L⁻¹, the base rate
-    included, and the reference column is then scored zero.
+    A dominance screen runs first (``_gaussian_plan``). When it keeps the
+    leader alone, or the belief has one arm, the result is one-hot on the
+    leader and the generator is not touched. When it drops some arms but
+    keeps two or more, and the arm logits are independent
+    (``_arm_logits``), the kept arms' counts are one
+    ``rng.multinomial(n_draws, π̂)`` draw, π̂ from ``_normal_win_chances``,
+    within n_draws ‖π̂ − π‖₁ / 2 of the Monte Carlo law in total variation.
 
-    When it drops some arms but keeps at least two, only the m scored
-    coordinates of the kept arms are drawn: a decision needs only the law
-    of the scores it ranks, and those scores are Gaussian with covariance
-    WᵀW, for W their columns of L⁻¹. They are drawn as z @ R from m
-    normals per row, R the triangular factor of ``_kept_factor``, and a
-    kept reference scores zero without a normal of its own. Dropped arms
-    get no draws and a share of 0.
+    Otherwise all K coordinates are drawn through L⁻¹, the base rate
+    included, and the reference column is scored zero; the arms a screen
+    of correlated logits drops are drawn too. The draws are tallied in
+    blocks of ``_block_rows`` rows written into one reused buffer, so
+    memory does not grow with ``n_draws``.
 
-    The draws are made and tallied in blocks of ``_block_rows`` rows, each
-    written into one reused buffer, so memory does not grow with
-    ``n_draws``. Each row's winner depends on that row alone.
-
-    Radial split. A row of m standard normals is z = ρ·u, with ρ² ~ χ²(m)
+    Radial split. A row of K standard normals is z = ρ·u, with ρ² ~ χ²(K)
     and the direction u uniform on the sphere and independent of ρ. Rows
-    with ρ below the radius r* of the factor drawn are won by the leader
-    whatever u is: the screen's r* when every arm is kept, else the one of
-    ``_kept_factor``. The split applies when q = P(χ²(m) ≥ r*²), the
-    chance that a row falls outside the ball, is at most one half. A
-    block of n rows then draws the number of its rows outside the ball,
-    one ``binomial(n, q)`` call, and adds the rest to the leader: rows
-    inside the ball are interchangeable leader wins, so only their count
-    matters. The rows outside, when there are any, draw their ρ² from
-    χ²(m) conditioned on ρ ≥ r* (``_chi2_tail``), then their m normals,
-    one ``standard_normal`` call for all of them, each row rescaled to its
-    ρ by ``_draw_into``, and are tallied as usual; a block with none draws
-    nothing more. The stream is: per block, the count, then the radii,
-    then the outside rows' normals. Given the count, the rows outside are
-    independent rows conditioned on ρ ≥ r*, that is ρ·u with ρ from that
-    conditioned law and u uniform, so the winner counts have exactly the
-    law of the full draw. That rests on q, from ``chdtrc``, being accurate,
-    as the full draw's split rested on numpy's χ² sampler. Otherwise the
-    stream is that of one full (n_draws, m) draw of normals, block by
-    block; with every arm kept (m = K) the proportions and the generator
-    state equal those of one full draw.
+    with ρ below the screen's radius r* are won by the leader whatever u
+    is. The split applies when q = P(χ²(K) ≥ r*²), the chance that a row
+    falls outside the ball, is at most one half. A block of n rows then
+    draws the number of its rows outside the ball, one ``binomial(n, q)``
+    call, and adds the rest to the leader: rows inside the ball are
+    interchangeable leader wins, so only their count matters. The rows
+    outside, when there are any, draw their ρ² from χ²(K) conditioned on
+    ρ ≥ r* (``_chi2_tail``), then their K normals, one ``standard_normal``
+    call for all of them, each row rescaled to its ρ by ``_draw_into``,
+    and are tallied as usual; a block with none draws nothing more. The
+    stream is: per block, the count, then the radii, then the outside
+    rows' normals. Given the count, the rows outside are independent rows
+    conditioned on ρ ≥ r*, that is ρ·u with ρ from that conditioned law
+    and u uniform, so the winner counts have exactly the law of the full
+    draw. That rests on q, from ``chdtrc``, being accurate, as the full
+    draw's split rested on numpy's χ² sampler. Otherwise the proportions
+    and the generator state equal those of one full (n_draws, K) draw.
 
-    Soundness of the screen: the kept arms' scores are drawn from their
-    exact joint law, so a full draw of every coordinate can be coupled
-    with them, drawn given the kept scores. The screened result, one-hot
-    or not, then differs from the full Monte Carlo result only if some
-    dropped arm ties or beats the leader in some draw, and each of at most
-    n_draws (K − 1) such events has probability below ε / (n_draws
-    (K − 1)). By the union bound the two differ with probability below
-    ε = ``SCREEN_EPS``, which bounds their total variation distance.
+    Soundness of the screen: the kept arms' logits have the joint law of
+    their coordinates in a full draw, so the two can be coupled. The
+    screened result, one-hot or by quadrature, then differs from the full
+    Monte Carlo result only if some dropped arm ties or beats the leader
+    in some draw, and each of at most n_draws (K − 1) such events has
+    probability below ε / (n_draws (K − 1)). By the union bound the two
+    differ with probability below ε = ``SCREEN_EPS``, which bounds their
+    total variation distance.
     """
     _check_count("n_draws", n_draws, 1)
-    kept, leader, factor, radius, outside = _gaussian_plan(belief, n_draws)
+    kept, leader, radius, outside, logits = _gaussian_plan(belief, n_draws)
     arms = belief.dim
-    if factor is None:
+    if kept.size == 1:
         return _one_hot(arms, leader)
-    every = kept.size == arms
-    width = factor.shape[0]
-    mean = belief.mean[kept[:width]]
-    split = outside <= _SPLIT_SHARE
-    rows = _block_rows(width, n_draws)
-    buffer = np.empty((rows, width))
     counts = np.zeros(arms, dtype=np.int64)
+    if logits is not None:
+        counts[kept] = rng.multinomial(n_draws, _normal_win_chances(*logits))
+        return AllocationProportions(counts / float(n_draws))
+    split = outside <= _SPLIT_SHARE
+    rows = _block_rows(arms, n_draws)
+    buffer = np.empty((rows, arms))
     for start in range(0, n_draws, rows):
         size = min(rows, n_draws - start)
         norms = None
@@ -415,18 +390,12 @@ def allocation_proportions(
             counts[leader] += size - drawn
             if not drawn:
                 continue
-            norms = np.sqrt(_chi2_tail(width, radius**2, drawn, rng))
+            norms = np.sqrt(_chi2_tail(arms, radius**2, drawn, rng))
             size = drawn
-        scores = _draw_into(factor, mean, buffer[:size], rng, norms, lower=every)
-        if every:
-            # The base rate is drawn too; the reference scores zero in its place.
-            scores[:, -1] = 0.0
-        winners = scores.argmax(axis=1)
-        if kept.size > width:
-            # The undrawn reference scores zero: it wins the rows whose
-            # best drawn score is below zero.
-            winners[scores[np.arange(size), winners] < 0.0] = width
-        counts[kept] += np.bincount(winners, minlength=kept.size)
+        scores = _draw_into(belief.inverse_factor, belief.mean, buffer[:size], rng, norms)
+        # The base rate is drawn too; the reference scores zero in its place.
+        scores[:, -1] = 0.0
+        counts += np.bincount(scores.argmax(axis=1), minlength=arms)
     return AllocationProportions(counts / float(n_draws))
 
 
@@ -539,34 +508,22 @@ def _beta_by_quadrature(alpha: np.ndarray, beta: np.ndarray) -> bool:
     return min(alpha.min(), beta.min()) >= 1.0 and (alpha + beta).max() <= _QUAD_MAX_TOTAL
 
 
-def _beta_panels(alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Edges of the quadrature panels, and each arm's lower and upper
-    ``_QUAD_DELTA``-quantiles.
+def _panels(mean: np.ndarray, sd: np.ndarray, lower: np.ndarray, upper: np.ndarray,
+            to_zero: bool = False, to_one: bool = False) -> np.ndarray:
+    """Edges of the quadrature panels for arms of means m_j, standard
+    deviations σ_j and lower and upper ``_QUAD_DELTA``-quantiles.
 
     Below the second-largest lower quantile at least two arms lie below
     their own, and above the largest upper one every arm lies below its
     own, so each side holds at most about δ of any arm's chance to win.
     The panels run between the two. From each edge x the next lies
-    min_j max(σ_j, |x − m_j| / 3) further, for arm means m_j and standard
-    deviations σ_j: a panel is at most one σ wide near any arm's mean and
-    widens geometrically away from every mean, so the rule follows each
-    density's local scale. Decisions captured from the benchmark's loops
-    took 4 to 32 panels, at K = 10 and K = 200 alike.
-
-    Near 0 the densities and distribution functions are x^(a − 1) and x^a
-    times functions analytic there, so they are analytic when every a is a
-    whole number, and likewise near 1 for b; a fractional shape makes them
-    singular at that end, where the rule would lose digits. So with some fractional a each panel is at
-    most as wide as its distance from 0, [x, 2x] at most, and with some
-    fractional b at most as wide as the gap it leaves to 1.
+    min_j max(σ_j, |x − m_j| / 3) further: at most one σ near any mean,
+    wider geometrically away from every mean. Captured Beta decisions took
+    4 to 32 panels, at K = 10 and K = 200 alike. ``to_zero`` caps a panel
+    at its distance from 0 and ``to_one`` at half the gap to 1, grading it
+    toward an end where a density is singular (``_beta_bounds``).
     """
-    total = alpha + beta
-    mean = alpha / total
-    sd = np.sqrt(mean * (1.0 - mean) / (total + 1.0))
-    lower = betaincinv(alpha, beta, _QUAD_DELTA)
-    upper = 1.0 - betaincinv(beta, alpha, _QUAD_DELTA)
     x, end = float(np.partition(lower, -2)[-2]), float(upper.max())
-    to_zero, to_one = bool((alpha % 1.0).any()), bool((beta % 1.0).any())
     edges = [x]
     while x < end:
         step = float(np.maximum(sd, np.abs(x - mean) / 3.0).min())
@@ -576,7 +533,75 @@ def _beta_panels(alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.nd
             step = min(step, 0.5 * (1.0 - x))
         x += step
         edges.append(min(x, end))
-    return np.array(edges), lower, upper
+    return np.array(edges)
+
+
+def _win_chances(bounds: tuple, cdf, log_density, mass) -> np.ndarray:
+    """Thompson probabilities π_j = ∫ f_j ∏_{i≠j} F_i of independent arms,
+    by Gauss–Legendre quadrature, ``_QUAD_NODES`` nodes per panel of
+    ``_panels(*bounds)``, scaled to sum to 1.
+
+    ``cdf(x, arm)`` and ``log_density(x, arm)`` give F and log f, the
+    latter up to a constant per arm, at nodes x for arm indices ``arm``,
+    and ``mass(edge)`` each arm's chance above the first edge. F_i is read
+    as 0 below arm i's lower quantile and 1 above its upper one, and f_i
+    as 0 outside the two, each costing at most about δ per arm; they are
+    evaluated only in between, in blocks of about ``_QUAD_ELEMENTS``
+    (node, arm) pairs, so memory does not grow with arms times nodes.
+    ∏_{i≠j} F_i comes from prefix and suffix products, so an F_i of 0
+    costs no division. Each density is scaled so that the rule's integral
+    of it over the panels equals the arm's mass there.
+    """
+    lower, upper = bounds[2], bounds[3]
+    edges = _panels(*bounds)
+    half = 0.5 * np.diff(edges)
+    nodes = ((edges[:-1] + half)[:, None] + half[:, None] * _QUAD_NODES).ravel()
+    weights = (half[:, None] * _QUAD_WEIGHTS).ravel()
+    wins, norms = np.zeros(lower.size), np.zeros(lower.size)
+    rows = max(1, _QUAD_ELEMENTS // lower.size)
+    for start in range(0, nodes.size, rows):
+        x = nodes[start : start + rows, None]
+        node, arm = np.nonzero((x > lower) & (x < upper))
+        at = x[node, 0]
+        cdfs = (x >= upper).astype(float)
+        cdfs[node, arm] = cdf(at, arm)
+        density = np.zeros_like(cdfs)
+        density[node, arm] = weights[start + node] * np.exp(log_density(at, arm))
+        others = np.ones_like(cdfs)
+        others[:, 1:] = np.cumprod(cdfs[:, :-1], axis=1)
+        others[:, :-1] *= np.cumprod(cdfs[:, :0:-1], axis=1)[:, ::-1]
+        norms += density.sum(axis=0)
+        wins += (density * others).sum(axis=0)
+    chances = np.zeros(lower.size)
+    np.divide(wins * mass(edges[0]), norms, out=chances, where=norms > 0.0)
+    return chances / chances.sum()
+
+
+def _normal_win_chances(mean: np.ndarray, sd: np.ndarray) -> np.ndarray:
+    """Thompson probabilities of independent normal arms by
+    ``_win_chances``: F = ``ndtr(z)`` and log f = −z²/2 for the
+    standardized node z, quantiles ``_QUAD_REACH`` σ from the mean."""
+    reach = _QUAD_REACH * sd
+    return _win_chances(
+        (mean, sd, mean - reach, mean + reach),
+        lambda x, arm: ndtr((x - mean[arm]) / sd[arm]),
+        lambda x, arm: -0.5 * np.square((x - mean[arm]) / sd[arm]),
+        lambda edge: ndtr((mean - edge) / sd))
+
+
+def _beta_bounds(alpha: np.ndarray, beta: np.ndarray) -> tuple:
+    """``_panels``' arguments for Beta arms: means, standard deviations,
+    lower and upper ``_QUAD_DELTA``-quantiles, and whether some a and some
+    b is fractional. Near 0 the densities and distribution functions are
+    x^(a − 1) and x^a times functions analytic there, and likewise near 1
+    for b, so a fractional shape makes them singular at that end, where
+    the panels are graded."""
+    total = alpha + beta
+    mean = alpha / total
+    sd = np.sqrt(mean * (1.0 - mean) / (total + 1.0))
+    lower = betaincinv(alpha, beta, _QUAD_DELTA)
+    upper = 1.0 - betaincinv(beta, alpha, _QUAD_DELTA)
+    return mean, sd, lower, upper, bool((alpha % 1.0).any()), bool((beta % 1.0).any())
 
 
 def _log_ratio(value: np.ndarray, base: np.ndarray, delta: np.ndarray) -> np.ndarray:
@@ -591,60 +616,29 @@ def _log_ratio(value: np.ndarray, base: np.ndarray, delta: np.ndarray) -> np.nda
 
 
 def _beta_win_chances(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Thompson probabilities π_j = ∫ f_j(x) ∏_{i≠j} F_i(x) dx of arms
-    with both shapes at least 1, by Gauss–Legendre quadrature with
-    ``_QUAD_NODES`` nodes per panel of ``_beta_panels``.
-
-    F_i is ``betainc``, read as 0 below arm i's lower δ-quantile and 1
-    above its upper one, and the density is taken as 0 outside the two;
-    each costs at most about δ per arm. ∏_{i≠j} F_i comes from prefix and
-    suffix products, so an F_i of 0 costs no division.
+    """Thompson probabilities of Beta arms with both shapes at least 1, by
+    ``_win_chances`` on the panels of ``_beta_bounds``: F is ``betainc``
+    and the mass above the first edge ``betaincc``.
 
     The density is computed relative to its value at the mean m,
     f̃(x) = exp((a − 1) log(x / m) + (b − 1) log((1 − x) / (1 − m))), each
-    log taken through log1p of the gap to m (``_log_ratio``), and scaled
-    so that the rule's own integral of it over the panels equals the arm's
-    mass there, from ``betaincc``. Written as (a − 1) log x +
-    (b − 1) log1p(−x) − betaln(a, b) instead, the terms cancel at large
-    shapes: on four near-tied arms with a + b ≈ 3e8 the chances then
-    summed to 1 + 3.7e-7. A shape of 1 zeroes its term, so a mode at an
-    end needs nothing special.
-
-    The betainc evaluations, the bulk of the cost, are made only where the
-    node lies inside the arm's quantiles, in blocks of about
-    ``_QUAD_ELEMENTS`` (node, arm) pairs, so memory does not grow with the
-    arm count times the node count. The chances are returned scaled to sum
-    to 1. Before that, their sum was within 1e-14 of 1 on states captured
-    from the benchmark's decision loops, and within 1e-12 on four
-    near-tied arms with a + b = 1e9.
+    log taken through log1p of the gap to m (``_log_ratio``). Written as
+    (a − 1) log x + (b − 1) log1p(−x) − betaln(a, b) instead, the terms
+    cancel at large shapes: on four near-tied arms with a + b ≈ 3e8 the
+    chances then summed to 1 + 3.7e-7. A shape of 1 zeroes its term, so a
+    mode at an end needs nothing special. Before the final rescale the
+    chances summed to within 1e-14 of 1 on states captured from the
+    benchmark's decision loops, and within 1e-12 on four near-tied arms
+    with a + b = 1e9.
     """
-    edges, lower, upper = _beta_panels(alpha, beta)
-    half = 0.5 * np.diff(edges)
-    nodes = ((edges[:-1] + half)[:, None] + half[:, None] * _QUAD_NODES).ravel()
-    weights = (half[:, None] * _QUAD_WEIGHTS).ravel()
     total = alpha + beta
     mean, rest = alpha / total, beta / total
-    wins, norms = np.zeros(alpha.size), np.zeros(alpha.size)
-    rows = max(1, _QUAD_ELEMENTS // alpha.size)
-    for start in range(0, nodes.size, rows):
-        x = nodes[start : start + rows, None]
-        node, arm = np.nonzero((x > lower) & (x < upper))
-        at, m, r = x[node, 0], mean[arm], rest[arm]
-        cdf = (x >= upper).astype(float)
-        cdf[node, arm] = betainc(alpha[arm], beta[arm], at)
-        density = np.zeros_like(cdf)
-        density[node, arm] = weights[start + node] * np.exp(
-            (alpha[arm] - 1.0) * _log_ratio(at, m, at - m)
-            + (beta[arm] - 1.0) * _log_ratio(1.0 - at, r, m - at))
-        others = np.ones_like(cdf)
-        others[:, 1:] = np.cumprod(cdf[:, :-1], axis=1)
-        others[:, :-1] *= np.cumprod(cdf[:, :0:-1], axis=1)[:, ::-1]
-        norms += density.sum(axis=0)
-        wins += (density * others).sum(axis=0)
-    mass = betaincc(alpha, beta, edges[0])
-    chances = np.zeros(alpha.size)
-    np.divide(wins * mass, norms, out=chances, where=norms > 0.0)
-    return chances / chances.sum()
+    return _win_chances(
+        _beta_bounds(alpha, beta),
+        lambda x, arm: betainc(alpha[arm], beta[arm], x),
+        lambda x, arm: ((alpha[arm] - 1.0) * _log_ratio(x, mean[arm], x - mean[arm])
+                        + (beta[arm] - 1.0) * _log_ratio(1.0 - x, rest[arm], mean[arm] - x)),
+        lambda edge: betaincc(alpha, beta, edge))
 
 
 def beta_ts_proportions(
@@ -657,18 +651,13 @@ def beta_ts_proportions(
     keeps take part, and a lone survivor, one arm included, is returned
     one-hot without touching the generator.
 
-    The draws of a Monte Carlo tally are iid and each row's winner follows
-    Categorical(π), π the survivors' Thompson probabilities, so the winner
-    counts are Multinomial(n_draws, π). When every survivor has both
-    shapes at least 1 and a + b at most ``_QUAD_MAX_TOTAL``
-    (``_beta_by_quadrature``), π is computed by quadrature
-    (``_beta_win_chances``) and the counts are one
-    ``rng.multinomial(n_draws, π̂)`` draw: the cost does not grow with
-    ``n_draws``. The total variation from the tally's law is then at most
-    n_draws ‖π̂ − π‖₁ / 2, with ‖π̂ − π‖₁ within 1e-11 on every state the
-    tests hold against 30-digit arithmetic or a finer rule. Other states,
-    a survivor with a shape below 1 such as a Beta(½, ½) prior's, keep
-    the Monte Carlo tally (``_beta_tally``) of the survivors.
+    When every survivor has both shapes at least 1 and a + b at most
+    ``_QUAD_MAX_TOTAL`` (``_beta_by_quadrature``), the winner counts are
+    one ``rng.multinomial(n_draws, π̂)`` draw, π̂ the survivors' Thompson
+    probabilities from ``_beta_win_chances``, within n_draws ‖π̂ − π‖₁ / 2
+    of the tally's law in total variation. Other states, a survivor with a
+    shape below 1 such as a Beta(½, ½) prior's, keep the Monte Carlo tally
+    (``_beta_tally``) of the survivors.
 
     Screen soundness: the arms are independent, so the survivors' draws
     have the same joint law as their columns in a full draw; couple the

@@ -11,17 +11,13 @@ exceptions:
   by chunk, with the package's own ``_beta_column`` into one full matrix.
   It is the Monte Carlo law the Beta quadrature replaces, and still the
   package's tally for states with a shape below 1;
-- ``radial_winner_counts`` and ``kept_winner_counts``, which lay out
-  their streams in the package's blocks of ``_block_rows`` rows, since
-  the radial split's stream depends on them; their radius comes from
-  ``radial_split``, a back-solve per arm. Both split a block through
-  ``split_block``, which makes the package's draws in its order: the
-  binomial count of rows outside the ball, then their radii from
-  ``chi2_tail``, a copy of the package's rejection sampler written from
-  the gamma density. ``kept_winner_counts`` draws the arms a screen keeps
-  from their block of the inverted precision, the covariance's own
-  Cholesky factor, where the package reduces the precision factor's
-  inverse by a QR;
+- ``radial_winner_counts``, which lays out its stream in the package's
+  blocks of ``_block_rows`` rows, since the radial split's stream depends
+  on them; its radius comes from ``radial_split``, a back-solve per arm.
+  It splits a block through ``split_block``, which makes the package's
+  draws in its order: the binomial count of rows outside the ball, then
+  their radii from ``chi2_tail``, a copy of the package's rejection
+  sampler written from the gamma density;
 - ``marginalize_keep``, the package's marginal before it went through a
   Cholesky factor: an eigen-decomposition pseudo-inverse of the dropped
   block;
@@ -34,23 +30,27 @@ exceptions:
   of its objective, gradient and curvature, so that tests can hold those
   against ``dense_objective``, ``fd_gradient`` and ``fd_hessian``.
 
-``beta_win_chances`` shares nothing with the package's Beta quadrature but
-``betainc``: it takes the density from the saddle-point form of Loader
-(2000), normalized analytically, and integrates by adaptive bisection to
-an error tolerance, where the package fixes its panels in advance and
-normalizes each density by the rule's own integral.
+``beta_win_chances`` and ``normal_win_chances`` share nothing with the
+package's quadrature but ``betainc`` and ``ndtr``: they take normalized
+densities, the Beta one from the saddle-point form of Loader (2000), and
+integrate by adaptive bisection to an error tolerance, where the package
+fixes its panels in advance and normalizes each density by the rule's own
+integral. ``logit_law`` reads the arm logits' law from the inverted
+precision, where the package reads it off the precision's arrow pattern.
 
-``random_proper_belief`` is no oracle but the tests' one seeded random
-belief, kept here so that every test module draws it alike.
+``random_proper_belief`` and ``arrow_precision`` are no oracles but the
+tests' one seeded random belief and one arrow precision, kept here so
+that every test module builds them alike.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.special import betainc, betaln, expit, gammaincc, gammaln, roots_legendre
+from scipy.special import betainc, betaln, expit, gammaincc, gammaln, ndtr, roots_legendre
 
 from orbandit import (
     AllocationProportions,
@@ -72,11 +72,19 @@ from orbandit.logistic_model import (
     MAX_NEWTON_ITER,
     MAX_STEP_NORM,
 )
-from orbandit.policy import _BETA_CHUNK, _beta_column, _beta_win_chances, _block_rows
+from orbandit.policy import (
+    _BETA_CHUNK,
+    _beta_column,
+    _beta_win_chances,
+    _block_rows,
+    _normal_win_chances,
+)
+from orbandit.policy import _arm_logits as _package_logits  # the oracles' own is per parameter vector
 
 __all__ = [
     "allocation_proportions",
     "arm_logit_matrix",
+    "arrow_precision",
     "backsolve_sample",
     "backsolve_winner_counts",
     "beta_multinomial_proportions",
@@ -91,10 +99,12 @@ __all__ = [
     "fd_hessian",
     "grid_allocation_probs",
     "hessian_lambda",
-    "kept_winner_counts",
     "laplace_update",
+    "logit_law",
     "marginalize_keep",
     "neg_log_posterior",
+    "normal_multinomial_counts",
+    "normal_win_chances",
     "probs_from_params",
     "radial_split",
     "radial_winner_counts",
@@ -108,6 +118,15 @@ def random_proper_belief(k: int, rng: np.random.Generator, ridge: float = 1.0) -
     a standard normal mean: drawn from ``rng`` in that order."""
     root = rng.normal(size=(k, k))
     return GaussianBelief(rng.normal(size=k), root @ root.T + ridge * np.eye(k))
+
+
+def arrow_precision(d, rest) -> np.ndarray:
+    """The odds-ratio precision whose arm logits are independent, with
+    precisions ``d`` and, for the reference, ``rest``: Aᵀ diag(d, rest) A
+    for A = ``arm_logit_matrix``, with the corner Σd + rest rounded once."""
+    precision = np.diag(np.r_[d, math.fsum([*d, rest])])
+    precision[:-1, -1] = precision[-1, :-1] = d
+    return precision
 
 
 def arm_logit_matrix(k: int) -> np.ndarray:
@@ -437,32 +456,28 @@ def backsolve_winner_counts(mean, precision, n_draws: int, rng: np.random.Genera
     return np.bincount(np.argmax(scores, axis=1), minlength=scores.shape[1])
 
 
-def radial_split(mean, precision, keep=None) -> tuple[int, float] | None:
+def radial_split(mean, precision) -> tuple[int, float] | None:
     """The leader and the radius of the radial split of a Thompson
-    decision over the arms in the mask ``keep`` (every arm by default), or
-    None when the split does not apply.
+    decision, or None when the split does not apply.
 
     With precision = L Lᵀ, a row of normals z gives the scores x = L⁻ᵀ z,
     and the leader l's lead over arm j moves by z · L⁻¹ c_j, where c_j is
     e_l − e_j with its reference entry set to zero (the reference scores
     zero). Each L⁻¹ c_j is one back-solve, as is the leader's loading
-    vector L⁻¹ e_l (zero for the reference). The split draws m normals a
-    row: K when every arm is kept, else one per kept arm but the
-    reference. The radius is the least over the kept j ≠ l of two ratios,
-    with gap_j the lead in mean and d_j = ‖L⁻¹ c_j‖: gap_j / d_j shrunk by
-    the fraction ``REL_TOL``; and, with s = (m + 8) eps, (gap_j (1 − s) −
+    vector L⁻¹ e_l (zero for the reference). The split draws K normals a
+    row. The radius is the least over every j ≠ l of two ratios, with
+    gap_j the lead in mean and d_j = ‖L⁻¹ c_j‖: gap_j / d_j shrunk by the
+    fraction ``REL_TOL``; and, with s = (K + 8) eps, (gap_j (1 − s) −
     2 s |mean_l|) / (d_j (1 + s) + 2 s ‖L⁻¹ e_l‖), the room left once the
     scores' rounding is taken off. It is never below zero. The split
-    applies when a χ²(m) draw exceeds the radius squared with probability
-    at most one half, the regularized upper incomplete gamma Q(m/2, r²/2).
+    applies when a χ²(K) draw exceeds the radius squared with probability
+    at most one half, the regularized upper incomplete gamma Q(K/2, r²/2).
     """
     mean = np.array(mean, dtype=float)
     mean[-1] = 0.0
     k = mean.size
-    keep = np.ones(k, dtype=bool) if keep is None else np.asarray(keep, dtype=bool)
-    m = k if keep.all() else int(keep[:-1].sum())
     leader = int(np.argmax(mean))
-    others = [j for j in range(k) if j != leader and keep[j]]
+    others = [j for j in range(k) if j != leader]
     units = np.eye(k)
     units[-1] = 0.0
     factor = np.linalg.cholesky(np.asarray(precision, dtype=float))
@@ -470,13 +485,13 @@ def radial_split(mean, precision, keep=None) -> tuple[int, float] | None:
                                               lower=True), axis=0)
     size = np.linalg.norm(solve_triangular(factor, units[:, leader], lower=True))
     gaps = mean[leader] - mean[others]
-    slack = (m + 8) * np.finfo(float).eps
+    slack = (k + 8) * np.finfo(float).eps
     with np.errstate(divide="ignore", invalid="ignore"):
         shrunk = gaps / spreads * (1.0 - REL_TOL)
         rounded = ((gaps * (1.0 - slack) - 2.0 * slack * abs(mean[leader]))
                    / (spreads * (1.0 + slack) + 2.0 * slack * size))
     radius = max(float(np.min(np.fmin(shrunk, rounded))), 0.0)
-    if not gammaincc(m / 2.0, radius * radius / 2.0) <= 0.5:
+    if not gammaincc(k / 2.0, radius * radius / 2.0) <= 0.5:
         return None
     return leader, radius
 
@@ -555,49 +570,6 @@ def radial_winner_counts(mean, precision, n_draws: int, rng: np.random.Generator
         scores = mean + solve_triangular(factor, z.T, lower=True, trans="T").T
         scores[:, -1] = 0.0
         counts += np.bincount(np.argmax(scores, axis=1), minlength=k)
-    return counts
-
-
-def kept_winner_counts(mean, precision, keep, n_draws: int, rng: np.random.Generator) -> np.ndarray:
-    """Thompson winner counts per arm with only the arms in the mask
-    ``keep`` drawn, from their marginal law.
-
-    The kept arms' coordinates, the reference's left out (it scores zero),
-    have as covariance S their block of ``np.linalg.inv(precision)``; with
-    S = C Cᵀ its Cholesky factor, a row of m normals z gives the scores
-    mean + C z. In blocks of the package's ``_block_rows(m, n_draws)``
-    rows: when ``radial_split(mean, precision, keep)`` applies, the norms
-    of the rows outside the ball from ``split_block``, the other rows
-    going to the leader, then one (rows outside, m) draw of normals, each
-    row rescaled to its norm; otherwise one (rows, m) draw. A kept
-    reference scores zero, ties go to the lowest index, and dropped arms
-    win nothing.
-    """
-    mean = np.asarray(mean, dtype=float)
-    k = mean.size
-    arms = np.flatnonzero(keep)
-    drawn = arms[arms < k - 1]
-    m = drawn.size
-    cov = np.linalg.inv(np.asarray(precision, dtype=float))[np.ix_(drawn, drawn)]
-    factor = np.linalg.cholesky(0.5 * (cov + cov.T))
-    split = radial_split(mean, precision, keep)
-    rows = _block_rows(m, n_draws)
-    counts = np.zeros(k, dtype=np.int64)
-    for start in range(0, n_draws, rows):
-        size = min(rows, n_draws - start)
-        if split is None:
-            z = rng.standard_normal((size, m))
-        else:
-            leader, radius = split
-            norms = split_block(m, size, radius, rng)
-            counts[leader] += size - norms.size
-            if not norms.size:
-                continue
-            z = rng.standard_normal((norms.size, m))
-            z *= (norms / np.linalg.norm(z, axis=1))[:, None]
-        scores = np.zeros((z.shape[0], arms.size))
-        scores[:, :m] = mean[drawn] + z @ factor.T
-        counts[arms] += np.bincount(np.argmax(scores, axis=1), minlength=arms.size)
     return counts
 
 
@@ -680,27 +652,47 @@ def beta_log_density(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.where((a > 2.0) & (b > 2.0), saddle, direct)
 
 
-def _win_integrals(lo: np.ndarray, hi: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _win_integrals(lo: np.ndarray, hi: np.ndarray, cdf, density) -> np.ndarray:
     """Per interval and arm j, ∫ f_j ∏_{i≠j} F_i over [lo, hi] by 8-node
-    Gauss–Legendre: an (intervals, arms) array."""
+    Gauss–Legendre, for F = ``cdf(x)`` and f = ``density(x)`` at an
+    (intervals, nodes, 1) array of nodes: an (intervals, arms) array."""
     half = 0.5 * (hi - lo)
     x = ((lo + half)[:, None] + half[:, None] * _GAUSS_NODES)[..., None]
-    cdf = betainc(a, b, x)
-    others = np.ones_like(cdf)
-    others[..., 1:] = np.cumprod(cdf[..., :-1], axis=-1)
-    others[..., :-1] *= np.cumprod(cdf[..., :0:-1], axis=-1)[..., ::-1]
-    integrand = np.exp(beta_log_density(a, b, x)) * others
-    return np.einsum("n,inj->ij", _GAUSS_WEIGHTS, integrand) * half[:, None]
+    cdfs = cdf(x)
+    others = np.ones_like(cdfs)
+    others[..., 1:] = np.cumprod(cdfs[..., :-1], axis=-1)
+    others[..., :-1] *= np.cumprod(cdfs[..., :0:-1], axis=-1)[..., ::-1]
+    return np.einsum("n,inj->ij", _GAUSS_WEIGHTS, density(x) * others) * half[:, None]
 
 
-def beta_win_chances(alpha, beta, tol: float = 1e-16, max_levels: int = 100) -> np.ndarray:
+def _bisected_win_chances(edges: np.ndarray, cdf, density, arms: int,
+                          tol: float = 1e-16, max_levels: int = 100) -> np.ndarray:
+    """∫ f_j ∏_{i≠j} F_i over [edges[0], edges[-1]] for each of ``arms``
+    arms: each interval between edges is bisected until the rule on its
+    halves moves the integrals, summed over arms, by at most ``tol``."""
+    lo, hi = edges[:-1], edges[1:]
+    whole = _win_integrals(lo, hi, cdf, density)
+    chances = np.zeros(arms)
+    for _ in range(max_levels):
+        if lo.size == 0:
+            return chances
+        mid = 0.5 * (lo + hi)
+        left, right = _win_integrals(lo, mid, cdf, density), _win_integrals(mid, hi, cdf, density)
+        done = np.abs(whole - left - right).sum(axis=1) <= tol
+        chances += (left + right)[done].sum(axis=0)
+        split = ~done
+        lo, hi = np.r_[lo[split], mid[split]], np.r_[mid[split], hi[split]]
+        whole = np.r_[left[split], right[split]]
+    raise RuntimeError(f"no convergence in {max_levels} bisections")
+
+
+def beta_win_chances(alpha, beta) -> np.ndarray:
     """Thompson probabilities π_j = ∫₀¹ f_j ∏_{i≠j} F_i of independent
     Beta arms with both shapes at least 1.
 
     The interval [0, 1] is first cut at each arm's mean and at 2, 8 and 32
     standard deviations either side, so that no density's bulk falls
-    between nodes. Each interval is then bisected until the rule on its
-    halves moves the integrals, summed over arms, by at most ``tol``.
+    between nodes, then bisected (``_bisected_win_chances``).
     """
     a, b = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
     mean = a / (a + b)
@@ -708,20 +700,53 @@ def beta_win_chances(alpha, beta, tol: float = 1e-16, max_levels: int = 100) -> 
     offsets = np.array([0.0, 2, -2, 8, -8, 32, -32])
     cuts = (mean[:, None] + sd[:, None] * offsets).ravel()
     edges = np.unique(np.r_[0.0, 1.0, cuts[(cuts > 0.0) & (cuts < 1.0)]])
-    lo, hi = edges[:-1], edges[1:]
-    whole = _win_integrals(lo, hi, a, b)
-    chances = np.zeros(a.size)
-    for _ in range(max_levels):
-        if lo.size == 0:
-            return chances
-        mid = 0.5 * (lo + hi)
-        left, right = _win_integrals(lo, mid, a, b), _win_integrals(mid, hi, a, b)
-        done = np.abs(whole - left - right).sum(axis=1) <= tol
-        chances += (left + right)[done].sum(axis=0)
-        split = ~done
-        lo, hi = np.r_[lo[split], mid[split]], np.r_[mid[split], hi[split]]
-        whole = np.r_[left[split], right[split]]
-    raise RuntimeError(f"no convergence in {max_levels} bisections")
+    return _bisected_win_chances(edges, lambda x: betainc(a, b, x),
+                                 lambda x: np.exp(beta_log_density(a, b, x)), a.size)
+
+
+def normal_win_chances(mean, sd) -> np.ndarray:
+    """Thompson probabilities π_j = ∫ φ_j ∏_{i≠j} Φ_i of independent
+    normal arms, over 40 standard deviations either side of every mean,
+    cut at each mean and at 2, 8 and 32 standard deviations either side,
+    then bisected (``_bisected_win_chances``)."""
+    m, s = np.asarray(mean, dtype=float), np.asarray(sd, dtype=float)
+    cuts = (m[:, None] + s[:, None] * np.array([0.0, 2, -2, 8, -8, 32, -32])).ravel()
+    edges = np.unique(np.r_[(m - 40.0 * s).min(), (m + 40.0 * s).max(), cuts])
+    return _bisected_win_chances(
+        edges, lambda x: ndtr((x - m) / s),
+        lambda x: np.exp(-0.5 * np.square((x - m) / s)) / (s * np.sqrt(2.0 * np.pi)), m.size)
+
+
+def logit_law(belief: GaussianBelief) -> tuple[np.ndarray, np.ndarray]:
+    """The arm logits' means A μ and standard deviations, the roots of the
+    diagonal of A Σ Aᵀ for Σ = ``np.linalg.inv(precision)``, with A the
+    odds-ratio-to-logit matrix; their correlations must be within 1e-9."""
+    matrix = arm_logit_matrix(belief.dim)
+    cov = matrix @ np.linalg.inv(belief.precision) @ matrix.T
+    sd = np.sqrt(np.diag(cov))
+    correlation = cov / np.outer(sd, sd) - np.eye(belief.dim)
+    assert np.abs(correlation).max() <= 1e-9, np.abs(correlation).max()
+    return matrix @ belief.mean, sd
+
+
+def normal_multinomial_counts(belief: GaussianBelief, keep, n_draws: int,
+                              rng: np.random.Generator) -> np.ndarray:
+    """Winner counts per arm of a decision by quadrature over the arms in
+    the mask ``keep``: one ``rng.multinomial`` draw with the package's
+    Thompson probabilities π̂ (``_normal_win_chances`` of its ``_arm_logits``),
+    held first to ‖π̂ − π‖₁ ≤ ``WIN_CHANCE_L1`` against π from
+    ``normal_win_chances`` of ``logit_law``; the other arms win nothing.
+    The draw takes π̂ for the reason ``beta_multinomial_proportions``
+    gives."""
+    keep = np.asarray(keep, dtype=bool)
+    mean, sd = _package_logits(belief)
+    chances = _normal_win_chances(mean[keep], sd[keep])
+    law_mean, law_sd = logit_law(belief)
+    error = np.abs(chances - normal_win_chances(law_mean[keep], law_sd[keep])).sum()
+    assert error <= WIN_CHANCE_L1, error
+    counts = np.zeros(belief.dim, dtype=np.int64)
+    counts[keep] = rng.multinomial(n_draws, chances)
+    return counts
 
 
 def beta_multinomial_proportions(

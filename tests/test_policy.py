@@ -20,10 +20,13 @@ from orbandit import (
     LogisticPolicyState,
     RoundData,
     UpdateMode,
+    ExperimentConfig,
+    PolicyKind,
     absorb_round,
     allocation_proportions,
     beta_ts_proportions,
     beta_ts_update,
+    drift_environment,
     embed_flat_last,
     full_ts_update,
     initial_proportions,
@@ -32,17 +35,22 @@ from orbandit import (
     marginalize_keep,
     or_ts_update,
     policy,
+    run_replications,
     sample,
+    simulation,
 )
 from orbandit.policy import (
     _BETA_CHUNK,
     _QUAD_NODES,
+    _arm_logits,
     _beta_column,
     _beta_survivors,
     _beta_win_chances,
     _block_rows,
     _chi2_tail,
+    _gaussian_plan,
     _gaussian_survivors,
+    _normal_win_chances,
 )
 
 import oracles
@@ -115,6 +123,17 @@ def or_ts_belief(k, trials, seed, spread=0.25, p=None):
     return state.belief
 
 
+def full_ts_belief(k, trials, seed, p):
+    """Belief after two full-rank rounds of ``trials`` split evenly, with
+    arm rates ``p``: an arrow precision, whose arm logits are independent."""
+    rng = np.random.default_rng(seed)
+    state = LogisticPolicyState.flat_start(k, UpdateMode.FULL)
+    for _ in range(2):
+        n = np.full(k, trials // k)
+        state = full_ts_update(state, RoundData(n, rng.binomial(n, p)))
+    return state.belief
+
+
 def continuous_marginal(seed):
     """Marginal over four of six tracked arms, the reference among them."""
     rng = np.random.default_rng(seed)
@@ -127,35 +146,40 @@ def continuous_marginal(seed):
     return marginalize_keep(registry.belief, [0, 2, 3, 5])
 
 
-# id -> (belief, the path its decision takes: "full" or "radial" with every
-# arm kept, "kept" or "kept radial" with some arm dropped)
+# id -> (belief, the path its decision takes: "full" or "radial" when all
+# K coordinates are drawn, "quadrature" when some arm is dropped from an
+# arrow belief). The odds-ratio beliefs whose screen drops arms are not
+# arrows, so they draw every coordinate.
 ORACLE_BELIEFS = {
     "k2": (lambda: or_ts_belief(2, 10_000, 2), "radial"),
-    "k10": (lambda: or_ts_belief(10, 10_000, 10), "kept"),
-    "k50": (lambda: or_ts_belief(50, 10_000, 50), "kept"),
+    "k10": (lambda: or_ts_belief(10, 10_000, 10), "full"),
+    "k50": (lambda: or_ts_belief(50, 10_000, 50), "full"),
     "k200": (lambda: or_ts_belief(200, 10_000, 200), "full"),
     "k10_1e6_trials": (lambda: or_ts_belief(10, 1_000_000, 3, spread=0.002), "full"),
-    "continuous_marginal": (lambda: continuous_marginal(5), "kept"),
+    "continuous_marginal": (lambda: continuous_marginal(5), "full"),
     "k10_clear_leader": (lambda: or_ts_belief(10, 200_000, 0, p=np.r_[0.31, np.full(9, 0.30)]),
                          "radial"),
     "k10_reference_dropped": (
         lambda: or_ts_belief(10, 20_000, 1, p=np.r_[0.32, 0.30, np.full(7, 0.2), 0.1]),
-        "kept radial"),
+        "full"),
     "k10_reference_kept": (
         lambda: or_ts_belief(10, 20_000, 2, p=np.r_[0.30, np.full(8, 0.2), 0.28]),
-        "kept radial"),
+        "full"),
+    "k10_full_rank": (
+        lambda: full_ts_belief(10, 20_000, 1, p=np.r_[0.32, 0.30, np.full(7, 0.2), 0.25]),
+        "quadrature"),
 }
 
 
 def oracle_winner_counts(belief, n_draws, rng, path):
-    """The oracle's counts for the path the case must take: the back-solve
-    oracle's, the radial oracle's, or, when the screen drops an arm, the
-    kept-arm oracle's over the arms it keeps."""
+    """The oracle's counts for the path the case must take: for a screen
+    that drops arms from an arrow belief, one multinomial draw over the
+    kept arms whose probabilities are held to the oracle's; otherwise the
+    back-solve oracle's, or the radial oracle's when the split applies."""
     keep = _gaussian_survivors(belief, n_draws)[0]
-    if not keep.all():
-        split = oracles.radial_split(belief.mean, belief.precision, keep)
-        assert path == ("kept" if split is None else "kept radial")
-        return oracles.kept_winner_counts(belief.mean, belief.precision, keep, n_draws, rng)
+    if not keep.all() and _arm_logits(belief) is not None:
+        assert path == "quadrature"
+        return oracles.normal_multinomial_counts(belief, keep, n_draws, rng)
     split = oracles.radial_split(belief.mean, belief.precision)
     assert path == ("full" if split is None else "radial")
     if split is None:
@@ -166,11 +190,11 @@ def oracle_winner_counts(belief, n_draws, rng, path):
 @pytest.mark.blas_sensitive
 @pytest.mark.parametrize("case", list(ORACLE_BELIEFS))
 def test_allocation_matches_the_backsolve_oracle(case):
-    """With every arm kept and no radial split, the proportions and the
-    generator state are the back-solve oracle's, bit for bit; with the
-    split, the radial oracle's (the radii, then back-solved directions);
-    with some arm dropped, the kept-arm oracle's (the kept arms' normals,
-    split or not, through the covariance factor of their marginal)."""
+    """With all K coordinates drawn and no radial split, the proportions
+    and the generator state are the back-solve oracle's, bit for bit; with
+    the split, the radial oracle's (the radii, then back-solved
+    directions); with some arm dropped from an arrow belief, one
+    multinomial draw's over the kept arms."""
     make, path = ORACLE_BELIEFS[case]
     belief = make()
     assert belief.is_proper()
@@ -203,8 +227,8 @@ def covariance_factor_counts(belief, n_draws, rng, chunk=100_000):
     return counts
 
 
-# Law cases: every decision that splits with every arm kept, and one
-# kept-arm decision that splits and leaves out the reference.
+# Law cases: every decision that splits, and one whose screen drops the
+# reference from a belief that is no arrow, so that all K are drawn.
 LAW_CASES = [case for case, (_, path) in ORACLE_BELIEFS.items() if path == "radial"]
 LAW_CASES.append("k10_reference_dropped")
 
@@ -212,13 +236,13 @@ LAW_CASES.append("k10_reference_dropped")
 @pytest.mark.blas_sensitive
 @pytest.mark.parametrize("case", LAW_CASES)
 def test_radial_split_keeps_the_law_of_the_full_draw(case):
-    """At 400 001 draws, the radial split (over every arm, or over the kept
-    arms) matches its oracle bit for bit, and no arm's winner count
-    differs from that of independent covariance-factor draws of every
-    coordinate by more than chance allows. Given the sum of an arm's two
-    counts, its count is hypergeometric under one law; the binomial with
-    the same sum and the share of the draws is wider, so its tails make a
-    conservative two-sided test."""
+    """At 400 001 draws, the decision matches its oracle bit for bit, and
+    no arm's winner count differs from that of independent
+    covariance-factor draws of every coordinate by more than chance
+    allows. Given the sum of an arm's two counts, its count is
+    hypergeometric under one law; the binomial with the same sum and the
+    share of the draws is wider, so its tails make a conservative
+    two-sided test."""
     make, path = ORACLE_BELIEFS[case]
     belief = make()
     n_draws = 400_001
@@ -227,11 +251,34 @@ def test_radial_split_keeps_the_law_of_the_full_draw(case):
     np.testing.assert_array_equal(counts, oracle_winner_counts(belief, n_draws, oracle_rng, path))
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
-    ref_counts = covariance_factor_counts(belief, n_draws, np.random.default_rng(23))
+    assert_same_law(counts, covariance_factor_counts(belief, n_draws, np.random.default_rng(23)))
+
+
+def assert_same_law(counts, ref_counts):
+    """No arm's count differs from the reference draw's by more than the
+    binomial tails of ``test_radial_split_keeps_the_law_of_the_full_draw``
+    allow, and some arm but the first wins in both."""
     total = counts + ref_counts
     tail = np.minimum(stats.binom.cdf(counts, total, 0.5), stats.binom.sf(counts - 1, total, 0.5))
-    assert np.all(2.0 * tail >= LAW_ALPHA / belief.dim), (counts, ref_counts)
+    assert np.all(2.0 * tail >= LAW_ALPHA / counts.size), (counts, ref_counts)
     assert (counts[1:] > 0).any() and (ref_counts[1:] > 0).any()
+
+
+@pytest.mark.blas_sensitive
+def test_arrow_quadrature_keeps_the_law_of_the_full_draw():
+    """At 400 001 draws, a full-rank belief whose screen drops arms but
+    keeps two or more: one multinomial draw over the kept arms, whose
+    counts hold to those of covariance-factor draws of every coordinate."""
+    make, path = ORACLE_BELIEFS["k10_full_rank"]
+    belief = make()
+    n_draws = 400_001
+    keep = _gaussian_survivors(belief, n_draws)[0]
+    assert 1 < keep.sum() < belief.dim
+    rng, oracle_rng = np.random.default_rng(22), np.random.default_rng(22)
+    counts = np.rint(allocation_proportions(belief, n_draws, rng).p * n_draws).astype(np.int64)
+    np.testing.assert_array_equal(counts, oracle_winner_counts(belief, n_draws, oracle_rng, path))
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    assert_same_law(counts, covariance_factor_counts(belief, n_draws, np.random.default_rng(23)))
 
 
 def load_tool(name):
@@ -244,7 +291,7 @@ def load_tool(name):
 
 split_share = load_tool("split_share")
 # The oracle cases' paths under the names tools/split_share.py prints.
-SPLIT_SHARE_PATHS = {"full": "full", "kept": "kept", "radial": "split", "kept radial": "split"}
+SPLIT_SHARE_PATHS = {"full": "full", "radial": "split", "quadrature": "quadrature"}
 
 
 @pytest.mark.parametrize("case", list(ORACLE_BELIEFS))
@@ -286,10 +333,10 @@ def test_split_share_names_the_path_each_beta_decision_takes(make, path):
 @pytest.mark.parametrize("m", [1, 2, 3, 10, 50, 200])
 def test_chi2_tail_follows_the_conditioned_chi2_law(m, q):
     """The split's radii: χ²(m) conditioned on reaching the floor t, the
-    upper q-quantile, at every draw count a decision can draw (m = 1 when
-    a kept-arm decision draws one coordinate) and every share of rows
-    outside the ball the split allows (q ≤ ½). Every draw is at least t,
-    and a KS test holds them against 1 − P(χ² > x) / q."""
+    upper q-quantile, at draw counts from one to a wide decision's and
+    every share of rows outside the ball the split allows (q ≤ ½). Every
+    draw is at least t, and a KS test holds them against
+    1 − P(χ² > x) / q."""
     floor = chdtri(m, q)
     draws = _chi2_tail(m, floor, 20_000, np.random.default_rng(26))
     assert draws.shape == (20_000,)
@@ -561,6 +608,124 @@ def test_beta_quadrature_keeps_the_law_of_the_tally(state):
     total = counts + ref_counts
     tail = np.minimum(stats.binom.cdf(counts, total, 0.5), stats.binom.sf(counts - 1, total, 0.5))
     assert np.all(2.0 * tail >= LAW_ALPHA / state.arms), (counts, ref_counts)
+
+
+# --- normal quadrature -------------------------------------------------------
+
+
+def mpmath_normal_win_chances(mean, sd):
+    """π_j = ∫ φ_j ∏_{i≠j} Φ_i in 30-digit arithmetic, by mpmath's
+    tanh-sinh rule over the line cut at each arm's mean and 4 standard
+    deviations either side."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        m = [mpmath.mpf(v) for v in mean]
+        s = [mpmath.mpf(v) for v in sd]
+        cuts = sorted({mi + k * si for mi, si in zip(m, s) for k in (-4, 0, 4)})
+
+        def integrand(j, x):
+            value = mpmath.npdf(x, m[j], s[j])
+            for i in range(len(m)):
+                if i != j:
+                    value *= mpmath.ncdf(x, m[i], s[i])
+            return value
+
+        return np.array([float(mpmath.quad(lambda x: integrand(j, x), [-mpmath.inf, *cuts, mpmath.inf]))
+                         for j in range(len(m))])
+
+
+@pytest.mark.parametrize("mean, sd", [
+    ([0.0, 0.3], [1.0, 1.0]),
+    ([0.0, 0.5, 1.0], [1.0, 0.5, 2.0]),
+    ([2.0, 2.0, 2.0, 1.0], [0.1, 0.1, 0.1, 1.0]),
+    ([-1.2, -1.1, -1.5], [0.05, 0.07, 1.5]),
+    ([0.0, 1e-3, -30.0], [1e-3, 2e-3, 30.0]),
+], ids=["k2", "k3", "three_tied", "wide_reference", "scales_1e4_apart"])
+def test_normal_win_chances_match_30_digit_arithmetic(mean, sd):
+    """Small states, ties among them, and spreads up to 3e4 apart, as a
+    starved reference's logit has."""
+    chances = _normal_win_chances(np.array(mean), np.array(sd))
+    assert np.abs(chances - mpmath_normal_win_chances(mean, sd)).sum() <= WIN_CHANCE_L1
+
+
+def full_ts_quadrature_beliefs(monkeypatch, k, rounds, seed=1):
+    """The beliefs of the ``full_ts`` decisions that take the quadrature in
+    one replication of a drifting study (K arms, 1e4 trials a round, d=20),
+    captured where ``simulation`` calls the allocation: the states the
+    benchmark's ``full_ts`` loops decide on."""
+    seen = []
+    allocate = simulation.allocation_proportions
+
+    def capture(belief, n_draws, rng):
+        seen.append(belief)
+        return allocate(belief, n_draws, rng)
+
+    config = ExperimentConfig(rounds=rounds, trials_per_round=10_000, replications=1,
+                              policy=PolicyKind.FULL_TS, seed=seed, n_draws=10_000)
+    with monkeypatch.context() as patch:
+        patch.setattr(simulation, "allocation_proportions", capture)
+        run_replications(config, drift_environment(k, 0.31, 0.30, 20.0), policies=(PolicyKind.FULL_TS,))
+    return [belief for belief in seen if _gaussian_plan(belief, 10_000)[4] is not None]
+
+
+@pytest.mark.parametrize("k, rounds", [(10, 12), (200, 6)], ids=["k10", "k200"])
+def test_normal_win_chances_match_a_finer_rule(k, rounds, monkeypatch):
+    """Every quadrature decision of a ``full_ts`` loop, at K = 10 and
+    K = 200, against ``oracles.normal_win_chances`` and against the same
+    panels with four times the nodes."""
+    beliefs = full_ts_quadrature_beliefs(monkeypatch, k, rounds)
+    plans = [_gaussian_plan(belief, 10_000)[4] for belief in beliefs]
+    assert plans
+    chances = [_normal_win_chances(*logits) for logits in plans]
+    for logits, found in zip(plans, chances):
+        assert np.abs(found - oracles.normal_win_chances(*logits)).sum() <= WIN_CHANCE_L1
+    nodes, weights = roots_legendre(4 * _QUAD_NODES.size)
+    monkeypatch.setattr(policy, "_QUAD_NODES", nodes)
+    monkeypatch.setattr(policy, "_QUAD_WEIGHTS", weights)
+    for logits, found in zip(plans, chances):
+        assert np.abs(found - _normal_win_chances(*logits)).sum() <= WIN_CHANCE_L1
+
+
+@pytest.mark.parametrize("ratio", [1.0, 39.0, 1504.0, 1e4])
+@pytest.mark.parametrize("k", [10, 200])
+def test_arm_logits_read_the_reference_precision_without_cancellation(k, ratio):
+    """Arrow beliefs built from known (d, D), the corner Σd + D up to 1e4
+    times D: the Thompson probabilities from ``_arm_logits`` lie within
+    1e-11 of those from the exact (d, D)."""
+    rng = np.random.default_rng(k)
+    d = rng.uniform(1e3, 1e5, size=k - 1)
+    rest = d.sum() / (ratio - 1.0) if ratio > 1.0 else 1e4
+    logits = rng.normal(-0.8, 0.01, size=k)
+    mean = logits - logits[-1]
+    mean[-1] = logits[-1]
+    read_mean, read_sd = _arm_logits(GaussianBelief(mean, oracles.arrow_precision(d, rest)))
+    chances = _normal_win_chances(read_mean, read_sd)
+    sd = 1.0 / np.sqrt(np.r_[d, rest])
+    assert np.abs(chances - oracles.normal_win_chances(logits, sd)).sum() <= WIN_CHANCE_L1
+
+
+def test_arm_logits_read_the_reference_precision_to_the_corner_rounding():
+    """At K = 200, d spread over four decades and a corner 1e4 times D, on
+    100 seeds: D is read within eps · (corner / D + 4) relative, the
+    corner's own rounding and that of the standard deviation. A float sum
+    of d exceeds that on some of them."""
+    eps = np.finfo(float).eps
+    for seed in range(100):
+        d = 10.0 ** np.random.default_rng(seed).uniform(2.0, 6.0, size=199)
+        rest = d.sum() / 1e4
+        precision = oracles.arrow_precision(d, rest)
+        read = _arm_logits(GaussianBelief(np.zeros(200), precision))[1][-1] ** -2
+        assert abs(read / rest - 1.0) <= eps * (precision[-1, -1] / rest + 4.0), seed
+
+
+def test_arm_logits_need_an_arrow_and_a_positive_reference_precision():
+    """An odds-ratio belief after two rounds is no arrow; an arrow whose
+    corner is not above Σd gives no reference precision."""
+    assert _arm_logits(or_ts_belief(10, 10_000, 10)) is None
+    precision = oracles.arrow_precision(np.array([2.0, 3.0]), 1.0)
+    assert _arm_logits(GaussianBelief(np.zeros(3), precision)) is not None
+    precision[-1, -1] = 5.0
+    assert _arm_logits(GaussianBelief(np.zeros(3), precision)) is None
 
 
 # --- blocked draws and tally -------------------------------------------------

@@ -1,24 +1,24 @@
 """Property checks for the dominance screen in front of the Thompson draws.
 
 The screened allocation must be the full draw's, bit for bit, whenever the
-screen keeps every arm (or, for a Gaussian decision that takes the radial
-split, the radial oracle's, and for a Beta decision without a shape below
-1, one multinomial draw with Thompson probabilities within 1e-11 of the
-oracle's), and
-the kept-arm oracle's over the kept arms when it keeps some; a settled decision must be one the full draw makes
-too; every arm the screen drops must be one whose chance of tying or
-beating the leader is within the screen's per-draw budget, computed here
-from the forward distribution functions rather than the screen's own
-quantiles and factors; every Gaussian draw inside the radial split's ball
-must be the leader's; and the kept arms' factor must keep the spreads of
-near-duplicate arms and the soundness of its own ball.
+decision draws (or, for a Gaussian decision that takes the radial split,
+the radial oracle's), and one multinomial draw with Thompson probabilities
+within 1e-11 of the oracle's over the kept arms when it takes the
+quadrature: a Beta decision without a shape below 1, or a Gaussian one
+that drops arms from a belief with independent arm logits. A settled
+decision must be one the full draw makes too; every arm the screen drops
+must be one whose chance of tying or beating the leader is within the
+screen's per-draw budget, computed here from the forward distribution
+functions rather than the screen's own quantiles and factors; every
+Gaussian draw inside the radial split's ball must be the leader's, near-
+duplicate arms included; and the beliefs of the full-rank policy must
+keep the arrow precision that makes their arm logits independent.
 """
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import solve_triangular
 from scipy.special import betainc, betaincc, ndtr
 
 import oracles
@@ -26,11 +26,17 @@ from orbandit import (
     SCREEN_EPS,
     BetaState,
     GaussianBelief,
+    LogisticPolicyState,
+    RoundData,
+    UpdateMode,
     allocation_proportions,
     beta_ts_proportions,
+    full_ts_update,
+    marginalize_keep,
+    or_ts_update,
 )
-from orbandit.gaussian_belief import _draw_into
-from orbandit.policy import _beta_by_quadrature, _beta_survivors, _gaussian_survivors, _kept_factor
+from orbandit.gaussian_belief import _draw_into, _move_reference
+from orbandit.policy import _arm_logits, _beta_by_quadrature, _beta_survivors, _gaussian_survivors
 
 properties = settings(derandomize=True, deadline=None, max_examples=100)
 seeds = st.integers(0, 2**32 - 1)
@@ -61,6 +67,19 @@ def gaussian_beliefs(draw):
     spread = draw(st.sampled_from([0.1, 1.0, 5.0]))
     root = rng.normal(size=(k, k))
     return GaussianBelief(spread * rng.normal(size=k), scale * (root @ root.T + 0.5 * np.eye(k)))
+
+
+@st.composite
+def arrow_beliefs(draw):
+    """Beliefs of independent arm logits: precisions ``d`` of 1 to 1e6 for
+    the arms but the reference, its own D from 1e-2 to 1 times their sum,
+    and logit means spread 0.1–5 wide, written in θ as an arrow."""
+    k = draw(st.integers(3, 6))
+    rng = np.random.default_rng(draw(seeds))
+    d = 10.0 ** rng.uniform(0.0, 6.0, size=k - 1)
+    rest = d.sum() * 10.0 ** rng.uniform(-2.0, 0.0)
+    logits = draw(st.sampled_from([0.1, 1.0, 5.0])) * rng.normal(size=k)
+    return GaussianBelief(np.r_[logits[:-1] - logits[-1], logits[-1]], oracles.arrow_precision(d, rest))
 
 
 def assert_settled(p, leader, rng, seed, oracle):
@@ -135,15 +154,17 @@ def test_beta_screen_drops_only_arms_within_budget(state, n_draws):
 
 @pytest.mark.blas_sensitive
 @properties
-@given(belief=gaussian_beliefs(), n_draws=draw_counts, seed=seeds)
-# Kept-arm decisions without the split: the reference dropped, then kept.
+@given(belief=st.one_of(gaussian_beliefs(), arrow_beliefs()), n_draws=draw_counts, seed=seeds)
+# Decisions that drop arms from beliefs that are no arrows, so that all K
+# coordinates are drawn: the reference dropped, then kept.
 @example(belief=GaussianBelief([1.0, 0.9, -5.0, 0.0], 100.0 * np.eye(4)), n_draws=10_000, seed=0)
 @example(belief=GaussianBelief([0.05, -5.0, 0.0], 100.0 * np.eye(3)), n_draws=10_000, seed=0)
 def test_gaussian_screen_matches_the_full_draw(belief, n_draws, seed):
-    """Every arm kept: the full draw's bits and generator state, or the
-    radial oracle's when the decision takes the split. One arm kept: a
-    settled decision. Some kept: the kept-arm oracle's over the kept arms,
-    bit for bit, and zero for the others."""
+    """One arm kept: a settled decision. Some arms dropped from a belief
+    with independent arm logits: one multinomial draw over the kept arms
+    whose probabilities are held to the oracle's, and zero for the others.
+    Otherwise the full draw's bits and generator state, or the radial
+    oracle's when the decision takes the split."""
     keep, _, _ = _gaussian_survivors(belief, n_draws)
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     p = allocation_proportions(belief, n_draws, rng).p
@@ -151,10 +172,8 @@ def test_gaussian_screen_matches_the_full_draw(belief, n_draws, seed):
         assert_settled(p, np.flatnonzero(keep)[0], rng, seed,
                        lambda draws, r: oracles.allocation_proportions(belief, draws, r))
         return
-    if not keep.all():
-        expected = oracles.kept_winner_counts(
-            belief.mean, belief.precision, keep, n_draws, oracle_rng) / float(n_draws)
-        assert not expected[~keep].any()
+    if not keep.all() and _arm_logits(belief) is not None:
+        expected = oracles.normal_multinomial_counts(belief, keep, n_draws, oracle_rng) / float(n_draws)
     elif (split := oracles.radial_split(belief.mean, belief.precision)) is None:
         expected = oracles.allocation_proportions(belief, n_draws, oracle_rng).p
     else:
@@ -195,15 +214,13 @@ class FixedNormals:
         out[...] = self.rows
 
 
-@properties
-@given(belief=gaussian_beliefs(), seed=seeds)
-def test_gaussian_rows_inside_the_ball_go_to_the_leader(belief, seed):
+def assert_rows_inside_the_ball_go_to_the_leader(belief, seed):
     """Rows of normals with a norm below the screen's radius, pushed
     through the tally's own rescale and multiply, are all won by the
     leader. Besides random directions, each arm j gets the direction that
     raises its score against the leader's fastest, at norms up to the
-    largest float below the radius, where only the radius's ``REL_TOL``
-    margin keeps rounding from handing the row to arm j."""
+    largest float below the radius, where only the radius's margins keep
+    rounding from handing the row to arm j."""
     _, leader, radius = _gaussian_survivors(belief, 10_000)
     if not 0.0 < radius < np.inf:
         return
@@ -223,18 +240,25 @@ def test_gaussian_rows_inside_the_ball_go_to_the_leader(belief, seed):
     assert (np.argmax(scores, axis=1) == leader).all()
 
 
+@properties
+@given(belief=gaussian_beliefs(), seed=seeds)
+def test_gaussian_rows_inside_the_ball_go_to_the_leader(belief, seed):
+    """``assert_rows_inside_the_ball_go_to_the_leader`` on correlated
+    beliefs, where the radius's ``REL_TOL`` margin binds."""
+    assert_rows_inside_the_ball_go_to_the_leader(belief, seed)
+
+
 @st.composite
-def near_duplicate_pairs(draw):
+def near_duplicate_beliefs(draw):
     """A proper belief whose scored arms i and j are coupled in precision
-    by up to 1e12, c (e_i − e_j)(e_i − e_j)ᵀ on top of 1e2 to 1e6 times a
+    by up to 1e14, c (e_i − e_j)(e_i − e_j)ᵀ on top of 1e2 to 1e6 times a
     random Gram matrix, so that their scores differ by about c^(−1/2)
     while each varies by about 1; the pair leads, its two means a few
-    standard deviations of that difference apart. With it, a mask that
-    keeps the pair and drops at least one other arm."""
+    standard deviations of that difference apart."""
     k = draw(st.integers(3, 6))
     rng = np.random.default_rng(draw(seeds))
     scale = draw(st.sampled_from([1e2, 1e4, 1e6]))
-    coupling = draw(st.sampled_from([1e4, 1e8, 1e12]))
+    coupling = draw(st.sampled_from([1e4, 1e8, 1e12, 1e14]))
     pair = rng.permutation(k - 1)[:2]
     root = rng.normal(size=(k, k))
     v = np.zeros(k)
@@ -245,51 +269,62 @@ def near_duplicate_pairs(draw):
     mean[pair[1]] += (mean[pair[1]] - mean[pair[0]]) * (1.0 / np.sqrt(coupling) - 1.0)
     belief = GaussianBelief(mean, precision)
     assume(belief.is_proper())
-    keep = rng.random(k) < 0.5
-    keep[pair] = True
-    keep[rng.choice(np.flatnonzero(~keep)) if not keep.all() else
-         rng.choice(np.setdiff1d(np.arange(k), pair))] = False
-    return belief, keep
+    return belief
 
 
 @pytest.mark.blas_sensitive
 @properties
-@given(case=near_duplicate_pairs(), seed=seeds)
-def test_kept_factor_keeps_near_duplicate_spreads_and_its_ball(case, seed):
-    """The kept arms' factor R gives every pair of kept scores, the
-    reference's read as zero, the spread of their difference that a
-    back-solve through the precision's Cholesky factor gives, within 1e-9
-    relative, at couplings up to 1e12. And rows of normals with a norm
-    below its radius, drawn through R by the tally's own rescale and
-    multiply, are all the leader's: random directions, and for each kept
-    arm the direction that raises it fastest against the leader, at norms
-    up to the largest float below the radius."""
-    belief, keep = case
-    k = belief.dim
-    kept = np.flatnonzero(keep)
-    mean = belief.mean.copy()
-    mean[-1] = 0.0
-    leader = int(np.argmax(mean))
-    factor, radius = _kept_factor(belief, kept, leader)
-    m = factor.shape[0]
-    loadings = np.zeros((kept.size, m))
-    loadings[:m] = factor.T
-    spreads = np.linalg.norm(loadings[:, None] - loadings[None], axis=2)
-    leads = np.eye(k)[:, kept, None] - np.eye(k)[:, None, kept]
-    leads[-1] = 0.0
-    root = np.linalg.cholesky(belief.precision)
-    expected = np.linalg.norm(
-        solve_triangular(root, leads.reshape(k, -1), lower=True), axis=0).reshape(spreads.shape)
-    np.testing.assert_allclose(spreads, expected, rtol=1e-9, atol=0.0)
+@given(belief=near_duplicate_beliefs(), seed=seeds)
+def test_near_duplicate_rows_inside_the_ball_go_to_the_leader(belief, seed):
+    """``assert_rows_inside_the_ball_go_to_the_leader`` when an arm trails
+    the leader by a sliver of the scores' size: at a coupling of 1e14 the
+    leader's lead at the edge of the ball, once shrunk by ``REL_TOL``, is
+    below one rounding of the scores, and only the radius's rounding
+    margin keeps the leader's rows."""
+    assert_rows_inside_the_ball_go_to_the_leader(belief, seed)
 
-    at = int(np.searchsorted(kept, leader))
-    toward = np.delete(loadings - loadings[at], at, axis=0)
-    toward = toward[np.linalg.norm(toward, axis=1) > 0]
-    directions = np.vstack([toward, np.random.default_rng(seed).normal(size=(8, m))])
-    fractions = np.array([0.0, 0.5, 0.9, 1.0 - 1e-6, np.nextafter(1.0, 0.0)])
-    rows = np.repeat(directions, fractions.size, axis=0)
-    norms = np.tile(fractions, directions.shape[0]) * radius
-    scores = np.zeros((rows.shape[0], kept.size))
-    scores[:, :m] = _draw_into(factor, belief.mean[kept[:m]], np.empty_like(rows),
-                               FixedNormals(rows), norms, lower=False)
-    assert (np.argmax(scores, axis=1) == at).all()
+
+@st.composite
+def full_rank_histories(draw):
+    """A full-rank posterior after one to four rounds from a flat start at
+    3 to 8 arms, with 10 to 1e6 trials an arm at rates 0.02–0.6, and a
+    mask of the arms to keep that holds the reference and one more."""
+    k = draw(st.integers(3, 8))
+    rng = np.random.default_rng(draw(seeds))
+    trials = draw(st.sampled_from([10, 1_000, 1_000_000]))
+    rates = rng.uniform(0.02, 0.6, size=k)
+    state = LogisticPolicyState.flat_start(k, UpdateMode.FULL)
+    for _ in range(draw(st.integers(1, 4))):
+        n = rng.integers(trials, 2 * trials, size=k)
+        state = full_ts_update(state, RoundData(n, rng.binomial(n, rates)))
+    keep = rng.random(k) < 0.5
+    keep[[rng.integers(k - 1), k - 1]] = True
+    return state.belief, keep, int(rng.integers(k - 1))
+
+
+def assert_arrow_logits(belief):
+    """``_arm_logits`` reads the belief as independent logits whose
+    variances match the logits' variances from ``belief.covariance()``
+    within 1e-9 relative, and whose means are the arms' log odds."""
+    logits = _arm_logits(belief)
+    assert logits is not None
+    mean, sd = logits
+    matrix = oracles.arm_logit_matrix(belief.dim)
+    np.testing.assert_allclose(sd**2, np.diag(matrix @ belief.covariance() @ matrix.T), rtol=1e-9)
+    np.testing.assert_allclose(mean, matrix @ belief.mean, rtol=1e-12, atol=1e-12)
+
+
+@properties
+@given(case=full_rank_histories())
+def test_full_rank_beliefs_stay_arrows(case):
+    """The arm logits of a chain of ``full_ts_update`` rounds are read as
+    independent, and stay so under ``marginalize_keep`` to arms that hold
+    the reference and under a re-anchor to another arm; after two
+    ``or_ts_update`` rounds they are not."""
+    belief, keep, anchor = case
+    assert_arrow_logits(belief)
+    assert_arrow_logits(marginalize_keep(belief, np.flatnonzero(keep)))
+    assert_arrow_logits(_move_reference(belief, anchor))
+    state = LogisticPolicyState(belief, UpdateMode.ODDS_RATIO)
+    data = RoundData(np.full(belief.dim, 1_000), np.full(belief.dim, 300))
+    assert _arm_logits(or_ts_update(or_ts_update(state, data), data).belief) is None

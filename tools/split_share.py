@@ -14,11 +14,12 @@ sorts every Thompson decision by the path it takes. A logistic policy's
 (``full_ts`` and ``or_ts``) follow ``allocation_proportions``:
 
 - ``one-hot``: the screen keeps the leader alone, and nothing is drawn;
-- ``full``: every arm kept, m = K normals a row, no split;
-- ``kept``: some arms dropped, one normal a row per kept arm but the
-  reference, no split;
-- ``split``: either of the two with the radial split, which applies when
-  q = P(χ²(m) ≥ r*²) is at most one half (``policy._SPLIT_SHARE``).
+- ``quadrature``: the screen drops some arms and keeps at least two, and
+  the arm logits are independent, so the Thompson probabilities come from
+  ``policy._normal_win_chances``;
+- ``full``: all K coordinates drawn, K normals a row, no split;
+- ``split``: all K coordinates drawn with the radial split, which applies
+  when q = P(χ²(K) ≥ r*²) is at most one half (``policy._SPLIT_SHARE``).
 
 ``beta_ts``'s follow ``beta_ts_proportions``:
 
@@ -30,11 +31,12 @@ sorts every Thompson decision by the path it takes. A logistic policy's
 
 For each policy it prints the number of decisions, the share of each
 path, and the quartiles of q over the Gaussian decisions that draw, or of
-the nodes over the quadrature decisions. The decisions are classified
-before they are made, by the plan the allocation itself follows
-(``policy._gaussian_plan``, ``policy._beta_survivors``,
-``policy._beta_by_quadrature`` and ``policy._beta_panels``), and draw
-from the generator as usual. The script only reports and writes no file.
+the nodes over the Beta quadrature decisions. The decisions are
+classified before they are made, by the plan the allocation itself
+follows (``policy._gaussian_plan``, ``policy._beta_survivors``,
+``policy._beta_by_quadrature`` and the panels ``policy._panels`` lays on
+``policy._beta_bounds``), and draw from the generator as usual. The script
+only reports and writes no file.
 """
 
 from __future__ import annotations
@@ -52,25 +54,27 @@ from orbandit import cli, simulation  # noqa: E402
 from orbandit.policy import (  # noqa: E402
     _QUAD_NODES,
     _SPLIT_SHARE,
+    _beta_bounds,
     _beta_by_quadrature,
-    _beta_panels,
     _beta_survivors,
     _gaussian_plan,
+    _panels,
 )
 from orbandit.simulation import ExperimentConfig, PolicyKind  # noqa: E402
 
-PATHS = ("one-hot", "full", "kept", "split")
+PATHS = ("one-hot", "quadrature", "full", "split")
 BETA_PATHS = ("one-hot", "quadrature", "monte-carlo")
 
 
 def classify(belief, n_draws: int) -> tuple[str, float]:
-    """The path of one Gaussian decision and its q, NaN for a one-hot one."""
-    kept, _, factor, _, q = _gaussian_plan(belief, n_draws)
-    if factor is None:
+    """The path of one Gaussian decision and its q, NaN for a decision
+    that draws no normals."""
+    kept, _, _, q, logits = _gaussian_plan(belief, n_draws)
+    if kept.size == 1:
         return "one-hot", q
-    if q <= _SPLIT_SHARE:
-        return "split", q
-    return ("full" if kept.size == belief.dim else "kept"), q
+    if logits is not None:
+        return "quadrature", q
+    return ("split" if q <= _SPLIT_SHARE else "full"), q
 
 
 def classify_beta(state, n_draws: int) -> tuple[str, float]:
@@ -82,7 +86,7 @@ def classify_beta(state, n_draws: int) -> tuple[str, float]:
         return "one-hot", np.nan
     if not _beta_by_quadrature(alpha, beta):
         return "monte-carlo", np.nan
-    return "quadrature", float(_QUAD_NODES.size * (_beta_panels(alpha, beta)[0].size - 1))
+    return "quadrature", float(_QUAD_NODES.size * (_panels(*_beta_bounds(alpha, beta)).size - 1))
 
 
 # policy -> (the name simulation calls it by, its classifier, its paths,
