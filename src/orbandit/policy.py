@@ -25,22 +25,18 @@ surviving arm logits of a Gaussian belief whose precision makes them
 independent, as a full-rank posterior grown from a flat start does, when
 its screen drops some arms.
 
-Every other Gaussian decision draws all K coordinates through the
-precision factor's inverse, in blocks of about ``_BLOCK_ELEMENTS``
-scores, each drawn, reduced to its winners and added to an integer
-count, so its memory does not grow with ``n_draws``. The blocks consume
-the stream of one full (n_draws, K) draw, and give its proportions and
-generator state bit for bit, unless the radial split applies: draws whose
-normals lie in a ball from the screen are the leader's whatever their
-direction, so a block draws how many of its rows fall outside, one
-binomial count, and normals only for those rows, rescaled to norms from
-χ²(K) conditioned on leaving the ball. That keeps the law of the full
-draw on another stream.
-
-Other Beta states keep the Monte Carlo tally, column by column in chunks
-of ``_BETA_CHUNK`` draws, each surviving arm's from one ``_beta_column``
-call, which inverts the distribution function exactly when the first
-shape is 1, and a running best score per draw picks the winners.
+Every other decision is a Monte Carlo tally in blocks of about
+``_BLOCK_ELEMENTS`` scores, each drawn, reduced to its winners and added
+to an integer count, so its memory does not grow with ``n_draws``. A Beta
+block is one ``rng.beta`` call over the surviving arms; a Gaussian block
+draws all K coordinates through the precision factor's inverse. The
+blocks consume the stream of one full (n_draws, K) draw, and give its
+proportions and generator state bit for bit, unless the radial split
+applies: Gaussian draws whose normals lie in a ball from the screen are
+the leader's whatever their direction, so a block draws how many of its
+rows fall outside, one binomial count, and normals only for those rows,
+rescaled to norms from χ²(K) conditioned on leaving the ball. That keeps
+the law of the full draw on another stream.
 """
 
 from __future__ import annotations
@@ -50,7 +46,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import betainc, betaincc, betaincinv, chdtrc, ndtr, ndtri, roots_legendre
+from scipy.special import betainc, betaincc, betainccinv, betaincinv, chdtrc, ndtr, ndtri, roots_legendre
 
 from .errors import ConfigError, _check_choice, _check_count, _frozen_numbers
 from .gaussian_belief import (
@@ -81,19 +77,15 @@ __all__ = [
 # screened arm would have tied or beaten the leader.
 SCREEN_EPS = 1e-12
 
-# Scores per block of the Gaussian Thompson tally: 2^18 float64 values,
-# 2 MiB. Ten thousand draws of up to 26 arms fit in one block.
+# Scores per block of the Thompson tallies: 2^18 float64 values, 2 MiB.
+# Ten thousand draws of up to 26 arms fit in one block.
 _BLOCK_ELEMENTS = 2**18
-
-# Draws per chunk of the Beta tally: the default ``n_draws``, so that a
-# default decision is one chunk of a few 80 kB arrays.
-_BETA_CHUNK = 10_000
 
 # The quadrature: Gauss–Legendre nodes and weights on [−1, 1] per panel,
 # the tail chance each arm may lose beyond the integration range, a normal
 # arm's reach from its mean to that quantile in standard deviations, the
 # (node, arm) pairs per block of distribution function evaluations, and
-# the largest a + b a Beta arm may have (see ``_beta_by_quadrature``).
+# the largest a + b a Beta arm may have (see ``_beta_plan``).
 _QUAD_NODES, _QUAD_WEIGHTS = roots_legendre(10)
 _QUAD_DELTA = 1e-17
 _QUAD_REACH = float(-ndtri(_QUAD_DELTA))
@@ -274,24 +266,27 @@ def _arm_logits(belief: GaussianBelief) -> tuple[np.ndarray, np.ndarray] | None:
 
 def _gaussian_plan(
     belief: GaussianBelief, n_draws: int
-) -> tuple[np.ndarray, int, float, float, tuple[np.ndarray, np.ndarray] | None]:
-    """How a Gaussian decision goes: the arms the screen keeps, the leader,
-    the screen's radius r*, q = P(χ²(K) ≥ r*²), the chance that a row of K
-    normals falls outside the ball, and, for a decision by quadrature, the
-    kept arms' logit means and standard deviations (else None).
+) -> tuple[str, np.ndarray, int, float, float, tuple[np.ndarray, np.ndarray] | None]:
+    """How a Gaussian decision goes: its path, the arms the screen keeps,
+    the leader, the screen's radius r*, q = P(χ²(K) ≥ r*²), the chance
+    that a row of K normals falls outside the ball, and, for a decision by
+    quadrature, the kept arms' logit means and standard deviations (else
+    None).
 
-    One arm kept: one-hot, q NaN. Some arms dropped, with independent
-    logits (``_arm_logits``): quadrature, q NaN. Otherwise every
-    coordinate is drawn, split radially when q ≤ ``_SPLIT_SHARE``.
+    One arm kept: "one-hot", q NaN. Some arms dropped, with independent
+    logits (``_arm_logits``): "quadrature", q NaN. Otherwise every
+    coordinate is drawn: "split" radially when q ≤ ``_SPLIT_SHARE``, else
+    "full".
     """
     keep, leader, radius = _gaussian_survivors(belief, n_draws)
     kept = np.flatnonzero(keep)
     if kept.size == 1:
-        return kept, leader, radius, np.nan, None
+        return "one-hot", kept, leader, radius, np.nan, None
     logits = _arm_logits(belief) if kept.size < belief.dim else None
     if logits is not None:
-        return kept, leader, radius, np.nan, (logits[0][kept], logits[1][kept])
-    return kept, leader, radius, float(chdtrc(belief.dim, radius**2)), None
+        return "quadrature", kept, leader, radius, np.nan, (logits[0][kept], logits[1][kept])
+    outside = float(chdtrc(belief.dim, radius**2))
+    return ("split" if outside <= _SPLIT_SHARE else "full"), kept, leader, radius, outside, None
 
 
 def _chi2_tail(m: int, floor: float, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -371,15 +366,15 @@ def allocation_proportions(
     total variation distance.
     """
     _check_count("n_draws", n_draws, 1)
-    kept, leader, radius, outside, logits = _gaussian_plan(belief, n_draws)
+    path, kept, leader, radius, outside, logits = _gaussian_plan(belief, n_draws)
     arms = belief.dim
-    if kept.size == 1:
+    if path == "one-hot":
         return _one_hot(arms, leader)
     counts = np.zeros(arms, dtype=np.int64)
-    if logits is not None:
+    if path == "quadrature":
         counts[kept] = rng.multinomial(n_draws, _normal_win_chances(*logits))
         return AllocationProportions(counts / float(n_draws))
-    split = outside <= _SPLIT_SHARE
+    split = path == "split"
     rows = _block_rows(arms, n_draws)
     buffer = np.empty((rows, arms))
     for start in range(0, n_draws, rows):
@@ -434,13 +429,12 @@ def _beta_survivors(state: BetaState, n_draws: int) -> np.ndarray:
     """Mask of the arms the dominance screen keeps.
 
     With δ = ε / (2 n_draws (K − 1)), arm j is dropped when its upper
-    δ-quantile lies below the leader's lower δ-quantile, the leader being
-    the arm of highest posterior mean. Then X_j ≥ X_i needs X_i below its
-    quantile or X_j above its own, so arm j ties or beats the leader in one
-    draw with probability at most 2δ. The upper quantile is taken as
-    1 − betaincinv(b, a, δ), the lower quantile of 1 − X ~ Beta(b, a):
-    written as betaincinv(a, b, 1 − δ), 1 − δ rounds to 1 for δ below
-    1.1e-16 and every upper quantile reads 1, so no arm would be dropped.
+    δ-quantile, ``betainccinv(a, b, δ)``, lies below the leader's lower
+    δ-quantile, the leader being the arm of highest posterior mean. Then
+    X_j ≥ X_i needs X_i below its quantile or X_j above its own, so arm j
+    ties or beats the leader in one draw with probability at most 2δ. The
+    leader is always kept: above a + b ≈ 1e19 the two quantiles of one
+    arm can come out crossed.
     """
     arms = state.arms
     if arms < 2:
@@ -448,53 +442,35 @@ def _beta_survivors(state: BetaState, n_draws: int) -> np.ndarray:
     leader = (state.alpha / (state.alpha + state.beta)).argmax()
     delta = SCREEN_EPS / (2.0 * n_draws * (arms - 1))
     floor = betaincinv(state.alpha[leader], state.beta[leader], delta)
-    ceilings = 1.0 - betaincinv(state.beta, state.alpha, delta)
     # Written so that a NaN keeps its arm.
-    return ~(ceilings < floor)
-
-
-def _beta_column(a: float, b: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """``n`` draws from Beta(a, b).
-
-    Beta(1, b), which covers an arm still at its Beta(1, 1) prior, has the
-    distribution function 1 − (1 − x)^b, inverted in closed form: with U
-    uniform on [0, 1), a draw is 1 − (1 − U)^(1/b), written
-    −expm1(log1p(−U) / b) so that a large b keeps its digits. One uniform
-    per draw is far cheaper than numpy's Beta sampler, which draws
-    Beta(1, 1) by Johnk's method. Other shapes take one scalar-parameter
-    ``rng.beta`` call.
-    """
-    if a == 1.0:
-        return -np.expm1(np.log1p(-rng.random(n)) / b)
-    return rng.beta(a, b, n)
+    keep = ~(betainccinv(state.alpha, state.beta, delta) < floor)
+    keep[leader] = True
+    return keep
 
 
 def _beta_tally(alpha: np.ndarray, beta: np.ndarray, n_draws: int, rng: np.random.Generator) -> np.ndarray:
     """Winner counts of ``n_draws`` Monte Carlo draws of the given arms.
 
-    The draws are made in chunks of ``_BETA_CHUNK`` rows, column by column
-    within a chunk: each arm, in order, takes the chunk's scores from one
-    ``_beta_column`` call. A running best score and winning arm per draw
-    are replaced only on a strictly greater score, so ties go to the
-    lowest arm, as in one argmax over the (n_draws, arms) matrix of those
-    columns. Memory is a few chunk-long arrays.
+    Each block of ``_block_rows`` rows is one ``rng.beta`` call over every
+    arm, whose argmax winners, ties to the lowest arm, are added to the
+    counts. The blocks consume the stream of one full (n_draws, arms) draw
+    and give its counts; memory is one block.
     """
     counts = np.zeros(alpha.size, dtype=np.int64)
-    for start in range(0, n_draws, _BETA_CHUNK):
-        rows = min(_BETA_CHUNK, n_draws - start)
-        best = np.full(rows, -np.inf)
-        winners = np.zeros(rows, dtype=np.intp)
-        for arm in range(alpha.size):
-            column = _beta_column(alpha[arm], beta[arm], rows, rng)
-            winners[column > best] = arm
-            np.maximum(best, column, out=best)
-        counts += np.bincount(winners, minlength=alpha.size)
+    rows = _block_rows(alpha.size, n_draws)
+    for start in range(0, n_draws, rows):
+        draws = rng.beta(alpha, beta, (min(rows, n_draws - start), alpha.size))
+        counts += np.bincount(draws.argmax(axis=1), minlength=alpha.size)
     return counts
 
 
-def _beta_by_quadrature(alpha: np.ndarray, beta: np.ndarray) -> bool:
-    """Whether the Thompson probabilities of these arms come by quadrature:
-    every shape at least 1 and every a + b at most ``_QUAD_MAX_TOTAL``.
+def _beta_plan(state: BetaState, n_draws: int) -> tuple[str, np.ndarray]:
+    """How a Beta decision goes: its path and the arms the screen keeps
+    (``_beta_survivors``).
+
+    One arm kept: "one-hot". Every kept shape at least 1 and every kept
+    a + b at most ``_QUAD_MAX_TOTAL``: "quadrature". Otherwise
+    "monte-carlo", the tally.
 
     A shape below 1 makes the density unbounded at an end, and for tiny
     shapes much of the mass lies below the smallest double. A large a + b
@@ -505,7 +481,12 @@ def _beta_by_quadrature(alpha: np.ndarray, beta: np.ndarray) -> bool:
     ``betainc`` returns NaN. Such states keep the tally, whose draws are
     rounded to doubles alike.
     """
-    return min(alpha.min(), beta.min()) >= 1.0 and (alpha + beta).max() <= _QUAD_MAX_TOTAL
+    kept = np.flatnonzero(_beta_survivors(state, n_draws))
+    if kept.size == 1:
+        return "one-hot", kept
+    alpha, beta = state.alpha[kept], state.beta[kept]
+    quadrature = min(alpha.min(), beta.min()) >= 1.0 and (alpha + beta).max() <= _QUAD_MAX_TOTAL
+    return ("quadrature" if quadrature else "monte-carlo"), kept
 
 
 def _panels(mean: np.ndarray, sd: np.ndarray, lower: np.ndarray, upper: np.ndarray,
@@ -600,7 +581,7 @@ def _beta_bounds(alpha: np.ndarray, beta: np.ndarray) -> tuple:
     mean = alpha / total
     sd = np.sqrt(mean * (1.0 - mean) / (total + 1.0))
     lower = betaincinv(alpha, beta, _QUAD_DELTA)
-    upper = 1.0 - betaincinv(beta, alpha, _QUAD_DELTA)
+    upper = betainccinv(alpha, beta, _QUAD_DELTA)
     return mean, sd, lower, upper, bool((alpha % 1.0).any()), bool((beta % 1.0).any())
 
 
@@ -647,12 +628,12 @@ def beta_ts_proportions(
     """Thompson winner frequencies of ``n_draws`` draws under independent
     Beta posteriors.
 
-    A dominance screen runs first (``_beta_survivors``); only the arms it
-    keeps take part, and a lone survivor, one arm included, is returned
-    one-hot without touching the generator.
+    A dominance screen runs first (``_beta_plan``); only the arms it keeps
+    take part, and a lone survivor, one arm included, is returned one-hot
+    without touching the generator.
 
     When every survivor has both shapes at least 1 and a + b at most
-    ``_QUAD_MAX_TOTAL`` (``_beta_by_quadrature``), the winner counts are
+    ``_QUAD_MAX_TOTAL``, the winner counts are
     one ``rng.multinomial(n_draws, π̂)`` draw, π̂ the survivors' Thompson
     probabilities from ``_beta_win_chances``, within n_draws ‖π̂ − π‖₁ / 2
     of the tally's law in total variation. Other states, a survivor with a
@@ -669,14 +650,13 @@ def beta_ts_proportions(
     bounds their total variation distance.
     """
     _check_count("n_draws", n_draws, 1)
-    survivors = np.flatnonzero(_beta_survivors(state, n_draws))
-    if survivors.size == 1:
-        return _one_hot(state.arms, int(survivors[0]))
-    alpha, beta = state.alpha[survivors], state.beta[survivors]
-    if _beta_by_quadrature(alpha, beta):
-        kept = rng.multinomial(n_draws, _beta_win_chances(alpha, beta))
-    else:
-        kept = _beta_tally(alpha, beta, n_draws, rng)
+    path, kept = _beta_plan(state, n_draws)
+    if path == "one-hot":
+        return _one_hot(state.arms, int(kept[0]))
+    alpha, beta = state.alpha[kept], state.beta[kept]
     counts = np.zeros(state.arms, dtype=np.int64)
-    counts[survivors] = kept
+    if path == "quadrature":
+        counts[kept] = rng.multinomial(n_draws, _beta_win_chances(alpha, beta))
+    else:
+        counts[kept] = _beta_tally(alpha, beta, n_draws, rng)
     return AllocationProportions(counts / float(n_draws))

@@ -5,12 +5,9 @@ matrices, finite differences, grid quadrature — rather than reusing the
 package's own formulas, so agreement is evidence and not tautology. The
 exceptions:
 
-- the two full-draw allocation functions, which check the screen and the
-  tally: the Gaussian one is the package's allocation before it screened
-  arms or drew in blocks, and the Beta one draws each arm's column, chunk
-  by chunk, with the package's own ``_beta_column`` into one full matrix.
-  It is the Monte Carlo law the Beta quadrature replaces, and still the
-  package's tally for states with a shape below 1;
+- the Gaussian full-draw allocation function, which checks the screen
+  and the tally: it is the package's allocation before it screened arms
+  or drew in blocks;
 - ``radial_winner_counts``, which lays out its stream in the package's
   blocks of ``_block_rows`` rows, since the radial split's stream depends
   on them; its radius comes from ``radial_split``, a back-solve per arm.
@@ -73,8 +70,6 @@ from orbandit.logistic_model import (
     MAX_STEP_NORM,
 )
 from orbandit.policy import (
-    _BETA_CHUNK,
-    _beta_column,
     _beta_win_chances,
     _block_rows,
     _normal_win_chances,
@@ -594,15 +589,11 @@ def beta_ts_proportions(
     state: BetaState, n_draws: int, rng: np.random.Generator
 ) -> AllocationProportions:
     """Monte Carlo winner frequencies under independent Beta posteriors:
-    for each chunk of ``_BETA_CHUNK`` rows, one ``_beta_column`` call per
-    arm, in arm order, fills its part of one full (n_draws, K) matrix, and
-    one argmax picks each draw's winner."""
+    one full (n_draws, K) ``rng.beta`` draw, and one argmax picks each
+    draw's winner. It is the Monte Carlo law the Beta quadrature replaces,
+    and the package's tally for the other Beta states."""
     _check_count("n_draws", n_draws, 1)
-    draws = np.empty((n_draws, state.arms))
-    for start in range(0, n_draws, _BETA_CHUNK):
-        rows = draws[start : start + _BETA_CHUNK]
-        for arm in range(state.arms):
-            rows[:, arm] = _beta_column(state.alpha[arm], state.beta[arm], len(rows), rng)
+    draws = rng.beta(state.alpha, state.beta, (n_draws, state.arms))
     winners = np.argmax(draws, axis=1)
     counts = np.bincount(winners, minlength=state.arms)
     return AllocationProportions(counts / float(n_draws))

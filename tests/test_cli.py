@@ -66,6 +66,18 @@ def test_simulate_writes_expected_files(tmp_path):
     assert len(summary) == 1 + 3 * 4
 
 
+def test_simulate_runs_at_the_largest_trial_count(tmp_path):
+    """At 2^63 − 1 trials a round the Beta posterior reaches a + b ≈ 1e19,
+    where SciPy can put an arm's lower quantile above its upper one; the
+    screen still keeps the leader, and every policy runs its rounds."""
+    config, out = tmp_path / "config.json", tmp_path / "out"
+    write_json(config, {"policy": "all", "arms": 2, "rounds": 3, "trials": 2**63 - 1,
+                        "replications": 1, "seed": 0})
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    rows = read_csv(out / "regret.csv")[1:]
+    assert [row[0] for row in rows] == ["beta_ts"] * 3 + ["full_ts"] * 3 + ["or_ts"] * 3
+
+
 def test_simulate_single_policy_and_flag_overrides(tmp_path):
     config = tmp_path / "config.json"
     write_json(config, simulate_config(policy="or_ts", rounds=2))

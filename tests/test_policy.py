@@ -3,7 +3,6 @@
 import importlib.util
 import json
 import tracemalloc
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -40,10 +39,10 @@ from orbandit import (
     simulation,
 )
 from orbandit.policy import (
-    _BETA_CHUNK,
+    _QUAD_DELTA,
     _QUAD_NODES,
     _arm_logits,
-    _beta_column,
+    _beta_bounds,
     _beta_survivors,
     _beta_win_chances,
     _block_rows,
@@ -404,7 +403,7 @@ def test_beta_proportions_favor_better_arm():
 
 def test_beta_screen_settles_a_clear_leader_without_drawing():
     """Arms 15 posterior standard deviations apart are settled before any
-    draw. The upper quantile must be computed as 1 − betaincinv(b, a, δ):
+    draw. The upper quantile must be computed as betainccinv(a, b, δ):
     betaincinv(a, b, 1 − δ) reads 1.0 for δ below 1.1e-16, since 1 − δ
     rounds to 1, and no arm would ever be dropped."""
     assert betaincinv(3e5, 7e5, 1 - 1e-18) == 1.0
@@ -415,46 +414,42 @@ def test_beta_screen_settles_a_clear_leader_without_drawing():
     assert rng.bit_generator.state == before
 
 
+def upper_quantile(a, b, delta):
+    """The x with P(Beta(a, b) > x) = δ in 30-digit arithmetic, for an
+    integer a: that chance is P(Binomial(a + b − 1, x) ≤ a − 1), a sum of
+    a terms, solved for by mpmath's secant method on its log."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        n, target = mpmath.mpf(a) + mpmath.mpf(b) - 1, mpmath.mpf(delta)
+
+        def tail(x):
+            total, term = 0, mpmath.exp(n * mpmath.log1p(-x))
+            for k in range(a):
+                total += term
+                term *= (n - k) / (k + 1) * x / (1 - x)
+            return total
+
+        start = mpmath.mpf(a) / (mpmath.mpf(a) + mpmath.mpf(b))
+        return float(mpmath.findroot(lambda x: mpmath.log(tail(x) / target), (10 * start, 20 * start)))
+
+
+def test_beta_upper_quantile_keeps_the_digits_of_small_rates():
+    """The quadrature's upper δ-quantile, which the screen takes by the same
+    call, against 30-digit arithmetic at rates near 1e-13 and 1e-16. Taken as
+    1 − betaincinv(b, a, δ), the lower quantile of 1 − X, it is off by
+    7.6e-6 and 0.66% relative there: the complement keeps only the digits
+    of 1."""
+    alpha, beta = np.array([1.0, 5.0]), np.array([1e13, 1e16])
+    expected = [upper_quantile(int(a), b, _QUAD_DELTA) for a, b in zip(alpha, beta)]
+    np.testing.assert_allclose(_beta_bounds(alpha, beta)[3], expected, rtol=1e-12)
+
+
 def test_beta_state_validates_positivity():
     with pytest.raises(ConfigError):
         BetaState(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
     for alpha, beta, field in (([np.nan, 1.0], [1.0, 1.0], "alpha"), ([1.0], [np.inf], "beta")):
         with pytest.raises(ConfigError, match=f"field '{field}'"):
             BetaState(alpha, beta)
-
-
-# --- Beta columns -------------------------------------------------------------
-
-
-# Each branch of _beta_column: Beta(1, b) by the inverse distribution
-# function, the rest by rng.beta.
-BETA_SHAPES = [(1.0, 1.0), (1.0, 5e3), (7e2, 1.0), (0.5, 0.5), (3.0, 700.0), (3e5, 7e5)]
-
-
-@pytest.mark.parametrize("a, b", BETA_SHAPES)
-def test_beta_column_follows_the_beta_law(a, b):
-    draws = _beta_column(a, b, 20_000, np.random.default_rng(40))
-    assert draws.shape == (20_000,)
-    assert stats.kstest(draws, stats.beta(a, b).cdf).pvalue > 1e-3
-
-
-class FixedUniforms:
-    """Stands in for a generator whose uniforms are the given values."""
-
-    def __init__(self, values):
-        self.values = np.asarray(values)
-
-    def random(self, n):
-        return np.resize(self.values, n)
-
-
-@pytest.mark.parametrize("a, b", [(1.0, 1.0), (1.0, 5e3), (1.0, 1e-3)])
-def test_beta_column_maps_the_ends_of_the_uniform_without_warnings(a, b):
-    """U = 0 and the largest U below 1 give finite draws in [0, 1]."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        draws = _beta_column(a, b, 2, FixedUniforms([0.0, np.nextafter(1.0, 0.0)]))
-    assert np.all((draws >= 0.0) & (draws <= 1.0))
 
 
 def two_arm_win_chance(a0, b0, a1, b1, points=200_000):
@@ -665,7 +660,7 @@ def full_ts_quadrature_beliefs(monkeypatch, k, rounds, seed=1):
     with monkeypatch.context() as patch:
         patch.setattr(simulation, "allocation_proportions", capture)
         run_replications(config, drift_environment(k, 0.31, 0.30, 20.0), policies=(PolicyKind.FULL_TS,))
-    return [belief for belief in seen if _gaussian_plan(belief, 10_000)[4] is not None]
+    return [belief for belief in seen if _gaussian_plan(belief, 10_000)[0] == "quadrature"]
 
 
 @pytest.mark.parametrize("k, rounds", [(10, 12), (200, 6)], ids=["k10", "k200"])
@@ -674,7 +669,7 @@ def test_normal_win_chances_match_a_finer_rule(k, rounds, monkeypatch):
     K = 200, against ``oracles.normal_win_chances`` and against the same
     panels with four times the nodes."""
     beliefs = full_ts_quadrature_beliefs(monkeypatch, k, rounds)
-    plans = [_gaussian_plan(belief, 10_000)[4] for belief in beliefs]
+    plans = [_gaussian_plan(belief, 10_000)[5] for belief in beliefs]
     assert plans
     chances = [_normal_win_chances(*logits) for logits in plans]
     for logits, found in zip(plans, chances):
@@ -732,7 +727,7 @@ def test_arm_logits_need_an_arrow_and_a_positive_reference_precision():
 
 
 # (policy, its oracle, its screen, arm count -> a state the screen keeps
-# whole, (arm count, n_draws) -> rows per block or chunk). A Beta state
+# whole, (arm count, n_draws) -> rows per block). A Beta state
 # with shapes at least 1 takes the quadrature, so its oracle is one
 # multinomial draw with Thompson probabilities held to independently
 # computed ones; one with a shape below 1 takes the tally, whose oracle is
@@ -742,10 +737,9 @@ BLOCKED_POLICIES = {
                  lambda belief, n_draws: _gaussian_survivors(belief, n_draws)[0],
                  lambda k: or_ts_belief(k, 50 * k, k), _block_rows),
     "beta": (beta_ts_proportions, oracles.beta_multinomial_proportions, _beta_survivors,
-             lambda k: spread_beta_state(k, k), lambda k, n_draws: min(n_draws, _BETA_CHUNK)),
+             lambda k: spread_beta_state(k, k), _block_rows),
     "beta_tally": (beta_ts_proportions, oracles.beta_ts_proportions, _beta_survivors,
-                   lambda k: fractional_beta_state(k, k),
-                   lambda k, n_draws: min(n_draws, _BETA_CHUNK)),
+                   lambda k: fractional_beta_state(k, k), _block_rows),
 }
 
 
@@ -758,10 +752,10 @@ BLOCKED_POLICIES = {
     (2, 1, False),
 ])
 def test_blocked_tally_matches_one_full_draw(policy, k, n_draws, spans_blocks):
-    """Draws tallied block by block (Gaussian) or column by column within
-    chunks (a Beta state with a shape below 1), with a last partial block
-    or chunk, give the proportions and the generator state of one
-    (n_draws, K) draw, bit for bit; a Beta state with shapes at least 1
+    """Draws tallied block by block (Gaussian, or a Beta state with a shape
+    below 1), with a last partial block, give the proportions and the
+    generator state of one (n_draws, K) draw, bit for bit; a Beta state
+    with shapes at least 1
     gives those of one multinomial draw with probabilities within
     ``WIN_CHANCE_L1`` of the oracle's."""
     proportions, oracle, screen, make, block_rows = BLOCKED_POLICIES[policy]
@@ -785,9 +779,9 @@ DECISION_PEAK_BYTES = 8_000_000
 @pytest.mark.parametrize("policy", sorted(BLOCKED_POLICIES))
 def test_allocation_memory_does_not_grow_with_n_draws(policy):
     """At K=200 with 50k draws and at K=20 with 1M draws, with every arm
-    kept, one decision's traced peak stays within one Gaussian block, a
-    few Beta chunks or one block of quadrature nodes, and a few K-sized
-    arrays; for the quadrature also at K=2000."""
+    kept, one decision's traced peak stays within one block of draws or
+    of quadrature nodes, and a few K-sized arrays; for the quadrature also
+    at K=2000."""
     proportions, _, screen, make, _ = BLOCKED_POLICIES[policy]
     sizes = ((200, 50_000), (20, 1_000_000)) + (((2000, 10_000),) if policy == "beta" else ())
     for k, n_draws in sizes:

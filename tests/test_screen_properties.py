@@ -36,7 +36,7 @@ from orbandit import (
     or_ts_update,
 )
 from orbandit.gaussian_belief import _draw_into, _move_reference
-from orbandit.policy import _arm_logits, _beta_by_quadrature, _beta_survivors, _gaussian_survivors
+from orbandit.policy import _arm_logits, _beta_plan, _beta_survivors, _gaussian_survivors
 
 properties = settings(derandomize=True, deadline=None, max_examples=100)
 seeds = st.integers(0, 2**32 - 1)
@@ -102,6 +102,10 @@ def assert_settled(p, leader, rng, seed, oracle):
 @example(state=BetaState([0.5, 2.0, 1e3], [0.5, 3.0, 9e3]), n_draws=10_000, seed=0)
 @example(state=BetaState([3e12, 3.0000004e12, 1e3], [7e12, 6.9999996e12, 9e3]),
          n_draws=10_000, seed=0)
+# Rates near 1e-17, where an upper quantile taken as a complement reads 0.
+@example(state=BetaState([41.0, 21.0], [2e18, 2e18]), n_draws=10_000, seed=0)
+# a + b near 1e19, where SciPy can cross an arm's two quantiles.
+@example(state=BetaState([4.29e18, 1.38e18], [9.55e18, 3.23e18]), n_draws=10_000, seed=0)
 def test_beta_screen_matches_the_full_draw(state, n_draws, seed):
     """One arm kept: a settled decision. Otherwise, over the kept arms,
     one multinomial draw with Thompson probabilities held to independently
@@ -116,7 +120,7 @@ def test_beta_screen_matches_the_full_draw(state, n_draws, seed):
                        lambda draws, r: oracles.beta_ts_proportions(state, draws, r))
         return
     kept = BetaState(state.alpha[keep], state.beta[keep])
-    quadrature = _beta_by_quadrature(kept.alpha, kept.beta)
+    quadrature = _beta_plan(state, n_draws)[0] == "quadrature"
     oracle = oracles.beta_multinomial_proportions if quadrature else oracles.beta_ts_proportions
     np.testing.assert_array_equal(p[keep], oracle(kept, n_draws, oracle_rng).p)
     assert not p[~keep].any()
@@ -137,6 +141,8 @@ def lower_quantile(a, b, q):
 
 @properties
 @given(state=beta_states(), n_draws=draw_counts)
+@example(state=BetaState([41.0, 21.0], [2e18, 2e18]), n_draws=10_000)
+@example(state=BetaState([4.29e18, 1.38e18], [9.55e18, 3.23e18]), n_draws=10_000)
 def test_beta_screen_drops_only_arms_within_budget(state, n_draws):
     """For a dropped arm j and the leader i, with t the leader's lower
     δ-quantile, P(X_i ≤ t) + P(X_j ≥ t) bounds P(X_j ≥ X_i); it must be

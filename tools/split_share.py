@@ -25,18 +25,18 @@ sorts every Thompson decision by the path it takes. A logistic policy's
 
 - ``one-hot``: the screen keeps the leader alone;
 - ``quadrature``: every kept shape is at least 1 and every a + b at most
-  1e12 (``policy._beta_by_quadrature``), and the Thompson probabilities
-  come from ``policy._beta_win_chances``;
+  1e12, and the Thompson probabilities come from
+  ``policy._beta_win_chances``;
 - ``monte-carlo``: the other decisions that draw, whose draws are tallied.
 
 For each policy it prints the number of decisions, the share of each
 path, and the quartiles of q over the Gaussian decisions that draw, or of
-the nodes over the Beta quadrature decisions. The decisions are
-classified before they are made, by the plan the allocation itself
-follows (``policy._gaussian_plan``, ``policy._beta_survivors``,
-``policy._beta_by_quadrature`` and the panels ``policy._panels`` lays on
-``policy._beta_bounds``), and draw from the generator as usual. The script
-only reports and writes no file.
+the nodes over the Beta quadrature decisions. Each decision's path is
+read, before it is made, from the plan the allocation itself follows
+(``policy._gaussian_plan`` or ``policy._beta_plan``), the nodes from the
+panels ``policy._panels`` lays on ``policy._beta_bounds``, and the
+decision then draws from the generator as usual. The script only reports
+and writes no file.
 """
 
 from __future__ import annotations
@@ -51,15 +51,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from orbandit import cli, simulation  # noqa: E402
-from orbandit.policy import (  # noqa: E402
-    _QUAD_NODES,
-    _SPLIT_SHARE,
-    _beta_bounds,
-    _beta_by_quadrature,
-    _beta_survivors,
-    _gaussian_plan,
-    _panels,
-)
+from orbandit.policy import _QUAD_NODES, _beta_bounds, _beta_plan, _gaussian_plan, _panels  # noqa: E402
 from orbandit.simulation import ExperimentConfig, PolicyKind  # noqa: E402
 
 PATHS = ("one-hot", "quadrature", "full", "split")
@@ -69,24 +61,18 @@ BETA_PATHS = ("one-hot", "quadrature", "monte-carlo")
 def classify(belief, n_draws: int) -> tuple[str, float]:
     """The path of one Gaussian decision and its q, NaN for a decision
     that draws no normals."""
-    kept, _, _, q, logits = _gaussian_plan(belief, n_draws)
-    if kept.size == 1:
-        return "one-hot", q
-    if logits is not None:
-        return "quadrature", q
-    return ("split" if q <= _SPLIT_SHARE else "full"), q
+    path, _, _, _, q, _ = _gaussian_plan(belief, n_draws)
+    return path, q
 
 
 def classify_beta(state, n_draws: int) -> tuple[str, float]:
     """The path of one Beta decision and its quadrature nodes, NaN for a
     decision that makes none."""
-    keep = _beta_survivors(state, n_draws)
-    alpha, beta = state.alpha[keep], state.beta[keep]
-    if keep.sum() == 1:
-        return "one-hot", np.nan
-    if not _beta_by_quadrature(alpha, beta):
-        return "monte-carlo", np.nan
-    return "quadrature", float(_QUAD_NODES.size * (_panels(*_beta_bounds(alpha, beta)).size - 1))
+    path, kept = _beta_plan(state, n_draws)
+    if path != "quadrature":
+        return path, np.nan
+    panels = _panels(*_beta_bounds(state.alpha[kept], state.beta[kept]))
+    return path, float(_QUAD_NODES.size * (panels.size - 1))
 
 
 # policy -> (the name simulation calls it by, its classifier, its paths,
