@@ -23,20 +23,21 @@ tested. Two families feed the one integrator: the surviving Beta arms
 when every shape is at least 1 and every a + b at most 1e12, and the
 surviving arm logits of a Gaussian belief whose precision makes them
 independent, as a full-rank posterior grown from a flat start does, when
-its screen drops some arms.
+its screen drops some arms; those logits are integrated relative to the
+largest mean, so the nodes keep their digits at any traffic.
 
-Every other decision is a Monte Carlo tally in blocks of about
-``_BLOCK_ELEMENTS`` scores, each drawn, reduced to its winners and added
-to an integer count, so its memory does not grow with ``n_draws``. A Beta
-block is one ``rng.beta`` call over the surviving arms; a Gaussian block
-draws all K coordinates through the precision factor's inverse. The
-blocks consume the stream of one full (n_draws, K) draw, and give its
-proportions and generator state bit for bit, unless the radial split
-applies: Gaussian draws whose normals lie in a ball from the screen are
-the leader's whatever their direction, so a block draws how many of its
-rows fall outside, one binomial count, and normals only for those rows,
-rescaled to norms from χ²(K) conditioned on leaving the ball. That keeps
-the law of the full draw on another stream.
+Every other decision is one Monte Carlo tally, ``_tally``, in blocks of
+about ``_BLOCK_ELEMENTS`` scores, each drawn, reduced to its winners and
+added to an integer count, so its memory does not grow with ``n_draws``.
+Each family gives it a block: a Beta block is one ``rng.beta`` call over
+the surviving arms; a Gaussian block draws all K coordinates through the
+precision factor's inverse. The blocks consume the stream of one full
+(n_draws, K) draw, and give its proportions and generator state bit for
+bit, unless the radial split applies: Gaussian draws whose normals lie in
+a ball from the screen are the leader's whatever their direction, so a
+block draws how many of its rows fall outside, one binomial count, and
+normals only for those rows, rescaled to norms from χ²(K) conditioned on
+leaving the ball. That keeps the law of the full draw on another stream.
 """
 
 from __future__ import annotations
@@ -187,6 +188,16 @@ def _block_rows(width: int, n_draws: int) -> int:
     return min(n_draws, max(1, _BLOCK_ELEMENTS // width))
 
 
+def _tally(width: int, n_draws: int, block) -> np.ndarray:
+    """Winner counts of ``n_draws`` draws over ``width`` arms: the sum of
+    ``block(rows)`` over blocks of ``_block_rows(width, n_draws)`` rows."""
+    counts = np.zeros(width, dtype=np.int64)
+    rows = _block_rows(width, n_draws)
+    for start in range(0, n_draws, rows):
+        counts += block(min(rows, n_draws - start))
+    return counts
+
+
 def _gaussian_survivors(belief: GaussianBelief, n_draws: int) -> tuple[np.ndarray, int, float]:
     """The dominance screen for a proper belief: the mask of the arms it
     keeps, the leader, and the radius r* of the ball of normals in which
@@ -332,9 +343,9 @@ def allocation_proportions(
 
     Otherwise all K coordinates are drawn through L⁻¹, the base rate
     included, and the reference column is scored zero; the arms a screen
-    of correlated logits drops are drawn too. The draws are tallied in
-    blocks of ``_block_rows`` rows written into one reused buffer, so
-    memory does not grow with ``n_draws``.
+    of correlated logits drops are drawn too. The draws are tallied by
+    ``_tally``, each block written into one reused buffer, so memory does
+    not grow with ``n_draws``.
 
     Radial split. A row of K standard normals is z = ρ·u, with ρ² ~ χ²(K)
     and the direction u uniform on the sphere and independent of ρ. Rows
@@ -370,28 +381,27 @@ def allocation_proportions(
     arms = belief.dim
     if path == "one-hot":
         return _one_hot(arms, leader)
-    counts = np.zeros(arms, dtype=np.int64)
     if path == "quadrature":
+        counts = np.zeros(arms, dtype=np.int64)
         counts[kept] = rng.multinomial(n_draws, _normal_win_chances(*logits))
         return AllocationProportions(counts / float(n_draws))
-    split = path == "split"
-    rows = _block_rows(arms, n_draws)
-    buffer = np.empty((rows, arms))
-    for start in range(0, n_draws, rows):
-        size = min(rows, n_draws - start)
-        norms = None
-        if split:
-            drawn = rng.binomial(size, outside)
-            counts[leader] += size - drawn
+    buffer = np.empty((_block_rows(arms, n_draws), arms))
+
+    def block(rows: int) -> np.ndarray:
+        wins, norms = np.zeros(arms, dtype=np.int64), None
+        if path == "split":
+            drawn = rng.binomial(rows, outside)
+            wins[leader] = rows - drawn
             if not drawn:
-                continue
+                return wins
             norms = np.sqrt(_chi2_tail(arms, radius**2, drawn, rng))
-            size = drawn
-        scores = _draw_into(belief.inverse_factor, belief.mean, buffer[:size], rng, norms)
+            rows = drawn
+        scores = _draw_into(belief.inverse_factor, belief.mean, buffer[:rows], rng, norms)
         # The base rate is drawn too; the reference scores zero in its place.
         scores[:, -1] = 0.0
-        counts += np.bincount(scores.argmax(axis=1), minlength=arms)
-    return AllocationProportions(counts / float(n_draws))
+        return wins + np.bincount(scores.argmax(axis=1), minlength=arms)
+
+    return AllocationProportions(_tally(arms, n_draws, block) / float(n_draws))
 
 
 def full_ts_update(state: LogisticPolicyState, data: RoundData) -> LogisticPolicyState:
@@ -446,22 +456,6 @@ def _beta_survivors(state: BetaState, n_draws: int) -> np.ndarray:
     keep = ~(betainccinv(state.alpha, state.beta, delta) < floor)
     keep[leader] = True
     return keep
-
-
-def _beta_tally(alpha: np.ndarray, beta: np.ndarray, n_draws: int, rng: np.random.Generator) -> np.ndarray:
-    """Winner counts of ``n_draws`` Monte Carlo draws of the given arms.
-
-    Each block of ``_block_rows`` rows is one ``rng.beta`` call over every
-    arm, whose argmax winners, ties to the lowest arm, are added to the
-    counts. The blocks consume the stream of one full (n_draws, arms) draw
-    and give its counts; memory is one block.
-    """
-    counts = np.zeros(alpha.size, dtype=np.int64)
-    rows = _block_rows(alpha.size, n_draws)
-    for start in range(0, n_draws, rows):
-        draws = rng.beta(alpha, beta, (min(rows, n_draws - start), alpha.size))
-        counts += np.bincount(draws.argmax(axis=1), minlength=alpha.size)
-    return counts
 
 
 def _beta_plan(state: BetaState, n_draws: int) -> tuple[str, np.ndarray]:
@@ -561,7 +555,12 @@ def _win_chances(bounds: tuple, cdf, log_density, mass) -> np.ndarray:
 def _normal_win_chances(mean: np.ndarray, sd: np.ndarray) -> np.ndarray:
     """Thompson probabilities of independent normal arms by
     ``_win_chances``: F = ``ndtr(z)`` and log f = −z²/2 for the
-    standardized node z, quantiles ``_QUAD_REACH`` σ from the mean."""
+    standardized node z, quantiles ``_QUAD_REACH`` σ from the mean.
+
+    The means are taken relative to the largest, which moves no z. At
+    absolute logits a node's rounding, about 1e-16 of the logit, is a
+    visible share of a small σ: 3.4e-10 in L1 at 1e16 trials a round."""
+    mean = mean - mean.max()
     reach = _QUAD_REACH * sd
     return _win_chances(
         (mean, sd, mean - reach, mean + reach),
@@ -638,7 +637,8 @@ def beta_ts_proportions(
     probabilities from ``_beta_win_chances``, within n_draws ‖π̂ − π‖₁ / 2
     of the tally's law in total variation. Other states, a survivor with a
     shape below 1 such as a Beta(½, ½) prior's, keep the Monte Carlo tally
-    (``_beta_tally``) of the survivors.
+    (``_tally``) of the survivors, one ``rng.beta`` call a block, with
+    the counts and generator state of one full draw.
 
     Screen soundness: the arms are independent, so the survivors' draws
     have the same joint law as their columns in a full draw; couple the
@@ -658,5 +658,7 @@ def beta_ts_proportions(
     if path == "quadrature":
         counts[kept] = rng.multinomial(n_draws, _beta_win_chances(alpha, beta))
     else:
-        counts[kept] = _beta_tally(alpha, beta, n_draws, rng)
+        # Each block is one rng.beta call; argmax breaks ties to the lowest arm.
+        counts[kept] = _tally(kept.size, n_draws, lambda rows: np.bincount(
+            rng.beta(alpha, beta, (rows, kept.size)).argmax(axis=1), minlength=kept.size))
     return AllocationProportions(counts / float(n_draws))

@@ -279,11 +279,12 @@ def run_experiment(config: ExperimentConfig, spec: EnvironmentSpec) -> Experimen
 
     Per round: propose proportions (an even split in round 1), split the
     trial budget, step the environment, draw rewards, update the policy
-    state, and record regret against that round's best arm.
-    Four independent substreams (environment, allocation, rewards, policy
-    sampling) are derived from the seed, so two policies run with the same
-    seed face identical environments and differ only through their own
-    decisions.
+    state, and keep one record of the round. The records are stacked into
+    columns once; regret against each round's best arm and expected
+    clicks are row sums. Four independent substreams (environment,
+    allocation, rewards, policy sampling) are derived from the seed, so
+    two policies run with the same seed face identical environments and
+    differ only through their own decisions.
     """
     arms, schedule = _environment(spec)
     if schedule is not None and config.rounds > len(schedule):
@@ -293,15 +294,7 @@ def run_experiment(config: ExperimentConfig, spec: EnvironmentSpec) -> Experimen
     streams = np.random.SeedSequence(config.seed).spawn(4)
     rng_env, rng_alloc, rng_reward, rng_policy = (np.random.default_rng(s) for s in streams)
     state = _initial_state(config.policy, arms)
-    table = (config.rounds, arms)
-    result = ExperimentResult(
-        proportions=np.empty(table),
-        allocated=np.empty(table, dtype=np.int64),
-        successes=np.empty(table, dtype=np.int64),
-        true_p=np.empty(table),
-        regret=np.empty(config.rounds),
-        expected_clicks=np.empty(config.rounds),
-    )
+    records = []
     for row in range(config.rounds):
         round_index = row + 1
         try:
@@ -313,18 +306,17 @@ def run_experiment(config: ExperimentConfig, spec: EnvironmentSpec) -> Experimen
         allocated = allocate_trials(proportions, trials, rng_alloc)
         env_p = env_step(spec, round_index, rng_env)
         successes = draw_rewards(allocated, env_p, rng_reward)
-        true_p = env_p.p
         try:
             state = _update(state, RoundData(allocated, successes))
         except BanditError as exc:
             raise SimulationError(config.policy.value, round_index, str(exc), config.seed) from exc
-        result.proportions[row] = proportions.p
-        result.allocated[row] = allocated
-        result.successes[row] = successes
-        result.true_p[row] = true_p
-        result.regret[row] = np.sum(allocated * (np.max(true_p) - true_p))
-        result.expected_clicks[row] = np.sum(allocated * true_p)
-    return result
+        records.append((proportions.p, allocated, successes, env_p.p))
+    proportions, allocated, successes, true_p = map(np.array, zip(*records))
+    return ExperimentResult(
+        proportions, allocated, successes, true_p,
+        regret=np.sum(allocated * (true_p.max(axis=1, keepdims=True) - true_p), axis=1),
+        expected_clicks=np.sum(allocated * true_p, axis=1),
+    )
 
 
 @dataclass(frozen=True)
@@ -368,13 +360,17 @@ def run_replications(
     """Paired replications, optionally across several policies.
 
     Replication r runs with seed ``config.seed + r`` for every policy, so
-    policies can be compared pairwise on identical environment draws.
+    policies can be compared pairwise on identical environment draws; the
+    last of these seeds must fit int64.
     """
     _check_count("jobs", jobs, 1)
     chosen = tuple(_check_choice("policies", PolicyKind, p)
                    for p in (policies if policies is not None else (config.policy,)))
     if not chosen:
         raise ConfigError("at least one policy is required")
+    if config.seed > np.iinfo(np.int64).max - config.replications + 1:
+        raise ConfigError(f"fields 'seed' + 'replications' - 1 must fit int64, "
+                          f"got {config.seed} + {config.replications} - 1")
     configs = [
         replace(config, policy=policy, seed=config.seed + rep)
         for policy in chosen

@@ -213,6 +213,9 @@ def test_invalid_config_returns_exit_code_2(tmp_path, capsys):
         (arms_mismatch, "environment covers 2 arms, config expects 3"),
         # A misspelt field would otherwise run, silently, on its default.
         (simulate_config(n_draw=10), "unknown field(s) 'n_draw'"),
+        # Valid alone, but replication 2 would run on seed 2^63.
+        (simulate_config(policy="beta_ts", arms=2, rounds=2, trials=100, replications=2,
+                         seed=2**63 - 1), "fields 'seed' + 'replications' - 1 must fit int64"),
         (simulate_config(p_optimum=0.9), "unknown field(s) 'p_optimum'"),
         (manifest_config(n_draw=10), "unknown field(s) 'n_draw'"),
         # A manifest runs on its 'config' block, so a top-level seed or

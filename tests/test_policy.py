@@ -635,19 +635,24 @@ def mpmath_normal_win_chances(mean, sd):
     ([2.0, 2.0, 2.0, 1.0], [0.1, 0.1, 0.1, 1.0]),
     ([-1.2, -1.1, -1.5], [0.05, 0.07, 1.5]),
     ([0.0, 1e-3, -30.0], [1e-3, 2e-3, 30.0]),
-], ids=["k2", "k3", "three_tied", "wide_reference", "scales_1e4_apart"])
+    ([0.85, 0.85 + 3e-10], [1e-9, 1.3e-9]),
+    ([-0.85, -0.85 + 2e-9, -0.85 - 4e-9], [3e-9, 2e-9, 5e-9]),
+    ([30.0, 30.0 + 2e-12, 30.0 - 1e-11], [1e-11, 1.3e-11, 2e-11]),
+], ids=["k2", "k3", "three_tied", "wide_reference", "scales_1e4_apart",
+        "spread_1e-9", "spread_1e-9_negative", "spread_1e-11_at_30"])
 def test_normal_win_chances_match_30_digit_arithmetic(mean, sd):
-    """Small states, ties among them, and spreads up to 3e4 apart, as a
-    starved reference's logit has."""
+    """Small states, ties among them, spreads up to 3e4 apart, as a
+    starved reference's logit has, and spreads a billionth of the logits
+    or less, as traffic of 1e16 trials a round leaves them."""
     chances = _normal_win_chances(np.array(mean), np.array(sd))
     assert np.abs(chances - mpmath_normal_win_chances(mean, sd)).sum() <= WIN_CHANCE_L1
 
 
-def full_ts_quadrature_beliefs(monkeypatch, k, rounds, seed=1):
+def full_ts_quadrature_beliefs(monkeypatch, k, rounds, seed=1, spec=None, trials=10_000):
     """The beliefs of the ``full_ts`` decisions that take the quadrature in
-    one replication of a drifting study (K arms, 1e4 trials a round, d=20),
-    captured where ``simulation`` calls the allocation: the states the
-    benchmark's ``full_ts`` loops decide on."""
+    one replication of a study, by default a drifting one (K arms, 1e4
+    trials a round, d=20), captured where ``simulation`` calls the
+    allocation: the states the benchmark's ``full_ts`` loops decide on."""
     seen = []
     allocate = simulation.allocation_proportions
 
@@ -655,12 +660,31 @@ def full_ts_quadrature_beliefs(monkeypatch, k, rounds, seed=1):
         seen.append(belief)
         return allocate(belief, n_draws, rng)
 
-    config = ExperimentConfig(rounds=rounds, trials_per_round=10_000, replications=1,
+    config = ExperimentConfig(rounds=rounds, trials_per_round=trials, replications=1,
                               policy=PolicyKind.FULL_TS, seed=seed, n_draws=10_000)
+    spec = drift_environment(k, 0.31, 0.30, 20.0) if spec is None else spec
     with monkeypatch.context() as patch:
         patch.setattr(simulation, "allocation_proportions", capture)
-        run_replications(config, drift_environment(k, 0.31, 0.30, 20.0), policies=(PolicyKind.FULL_TS,))
+        run_replications(config, spec, policies=(PolicyKind.FULL_TS,))
     return [belief for belief in seen if _gaussian_plan(belief, 10_000)[0] == "quadrature"]
+
+
+@pytest.mark.parametrize("trials", [10**14, 10**16, 10**18])
+def test_normal_win_chances_hold_at_high_traffic(trials, monkeypatch):
+    """``full_ts`` on rates (0.3, 0.3, 0.2) sends the two tied arms to the
+    quadrature; at 1e14 to 1e18 trials a round their logits' spreads are
+    1e-7 to 1e-9 of the logits, and the chances stay within
+    ``WIN_CHANCE_L1`` of the closed form Φ(Δ / √(σ₀² + σ₁²))."""
+    plans = [_gaussian_plan(belief, 10_000)[5]
+             for seed in (3, 4, 5)
+             for belief in full_ts_quadrature_beliefs(
+                 monkeypatch, 3, 6, seed, simulation.Stationary([0.3, 0.3, 0.2]), trials)]
+    assert plans
+    for mean, sd in plans:
+        assert mean.size == 2
+        z = (mean[0] - mean[1]) / np.hypot(sd[0], sd[1])
+        exact = np.array([stats.norm.cdf(z), stats.norm.cdf(-z)])
+        assert np.abs(_normal_win_chances(mean, sd) - exact).sum() <= WIN_CHANCE_L1
 
 
 @pytest.mark.parametrize("k, rounds", [(10, 12), (200, 6)], ids=["k10", "k200"])

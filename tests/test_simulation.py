@@ -226,6 +226,25 @@ def test_run_experiment_produces_one_record_per_round():
     np.testing.assert_allclose(result.proportions.sum(axis=1), np.ones(8), atol=1e-12)
 
 
+@pytest.mark.parametrize("policy", list(PolicyKind))
+@pytest.mark.parametrize("rounds, arms", [(1, 1), (1, 5), (7, 1), (7, 5)])
+def test_run_experiment_stacks_its_rounds_into_columns(policy, rounds, arms):
+    """The stacked records keep their (rounds, arms) and (rounds,) shapes,
+    one arm or one round included, and regret and expected clicks are the
+    per-round sums, bit for bit."""
+    config = small_config(policy, rounds=rounds)
+    result = run_experiment(config, drift_environment(arms, 0.31, 0.30, 20.0))
+    for column, dtype in ((result.proportions, np.float64), (result.allocated, np.int64),
+                          (result.successes, np.int64), (result.true_p, np.float64)):
+        assert column.shape == (rounds, arms) and column.dtype == dtype
+    for column in (result.regret, result.expected_clicks):
+        assert column.shape == (rounds,) and column.dtype == np.float64
+    for row in range(rounds):
+        allocated, true_p = result.allocated[row], result.true_p[row]
+        assert result.regret[row] == np.sum(allocated * (np.max(true_p) - true_p))
+        assert result.expected_clicks[row] == np.sum(allocated * true_p)
+
+
 def test_regret_is_expected_shortfall_against_best_arm():
     config = small_config(PolicyKind.BETA_TS, rounds=1)
     result = run_experiment(config, drift_environment(4, 0.31, 0.30, 0.0))
