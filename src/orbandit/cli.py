@@ -80,6 +80,19 @@ def _load_json(path: str) -> Any:
         raise ConfigError(f"{path} is not valid JSON (line {exc.lineno}, column {exc.colno})") from exc
 
 
+def _out_dir(path: str) -> Path:
+    """``--out`` as a ``Path``, checked before anything runs: it must be a
+    directory or not exist yet, and its nearest existing ancestor must be a
+    directory, so that the outputs can be written once the run ends."""
+    out = Path(path)
+    for candidate in (out, *out.parents):
+        if candidate.exists():
+            if not candidate.is_dir():
+                raise ConfigError(f"--out {path}: {candidate} exists and is not a directory")
+            break
+    return out
+
+
 def _parse_environment(block: Mapping[str, Any]) -> EnvironmentSpec:
     if not isinstance(block, Mapping) or "kind" not in block:
         raise ConfigError("field 'environment' must be an object with a 'kind'")
@@ -165,6 +178,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list[Any]]) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    out_dir = _out_dir(args.out)
     resolved, spec = _resolve_simulate_config(args)
     policies = _ALL_POLICIES if resolved["policy"] == "all" else (PolicyKind(resolved["policy"]),)
     config = ExperimentConfig(
@@ -196,7 +210,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         for row in range(config.rounds):
             summary_rows.append([policy.value, row + 1, means[row], stderrs[row]])
 
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(
         out_dir / "regret.csv",
@@ -263,6 +276,7 @@ def _parse_scenario(path: str) -> ContinuousScenario:
 
 
 def cmd_continuous(args: argparse.Namespace) -> int:
+    out_dir = _out_dir(args.out)
     scenario = _parse_scenario(args.config)
     result = run_continuous(scenario)
     round_rows = []
@@ -280,7 +294,6 @@ def cmd_continuous(args: argparse.Namespace) -> int:
                     float(outcome.true_p[position]),
                 ]
             )
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(
         out_dir / "rounds.csv",

@@ -33,7 +33,6 @@ from .errors import CannotSampleError, ConfigError, _check_count, _frozen_number
 
 __all__ = [
     "GaussianBelief",
-    "TransformMatrix",
     "make_flat_belief",
     "compose_reindex",
     "transform",
@@ -140,32 +139,6 @@ class GaussianBelief:
         return 0.5 * (cov + cov.T)
 
 
-@dataclass(frozen=True)
-class TransformMatrix:
-    """Invertible linear reparameterization of the belief coordinates,
-    kept with its inverse for ``transform``."""
-
-    entries: np.ndarray
-    inverse: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        entries = _frozen_numbers(self, "entries", vector=False)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1] or entries.shape[0] < 1:
-            raise ConfigError(f"transform must be square, got shape {entries.shape}")
-        try:
-            inverse = np.linalg.solve(entries, np.eye(entries.shape[0]))
-        except np.linalg.LinAlgError as exc:
-            raise ConfigError("transform is singular") from exc
-        if not np.all(np.isfinite(inverse)):
-            raise ConfigError("transform is numerically singular")
-        inverse.setflags(write=False)
-        object.__setattr__(self, "inverse", inverse)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-
 def make_flat_belief(dim: int) -> GaussianBelief:
     """Improper uniform belief: zero mean, zero precision."""
     _check_count("dim", dim, 1)
@@ -186,7 +159,7 @@ def _permutation_matrix(perm: Sequence[int]) -> np.ndarray:
     return entries
 
 
-def compose_reindex(perm: Sequence[int], num_arms: int) -> TransformMatrix:
+def compose_reindex(perm: Sequence[int], num_arms: int) -> np.ndarray:
     """Parameter-space transform realizing an arm relabeling.
 
     Conjugates the positional permutation by the per-arm log-odds basis, so
@@ -201,21 +174,31 @@ def compose_reindex(perm: Sequence[int], num_arms: int) -> TransformMatrix:
     # C_ind⁻¹ C_f C_ind from 0/1 rows, exactly and without a solve:
     entries[:, -1] = 1.0  # C_f C_ind, as every row of C_f sums to one
     entries[:-1] -= entries[-1]  # C_ind⁻¹ subtracts the last row from the others
-    return TransformMatrix(entries)
+    return entries
 
 
-def transform(belief: GaussianBelief, matrix: TransformMatrix) -> GaussianBelief:
-    """Push a belief through an invertible reparameterization.
+def transform(belief: GaussianBelief, matrix: np.ndarray) -> GaussianBelief:
+    """Push a belief through an invertible reparameterization, a square
+    matrix of the belief's size.
 
     The mean maps forward; the precision maps by inverse conjugation, so a
-    zero precision stays zero and proper beliefs stay proper.
+    zero precision stays zero and proper beliefs stay proper. A matrix that
+    is not finite, not square, of another size, or singular to working
+    precision raises ``ConfigError``.
     """
-    if matrix.dim != belief.dim:
-        raise ConfigError(
-            f"transform dimension {matrix.dim} does not match belief dimension {belief.dim}"
-        )
-    inverse = matrix.inverse
-    return GaussianBelief(matrix.entries @ belief.mean, inverse.T @ belief.precision @ inverse)
+    matrix = _numbers("transform", matrix, vector=False)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] < 1:
+        raise ConfigError(f"transform must be square, got shape {matrix.shape}")
+    if len(matrix) != belief.dim:
+        raise ConfigError(f"transform dimension {len(matrix)} does not match "
+                          f"belief dimension {belief.dim}")
+    try:
+        inverse = np.linalg.solve(matrix, np.eye(belief.dim))
+    except np.linalg.LinAlgError as exc:
+        raise ConfigError("transform is singular") from exc
+    if not np.all(np.isfinite(inverse)):
+        raise ConfigError("transform is numerically singular")
+    return GaussianBelief(matrix @ belief.mean, inverse.T @ belief.precision @ inverse)
 
 
 def _move_reference(belief: GaussianBelief, r: int) -> GaussianBelief:

@@ -177,10 +177,13 @@ def initial_proportions(num_arms: int) -> AllocationProportions:
     return AllocationProportions(np.full(num_arms, 1.0 / num_arms))
 
 
-def _one_hot(arms: int, leader: int) -> AllocationProportions:
-    p = np.zeros(arms)
-    p[leader] = 1.0
-    return AllocationProportions(p)
+def _decide(arms: int, n_draws: int, kept: np.ndarray, counts_of_kept) -> AllocationProportions:
+    """The proportions of ``n_draws`` draws over ``arms`` arms of which only
+    the ``kept`` can win: a lone kept arm wins every draw, without a call
+    to ``counts_of_kept``, which otherwise gives the kept arms' counts."""
+    counts = np.zeros(arms, dtype=np.int64)
+    counts[kept] = n_draws if kept.size == 1 else counts_of_kept()
+    return AllocationProportions(counts / float(n_draws))
 
 
 def _block_rows(width: int, n_draws: int) -> int:
@@ -379,12 +382,9 @@ def allocation_proportions(
     _check_count("n_draws", n_draws, 1)
     path, kept, leader, radius, outside, logits = _gaussian_plan(belief, n_draws)
     arms = belief.dim
-    if path == "one-hot":
-        return _one_hot(arms, leader)
-    if path == "quadrature":
-        counts = np.zeros(arms, dtype=np.int64)
-        counts[kept] = rng.multinomial(n_draws, _normal_win_chances(*logits))
-        return AllocationProportions(counts / float(n_draws))
+    if path in ("one-hot", "quadrature"):
+        return _decide(arms, n_draws, kept,
+                       lambda: rng.multinomial(n_draws, _normal_win_chances(*logits)))
     buffer = np.empty((_block_rows(arms, n_draws), arms))
 
     def block(rows: int) -> np.ndarray:
@@ -401,7 +401,8 @@ def allocation_proportions(
         scores[:, -1] = 0.0
         return wins + np.bincount(scores.argmax(axis=1), minlength=arms)
 
-    return AllocationProportions(_tally(arms, n_draws, block) / float(n_draws))
+    # The tally counts every arm, the ones a screen of correlated logits drops too.
+    return _decide(arms, n_draws, np.arange(arms), lambda: _tally(arms, n_draws, block))
 
 
 def full_ts_update(state: LogisticPolicyState, data: RoundData) -> LogisticPolicyState:
@@ -651,14 +652,10 @@ def beta_ts_proportions(
     """
     _check_count("n_draws", n_draws, 1)
     path, kept = _beta_plan(state, n_draws)
-    if path == "one-hot":
-        return _one_hot(state.arms, int(kept[0]))
     alpha, beta = state.alpha[kept], state.beta[kept]
-    counts = np.zeros(state.arms, dtype=np.int64)
-    if path == "quadrature":
-        counts[kept] = rng.multinomial(n_draws, _beta_win_chances(alpha, beta))
-    else:
-        # Each block is one rng.beta call; argmax breaks ties to the lowest arm.
-        counts[kept] = _tally(kept.size, n_draws, lambda rows: np.bincount(
-            rng.beta(alpha, beta, (rows, kept.size)).argmax(axis=1), minlength=kept.size))
-    return AllocationProportions(counts / float(n_draws))
+    if path != "monte-carlo":
+        return _decide(state.arms, n_draws, kept,
+                       lambda: rng.multinomial(n_draws, _beta_win_chances(alpha, beta)))
+    # Each block is one rng.beta call; argmax breaks ties to the lowest arm.
+    return _decide(state.arms, n_draws, kept, lambda: _tally(kept.size, n_draws, lambda rows:
+        np.bincount(rng.beta(alpha, beta, (rows, kept.size)).argmax(axis=1), minlength=kept.size)))

@@ -277,8 +277,8 @@ def _update(state: _PolicyState, data: RoundData) -> _PolicyState:
 def run_experiment(config: ExperimentConfig, spec: EnvironmentSpec) -> ExperimentResult:
     """One policy against one environment for the configured rounds.
 
-    Per round: propose proportions (an even split in round 1), split the
-    trial budget, step the environment, draw rewards, update the policy
+    Per round: step the environment, propose proportions (an even split in
+    round 1), split the trial budget, draw rewards, update the policy
     state, and keep one record of the round. The records are stacked into
     columns once; regret against each round's best arm and expected
     clicks are row sums. Four independent substreams (environment,
@@ -297,16 +297,14 @@ def run_experiment(config: ExperimentConfig, spec: EnvironmentSpec) -> Experimen
     records = []
     for row in range(config.rounds):
         round_index = row + 1
+        # Outside the try: an environment that leaves (0, 1) is an input error.
+        env_p = env_step(spec, round_index, rng_env)
+        trials = config.trials_per_round if schedule is None else schedule[row][1]
         try:
             proportions = (initial_proportions(arms) if row == 0
                            else _propose(state, config.n_draws, rng_policy))
-        except BanditError as exc:
-            raise SimulationError(config.policy.value, round_index, str(exc), config.seed) from exc
-        trials = config.trials_per_round if schedule is None else schedule[row][1]
-        allocated = allocate_trials(proportions, trials, rng_alloc)
-        env_p = env_step(spec, round_index, rng_env)
-        successes = draw_rewards(allocated, env_p, rng_reward)
-        try:
+            allocated = allocate_trials(proportions, trials, rng_alloc)
+            successes = draw_rewards(allocated, env_p, rng_reward)
             state = _update(state, RoundData(allocated, successes))
         except BanditError as exc:
             raise SimulationError(config.policy.value, round_index, str(exc), config.seed) from exc
@@ -328,9 +326,17 @@ class SimulationSummary:
     regret: Mapping[PolicyKind, np.ndarray]
     expected_clicks: Mapping[PolicyKind, np.ndarray]
 
+    def _rows(self, column: Mapping[PolicyKind, np.ndarray], policy: PolicyKind) -> np.ndarray:
+        """``column``'s rows for ``policy``; ``ConfigError`` unless the summary ran it."""
+        policy = _check_choice("policy", PolicyKind, policy)
+        if policy not in self.policies:
+            raise ConfigError(f"field 'policy' must be one of the summary's policies "
+                              f"{[p.value for p in self.policies]}, got {policy.value!r}")
+        return column[policy]
+
     def cumulative_regret(self, policy: PolicyKind) -> np.ndarray:
         """Cumulative regret curves, shape (replications, rounds)."""
-        return self.regret[_check_choice("policy", PolicyKind, policy)].cumsum(axis=1)
+        return self._rows(self.regret, policy).cumsum(axis=1)
 
     def mean_cumulative_regret(self, policy: PolicyKind) -> np.ndarray:
         return self.cumulative_regret(policy).mean(axis=0)
@@ -347,8 +353,7 @@ class SimulationSummary:
         The sum runs left to right, as ``cumsum`` does; ``sum(axis=1)``
         would add pairwise and round differently.
         """
-        clicks = self.expected_clicks[_check_choice("policy", PolicyKind, policy)]
-        return clicks.cumsum(axis=1)[:, -1]
+        return self._rows(self.expected_clicks, policy).cumsum(axis=1)[:, -1]
 
 
 def run_replications(
@@ -361,13 +366,19 @@ def run_replications(
 
     Replication r runs with seed ``config.seed + r`` for every policy, so
     policies can be compared pairwise on identical environment draws; the
-    last of these seeds must fit int64.
+    last of these seeds must fit int64, and no policy may repeat. The runs
+    go to at most ``jobs`` worker processes, never more than there are
+    runs, and in this process when that is one; the results do not depend
+    on ``jobs``.
     """
     _check_count("jobs", jobs, 1)
     chosen = tuple(_check_choice("policies", PolicyKind, p)
                    for p in (policies if policies is not None else (config.policy,)))
     if not chosen:
         raise ConfigError("at least one policy is required")
+    if len(set(chosen)) < len(chosen):
+        raise ConfigError(f"field 'policies' must not repeat a policy, "
+                          f"got {[p.value for p in chosen]}")
     if config.seed > np.iinfo(np.int64).max - config.replications + 1:
         raise ConfigError(f"fields 'seed' + 'replications' - 1 must fit int64, "
                           f"got {config.seed} + {config.replications} - 1")
@@ -376,8 +387,10 @@ def run_replications(
         for policy in chosen
         for rep in range(config.replications)
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # More workers than runs would only fork idle processes.
+    workers = min(jobs, len(configs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_experiment, configs, repeat(spec)))
     else:
         results = list(map(run_experiment, configs, repeat(spec)))

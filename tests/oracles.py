@@ -57,7 +57,6 @@ from orbandit import (
     OptimizationFailureError,
     ProbVector,
     RoundData,
-    TransformMatrix,
     sample,
 )
 from orbandit.errors import _check_count, _numbers
@@ -131,23 +130,23 @@ def arm_logit_matrix(k: int) -> np.ndarray:
     return matrix
 
 
-def build_c_ind(num_arms: int) -> TransformMatrix:
+def build_c_ind(num_arms: int) -> np.ndarray:
     """The paper's C_ind: odds-ratio parameters to per-arm log odds.
 
     Row i < K adds the reference coordinate to coordinate i; the last row
     passes the reference coordinate through unchanged.
     """
-    return TransformMatrix(arm_logit_matrix(_check_count("num_arms", num_arms, 1)))
+    return arm_logit_matrix(_check_count("num_arms", num_arms, 1))
 
 
-def build_c_f(perm: Sequence[int]) -> TransformMatrix:
+def build_c_f(perm: Sequence[int]) -> np.ndarray:
     """The paper's C_f: the permutation matrix relabeling arm positions.
 
     ``perm[j]`` is the new (0-based) position of the arm currently at
     position j; applying the matrix to a per-arm vector moves entry j to
     position ``perm[j]``.
     """
-    return TransformMatrix(_permutation_matrix(perm))
+    return _permutation_matrix(perm)
 
 
 def _arm_logits(params: np.ndarray) -> np.ndarray:

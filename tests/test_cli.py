@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from orbandit import OptimizationFailureError, simulation
+from orbandit import OptimizationFailureError, cli, simulation
 from orbandit.cli import main
 
 
@@ -289,6 +289,30 @@ def test_runtime_failure_returns_exit_code_1(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("runtime error") and "failed at round 2 of the run with seed 5" in err, err
     assert not (tmp_path / "o").exists()
+
+
+def test_unusable_out_returns_exit_code_2(tmp_path, capsys, monkeypatch):
+    """An --out that is a regular file, or lies under one, exits 2 before
+    either command runs anything, and creates nothing."""
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran before checking --out")
+
+    monkeypatch.setattr(cli, "run_replications", no_run)
+    monkeypatch.setattr(cli, "run_continuous", no_run)
+    afile = tmp_path / "afile"
+    afile.write_text("kept", encoding="utf-8")
+    config, scenario = tmp_path / "config.json", tmp_path / "scenario.json"
+    write_json(config, simulate_config())
+    write_json(scenario, continuous_scenario())
+    for command, path in (("simulate", config), ("continuous", scenario)):
+        for out in (afile, afile / "sub"):
+            assert main([command, "--config", str(path), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error") and "--out" in err, err
+            assert f"{afile} exists and is not a directory" in err, err
+    assert afile.read_text(encoding="utf-8") == "kept"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "config.json", "scenario.json"]
 
 
 def continuous_scenario():

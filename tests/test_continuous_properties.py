@@ -103,7 +103,7 @@ def test_allocation_is_invariant_under_a_random_reindex(perm, seed):
     k = len(perm)
     belief = random_belief(k, seed)
     moved = transform(belief, compose_reindex(perm, k))
-    to_logits = build_c_ind(k).entries
+    to_logits = build_c_ind(k)
     np.testing.assert_allclose((to_logits @ moved.mean)[perm], to_logits @ belief.mean,
                                rtol=1e-9, atol=1e-12)
     covariance = to_logits @ moved.covariance() @ to_logits.T

@@ -9,7 +9,6 @@ from orbandit import (
     CannotSampleError,
     ConfigError,
     GaussianBelief,
-    TransformMatrix,
     compose_reindex,
     embed_flat_last,
     make_flat_belief,
@@ -152,22 +151,31 @@ def test_flat_row_beside_a_singular_psd_block_is_valid_but_improper():
 def test_c_ind_maps_odds_ratio_params_to_arm_logits():
     matrix = build_c_ind(3)
     np.testing.assert_array_equal(
-        matrix.entries, np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
+        matrix, np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
     )
     params = np.array([0.5, -0.2, -1.0])
-    np.testing.assert_allclose(matrix.entries @ params, [-0.5, -1.2, -1.0])
+    np.testing.assert_allclose(matrix @ params, [-0.5, -1.2, -1.0])
 
 
 def test_transform_matrix_rejects_singular_input():
-    with pytest.raises(ConfigError):
-        TransformMatrix(np.ones((2, 2)))
+    """An exact zero pivot, and an inverse that overflows."""
+    with pytest.raises(ConfigError, match="transform is singular"):
+        transform(make_flat_belief(2), np.ones((2, 2)))
+    with pytest.raises(ConfigError, match="transform is numerically singular"):
+        transform(make_flat_belief(2), np.diag([1.0, 1e-320]))
+
+
+def test_transform_rejects_a_non_finite_matrix():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ConfigError, match="field 'transform' must be finite"):
+            transform(make_flat_belief(2), np.array([[1.0, 0.0], [bad, 1.0]]))
 
 
 def test_permutation_matrix_moves_positions():
     # arm at position j lands at position perm[j]
     matrix = build_c_f((1, 0, 2))
     v = np.array([10.0, 20.0, 30.0])
-    np.testing.assert_array_equal(matrix.entries @ v, [20.0, 10.0, 30.0])
+    np.testing.assert_array_equal(matrix @ v, [20.0, 10.0, 30.0])
 
 
 def test_permutation_must_be_bijection():
@@ -178,7 +186,7 @@ def test_permutation_must_be_bijection():
 
 
 def test_compose_reindex_is_integer_exact():
-    matrix = compose_reindex((2, 1, 0), 3).entries
+    matrix = compose_reindex((2, 1, 0), 3)
     np.testing.assert_array_equal(matrix, np.round(matrix))
 
 
@@ -186,10 +194,10 @@ def test_compose_reindex_is_the_conjugated_permutation_for_every_small_perm():
     """The entries equal C_ind⁻¹ C_f C_ind exactly, for every permutation
     of up to six arms."""
     for k in range(1, 7):
-        c_ind = build_c_ind(k).entries
+        c_ind = build_c_ind(k)
         for perm in itertools.permutations(range(k)):
-            expected = np.linalg.inv(c_ind) @ build_c_f(perm).entries @ c_ind
-            np.testing.assert_array_equal(compose_reindex(perm, k).entries, expected)
+            expected = np.linalg.inv(c_ind) @ build_c_f(perm) @ c_ind
+            np.testing.assert_array_equal(compose_reindex(perm, k), expected)
 
 
 def test_transform_preserves_distribution():
@@ -197,8 +205,7 @@ def test_transform_preserves_distribution():
     rng = np.random.default_rng(1)
     belief = random_proper_belief(4, rng)
     entries = rng.normal(size=(4, 4)) + 4.0 * np.eye(4)
-    matrix = TransformMatrix(entries)
-    moved = transform(belief, matrix)
+    moved = transform(belief, entries)
     np.testing.assert_allclose(moved.mean, entries @ belief.mean, atol=1e-12)
     expected_cov = entries @ belief.covariance() @ entries.T
     np.testing.assert_allclose(moved.covariance(), expected_cov, atol=1e-9)
@@ -216,8 +223,12 @@ def test_reindex_round_trip_restores_belief():
 
 
 def test_transform_dimension_mismatch_raises():
-    with pytest.raises(ConfigError):
-        transform(make_flat_belief(3), TransformMatrix(np.eye(2)))
+    """A matrix of another size than the belief, or not square."""
+    with pytest.raises(ConfigError, match="transform dimension 2 does not match belief dimension 3"):
+        transform(make_flat_belief(3), np.eye(2))
+    for shape in ((3, 2), (3,), (1, 3, 3), (0, 0)):
+        with pytest.raises(ConfigError, match="transform must be square"):
+            transform(make_flat_belief(3), np.ones(shape))
 
 
 # --- marginalization --------------------------------------------------------

@@ -369,6 +369,12 @@ def test_run_replications_summary_shapes():
     assert summary.policies == policies
     with pytest.raises(ConfigError, match="field 'policy'"):
         summary.cumulative_regret("ucb")
+    # A policy the summary did not run is a bad argument too, not a KeyError.
+    for method in (summary.cumulative_regret, summary.mean_cumulative_regret,
+                   summary.stderr_cumulative_regret, summary.total_expected_clicks):
+        with pytest.raises(ConfigError, match="field 'policy' must be one of the summary's "
+                                              r"policies \['beta_ts', 'or_ts'\], got 'full_ts'"):
+            method(PolicyKind.FULL_TS)
     for kind in policies:
         cum = summary.cumulative_regret(kind)
         assert cum.shape == (4, 8)
@@ -405,6 +411,35 @@ def test_parallel_and_serial_replications_agree():
         serial.cumulative_regret(PolicyKind.FULL_TS),
         parallel.cumulative_regret(PolicyKind.FULL_TS),
     )
+
+
+def test_pool_never_exceeds_the_run_count(monkeypatch):
+    """``jobs`` above the run count sizes the pool at the run count, and
+    one run stays in this process; a serial stand-in records each pool."""
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(simulation, "ProcessPoolExecutor", SerialPool)
+    spec = drift_environment(3, 0.31, 0.30, 0.0)
+    config = small_config(PolicyKind.BETA_TS, rounds=2, replications=2)
+    pooled = run_replications(config, spec, jobs=64)
+    assert pools == [2]
+    np.testing.assert_array_equal(pooled.regret[PolicyKind.BETA_TS],
+                                  run_replications(config, spec).regret[PolicyKind.BETA_TS])
+    run_replications(replace(config, replications=1), spec, jobs=64)
+    assert pools == [2]
 
 
 def test_simulation_error_names_the_failed_replication(monkeypatch):
@@ -462,5 +497,10 @@ def test_config_validation():
         run_replications(config, drift_environment(4, 0.31, 0.30, 0.0), policies=())
     with pytest.raises(ConfigError, match="field 'policies'"):
         run_replications(config, drift_environment(4, 0.31, 0.30, 0.0), policies=("ucb",))
+    # A repeated policy would run twice and keep one of its two results.
+    with pytest.raises(ConfigError, match=r"field 'policies' must not repeat a policy, "
+                                          r"got \['or_ts', 'beta_ts', 'or_ts'\]"):
+        run_replications(config, drift_environment(4, 0.31, 0.30, 0.0),
+                         policies=[PolicyKind.OR_TS, PolicyKind.BETA_TS, PolicyKind.OR_TS])
     with pytest.raises(ConfigError, match="field 'policy' must be 'beta_ts', 'full_ts' or 'or_ts'"):
         small_config("ucb")

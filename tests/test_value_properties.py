@@ -16,7 +16,6 @@ from orbandit import (
     LogitDrift,
     ProbVector,
     RoundData,
-    TransformMatrix,
 )
 
 
@@ -34,7 +33,6 @@ def _shares(x):
 FIELDS = [
     ("mean", lambda v: GaussianBelief(v, np.eye(np.size(v))), lambda x: x, float),
     ("precision", lambda v: GaussianBelief(np.zeros(len(v)), v), lambda x: np.diag(np.abs(x)), float),
-    ("entries", TransformMatrix, lambda x: np.diag(np.abs(x) + 1), float),
     ("n", lambda v: RoundData(v, np.zeros(np.size(v))), _counts, np.int64),
     ("c", lambda v: RoundData(np.full(np.size(v), 2**40), v), _counts, np.int64),
     ("p", ProbVector, lambda x: 1.0 / (2.0 + np.abs(x)), float),
@@ -55,8 +53,9 @@ def _finite_arrays(dtype):
 arrays = st.sampled_from(["float64", "float32", "int64", "int32"]).flatmap(_finite_arrays)
 
 
+# Fixed ids, so that removing a row renames no other.
 @pytest.mark.parametrize("field, build, domain, dtype", FIELDS, ids=[
-    f"{i}-{field}" for i, (field, *_) in enumerate(FIELDS)])
+    "0-mean", "1-precision", "3-n", "4-c", "5-p", "6-alpha", "7-beta", "8-p", "9-base_beta"])
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(x=arrays, as_list=st.booleans(), where=st.integers(0, 35),
        bad=st.sampled_from([np.nan, np.inf, -np.inf]))
