@@ -84,16 +84,21 @@ def _validated_active(active: Sequence[ArmId]) -> tuple[ArmId, ...]:
 
 @dataclass(frozen=True)
 class ArmRegistry:
-    """Arms tracked so far, their joint belief, and the update count.
+    """Arms tracked so far, their joint belief, the update count, and the
+    update mode of the last absorbed round.
 
     ``arms`` fixes the parameter order; the reference arm is always the
-    last position. The registry is immutable: every operation returns a
-    new one.
+    last position. ``mode`` is None until a round is absorbed; re-anchoring
+    keeps it, and ``plan_round`` decides in it (``allocation_proportions``),
+    so a fixed arm set takes the bits of ``simulation``'s own round step in
+    either mode. The registry is immutable: every operation returns a new
+    one.
     """
 
     arms: tuple[ArmId, ...]
     belief: GaussianBelief
     round: int = 0
+    mode: UpdateMode | None = None
 
     def __post_init__(self):
         arms = tuple(self.arms)
@@ -104,6 +109,8 @@ class ArmRegistry:
                 f"belief dimension {self.belief.dim} does not match arm count {len(arms)}"
             )
         _check_count("round", self.round, 0)
+        if self.mode is not None:
+            object.__setattr__(self, "mode", _check_choice("mode", UpdateMode, self.mode))
         object.__setattr__(self, "arms", arms)
 
     @property
@@ -170,7 +177,7 @@ def reanchor_reference(registry: ArmRegistry, new_reference: ArmId) -> ArmRegist
         return registry
     r = arms.index(new_reference)
     new_arms = arms[:r] + arms[r + 1 :] + (new_reference,)
-    return ArmRegistry(new_arms, _move_reference(registry.belief, r), registry.round)
+    return ArmRegistry(new_arms, _move_reference(registry.belief, r), registry.round, registry.mode)
 
 
 def plan_round(
@@ -184,9 +191,10 @@ def plan_round(
     Every active arm starts at a manual 1/|active| share. The tracked
     active arms (``keep``) then take |keep|/|active| of the traffic, split
     by the Thompson winner frequencies of the belief marginalized to
-    exactly them (re-anchored first if the reference sits out). While that
-    marginal's scored coordinates, all but the reference's base rate, are
-    improper, every active arm keeps 1/|active|.
+    exactly them (re-anchored first if the reference sits out), decided
+    in the registry's mode. While that marginal's scored coordinates, all
+    but the reference's base rate, are improper, every active arm keeps
+    1/|active|.
     """
     active = _validated_active(active)
     working = _anchored(registry, active)
@@ -194,7 +202,7 @@ def plan_round(
     shares = dict.fromkeys(active, 1.0 / m)
     keep = [i for i, a in enumerate(working.arms) if a in shares]
     if keep:
-        base = _thompson(marginalize_keep(working.belief, keep), n_draws, rng)
+        base = _thompson(marginalize_keep(working.belief, keep), n_draws, rng, working.mode)
         if base is not None:
             shares.update((working.arms[i], len(keep) / m * w) for i, w in zip(keep, base.p))
     return RoundPlan(active, AllocationProportions(np.array(list(shares.values()))))
@@ -214,6 +222,7 @@ def absorb_round(
     A registry that has never been updated absorbs any round; otherwise
     the round must share at least one tracked arm for a full-rank update
     and two for an odds-ratio update, or ``ContinuityError`` is raised.
+    The new registry records ``mode``.
     """
     active = _validated_active(active)
     mode = _check_choice("mode", UpdateMode, mode)
@@ -234,7 +243,7 @@ def absorb_round(
     c_full = np.zeros(len(arms), dtype=np.int64)
     n_full[where], c_full[where] = data.n, data.c
     state = _update(LogisticPolicyState(belief, mode, working.round), RoundData(n_full, c_full))
-    return ArmRegistry(arms, state.belief, working.round + 1)
+    return ArmRegistry(arms, state.belief, working.round + 1, mode)
 
 
 @dataclass(frozen=True)

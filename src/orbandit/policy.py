@@ -10,7 +10,10 @@ Both allocation functions screen the arms before drawing. The leader is
 the arm of highest posterior mean, and an arm is screened out when its
 chance of tying or beating the leader in a draw, summed over every draw
 and every screened arm, stays within ``SCREEN_EPS``. When the leader
-alone survives, or there is one arm, nothing is drawn.
+alone survives, or there is one arm, nothing is drawn. A Gaussian screen
+reads the spread of each lead from the precision factor's inverse, or,
+for a full-mode belief with independent arm logits, from the logits'
+standard deviations alone, in O(K).
 
 Quadrature. The winner counts of n_draws draws of independent arms are
 Multinomial(n_draws, π), π their Thompson probabilities
@@ -22,9 +25,12 @@ n_draws ‖π̂ − π‖₁ / 2, and ‖π̂ − π‖₁ is within 1e-11 on ev
 tested. Two families feed the one integrator: the surviving Beta arms
 when every shape is at least 1 and every a + b at most 1e12, and the
 surviving arm logits of a Gaussian belief whose precision makes them
-independent, as a full-rank posterior grown from a flat start does, when
-its screen drops some arms; those logits are integrated relative to the
-largest mean, so the nodes keep their digits at any traffic.
+independent, as a full-rank posterior grown from a flat start does: in
+every decision of a full-mode policy, and in any other decision whose
+screen drops some arms, so that the odds-ratio policy's first decision,
+an arrow that keeps every arm, stays a tally. Those logits are
+integrated relative to the largest mean, so the nodes keep their digits
+at any traffic.
 
 Every other decision is one Monte Carlo tally, ``_tally``, in blocks of
 about ``_BLOCK_ELEMENTS`` scores, each drawn, reduced to its winners and
@@ -231,12 +237,9 @@ def _gaussian_survivors(belief: GaussianBelief, n_draws: int) -> tuple[np.ndarra
         return np.ones(arms, dtype=bool), 0, np.inf
     loadings = belief.inverse_factor.T.copy()
     loadings[-1] = 0.0
-    mean = belief.mean.copy()
-    mean[-1] = 0.0
-    leader = int(mean.argmax())
+    mean, leader, gap = _leads(belief)
     lead = loadings[leader]
     diff = loadings - lead
-    gap = mean[leader] - mean
     spread = np.sqrt(np.square(diff, out=diff).sum(axis=1))
     slack = (arms + 8) * _EPS
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -244,9 +247,38 @@ def _gaussian_survivors(belief: GaussianBelief, n_draws: int) -> tuple[np.ndarra
                         (gap * (1.0 - slack) - 2.0 * slack * abs(float(mean[leader])))
                         / (spread * (1.0 + slack) + 2.0 * slack * float(np.sqrt(lead @ lead))))
     ratio[leader] = np.inf
-    z = -ndtri(SCREEN_EPS / (n_draws * (arms - 1)))
     # Written so that a NaN keeps its arm.
-    return ~(gap > z * spread), leader, max(float(ratio.min()), 0.0)
+    return ~(gap > _screen_z(n_draws, arms) * spread), leader, max(float(ratio.min()), 0.0)
+
+
+def _leads(belief: GaussianBelief) -> tuple[np.ndarray, int, np.ndarray]:
+    """The scores' means, the reference's 0 in place of its base rate, the
+    leader, the first arm of the highest, and its lead over each arm."""
+    mean = belief.mean.copy()
+    mean[-1] = 0.0
+    leader = int(mean.argmax())
+    return mean, leader, mean[leader] - mean
+
+
+def _screen_z(n_draws: int, arms: int) -> float:
+    """z = −Φ⁻¹(ε / (n_draws (K − 1))): an arm whose mean trails the
+    leader's by more than z standard deviations of the lead ties or beats
+    the leader in a draw with chance below ε / (n_draws (K − 1))."""
+    return float(-ndtri(SCREEN_EPS / (n_draws * (arms - 1))))
+
+
+def _logit_survivors(belief: GaussianBelief, sd: np.ndarray, n_draws: int) -> tuple[np.ndarray, int]:
+    """``_gaussian_survivors``' mask and leader for a belief whose arm
+    logits are independent with standard deviations σ (``_arm_logits``),
+    in O(K): the leader's lead over arm j is the difference of two
+    independent logits, of standard deviation √(σ_l² + σ_j²)."""
+    arms = belief.dim
+    if arms < 2:
+        return np.ones(arms, dtype=bool), 0
+    _, leader, gap = _leads(belief)
+    spread = np.sqrt(sd[leader] ** 2 + np.square(sd))
+    # Written so that a NaN keeps its arm.
+    return ~(gap > _screen_z(n_draws, arms) * spread), leader
 
 
 def _arm_logits(belief: GaussianBelief) -> tuple[np.ndarray, np.ndarray] | None:
@@ -279,19 +311,29 @@ def _arm_logits(belief: GaussianBelief) -> tuple[np.ndarray, np.ndarray] | None:
 
 
 def _gaussian_plan(
-    belief: GaussianBelief, n_draws: int
+    belief: GaussianBelief, n_draws: int, mode: UpdateMode | None = None
 ) -> tuple[str, np.ndarray, int, float, float, tuple[np.ndarray, np.ndarray] | None]:
     """How a Gaussian decision goes: its path, the arms the screen keeps,
-    the leader, the screen's radius r*, q = P(χ²(K) ≥ r*²), the chance
-    that a row of K normals falls outside the ball, and, for a decision by
-    quadrature, the kept arms' logit means and standard deviations (else
-    None).
+    the leader, the screen's radius r* (NaN when no ball is taken),
+    q = P(χ²(K) ≥ r*²), the chance that a row of K normals falls outside
+    the ball, and, for a decision by quadrature, the kept arms' logit
+    means and standard deviations (else None).
 
-    One arm kept: "one-hot", q NaN. Some arms dropped, with independent
-    logits (``_arm_logits``): "quadrature", q NaN. Otherwise every
+    A belief of a full-mode policy (``mode`` ``UpdateMode.FULL``) whose
+    arm logits are independent (``_arm_logits``) is screened on them
+    alone (``_logit_survivors``): one arm kept, "one-hot", else
+    "quadrature", with r* and q NaN. Any other belief is screened by
+    ``_gaussian_survivors``. One arm kept: "one-hot", q NaN. Some arms
+    dropped, with independent logits: "quadrature", q NaN. Otherwise every
     coordinate is drawn: "split" radially when q ≤ ``_SPLIT_SHARE``, else
     "full".
     """
+    logits = _arm_logits(belief) if mode is UpdateMode.FULL else None
+    if logits is not None:
+        keep, leader = _logit_survivors(belief, logits[1], n_draws)
+        kept = np.flatnonzero(keep)
+        path = "one-hot" if kept.size == 1 else "quadrature"
+        return path, kept, leader, np.nan, np.nan, (logits[0][kept], logits[1][kept])
     keep, leader, radius = _gaussian_survivors(belief, n_draws)
     kept = np.flatnonzero(keep)
     if kept.size == 1:
@@ -328,21 +370,29 @@ def _chi2_tail(m: int, floor: float, count: int, rng: np.random.Generator) -> np
 
 
 def allocation_proportions(
-    belief: GaussianBelief, n_draws: int, rng: np.random.Generator
+    belief: GaussianBelief, n_draws: int, rng: np.random.Generator,
+    mode: UpdateMode | None = None,
 ) -> AllocationProportions:
     """Thompson proportions: the Monte Carlo winner frequency per arm.
 
     Each posterior draw is scored with the reference coordinate replaced by
     zero, which ranks arms by their log odds against the reference without
     moving the shared base rate; ties break toward the lowest arm index.
+    ``mode`` is the update mode of the policy that holds the belief, if
+    any; it picks the screen and the paths (``_gaussian_plan``).
 
-    A dominance screen runs first (``_gaussian_plan``). When it keeps the
-    leader alone, or the belief has one arm, the result is one-hot on the
-    leader and the generator is not touched. When it drops some arms but
-    keeps two or more, and the arm logits are independent
-    (``_arm_logits``), the kept arms' counts are one
+    A dominance screen runs first. When it keeps the leader alone, or the
+    belief has one arm, the result is one-hot on the leader and the
+    generator is not touched. When the arm logits are independent
+    (``_arm_logits``) and either ``mode`` is ``UpdateMode.FULL`` or the
+    screen drops some arms, the kept arms' counts are one
     ``rng.multinomial(n_draws, π̂)`` draw, π̂ from ``_normal_win_chances``,
     within n_draws ‖π̂ − π‖₁ / 2 of the Monte Carlo law in total variation.
+    A full-mode belief is then screened on its logits' means and standard
+    deviations alone, in O(K), with no L⁻¹. Without the full mode an arrow
+    that keeps every arm, such as the odds-ratio policy's first belief,
+    keeps the Monte Carlo tally, and with it the odds-ratio policy's
+    streams.
 
     Otherwise all K coordinates are drawn through L⁻¹, the base rate
     included, and the reference column is scored zero; the arms a screen
@@ -380,7 +430,9 @@ def allocation_proportions(
     total variation distance.
     """
     _check_count("n_draws", n_draws, 1)
-    path, kept, leader, radius, outside, logits = _gaussian_plan(belief, n_draws)
+    if mode is not None:
+        mode = _check_choice("mode", UpdateMode, mode)
+    path, kept, leader, radius, outside, logits = _gaussian_plan(belief, n_draws, mode)
     arms = belief.dim
     if path in ("one-hot", "quadrature"):
         return _decide(arms, n_draws, kept,

@@ -236,10 +236,11 @@ def _initial_state(policy: PolicyKind, arms: int) -> _PolicyState:
 # The round step of run_experiment and of continuous' plan_round and
 # absorb_round. It looks the policy functions up in this module at call time,
 # so a tracer or a fault injection must rebind them here to reach either loop.
-def _thompson(belief: GaussianBelief, n_draws: int,
-              rng: np.random.Generator) -> AllocationProportions | None:
-    """Thompson proportions of a logistic belief, or None while the law of
-    its scored coordinates is improper.
+def _thompson(belief: GaussianBelief, n_draws: int, rng: np.random.Generator,
+              mode: UpdateMode | None = None) -> AllocationProportions | None:
+    """Thompson proportions of a logistic belief held in update mode
+    ``mode`` (``allocation_proportions``), or None while the law of its
+    scored coordinates is improper.
 
     Every coordinate but the last is scored; the last, the reference's
     base rate, scores zero. When the last coordinate is flat (its
@@ -254,7 +255,7 @@ def _thompson(belief: GaussianBelief, n_draws: int,
         belief = GaussianBelief(belief.mean, precision)
     if not belief.is_proper():
         return None
-    return allocation_proportions(belief, n_draws, rng)
+    return allocation_proportions(belief, n_draws, rng, mode)
 
 
 def _propose(state: _PolicyState, n_draws: int, rng: np.random.Generator) -> AllocationProportions:
@@ -262,7 +263,7 @@ def _propose(state: _PolicyState, n_draws: int, rng: np.random.Generator) -> All
     while the law of its scored coordinates is improper."""
     if isinstance(state, BetaState):
         return beta_ts_proportions(state, n_draws, rng)
-    proportions = _thompson(state.belief, n_draws, rng)
+    proportions = _thompson(state.belief, n_draws, rng, state.mode)
     return initial_proportions(state.belief.dim) if proportions is None else proportions
 
 

@@ -8,12 +8,10 @@ independent constructions (closed forms, finite differences, grid
 quadrature, dense matrix identities), not the package's own formulas.
 """
 
-import csv
 import json
 import time
 
 import numpy as np
-import pytest
 from scipy.special import logit
 
 import acceptance_gates

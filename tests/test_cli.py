@@ -5,8 +5,6 @@ import json
 import subprocess
 import sys
 
-import pytest
-
 from orbandit import OptimizationFailureError, cli, simulation
 from orbandit.cli import main
 

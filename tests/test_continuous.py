@@ -18,6 +18,7 @@ from orbandit import (
     UpdateMode,
     absorb_round,
     allocate_trials,
+    continuous,
     allocation_proportions,
     check_continuity,
     draw_rewards,
@@ -28,6 +29,7 @@ from orbandit import (
     sample,
     simulation,
 )
+from orbandit.policy import _arm_logits
 
 
 def seeded_registry(successes=(20, 15, 10), trials=(50, 50, 50)):
@@ -245,6 +247,55 @@ def test_fixed_arm_set_takes_the_same_bits_through_either_step(mode, arms):
         assert np.array_equal(state.belief.precision, registry.belief.precision)
     assert rng_step.bit_generator.state == rng_plan.bit_generator.state
     assert drew >= 3  # the rounds after round 1 reached the Thompson draws
+
+
+def test_registry_records_the_mode_of_its_last_update():
+    """``absorb_round`` records its mode and re-anchoring keeps it; a new
+    or reinitialized registry has none. A full-rank step on an odds-ratio
+    history leaves a belief whose marginal is no arrow, and ``plan_round``
+    decides it by the Monte Carlo tally, bit for bit."""
+    assert ArmRegistry.empty().mode is None
+    assert ArmRegistry.fresh(("A", "B")).mode is None
+    registry = seeded_registry()
+    assert registry.mode is UpdateMode.ODDS_RATIO
+    data = RoundData(np.array([50, 50, 50]), np.array([18, 16, 9]))
+    registry = absorb_round(registry, ("A", "B", "C"), data, UpdateMode.ODDS_RATIO)
+    assert reanchor_reference(registry, "A").mode is UpdateMode.ODDS_RATIO
+    full = absorb_round(registry, ("C", "D"), RoundData(np.array([10, 10]), np.array([2, 3])),
+                        UpdateMode.FULL)
+    assert full.mode is UpdateMode.FULL
+    assert reanchor_reference(full, "A").mode is UpdateMode.FULL
+    assert full.arms == ("A", "B", "D", "C")
+    marginal = marginalize_keep(full.belief, [0, 1, 3])
+    assert _arm_logits(marginal) is None
+    expected = np.random.default_rng(44)
+    tally = allocation_proportions(marginal, 2000, expected).p
+    rng = np.random.default_rng(44)
+    np.testing.assert_array_equal(plan_round(full, ("A", "B", "C"), 2000, rng).proportions.p, tally)
+    assert rng.bit_generator.state == expected.bit_generator.state
+    with pytest.raises(ConfigError, match="field 'mode'"):
+        ArmRegistry(registry.arms, registry.belief, 2, "forgetful")
+
+
+def test_run_continuous_reinitializes_without_a_mode(monkeypatch):
+    """After a break the scenario plans on a fresh registry, which has no
+    mode, and the next absorbed round records the scenario's."""
+    planned = []
+    original = plan_round
+
+    def record(registry, *args):
+        planned.append(registry.mode)
+        return original(registry, *args)
+
+    monkeypatch.setattr(continuous, "plan_round", record)
+    rounds = (
+        ScenarioRound(("A", "B"), {"A": 0.32, "B": 0.30}, 1000),
+        ScenarioRound(("A", "B"), {"A": 0.32, "B": 0.30}, 1000),
+        ScenarioRound(("C", "D"), {"C": 0.30, "D": 0.28}, 1000),
+    )
+    result = run_continuous(ContinuousScenario(rounds, mode=UpdateMode.FULL, seed=13, n_draws=1000))
+    assert planned == [None, UpdateMode.FULL, None]
+    assert result.registry.mode is UpdateMode.FULL
 
 
 # --- scenario runner -----------------------------------------------------------

@@ -22,6 +22,8 @@ from orbandit import (
     ExperimentConfig,
     PolicyKind,
     absorb_round,
+    ContinuousScenario,
+    ScenarioRound,
     allocation_proportions,
     beta_ts_proportions,
     beta_ts_update,
@@ -33,7 +35,9 @@ from orbandit import (
     marginalize_drop_last,
     marginalize_keep,
     or_ts_update,
+    plan_round,
     policy,
+    run_continuous,
     run_replications,
     sample,
     simulation,
@@ -49,6 +53,7 @@ from orbandit.policy import (
     _chi2_tail,
     _gaussian_plan,
     _gaussian_survivors,
+    _logit_survivors,
     _normal_win_chances,
 )
 
@@ -280,6 +285,19 @@ def test_arrow_quadrature_keeps_the_law_of_the_full_draw():
     assert_same_law(counts, covariance_factor_counts(belief, n_draws, np.random.default_rng(23)))
 
 
+@pytest.mark.blas_sensitive
+def test_full_mode_every_arm_quadrature_keeps_the_law_of_the_full_draw():
+    """At 400 001 draws, a full-mode arrow that keeps every arm: one
+    multinomial draw over all K arms, whose counts hold to those of
+    covariance-factor draws of every coordinate."""
+    belief = first_round(10, UpdateMode.FULL)[0].belief
+    n_draws = 400_001
+    assert _gaussian_survivors(belief, n_draws)[0].all()
+    p = allocation_proportions(belief, n_draws, np.random.default_rng(22), UpdateMode.FULL).p
+    counts = np.rint(p * n_draws).astype(np.int64)
+    assert_same_law(counts, covariance_factor_counts(belief, n_draws, np.random.default_rng(23)))
+
+
 def load_tool(name):
     path = Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
     spec = importlib.util.spec_from_file_location(name, path)
@@ -312,6 +330,9 @@ def test_split_share_reports_every_policy(tmp_path, capsys):
     assert [line.split(":")[0] for line in lines] == ["beta_ts", "full_ts", "or_ts"]
     assert all(line.split(": ")[1].startswith("2 decisions") for line in lines)
     assert "quadrature" in lines[0] and "nodes quartiles" in lines[0]
+    # full_ts's decision that keeps every arm is classified in its mode.
+    assert "quadrature  50.0%  full   0.0%  split   0.0%" in lines[1]
+    assert "full 100.0%" in lines[2]
 
 
 @pytest.mark.parametrize("make, path", [
@@ -629,6 +650,42 @@ def mpmath_normal_win_chances(mean, sd):
                          for j in range(len(m))])
 
 
+def mpmath_node_win_chances(mean, sd):
+    """π_j in 30-digit arithmetic by one composite rule for every arm: 24
+    Gauss–Legendre nodes a panel, from the second-lowest m_i − 10 σ_i to
+    the highest m_i + 10 σ_i, each panel at most
+    min_i max(σ_i / 2, |x − m_i| / 4) wide. Each node's Φ_i and φ_i are
+    evaluated once for all arms, ∏_{i≠j} Φ_i from prefix and suffix
+    products, so it costs about K times fewer evaluations than
+    ``mpmath_normal_win_chances``, which it matches on that function's
+    cases."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        m = [mpmath.mpf(float(v)) for v in mean]
+        s = [mpmath.mpf(float(v)) for v in sd]
+        x = sorted(mi - 10 * si for mi, si in zip(m, s))[1]
+        end = max(mi + 10 * si for mi, si in zip(m, s))
+        rule = mpmath.calculus.quadrature.GaussLegendre(mpmath.mp).calc_nodes(4, mpmath.mp.prec)
+        root2, root2pi = mpmath.sqrt(2), mpmath.sqrt(2 * mpmath.pi)
+        wins = [mpmath.mpf(0)] * len(m)
+        while x < end:
+            edge = min(x + min(max(si / 2, abs(x - mi) / 4) for mi, si in zip(m, s)), end)
+            half = (edge - x) / 2
+            for node, weight in rule:
+                z = [(x + half * (node + 1) - mi) / si for mi, si in zip(m, s)]
+                cdf = [mpmath.erfc(-zi / root2) / 2 for zi in z]
+                below = [mpmath.mpf(1)]
+                for value in cdf[:-1]:
+                    below.append(below[-1] * value)
+                above = mpmath.mpf(1)
+                for j in reversed(range(len(m))):
+                    density = mpmath.exp(-z[j] ** 2 / 2) / (s[j] * root2pi)
+                    wins[j] += weight * half * density * below[j] * above
+                    above *= cdf[j]
+            x = edge
+        return np.array([float(w) for w in wins])
+
+
 @pytest.mark.parametrize("mean, sd", [
     ([0.0, 0.3], [1.0, 1.0]),
     ([0.0, 0.5, 1.0], [1.0, 0.5, 2.0]),
@@ -645,28 +702,72 @@ def test_normal_win_chances_match_30_digit_arithmetic(mean, sd):
     starved reference's logit has, and spreads a billionth of the logits
     or less, as traffic of 1e16 trials a round leaves them."""
     chances = _normal_win_chances(np.array(mean), np.array(sd))
-    assert np.abs(chances - mpmath_normal_win_chances(mean, sd)).sum() <= WIN_CHANCE_L1
+    exact = mpmath_normal_win_chances(mean, sd)
+    assert np.abs(chances - exact).sum() <= WIN_CHANCE_L1
+    assert np.abs(mpmath_node_win_chances(mean, sd) - exact).sum() <= 1e-15
 
 
-def full_ts_quadrature_beliefs(monkeypatch, k, rounds, seed=1, spec=None, trials=10_000):
-    """The beliefs of the ``full_ts`` decisions that take the quadrature in
-    one replication of a study, by default a drifting one (K arms, 1e4
-    trials a round, d=20), captured where ``simulation`` calls the
-    allocation: the states the benchmark's ``full_ts`` loops decide on."""
+def test_every_arm_decisions_match_30_digit_arithmetic(monkeypatch):
+    """The ``full_ts`` decisions at K = 10 that keep every arm take the
+    quadrature, and their chances are within ``WIN_CHANCE_L1`` of
+    30-digit arithmetic."""
+    plans = [plan for plan in full_ts_quadrature_plans(monkeypatch, 10, 12) if plan[0].size == 10]
+    assert plans
+    for mean, sd in plans:
+        assert np.abs(_normal_win_chances(mean, sd) - mpmath_node_win_chances(mean, sd)).sum() \
+            <= WIN_CHANCE_L1
+
+
+def captured_beliefs(monkeypatch, run, mode):
+    """The beliefs of every Thompson decision that ``run()`` makes,
+    captured where ``simulation`` calls the allocation, each checked to be
+    called with the update mode ``mode``."""
     seen = []
     allocate = simulation.allocation_proportions
 
-    def capture(belief, n_draws, rng):
+    def capture(belief, n_draws, rng, called_mode):
+        assert called_mode is mode
         seen.append(belief)
-        return allocate(belief, n_draws, rng)
+        return allocate(belief, n_draws, rng, called_mode)
 
+    with monkeypatch.context() as patch:
+        patch.setattr(simulation, "allocation_proportions", capture)
+        run()
+    return seen
+
+
+def full_ts_beliefs(monkeypatch, k, rounds, seed=1, spec=None, trials=10_000):
+    """The beliefs of the ``full_ts`` decisions of one replication of a
+    study, by default a drifting one (K arms, 1e4 trials a round, d=20):
+    the states the ``full_ts`` study decides on."""
     config = ExperimentConfig(rounds=rounds, trials_per_round=trials, replications=1,
                               policy=PolicyKind.FULL_TS, seed=seed, n_draws=10_000)
     spec = drift_environment(k, 0.31, 0.30, 20.0) if spec is None else spec
-    with monkeypatch.context() as patch:
-        patch.setattr(simulation, "allocation_proportions", capture)
-        run_replications(config, spec, policies=(PolicyKind.FULL_TS,))
-    return [belief for belief in seen if _gaussian_plan(belief, 10_000)[0] == "quadrature"]
+    return captured_beliefs(
+        monkeypatch, lambda: run_replications(config, spec, policies=(PolicyKind.FULL_TS,)),
+        UpdateMode.FULL)
+
+
+def full_ts_quadrature_plans(monkeypatch, k, rounds, seed=1, spec=None, trials=10_000):
+    """The kept arms' logit means and standard deviations of the
+    ``full_ts`` decisions of ``full_ts_beliefs`` that take the
+    quadrature."""
+    plans = [_gaussian_plan(belief, 10_000, UpdateMode.FULL)
+             for belief in full_ts_beliefs(monkeypatch, k, rounds, seed, spec, trials)]
+    return [plan[5] for plan in plans if plan[0] == "quadrature"]
+
+
+def churn_beliefs(monkeypatch, mode, seed=5, rounds=12, pool=14, active=8):
+    """The beliefs of the decisions of a ``run_continuous`` scenario in
+    ``mode`` whose active set, ``active`` of ``pool`` arms, changes every
+    round, each arm's rate within 0.25–0.35."""
+    rng = np.random.default_rng(seed)
+    rates = rng.uniform(0.25, 0.35, size=pool)
+    scenario = ContinuousScenario(tuple(
+        ScenarioRound(tuple(int(a) for a in rng.choice(pool, active, replace=False)),
+                      dict(enumerate(rates)), 4_000)
+        for _ in range(rounds)), mode=mode, seed=seed, n_draws=10_000)
+    return captured_beliefs(monkeypatch, lambda: run_continuous(scenario), mode)
 
 
 @pytest.mark.parametrize("trials", [10**14, 10**16, 10**18])
@@ -675,9 +776,9 @@ def test_normal_win_chances_hold_at_high_traffic(trials, monkeypatch):
     quadrature; at 1e14 to 1e18 trials a round their logits' spreads are
     1e-7 to 1e-9 of the logits, and the chances stay within
     ``WIN_CHANCE_L1`` of the closed form Φ(Δ / √(σ₀² + σ₁²))."""
-    plans = [_gaussian_plan(belief, 10_000)[5]
+    plans = [plan
              for seed in (3, 4, 5)
-             for belief in full_ts_quadrature_beliefs(
+             for plan in full_ts_quadrature_plans(
                  monkeypatch, 3, 6, seed, simulation.Stationary([0.3, 0.3, 0.2]), trials)]
     assert plans
     for mean, sd in plans:
@@ -687,14 +788,27 @@ def test_normal_win_chances_hold_at_high_traffic(trials, monkeypatch):
         assert np.abs(_normal_win_chances(mean, sd) - exact).sum() <= WIN_CHANCE_L1
 
 
+@pytest.mark.parametrize("trials", [10**14, 10**16, 10**18])
+def test_every_arm_normal_win_chances_hold_at_high_traffic(trials, monkeypatch):
+    """``full_ts`` on three tied rates keeps every arm, and each decision
+    takes the quadrature; at 1e14 to 1e18 trials a round the chances stay
+    within ``WIN_CHANCE_L1`` of 30-digit arithmetic."""
+    plans = full_ts_quadrature_plans(monkeypatch, 3, 6, 3, simulation.Stationary([0.3] * 3), trials)
+    assert len(plans) == 5
+    for mean, sd in plans:
+        assert mean.size == 3
+        assert np.abs(_normal_win_chances(mean, sd) - mpmath_node_win_chances(mean, sd)).sum() \
+            <= WIN_CHANCE_L1
+
+
 @pytest.mark.parametrize("k, rounds", [(10, 12), (200, 6)], ids=["k10", "k200"])
 def test_normal_win_chances_match_a_finer_rule(k, rounds, monkeypatch):
     """Every quadrature decision of a ``full_ts`` loop, at K = 10 and
-    K = 200, against ``oracles.normal_win_chances`` and against the same
-    panels with four times the nodes."""
-    beliefs = full_ts_quadrature_beliefs(monkeypatch, k, rounds)
-    plans = [_gaussian_plan(belief, 10_000)[5] for belief in beliefs]
-    assert plans
+    K = 200, those that keep every arm among them, against
+    ``oracles.normal_win_chances`` and against the same panels with four
+    times the nodes."""
+    plans = full_ts_quadrature_plans(monkeypatch, k, rounds)
+    assert any(mean.size == k for mean, _ in plans)
     chances = [_normal_win_chances(*logits) for logits in plans]
     for logits, found in zip(plans, chances):
         assert np.abs(found - oracles.normal_win_chances(*logits)).sum() <= WIN_CHANCE_L1
@@ -703,6 +817,88 @@ def test_normal_win_chances_match_a_finer_rule(k, rounds, monkeypatch):
     monkeypatch.setattr(policy, "_QUAD_WEIGHTS", weights)
     for logits, found in zip(plans, chances):
         assert np.abs(found - _normal_win_chances(*logits)).sum() <= WIN_CHANCE_L1
+
+
+def first_round(k, mode, seed=41):
+    """A policy state and a registry over arms 0..K−1 after one round of
+    100 trials an arm at rate 0.3, from a flat start in ``mode``: an
+    arrow, bit for bit the same in either mode, that the screen keeps
+    whole."""
+    n = np.full(k, 100)
+    data = RoundData(n, np.random.default_rng(seed).binomial(n, 0.3))
+    arms = tuple(range(k))
+    state = simulation._update(LogisticPolicyState.flat_start(k, mode), data)
+    registry = absorb_round(ArmRegistry.fresh(arms), arms, data, mode)
+    assert _arm_logits(state.belief) is not None
+    assert _gaussian_survivors(state.belief, 10_000)[0].all()
+    return state, registry, arms
+
+
+@pytest.mark.blas_sensitive
+@pytest.mark.parametrize("k", [2, 10, 200])
+def test_full_mode_every_arm_arrow_takes_the_quadrature(k):
+    """A full-mode decision on an arrow that keeps every arm is one
+    multinomial draw with the arm logits' Thompson probabilities, bit for
+    bit, through ``simulation``'s round step and through ``plan_round``."""
+    state, registry, arms = first_round(k, UpdateMode.FULL)
+    assert registry.mode is UpdateMode.FULL
+    expected = np.random.default_rng(42)
+    counts = expected.multinomial(10_000, _normal_win_chances(*_arm_logits(state.belief)))
+    for decide in (lambda rng: simulation._propose(state, 10_000, rng),
+                   lambda rng: plan_round(registry, arms, 10_000, rng).proportions):
+        rng = np.random.default_rng(42)
+        np.testing.assert_array_equal(decide(rng).p, counts / 10_000.0)
+        assert rng.bit_generator.state == expected.bit_generator.state
+
+
+@pytest.mark.blas_sensitive
+@pytest.mark.parametrize("k", [2, 10, 200])
+def test_odds_ratio_first_decision_stays_on_the_tally(k):
+    """``or_ts``'s first decision is the same arrow, and it keeps the
+    Monte Carlo tally of ``allocation_proportions(belief)`` bit for bit,
+    through either round step, where the full mode takes the
+    quadrature."""
+    state, registry, arms = first_round(k, UpdateMode.ODDS_RATIO)
+    assert registry.mode is UpdateMode.ODDS_RATIO
+    assert np.array_equal(state.belief.precision, first_round(k, UpdateMode.FULL)[0].belief.precision)
+    expected = np.random.default_rng(43)
+    tally = allocation_proportions(state.belief, 10_000, expected).p
+    for decide in (lambda rng: simulation._propose(state, 10_000, rng),
+                   lambda rng: plan_round(registry, arms, 10_000, rng).proportions):
+        rng = np.random.default_rng(43)
+        np.testing.assert_array_equal(decide(rng).p, tally)
+        assert rng.bit_generator.state == expected.bit_generator.state
+    rng = np.random.default_rng(43)
+    allocation_proportions(state.belief, 10_000, rng, UpdateMode.FULL)
+    assert rng.bit_generator.state != expected.bit_generator.state
+
+
+def test_allocation_names_a_bad_mode():
+    with pytest.raises(ConfigError, match="field 'mode'"):
+        allocation_proportions(GaussianBelief(np.zeros(2), np.eye(2)), 10, np.random.default_rng(0),
+                               "forgetful")
+
+
+@pytest.mark.blas_sensitive
+@pytest.mark.parametrize("beliefs", [
+    lambda patch: full_ts_beliefs(patch, 10, 12),
+    lambda patch: full_ts_beliefs(patch, 200, 6),
+    lambda patch: churn_beliefs(patch, UpdateMode.FULL),
+], ids=["full_ts_k10", "full_ts_k200", "continuous_full"])
+def test_logit_screen_keeps_the_arms_of_the_loading_screen(beliefs, monkeypatch):
+    """On every captured full-mode decision, all arrows, the O(K) screen
+    on the logits' standard deviations keeps the arms and the leader that
+    ``_gaussian_survivors`` keeps from L⁻¹'s rows, at 1, 1e4 and 1e6
+    draws."""
+    captured = beliefs(monkeypatch)
+    assert captured
+    for belief in captured:
+        sd = _arm_logits(belief)[1]
+        for n_draws in (1, 10_000, 1_000_000):
+            keep, leader = _logit_survivors(belief, sd, n_draws)
+            expected, expected_leader, _ = _gaussian_survivors(belief, n_draws)
+            np.testing.assert_array_equal(keep, expected)
+            assert leader == expected_leader
 
 
 @pytest.mark.parametrize("ratio", [1.0, 39.0, 1504.0, 1e4])
