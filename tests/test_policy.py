@@ -15,15 +15,15 @@ from orbandit import (
     ArmRegistry,
     BetaState,
     ConfigError,
+    ContinuousScenario,
     GaussianBelief,
     LogisticPolicyState,
     RoundData,
+    ScenarioRound,
     UpdateMode,
     ExperimentConfig,
     PolicyKind,
     absorb_round,
-    ContinuousScenario,
-    ScenarioRound,
     allocation_proportions,
     beta_ts_proportions,
     beta_ts_update,
