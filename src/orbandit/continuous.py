@@ -32,6 +32,8 @@ from .errors import (
 )
 from .gaussian_belief import (
     GaussianBelief,
+    LogitBelief,
+    _as_logits,
     _embed_flat,
     _move_reference,
     make_flat_belief,
@@ -88,15 +90,19 @@ class ArmRegistry:
     update mode of the last absorbed round.
 
     ``arms`` fixes the parameter order; the reference arm is always the
-    last position. ``mode`` is None until a round is absorbed; re-anchoring
-    keeps it, and ``plan_round`` decides in it (``allocation_proportions``),
-    so a fixed arm set takes the bits of ``simulation``'s own round step in
-    either mode. The registry is immutable: every operation returns a new
-    one.
+    last position. A full-mode registry holds its arms' independent logits
+    (``LogitBelief``), so re-anchoring, marginalizing and adding arms are
+    index operations on K pairs; an odds-ratio registry holds a dense
+    ``GaussianBelief``. ``mode`` is None until a round is absorbed;
+    re-anchoring keeps it. ``plan_round`` reads it once: after a
+    ``full_rank`` fallback, a full-mode registry whose marginal is a dense
+    arrow decides it as arm logits. So a fixed arm set takes the bits of
+    ``simulation``'s own round step in either mode. The registry is
+    immutable: every operation returns a new one.
     """
 
     arms: tuple[ArmId, ...]
-    belief: GaussianBelief
+    belief: GaussianBelief | LogitBelief
     round: int = 0
     mode: UpdateMode | None = None
 
@@ -191,10 +197,12 @@ def plan_round(
     Every active arm starts at a manual 1/|active| share. The tracked
     active arms (``keep``) then take |keep|/|active| of the traffic, split
     by the Thompson winner frequencies of the belief marginalized to
-    exactly them (re-anchored first if the reference sits out), decided
-    in the registry's mode. While that marginal's scored coordinates, all
-    but the reference's base rate, are improper, every active arm keeps
-    1/|active|.
+    exactly them (re-anchored first if the reference sits out), which
+    ``allocation_proportions`` decides by the marginal's type. In the full
+    mode a dense marginal that is an arrow, as after a ``full_rank``
+    fallback, is decided as arm logits (``_as_logits``). While that
+    marginal's scored coordinates, all but the reference's base rate, are
+    improper, every active arm keeps 1/|active|.
     """
     active = _validated_active(active)
     working = _anchored(registry, active)
@@ -202,7 +210,9 @@ def plan_round(
     shares = dict.fromkeys(active, 1.0 / m)
     keep = [i for i, a in enumerate(working.arms) if a in shares]
     if keep:
-        base = _thompson(marginalize_keep(working.belief, keep), n_draws, rng, working.mode)
+        marginal = marginalize_keep(working.belief, keep)
+        logits = _as_logits(marginal) if working.mode is UpdateMode.FULL else None
+        base = _thompson(marginal if logits is None else logits, n_draws, rng)
         if base is not None:
             shares.update((working.arms[i], len(keep) / m * w) for i, w in zip(keep, base.p))
     return RoundPlan(active, AllocationProportions(np.array(list(shares.values()))))

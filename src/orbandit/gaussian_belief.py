@@ -17,10 +17,19 @@ and ``transform`` are the same relabeling as a dense parameter transform,
 for any permutation. Marginals go through one Cholesky factor of the
 dropped block (``marginalize_keep``), or one rank-one Schur complement
 when only the last coordinate is dropped.
+
+A full-rank posterior grown from a flat start keeps its arm logits
+η_j = b_j + b_K (and η_K = b_K) independent: its precision is the arrow
+with odds block diag(d), d above the corner and corner Σd + D_K.
+``LogitBelief`` holds it as the K logit means and precisions alone. Its
+parameter-space mean and precision are built only when read, and the
+re-anchor, the marginal that keeps the reference last and the flat
+embedding that keeps it last are index operations on the K pairs, in O(K).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -33,6 +42,7 @@ from .errors import CannotSampleError, ConfigError, _check_count, _frozen_number
 
 __all__ = [
     "GaussianBelief",
+    "LogitBelief",
     "make_flat_belief",
     "compose_reindex",
     "transform",
@@ -139,6 +149,125 @@ class GaussianBelief:
         return 0.5 * (cov + cov.T)
 
 
+@dataclass(frozen=True)
+class LogitBelief:
+    """Independent normal arm logits, the reference last: arm j's logit
+    has mean ``logit_mean[j]`` and precision ``logit_precision[j]`` ≥ 0,
+    zero where it is flat.
+
+    Seen in the odds-ratio parameters, it is the ``GaussianBelief`` with
+    mean θ_j = m_j − m_K (j < K), θ_K = m_K, and the arrow precision with
+    odds block diag(d), d = D_1..D_{K−1} above the corner, and corner ΣD.
+    ``mean``, ``precision``, ``inverse_factor`` and ``covariance()`` give
+    that view; each is built on first read and kept, so an engine that
+    reads only the logits never forms a K×K array.
+
+    Properness applies ``_zero_floor``'s rule to the logits: the belief is
+    proper when every D_j is above ``REL_TOL`` times the largest diagonal
+    entry of the θ-precision, its corner ΣD (``_flat_logits``), which is
+    where the arrow's Cholesky pivots, d and D_K, cross that floor.
+    """
+
+    logit_mean: np.ndarray
+    logit_precision: np.ndarray
+
+    def __post_init__(self):
+        mean = _frozen_numbers(self, "logit_mean")
+        precision = _frozen_numbers(self, "logit_precision")
+        if mean.size < 1 or mean.shape != precision.shape:
+            raise ConfigError(f"logit means and precisions must be non-empty and equal length, "
+                              f"got {mean.shape} and {precision.shape}")
+        if np.any(precision < 0.0):
+            raise ConfigError("field 'logit_precision' must be non-negative")
+
+    @property
+    def dim(self) -> int:
+        return self.logit_mean.size
+
+    def is_proper(self) -> bool:
+        """True when no arm logit is flat (``_flat_logits``)."""
+        return not _flat_logits(self).any()
+
+    @cached_property
+    def sd(self) -> np.ndarray:
+        """The arm logits' standard deviations, 1/√D (infinite where flat)."""
+        with np.errstate(divide="ignore"):
+            sd = 1.0 / np.sqrt(self.logit_precision)
+        sd.setflags(write=False)
+        return sd
+
+    @cached_property
+    def mean(self) -> np.ndarray:
+        """The odds-ratio mean: m_j − m_K for j < K, and m_K."""
+        mean = self.logit_mean - self.logit_mean[-1]
+        mean[-1] = self.logit_mean[-1]
+        mean.setflags(write=False)
+        return mean
+
+    @cached_property
+    def precision(self) -> np.ndarray:
+        """The odds-ratio precision: the arrow with odds block diag(d), d
+        above the corner in the last column, and corner ΣD."""
+        d = self.logit_precision[:-1]
+        precision = np.diag(np.r_[d, math.fsum(self.logit_precision)])
+        precision[:-1, -1] = precision[-1, :-1] = d
+        precision.setflags(write=False)
+        return precision
+
+    @cached_property
+    def _dense(self) -> GaussianBelief:
+        return GaussianBelief(self.mean, self.precision)
+
+    @property
+    def inverse_factor(self) -> np.ndarray:
+        """The dense view's L⁻¹ (``GaussianBelief.inverse_factor``)."""
+        return self._dense.inverse_factor
+
+    def covariance(self) -> np.ndarray:
+        """The odds-ratio covariance; requires a proper belief."""
+        return self._dense.covariance()
+
+
+def _flat_logits(belief: LogitBelief) -> np.ndarray:
+    """Mask of the arm logits whose precision is within ``REL_TOL`` of the
+    θ-precision's largest diagonal entry, the corner ΣD, summed exactly so
+    that no relabeling of the arms moves it."""
+    precision = belief.logit_precision
+    return precision <= REL_TOL * math.fsum(precision)
+
+
+def _arrow_logits(belief: GaussianBelief) -> tuple[np.ndarray, np.ndarray] | None:
+    """The arm logits' means and precisions (m, D) when the dense
+    precision is an arrow, bit for bit, else None; D_K may come out ≤ 0.
+
+    The odds block must be diag(d) and the last column above the corner
+    d. D_K = corner − Σd cancels: the corner reached 1504 D_K on the
+    benchmark's beliefs. ``math.fsum`` rounds the difference of the
+    stored entries once, so D_K carries only the corner's own rounding, a
+    relative error of about eps · corner / D_K, where a running sum adds up
+    to K eps · corner / D_K.
+    """
+    precision = belief.precision
+    d = precision.diagonal()[:-1]
+    if not (np.array_equal(precision[:-1, -1], d) and np.array_equal(precision[:-1, :-1], np.diag(d))):
+        return None
+    mean = belief.mean + belief.mean[-1]
+    mean[-1] = belief.mean[-1]
+    return mean, np.r_[d, math.fsum(np.r_[precision[-1, -1], -d])]
+
+
+def _as_logits(belief: GaussianBelief | LogitBelief) -> LogitBelief | None:
+    """``belief`` itself if it holds arm logits, the ``LogitBelief`` of a
+    dense arrow (``_arrow_logits``, a precision below zero by rounding
+    read as flat), or None for any other belief."""
+    if isinstance(belief, LogitBelief):
+        return belief
+    logits = _arrow_logits(belief)
+    if logits is None:
+        return None
+    return LogitBelief(logits[0], np.maximum(logits[1], 0.0))
+
+
 def make_flat_belief(dim: int) -> GaussianBelief:
     """Improper uniform belief: zero mean, zero precision."""
     _check_count("dim", dim, 1)
@@ -218,9 +347,14 @@ def _move_reference(belief: GaussianBelief, r: int) -> GaussianBelief:
     cost is one reordering copy and one matrix-vector product, O(K²). This
     is ``transform(belief, compose_reindex(perm, K))`` for the permutation
     that moves arm r last; the mean matches it bit for bit.
+
+    A ``LogitBelief`` keeps every arm's logit, so its logits are only
+    reordered, in O(K).
     """
     k = belief.dim
     order = np.r_[0:r, r + 1 : k, r]
+    if isinstance(belief, LogitBelief):
+        return LogitBelief(belief.logit_mean[order], belief.logit_precision[order])
     mean = belief.mean[order]
     shift, base = mean[-1], mean[-2]
     mean[:-2] -= shift
@@ -251,6 +385,10 @@ def marginalize_keep(belief: GaussianBelief, keep: Sequence[int]) -> GaussianBel
     total over valid (positive semidefinite) precisions. A flat dropped
     coordinate couples to nothing and integrates out to nothing, so a
     fully flat belief marginalizes to a flat belief.
+
+    A ``LogitBelief`` whose reference stays last keeps the independent
+    logits of the kept arms, which are taken, in O(K); any other subset
+    of its coordinates is marginalized from its dense view.
     """
     keep = _numbers("keep", keep, int).tolist()
     d = belief.dim
@@ -259,6 +397,8 @@ def marginalize_keep(belief: GaussianBelief, keep: Sequence[int]) -> GaussianBel
     kept = set(keep)
     if len(kept) != len(keep) or any(i < 0 or i >= d for i in keep):
         raise ConfigError(f"invalid coordinate subset {keep} for dimension {d}")
+    if isinstance(belief, LogitBelief) and keep[-1] == d - 1:
+        return LogitBelief(belief.logit_mean[keep], belief.logit_precision[keep])
     p = belief.precision
     marginal = p.take(keep, 0).take(keep, 1)
     drop = np.array([i for i in range(d) if i not in kept], dtype=np.intp)
@@ -308,8 +448,20 @@ def embed_flat_last(belief: GaussianBelief, start_last: float = 0.0) -> Gaussian
     return _embed_flat(belief, np.arange(belief.dim), belief.dim + 1, float(start_last))
 
 
-def _embed_flat(belief: GaussianBelief, positions, dim: int, start: float = 0.0) -> GaussianBelief:
-    """``belief`` at ``positions`` of a ``dim``-wide belief, flat elsewhere with mean ``start``."""
+def _embed_flat(belief: GaussianBelief | LogitBelief, positions, dim: int,
+                start: float = 0.0) -> GaussianBelief | LogitBelief:
+    """``belief`` at ``positions`` of a ``dim``-wide belief, flat elsewhere with mean ``start``.
+
+    A ``LogitBelief`` that keeps its reference last gains flat logits,
+    D = 0 with mean ``start`` plus the reference's logit, in O(K); any
+    other embedding goes through its dense view.
+    """
+    if isinstance(belief, LogitBelief) and positions[-1] == dim - 1:
+        mean = np.full(dim, start + belief.logit_mean[-1])
+        mean[positions] = belief.logit_mean
+        precision = np.zeros(dim)
+        precision[positions] = belief.logit_precision
+        return LogitBelief(mean, precision)
     mean = np.full(dim, start)
     mean[positions] = belief.mean
     precision = np.zeros((dim, dim))

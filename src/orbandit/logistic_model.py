@@ -8,22 +8,29 @@ after a round is approximated by a Gaussian centered at the posterior mode
 with the curvature of the batch likelihood added to the prior precision.
 One likelihood evaluation per Newton iterate serves its step, its Hessian
 and, at the mode, the posterior curvature.
+
+In the arm logits η_j the likelihood separates, so a prior with
+independent logits (``LogitBelief``) keeps them independent:
+``logit_update`` finds each arm's mode by its own scalar search, all arms
+at once, with no linear solve.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
 from .errors import ConfigError, OptimizationFailureError, _frozen_numbers
-from .gaussian_belief import GaussianBelief, _zero_floor
+from .gaussian_belief import GaussianBelief, LogitBelief, _flat_logits, _zero_floor
 
 __all__ = [
     "RoundData",
     "ProbVector",
     "laplace_update",
+    "logit_update",
 ]
 
 # Convergence tolerance on the gradient infinity-norm of the mode search.
@@ -43,6 +50,10 @@ MAX_STEP_NORM = 100.0
 
 # The objective's float noise relative to 1 + |value|: line-search slack and stall bound.
 _NOISE_FLOOR = 16.0 * np.finfo(float).eps
+
+# A per-arm logit search stops once its Newton step is within this
+# fraction of 1 + |η|.
+_LOGIT_STEP_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -133,7 +144,12 @@ def _effective_counts(data: RoundData, prior: GaussianBelief) -> tuple[np.ndarra
     step in the solver.
     """
     n, c = data.n.astype(float), data.c.astype(float)
-    flat = np.abs(prior.precision.diagonal()) <= _zero_floor(prior.precision)
+    return _smoothed(n, c, np.abs(prior.precision.diagonal()) <= _zero_floor(prior.precision))
+
+
+def _smoothed(n: np.ndarray, c: np.ndarray, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The counts with half a success and one trial added to each arm in
+    the mask ``flat`` whose counts are degenerate."""
     if not flat.any():
         return n, c
     smooth = flat & (n >= 1.0) & ((c == 0.0) | (c == n))
@@ -214,3 +230,83 @@ def laplace_update(prior: GaussianBelief, data: RoundData) -> GaussianBelief:
     n, c = _effective_counts(data, prior)
     mu, p = _newton_mode(n, c, prior)
     return GaussianBelief(mu, _hessian(p, n, prior.precision))
+
+
+def _logit_modes(mean: np.ndarray, precision: np.ndarray, n: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Each arm's mode of ½D(η − m)² + n softplus(η) − cη, for logit
+    prior means m and precisions D; an arm without trials keeps m.
+
+    The derivative g(η) = D(η − m) + (n − c)σ(η) − cσ(−η) increases, with
+    slope h(η) = D + nσ(η)σ(−η), and its terms are each non-negative
+    before their signs, so it keeps its digits at any count. Its root lies
+    between m, where the prior term vanishes, and the data's logit
+    ℓ = log(c / (n − c)), where the likelihood term does, and within
+    [m − (n − c)/D, m + c/D], since the likelihood term lies within
+    [−c, n − c]. For an arm with trials that bracket is finite: a flat arm
+    (D = 0) has 0 < c < n once ``_smoothed``. The search starts at the
+    precision-weighted mean of m and ℓ, (Dm + wℓ)/(D + w) with the data's
+    curvature w = n s(1 − s) at s = c/n (at m when ℓ is infinite), and
+    takes Newton steps, all arms at once, each arm stopping on its own
+    once a step is within ``_LOGIT_STEP_TOL`` of 1 + |η|. Each point where
+    g's sign is known narrows its arm's bracket, and a step that would
+    leave the bracket, or that is not below half the step before the last,
+    bisects it instead (Press et al.'s ``rtsafe``), so every search
+    converges: Newton alone can cycle across the root of a saturating
+    likelihood far from a strong prior.
+    """
+    modes = mean.copy()
+    (arms,) = np.nonzero(n > 0.0)
+    m, d, n, c = mean[arms], precision[arms], n[arms], c[arms]
+    # A NaN or infinite step bisects; no warning is wanted for it.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        data = np.log(c) - np.log(n - c)
+        lower = np.maximum(np.fmin(m, data), m - (n - c) / d)
+        upper = np.minimum(np.fmax(m, data), m + c / d)
+        share = c / n
+        weight = n * share * (1.0 - share)
+        eta = np.clip(np.where(np.isfinite(data), (d * m + weight * data) / (d + weight), m),
+                      lower, upper)
+        # The last step and the one before it, both the bracket at first.
+        older = upper - lower
+        last = older.copy()
+        todo = np.arange(arms.size)
+        for iterations in range(1, MAX_NEWTON_ITER + 1):
+            x, dk, mk, nk, ck = eta[todo], d[todo], m[todo], n[todo], c[todo]
+            up, down = expit(x), expit(-x)
+            grad = dk * (x - mk) + (nk - ck) * up - ck * down
+            step = -grad / (dk + nk * up * down)
+            low = lower[todo] = np.where(grad < 0.0, x, lower[todo])
+            high = upper[todo] = np.where(grad > 0.0, x, upper[todo])
+            done = np.abs(step) <= _LOGIT_STEP_TOL * (1.0 + np.abs(x))
+            new = x + step
+            # Written so that a NaN step bisects.
+            bisect = ~done & ~((new > low) & (new < high) & (np.abs(step) <= 0.5 * older[todo]))
+            new[bisect] = 0.5 * (low[bisect] + high[bisect])
+            eta[todo] = new
+            older[todo], last[todo] = last[todo], np.abs(new - x)
+            todo = todo[~done]
+            if not todo.size:
+                modes[arms] = eta
+                return modes
+    modes[arms] = eta
+    raise OptimizationFailureError(
+        f"logit mode search did not converge after {iterations} Newton iterations "
+        f"({todo.size} arms left)", modes, float(np.abs(grad[~done]).max()), math.nan, iterations)
+
+
+def logit_update(prior: LogitBelief, data: RoundData) -> LogitBelief:
+    """``laplace_update`` for a prior with independent arm logits.
+
+    Each arm's logit mode is found alone (``_logit_modes``), and its
+    precision becomes D + n σ(η)σ(−η) there. An arm whose counts are
+    degenerate gets ``_smoothed`` when its logit is flat
+    (``_flat_logits``): the same rule as the dense update's, with the
+    reference's flatness read from its own precision rather than from the
+    corner of the odds-ratio precision. A round with no trials leaves the
+    belief unchanged.
+    """
+    if data.arms != prior.dim:
+        raise ConfigError(f"data arms {data.arms} do not match prior dimension {prior.dim}")
+    n, c = _smoothed(data.n.astype(float), data.c.astype(float), _flat_logits(prior))
+    modes = _logit_modes(prior.logit_mean, prior.logit_precision, n, c)
+    return LogitBelief(modes, prior.logit_precision + n * expit(modes) * expit(-modes))

@@ -4,7 +4,10 @@ Three policies share one allocation interface: a conjugate Beta policy that
 tracks each arm independently, a full-rank logistic policy that carries the
 whole Gaussian belief between rounds, and an odds-ratio logistic policy
 that forgets the shared base-rate coordinate before every update so that
-drift common to all arms cannot contaminate the relative parameters.
+drift common to all arms cannot contaminate the relative parameters. The
+full-rank policy starts flat and never forgets, so its belief is K
+independent arm logits (``LogitBelief``), updated arm by arm
+(``logit_update``); the odds-ratio policy's is a dense ``GaussianBelief``.
 
 Both allocation functions screen the arms before drawing. The leader is
 the arm of highest posterior mean, and an arm is screened out when its
@@ -12,8 +15,8 @@ chance of tying or beating the leader in a draw, summed over every draw
 and every screened arm, stays within ``SCREEN_EPS``. When the leader
 alone survives, or there is one arm, nothing is drawn. A Gaussian screen
 reads the spread of each lead from the precision factor's inverse, or,
-for a full-mode belief with independent arm logits, from the logits'
-standard deviations alone, in O(K).
+for a belief of independent arm logits, from the logits' standard
+deviations alone, in O(K).
 
 Quadrature. The winner counts of n_draws draws of independent arms are
 Multinomial(n_draws, π), π their Thompson probabilities
@@ -24,13 +27,12 @@ makes one ``multinomial`` draw, at a cost that does not grow with
 n_draws ‖π̂ − π‖₁ / 2, and ‖π̂ − π‖₁ is within 1e-11 on every state
 tested. Two families feed the one integrator: the surviving Beta arms
 when every shape is at least 1 and every a + b at most 1e12, and the
-surviving arm logits of a Gaussian belief whose precision makes them
-independent, as a full-rank posterior grown from a flat start does: in
-every decision of a full-mode policy, and in any other decision whose
-screen drops some arms, so that the odds-ratio policy's first decision,
-an arrow that keeps every arm, stays a tally. Those logits are
-integrated relative to the largest mean, so the nodes keep their digits
-at any traffic.
+surviving arm logits of a Gaussian belief: every decision on a
+``LogitBelief``, and a decision on a dense belief whose precision makes
+the logits independent (an arrow) when its screen drops some arms, so
+that the odds-ratio policy's first decision, an arrow that keeps every
+arm, stays a tally. Those logits are integrated relative to the largest
+mean, so the nodes keep their digits at any traffic.
 
 Every other decision is one Monte Carlo tally, ``_tally``, in blocks of
 about ``_BLOCK_ELEMENTS`` scores, each drawn, reduced to its winners and
@@ -48,22 +50,24 @@ leaving the ball. That keeps the law of the full draw on another stream.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 from scipy.special import betainc, betaincc, betainccinv, betaincinv, chdtrc, ndtr, ndtri, roots_legendre
 
-from .errors import ConfigError, _check_choice, _check_count, _frozen_numbers
+from .errors import CannotSampleError, ConfigError, _check_choice, _check_count, _frozen_numbers
 from .gaussian_belief import (
     REL_TOL,
     GaussianBelief,
+    LogitBelief,
+    _arrow_logits,
+    _as_logits,
     _draw_into,
     _drop_last_precision,
     make_flat_belief,
 )
-from .logistic_model import RoundData, laplace_update
+from .logistic_model import RoundData, laplace_update, logit_update
 
 __all__ = [
     "SCREEN_EPS",
@@ -142,9 +146,15 @@ class BetaState:
 
 @dataclass(frozen=True)
 class LogisticPolicyState:
-    """Gaussian belief over the odds-ratio parameters plus bookkeeping."""
+    """Gaussian belief over the odds-ratio parameters plus bookkeeping.
 
-    belief: GaussianBelief
+    A full-mode state starts as a flat ``LogitBelief`` and stays one, since
+    ``full_ts_update`` keeps the arm logits independent; an odds-ratio
+    state holds a dense ``GaussianBelief``. Either type is accepted in
+    either mode, and each update reads what it needs of it.
+    """
+
+    belief: GaussianBelief | LogitBelief
     mode: UpdateMode
     round_index: int = 0
 
@@ -156,7 +166,12 @@ class LogisticPolicyState:
 
     @classmethod
     def flat_start(cls, num_arms: int, mode: UpdateMode) -> "LogisticPolicyState":
-        return cls(make_flat_belief(num_arms), mode, 0)
+        """Flat beliefs: K flat arm logits in the full mode, a zero dense
+        precision in the odds-ratio mode."""
+        if _check_choice("mode", UpdateMode, mode) is UpdateMode.ODDS_RATIO:
+            return cls(make_flat_belief(num_arms), mode, 0)
+        _check_count("num_arms", num_arms, 1)
+        return cls(LogitBelief(np.zeros(num_arms), np.zeros(num_arms)), mode, 0)
 
 
 @dataclass(frozen=True)
@@ -237,7 +252,11 @@ def _gaussian_survivors(belief: GaussianBelief, n_draws: int) -> tuple[np.ndarra
         return np.ones(arms, dtype=bool), 0, np.inf
     loadings = belief.inverse_factor.T.copy()
     loadings[-1] = 0.0
-    mean, leader, gap = _leads(belief)
+    # The scores' means: the reference scores 0 in place of its base rate.
+    mean = belief.mean.copy()
+    mean[-1] = 0.0
+    leader = int(mean.argmax())
+    gap = mean[leader] - mean
     lead = loadings[leader]
     diff = loadings - lead
     spread = np.sqrt(np.square(diff, out=diff).sum(axis=1))
@@ -251,15 +270,6 @@ def _gaussian_survivors(belief: GaussianBelief, n_draws: int) -> tuple[np.ndarra
     return ~(gap > _screen_z(n_draws, arms) * spread), leader, max(float(ratio.min()), 0.0)
 
 
-def _leads(belief: GaussianBelief) -> tuple[np.ndarray, int, np.ndarray]:
-    """The scores' means, the reference's 0 in place of its base rate, the
-    leader, the first arm of the highest, and its lead over each arm."""
-    mean = belief.mean.copy()
-    mean[-1] = 0.0
-    leader = int(mean.argmax())
-    return mean, leader, mean[leader] - mean
-
-
 def _screen_z(n_draws: int, arms: int) -> float:
     """z = −Φ⁻¹(ε / (n_draws (K − 1))): an arm whose mean trails the
     leader's by more than z standard deviations of the lead ties or beats
@@ -267,51 +277,40 @@ def _screen_z(n_draws: int, arms: int) -> float:
     return float(-ndtri(SCREEN_EPS / (n_draws * (arms - 1))))
 
 
-def _logit_survivors(belief: GaussianBelief, sd: np.ndarray, n_draws: int) -> tuple[np.ndarray, int]:
-    """``_gaussian_survivors``' mask and leader for a belief whose arm
-    logits are independent with standard deviations σ (``_arm_logits``),
-    in O(K): the leader's lead over arm j is the difference of two
-    independent logits, of standard deviation √(σ_l² + σ_j²)."""
-    arms = belief.dim
+def _logit_survivors(mean: np.ndarray, sd: np.ndarray, n_draws: int) -> tuple[np.ndarray, int]:
+    """``_gaussian_survivors``' mask and leader for independent arm logits
+    of means m and standard deviations σ, in O(K): the leader is the
+    first arm of the highest logit, and its lead over arm j is the
+    difference of two independent logits, of standard deviation
+    √(σ_l² + σ_j²)."""
+    arms = mean.size
     if arms < 2:
         return np.ones(arms, dtype=bool), 0
-    _, leader, gap = _leads(belief)
+    leader = int(mean.argmax())
     spread = np.sqrt(sd[leader] ** 2 + np.square(sd))
     # Written so that a NaN keeps its arm.
-    return ~(gap > _screen_z(n_draws, arms) * spread), leader
+    return ~(mean[leader] - mean > _screen_z(n_draws, arms) * spread), leader
 
 
 def _arm_logits(belief: GaussianBelief) -> tuple[np.ndarray, np.ndarray] | None:
-    """The means and standard deviations of the arm logits when the
-    precision makes them independent, else None.
+    """The means and standard deviations of the arm logits of a dense
+    belief whose precision makes them independent (``_arrow_logits``), or
+    None, also when the reference's precision D_K is not above 0 (d > 0
+    for a proper belief).
 
     The logits η_j = θ_j + θ_K (j < K) and η_K = θ_K rank the arms as the
-    scores do. Their precision is diag(d, D) exactly when the θ-precision
-    is the arrow with odds block diag(d), d above the corner in the last
-    column, and corner Σd + D. A full-rank posterior grown from a flat
-    start has it bit for bit: each round adds the likelihood's curvature,
-    itself an arrow, and marginals and re-anchors keep it.
-
-    D = corner − Σd cancels: the corner reached 1504 D on the benchmark's
-    beliefs. ``math.fsum`` rounds the difference of the stored entries
-    once, so D carries only the corner's own rounding, a relative error of
-    about eps · corner / D (3.3e-13 there), where a running sum adds up to
-    K eps · corner / D. None when D ≤ 0; d > 0 for a proper belief.
+    scores do. Only the dense rule reads this: a dense arrow whose screen
+    drops some arms. The fsum note of ``_arrow_logits`` applies: D_K is
+    read to eps · corner / D_K relative.
     """
-    precision = belief.precision
-    d = precision.diagonal()[:-1]
-    if not (np.array_equal(precision[:-1, -1], d) and np.array_equal(precision[:-1, :-1], np.diag(d))):
+    logits = _arrow_logits(belief)
+    if logits is None or not logits[1][-1] > 0.0:
         return None
-    rest = math.fsum(np.r_[precision[-1, -1], -d])
-    if not rest > 0.0:
-        return None
-    mean = belief.mean + belief.mean[-1]
-    mean[-1] = belief.mean[-1]
-    return mean, 1.0 / np.sqrt(np.r_[d, rest])
+    return logits[0], 1.0 / np.sqrt(logits[1])
 
 
 def _gaussian_plan(
-    belief: GaussianBelief, n_draws: int, mode: UpdateMode | None = None
+    belief: GaussianBelief | LogitBelief, n_draws: int
 ) -> tuple[str, np.ndarray, int, float, float, tuple[np.ndarray, np.ndarray] | None]:
     """How a Gaussian decision goes: its path, the arms the screen keeps,
     the leader, the screen's radius r* (NaN when no ball is taken),
@@ -319,21 +318,22 @@ def _gaussian_plan(
     the ball, and, for a decision by quadrature, the kept arms' logit
     means and standard deviations (else None).
 
-    A belief of a full-mode policy (``mode`` ``UpdateMode.FULL``) whose
-    arm logits are independent (``_arm_logits``) is screened on them
-    alone (``_logit_survivors``): one arm kept, "one-hot", else
-    "quadrature", with r* and q NaN. Any other belief is screened by
+    A ``LogitBelief`` is screened on its logits alone
+    (``_logit_survivors``): one arm kept, "one-hot", else "quadrature",
+    with r* and q NaN. A dense belief is screened by
     ``_gaussian_survivors``. One arm kept: "one-hot", q NaN. Some arms
-    dropped, with independent logits: "quadrature", q NaN. Otherwise every
-    coordinate is drawn: "split" radially when q ≤ ``_SPLIT_SHARE``, else
-    "full".
+    dropped, with independent logits (``_arm_logits``): "quadrature", q
+    NaN. Otherwise every coordinate is drawn: "split" radially when
+    q ≤ ``_SPLIT_SHARE``, else "full".
     """
-    logits = _arm_logits(belief) if mode is UpdateMode.FULL else None
-    if logits is not None:
-        keep, leader = _logit_survivors(belief, logits[1], n_draws)
+    if isinstance(belief, LogitBelief):
+        if not belief.is_proper():
+            raise CannotSampleError("a belief with a flat arm logit cannot be sampled")
+        mean, sd = belief.logit_mean, belief.sd
+        keep, leader = _logit_survivors(mean, sd, n_draws)
         kept = np.flatnonzero(keep)
         path = "one-hot" if kept.size == 1 else "quadrature"
-        return path, kept, leader, np.nan, np.nan, (logits[0][kept], logits[1][kept])
+        return path, kept, leader, np.nan, np.nan, (mean[kept], sd[kept])
     keep, leader, radius = _gaussian_survivors(belief, n_draws)
     kept = np.flatnonzero(keep)
     if kept.size == 1:
@@ -370,29 +370,27 @@ def _chi2_tail(m: int, floor: float, count: int, rng: np.random.Generator) -> np
 
 
 def allocation_proportions(
-    belief: GaussianBelief, n_draws: int, rng: np.random.Generator,
-    mode: UpdateMode | None = None,
+    belief: GaussianBelief | LogitBelief, n_draws: int, rng: np.random.Generator
 ) -> AllocationProportions:
     """Thompson proportions: the Monte Carlo winner frequency per arm.
 
     Each posterior draw is scored with the reference coordinate replaced by
     zero, which ranks arms by their log odds against the reference without
     moving the shared base rate; ties break toward the lowest arm index.
-    ``mode`` is the update mode of the policy that holds the belief, if
-    any; it picks the screen and the paths (``_gaussian_plan``).
+    The type of the belief picks the screen and the paths
+    (``_gaussian_plan``).
 
     A dominance screen runs first. When it keeps the leader alone, or the
     belief has one arm, the result is one-hot on the leader and the
-    generator is not touched. When the arm logits are independent
-    (``_arm_logits``) and either ``mode`` is ``UpdateMode.FULL`` or the
-    screen drops some arms, the kept arms' counts are one
-    ``rng.multinomial(n_draws, π̂)`` draw, π̂ from ``_normal_win_chances``,
-    within n_draws ‖π̂ − π‖₁ / 2 of the Monte Carlo law in total variation.
-    A full-mode belief is then screened on its logits' means and standard
-    deviations alone, in O(K), with no L⁻¹. Without the full mode an arrow
-    that keeps every arm, such as the odds-ratio policy's first belief,
-    keeps the Monte Carlo tally, and with it the odds-ratio policy's
-    streams.
+    generator is not touched. A ``LogitBelief`` is screened on its
+    logits' means and standard deviations alone, in O(K), and the kept
+    arms' counts are one ``rng.multinomial(n_draws, π̂)`` draw, π̂ from
+    ``_normal_win_chances``, within n_draws ‖π̂ − π‖₁ / 2 of the Monte
+    Carlo law in total variation; no K×K array is read. A dense belief
+    ends the same way when its precision makes the arm logits independent
+    (``_arm_logits``) and its screen drops some arms. A dense arrow that
+    keeps every arm, such as the odds-ratio policy's first belief, keeps
+    the Monte Carlo tally, and with it the odds-ratio policy's streams.
 
     Otherwise all K coordinates are drawn through L⁻¹, the base rate
     included, and the reference column is scored zero; the arms a screen
@@ -430,9 +428,7 @@ def allocation_proportions(
     total variation distance.
     """
     _check_count("n_draws", n_draws, 1)
-    if mode is not None:
-        mode = _check_choice("mode", UpdateMode, mode)
-    path, kept, leader, radius, outside, logits = _gaussian_plan(belief, n_draws, mode)
+    path, kept, leader, radius, outside, logits = _gaussian_plan(belief, n_draws)
     arms = belief.dim
     if path in ("one-hot", "quadrature"):
         return _decide(arms, n_draws, kept,
@@ -458,8 +454,16 @@ def allocation_proportions(
 
 
 def full_ts_update(state: LogisticPolicyState, data: RoundData) -> LogisticPolicyState:
-    """Absorb a round keeping the entire belief as the prior."""
-    belief = laplace_update(state.belief, data)
+    """Absorb a round keeping the entire belief as the prior.
+
+    A prior of independent arm logits, a ``LogitBelief`` or a dense arrow
+    (a fresh or embedded registry's, converted by ``_as_logits``), is
+    updated arm by arm (``logit_update``) and stays a ``LogitBelief``. Any
+    other dense prior, such as an odds-ratio history that a ``full_rank``
+    fallback extends, takes the dense ``laplace_update``.
+    """
+    logits = _as_logits(state.belief)
+    belief = laplace_update(state.belief, data) if logits is None else logit_update(logits, data)
     return LogisticPolicyState(belief, state.mode, state.round_index + 1)
 
 

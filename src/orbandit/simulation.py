@@ -30,7 +30,7 @@ from .errors import (
     _frozen_numbers,
     _numbers,
 )
-from .gaussian_belief import GaussianBelief
+from .gaussian_belief import GaussianBelief, LogitBelief
 from .logistic_model import ProbVector, RoundData
 from .policy import (
     AllocationProportions,
@@ -236,26 +236,28 @@ def _initial_state(policy: PolicyKind, arms: int) -> _PolicyState:
 # The round step of run_experiment and of continuous' plan_round and
 # absorb_round. It looks the policy functions up in this module at call time,
 # so a tracer or a fault injection must rebind them here to reach either loop.
-def _thompson(belief: GaussianBelief, n_draws: int, rng: np.random.Generator,
-              mode: UpdateMode | None = None) -> AllocationProportions | None:
-    """Thompson proportions of a logistic belief held in update mode
-    ``mode`` (``allocation_proportions``), or None while the law of its
+def _thompson(belief: GaussianBelief | LogitBelief, n_draws: int,
+              rng: np.random.Generator) -> AllocationProportions | None:
+    """Thompson proportions of a logistic belief (``allocation_proportions``,
+    which decides by the belief's type), or None while the law of its
     scored coordinates is improper.
 
     Every coordinate but the last is scored; the last, the reference's
-    base rate, scores zero. When the last coordinate is flat (its
-    precision row is zero, as after an odds-ratio update on a round
+    base rate, scores zero. When a dense belief's last coordinate is flat
+    (its precision row is zero, as after an odds-ratio update on a round
     without trials), that row couples it to nothing, so giving it unit
     precision leaves the scored coordinates' law unchanged. Any other flat
-    direction moves some scored coordinate, and is kept.
+    direction moves some scored coordinate, and is kept. A ``LogitBelief``
+    ranks the arms by their logits, so a flat reference logit leaves the
+    reference's chance undefined, and it too is kept.
     """
-    if not belief.precision[-1].any():
+    if isinstance(belief, GaussianBelief) and not belief.precision[-1].any():
         precision = belief.precision.copy()
         precision[-1, -1] = 1.0
         belief = GaussianBelief(belief.mean, precision)
     if not belief.is_proper():
         return None
-    return allocation_proportions(belief, n_draws, rng, mode)
+    return allocation_proportions(belief, n_draws, rng)
 
 
 def _propose(state: _PolicyState, n_draws: int, rng: np.random.Generator) -> AllocationProportions:
@@ -263,7 +265,7 @@ def _propose(state: _PolicyState, n_draws: int, rng: np.random.Generator) -> All
     while the law of its scored coordinates is improper."""
     if isinstance(state, BetaState):
         return beta_ts_proportions(state, n_draws, rng)
-    proportions = _thompson(state.belief, n_draws, rng, state.mode)
+    proportions = _thompson(state.belief, n_draws, rng)
     return initial_proportions(state.belief.dim) if proportions is None else proportions
 
 

@@ -54,6 +54,7 @@ from orbandit import (
     BetaState,
     ConfigError,
     GaussianBelief,
+    LogitBelief,
     OptimizationFailureError,
     ProbVector,
     RoundData,
@@ -723,13 +724,17 @@ def normal_multinomial_counts(belief: GaussianBelief, keep, n_draws: int,
                               rng: np.random.Generator) -> np.ndarray:
     """Winner counts per arm of a decision by quadrature over the arms in
     the mask ``keep``: one ``rng.multinomial`` draw with the package's
-    Thompson probabilities π̂ (``_normal_win_chances`` of its ``_arm_logits``),
+    Thompson probabilities π̂ (``_normal_win_chances`` of the logits of a
+    ``LogitBelief``, or of a dense belief's ``_arm_logits``),
     held first to ‖π̂ − π‖₁ ≤ ``WIN_CHANCE_L1`` against π from
     ``normal_win_chances`` of ``logit_law``; the other arms win nothing.
     The draw takes π̂ for the reason ``beta_multinomial_proportions``
     gives."""
     keep = np.asarray(keep, dtype=bool)
-    mean, sd = _package_logits(belief)
+    if isinstance(belief, LogitBelief):
+        mean, sd = belief.logit_mean, belief.sd
+    else:
+        mean, sd = _package_logits(belief)
     chances = _normal_win_chances(mean[keep], sd[keep])
     law_mean, law_sd = logit_law(belief)
     error = np.abs(chances - normal_win_chances(law_mean[keep], law_sd[keep])).sum()

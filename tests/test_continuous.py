@@ -12,6 +12,7 @@ from orbandit import (
     ContinuousScenario,
     GaussianBelief,
     LogisticPolicyState,
+    LogitBelief,
     ProbVector,
     RoundData,
     ScenarioRound,
@@ -22,6 +23,7 @@ from orbandit import (
     allocation_proportions,
     check_continuity,
     draw_rewards,
+    full_ts_update,
     marginalize_keep,
     plan_round,
     reanchor_reference,
@@ -29,6 +31,7 @@ from orbandit import (
     sample,
     simulation,
 )
+from orbandit.gaussian_belief import _as_logits
 from orbandit.policy import _arm_logits
 
 
@@ -275,6 +278,52 @@ def test_registry_records_the_mode_of_its_last_update():
     assert rng.bit_generator.state == expected.bit_generator.state
     with pytest.raises(ConfigError, match="field 'mode'"):
         ArmRegistry(registry.arms, registry.belief, 2, "forgetful")
+
+
+def test_full_mode_registry_holds_each_arms_own_logit():
+    """Through arms joining, sitting out and re-anchoring, a full-mode
+    registry holds arm logits (``LogitBelief``), and each arm's is the one
+    a fixed set of every arm reaches from the same counts, bit for bit:
+    the update moves each logit alone and the registry only moves them."""
+    pool = tuple("ABCDEFG")
+    rng = np.random.default_rng(46)
+    registry = ArmRegistry.empty()
+    state = LogisticPolicyState.flat_start(len(pool), UpdateMode.FULL)
+    for active in (("A", "B", "C"), ("B", "C", "D"), ("D", "E"), ("A", "E", "F", "G"), ("G", "B")):
+        n = rng.integers(0, 400, size=len(active))
+        data = RoundData(n, rng.binomial(n, 0.3))
+        if registry.round and not set(active) & set(registry.arms):
+            continue
+        registry = absorb_round(registry, active, data, UpdateMode.FULL)
+        assert isinstance(registry.belief, LogitBelief)
+        assert isinstance(reanchor_reference(registry, registry.arms[0]).belief, LogitBelief)
+        full_n, full_c = np.zeros(len(pool), dtype=np.int64), np.zeros(len(pool), dtype=np.int64)
+        where = [pool.index(a) for a in active]
+        full_n[where], full_c[where] = data.n, data.c
+        state = full_ts_update(state, RoundData(full_n, full_c))
+        order = [pool.index(a) for a in registry.arms]
+        assert np.array_equal(registry.belief.logit_mean, state.belief.logit_mean[order])
+        assert np.array_equal(registry.belief.logit_precision, state.belief.logit_precision[order])
+    assert set(registry.arms) == set(pool)
+
+
+def test_plan_round_reads_a_full_mode_dense_arrow_as_logits():
+    """A full-mode registry that holds a dense arrow, as after a
+    ``full_rank`` fallback, decides its marginal as arm logits; the same
+    registry in the odds-ratio mode keeps the Monte Carlo tally."""
+    registry = seeded_registry()
+    assert _arm_logits(registry.belief) is not None
+    arms = registry.arms
+    full = ArmRegistry(arms, registry.belief, registry.round, UpdateMode.FULL)
+    states = []
+    for held, decide in ((full, _as_logits), (registry, lambda belief: belief)):
+        expected = np.random.default_rng(47)
+        direct = allocation_proportions(decide(registry.belief), 2000, expected).p
+        rng = np.random.default_rng(47)
+        np.testing.assert_array_equal(plan_round(held, arms, 2000, rng).proportions.p, direct)
+        assert rng.bit_generator.state == expected.bit_generator.state
+        states.append(rng.bit_generator.state)
+    assert states[0] != states[1]
 
 
 def test_run_continuous_reinitializes_without_a_mode(monkeypatch):

@@ -9,6 +9,7 @@ from orbandit import (
     CannotSampleError,
     ConfigError,
     GaussianBelief,
+    LogitBelief,
     compose_reindex,
     embed_flat_last,
     make_flat_belief,
@@ -17,7 +18,15 @@ from orbandit import (
     sample,
     transform,
 )
-from oracles import backsolve_sample, build_c_f, build_c_ind, random_proper_belief
+from orbandit.gaussian_belief import _as_logits, _embed_flat, _move_reference
+from oracles import (
+    arm_logit_matrix,
+    arrow_precision,
+    backsolve_sample,
+    build_c_f,
+    build_c_ind,
+    random_proper_belief,
+)
 
 
 # --- construction -----------------------------------------------------------
@@ -394,3 +403,114 @@ def test_sample_count_must_be_positive():
         sample(belief, 0, np.random.default_rng(8))
     with pytest.raises(ConfigError, match="field 'count'"):
         sample(belief, 2.5, np.random.default_rng(8))
+
+
+# --- independent arm logits --------------------------------------------------
+
+
+def logit_belief(k, seed, flat=0.0):
+    """Logit means N(−1, 1) and precisions 10^U(−1, 6), each flat (0) with
+    chance ``flat``."""
+    rng = np.random.default_rng(seed)
+    precision = 10.0 ** rng.uniform(-1.0, 6.0, k)
+    precision[rng.random(k) < flat] = 0.0
+    return LogitBelief(rng.normal(-1.0, 1.0, k), precision)
+
+
+LOGIT_BELIEFS = {
+    "k1": lambda: logit_belief(1, 1),
+    "k2": lambda: logit_belief(2, 2),
+    "k10": lambda: logit_belief(10, 3),
+    "k50": lambda: logit_belief(50, 4),
+    "k10_flat_arms": lambda: logit_belief(10, 5, flat=0.3),
+    "flat_reference": lambda: LogitBelief(np.zeros(3), [2.0, 3.0, 0.0]),
+    "flat": lambda: LogitBelief(np.zeros(4), np.zeros(4)),
+}
+
+
+@pytest.mark.parametrize("case", list(LOGIT_BELIEFS))
+def test_logit_belief_view_matches_the_dense_belief(case):
+    """The odds-ratio view of independent logits: its mean maps to the
+    logits, its precision is Aᵀ diag(D) A, and the dense belief built from
+    the two has the same properness, covariance and draws, bit for bit."""
+    belief = LOGIT_BELIEFS[case]()
+    dense = GaussianBelief(belief.mean, belief.precision)
+    k = belief.dim
+    np.testing.assert_allclose(arm_logit_matrix(k) @ belief.mean, belief.logit_mean, rtol=1e-15,
+                               atol=1e-15)
+    d = belief.logit_precision
+    np.testing.assert_array_equal(belief.precision, arrow_precision(d[:-1], d[-1]))
+    assert not belief.mean.flags.writeable and not belief.precision.flags.writeable
+    assert belief.is_proper() == dense.is_proper() == (case not in ("k10_flat_arms",
+                                                                      "flat_reference", "flat"))
+    if not belief.is_proper():
+        with pytest.raises(CannotSampleError):
+            belief.covariance()
+        return
+    assert np.array_equal(belief.covariance(), dense.covariance())
+    np.testing.assert_allclose(belief.covariance(), np.linalg.inv(belief.precision), rtol=1e-9,
+                               atol=1e-12)
+    draws = sample(belief, 300, np.random.default_rng(9))
+    assert np.array_equal(draws, sample(dense, 300, np.random.default_rng(9)))
+
+
+def test_logit_belief_rejects_bad_fields():
+    with pytest.raises(ConfigError, match="field 'logit_precision' must be non-negative"):
+        LogitBelief([0.0, 1.0], [1.0, -1e-300])
+    with pytest.raises(ConfigError, match="equal length"):
+        LogitBelief([0.0, 1.0], [1.0])
+    with pytest.raises(ConfigError, match="non-empty"):
+        LogitBelief([], [])
+    with pytest.raises(ConfigError, match="field 'logit_mean'"):
+        LogitBelief([np.nan], [1.0])
+
+
+def assert_same_view(logits, dense):
+    """``logits`` holds independent logits whose odds-ratio view is
+    ``dense`` within rounding, relative to the largest entry."""
+    assert isinstance(logits, LogitBelief)
+    np.testing.assert_allclose(logits.mean, dense.mean, rtol=0.0,
+                               atol=1e-13 * np.abs(dense.mean).max(initial=1.0))
+    np.testing.assert_allclose(logits.precision, dense.precision, rtol=0.0,
+                               atol=1e-13 * np.abs(dense.precision).max(initial=1.0))
+
+
+@pytest.mark.parametrize("case", list(LOGIT_BELIEFS))
+def test_logit_belief_index_operations_match_the_dense_ones(case):
+    """A re-anchor, a marginal that keeps the reference last and a flat
+    embedding that keeps it last are index operations on the logits, whose
+    views match the same operations on the dense belief; a marginal that
+    drops the reference goes through the dense view."""
+    belief = LOGIT_BELIEFS[case]()
+    dense = GaussianBelief(belief.mean, belief.precision)
+    k = belief.dim
+    for r in range(k - 1):
+        assert_same_view(_move_reference(belief, r), _move_reference(dense, r))
+    keep = [i for i in range(k) if i % 2 == 0 or i == k - 1]
+    assert_same_view(marginalize_keep(belief, keep), marginalize_keep(dense, keep))
+    positions = [*range(k - 1), k]
+    embedded = _embed_flat(belief, positions, k + 1)
+    assert_same_view(embedded, _embed_flat(dense, positions, k + 1))
+    assert embedded.logit_precision[k - 1] == 0.0 and not embedded.is_proper()
+    if k > 1:
+        dropped = marginalize_keep(belief, [k - 1, 0])
+        expected = marginalize_keep(dense, [k - 1, 0])
+        assert isinstance(dropped, GaussianBelief)
+        assert np.array_equal(dropped.mean, expected.mean)
+        assert np.array_equal(dropped.precision, expected.precision)
+
+
+def test_dense_arrows_convert_to_logits():
+    """``_as_logits`` reads a dense arrow's logits, a precision below zero
+    by rounding as flat, and no other belief."""
+    belief = logit_belief(6, 7)
+    converted = _as_logits(GaussianBelief(belief.mean, belief.precision))
+    np.testing.assert_allclose(converted.logit_mean, belief.logit_mean, rtol=1e-15, atol=1e-15)
+    np.testing.assert_allclose(converted.logit_precision, belief.logit_precision, rtol=1e-9)
+    assert _as_logits(belief) is belief
+    flat = _as_logits(make_flat_belief(3))
+    assert np.array_equal(flat.logit_precision, np.zeros(3)) and not flat.is_proper()
+    precision = arrow_precision(np.array([2.0, 3.0]), 0.0)
+    precision[-1, -1] -= 1e-12
+    assert _as_logits(GaussianBelief(np.zeros(3), precision)).logit_precision[-1] == 0.0
+    assert _as_logits(random_proper_belief(3, np.random.default_rng(8))) is None

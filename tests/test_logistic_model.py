@@ -1,6 +1,7 @@
 """Batch likelihood, curvature, and the Laplace posterior update."""
 
 import pickle
+import time
 
 import numpy as np
 import pytest
@@ -12,13 +13,19 @@ from orbandit import (
     BanditError,
     ConfigError,
     GaussianBelief,
+    LogisticPolicyState,
+    LogitBelief,
     OptimizationFailureError,
     ProbVector,
     RoundData,
+    UpdateMode,
+    full_ts_update,
     laplace_update,
     logistic_model,
+    logit_update,
     make_flat_belief,
 )
+from orbandit.gaussian_belief import REL_TOL, _arrow_logits, _flat_logits
 import oracles
 from oracles import (
     dense_objective,
@@ -397,3 +404,138 @@ def test_two_sequential_updates_approximate_one_pooled_update():
     np.testing.assert_allclose(
         half2.precision, pooled.precision, rtol=5e-2, atol=1e-8
     )
+
+
+# --- per-arm logit update ----------------------------------------------------
+
+
+def logit_steps(belief, prior, data):
+    """Each arm's Newton step |g / h| at ``belief``'s logits for the
+    objective of ``logit_update`` from ``prior`` on ``data``, relative to
+    max(1, |η|); NaN for a flat arm without trials."""
+    n, c = logistic_model._smoothed(data.n.astype(float), data.c.astype(float), _flat_logits(prior))
+    m, d, eta = prior.logit_mean, prior.logit_precision, belief.logit_mean
+    up, down = expit(eta), expit(-eta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = (d * (eta - m) + (n - c) * up - c * down) / (d + n * up * down)
+    return np.abs(step) / np.maximum(1.0, np.abs(eta))
+
+
+def sweep_calls(calls=300):
+    """The seeded sweep: K in 2..12; even calls from a flat prior, odd ones
+    from logit precisions 10^U(−1, 6), a fifth of them 0, around means
+    N(−1, 2²); round(10^U(0, 12)) trials an arm, each arm idle,
+    all-success, all-failure or Binomial at a rate U(0.01, 0.99)."""
+    rng = np.random.default_rng([32, 11])
+    for call in range(calls):
+        k = int(rng.integers(2, 13))
+        if call % 2 == 0:
+            mean, precision = np.zeros(k), np.zeros(k)
+        else:
+            mean, precision = rng.normal(-1.0, 2.0, k), 10.0 ** rng.uniform(-1.0, 6.0, k)
+            precision[rng.random(k) < 0.2] = 0.0
+        n = np.round(10.0 ** rng.uniform(0.0, 12.0, k)).astype(np.int64)
+        kind = rng.integers(4, size=k)
+        n[kind == 0] = 0
+        c = np.where(kind == 1, n, np.where(kind == 2, 0, rng.binomial(n, rng.uniform(0.01, 0.99, k))))
+        yield LogitBelief(mean, precision), RoundData(n, c)
+
+
+def test_logit_update_matches_the_dense_update_on_a_seeded_sweep():
+    """On 300 seeded updates (``sweep_calls``), the per-arm update raises
+    nothing, stops within 1e-12 relative of every arm's mode, and agrees
+    with the dense ``laplace_update`` of its odds-ratio view on each arm
+    proper in both where the dense search reached that arm's mode (its
+    own Newton step there within 1e-10 relative): means within 1e-9
+    relative to max(1, |η|), and precisions within 1e-9 relative plus the
+    dense update's own rounding. That rounding is n eps, from the dense
+    curvature n p (1 − p) with p rounded near 1, and for the reference eps
+    times the corner ΣD, of which the dense belief holds D_K as a
+    difference. The dense search raises on some calls and stops short of
+    some arms' modes: its stop is global, so an arm of small curvature
+    beside arms of 1e12 trials keeps a gradient within the objective's
+    float noise. The per-arm updates take well under a second."""
+    eps = np.finfo(float).eps
+    compared = short = dense_failures = 0
+    elapsed = 0.0
+    for prior, data in sweep_calls():
+        start = time.process_time()
+        posterior = logit_update(prior, data)
+        elapsed += time.process_time() - start
+        assert not (logit_steps(posterior, prior, data) > 1e-12).any()
+        try:
+            dense = laplace_update(GaussianBelief(prior.mean, prior.precision), data)
+        except OptimizationFailureError:
+            dense_failures += 1
+            continue
+        mean, precision = _arrow_logits(dense)
+        corner = dense.precision[-1, -1]
+        reached = logit_steps(LogitBelief(mean, np.zeros_like(mean)), prior, data) <= 1e-10
+        both = ~_flat_logits(posterior) & (precision > REL_TOL * corner)
+        short += (both & ~reached).sum()
+        arms = both & reached
+        compared += arms.sum()
+        eta, d = posterior.logit_mean[arms], posterior.logit_precision[arms]
+        assert np.all(np.abs(mean[arms] - eta) <= 1e-9 * np.maximum(1.0, np.abs(eta)))
+        rounding = eps * data.n[arms] + np.where(np.flatnonzero(arms) == data.arms - 1, eps * corner, 0.0)
+        assert np.all(np.abs(precision[arms] - d) <= 1e-9 * d + 2.0 * rounding)
+    # 1425 arms compared, 130 that the dense search stopped short of, and 12
+    # dense failures, at this seed.
+    assert compared > 1000 and short < compared / 5 and dense_failures < 30
+    assert elapsed < 0.5
+
+
+def test_logit_update_smooths_the_reference_like_any_arm():
+    """K = 4 from a flat start: round 1 leaves the reference idle, and in
+    round 2 it fails 3 trials of 3. Its logit is flat, so it is smoothed
+    to half a success in 4 trials, as arm 0 is with the same counts, and
+    the belief is proper. The dense update reads the reference's flatness
+    from the corner ΣD, which is not flat, leaves it unsmoothed, runs its
+    logit toward −∞ and turns improper."""
+    first = RoundData(np.array([50, 50, 50, 0]), np.array([15, 14, 16, 0]))
+    second = RoundData(np.array([50, 50, 50, 3]), np.array([15, 14, 16, 0]))
+    state = full_ts_update(LogisticPolicyState.flat_start(4, UpdateMode.FULL), first)
+    posterior = full_ts_update(state, second).belief
+    assert posterior.is_proper()
+    np.testing.assert_allclose(posterior.logit_mean[-1], logit(0.5 / 4.0), rtol=1e-14)
+    swapped = [3, 1, 2, 0]
+    moved = full_ts_update(full_ts_update(LogisticPolicyState.flat_start(4, UpdateMode.FULL),
+                                          RoundData(first.n[swapped], first.c[swapped])),
+                           RoundData(second.n[swapped], second.c[swapped])).belief
+    assert moved.logit_mean[0] == posterior.logit_mean[-1]
+    dense = laplace_update(GaussianBelief(state.belief.mean, state.belief.precision), second)
+    assert not dense.is_proper() and dense.mean[-1] < -20.0
+
+
+@st.composite
+def relabeled_rounds(draw):
+    """One to three rounds of counts at 2 to 6 arms, each arm idle,
+    degenerate or Binomial at 1 to 1e9 trials, and a relabeling of the
+    arms that may move the reference."""
+    k = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rounds = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = np.round(10.0 ** rng.uniform(0.0, 9.0, k)).astype(np.int64)
+        kind = rng.integers(4, size=k)
+        n[kind == 0] = 0
+        c = np.where(kind == 1, n, np.where(kind == 2, 0, rng.binomial(n, rng.uniform(0.05, 0.95, k))))
+        rounds.append(RoundData(n, c))
+    return rounds, np.array(draw(st.permutations(range(k))))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(case=relabeled_rounds())
+def test_full_ts_update_commutes_with_every_relabeling(case):
+    """Relabeling the arms, the reference included, and then updating
+    gives the relabeled update bit for bit: each arm's logit moves alone,
+    and its flatness is read against an exactly rounded ΣD."""
+    rounds, order = case
+    k = order.size
+    state = LogisticPolicyState.flat_start(k, UpdateMode.FULL)
+    moved = LogisticPolicyState.flat_start(k, UpdateMode.FULL)
+    for data in rounds:
+        state = full_ts_update(state, data)
+        moved = full_ts_update(moved, RoundData(data.n[order], data.c[order]))
+        assert np.array_equal(moved.belief.logit_mean, state.belief.logit_mean[order])
+        assert np.array_equal(moved.belief.logit_precision, state.belief.logit_precision[order])

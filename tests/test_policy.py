@@ -14,10 +14,12 @@ from orbandit import (
     AllocationProportions,
     ArmRegistry,
     BetaState,
+    CannotSampleError,
     ConfigError,
     ContinuousScenario,
     GaussianBelief,
     LogisticPolicyState,
+    LogitBelief,
     RoundData,
     ScenarioRound,
     UpdateMode,
@@ -42,6 +44,7 @@ from orbandit import (
     sample,
     simulation,
 )
+from orbandit.gaussian_belief import _as_logits
 from orbandit.policy import (
     _QUAD_DELTA,
     _QUAD_NODES,
@@ -287,13 +290,13 @@ def test_arrow_quadrature_keeps_the_law_of_the_full_draw():
 
 @pytest.mark.blas_sensitive
 def test_full_mode_every_arm_quadrature_keeps_the_law_of_the_full_draw():
-    """At 400 001 draws, a full-mode arrow that keeps every arm: one
+    """At 400 001 draws, full-mode arm logits that keep every arm: one
     multinomial draw over all K arms, whose counts hold to those of
-    covariance-factor draws of every coordinate."""
+    covariance-factor draws of every coordinate of their dense view."""
     belief = first_round(10, UpdateMode.FULL)[0].belief
     n_draws = 400_001
     assert _gaussian_survivors(belief, n_draws)[0].all()
-    p = allocation_proportions(belief, n_draws, np.random.default_rng(22), UpdateMode.FULL).p
+    p = allocation_proportions(belief, n_draws, np.random.default_rng(22)).p
     counts = np.rint(p * n_draws).astype(np.int64)
     assert_same_law(counts, covariance_factor_counts(belief, n_draws, np.random.default_rng(23)))
 
@@ -330,7 +333,7 @@ def test_split_share_reports_every_policy(tmp_path, capsys):
     assert [line.split(":")[0] for line in lines] == ["beta_ts", "full_ts", "or_ts"]
     assert all(line.split(": ")[1].startswith("2 decisions") for line in lines)
     assert "quadrature" in lines[0] and "nodes quartiles" in lines[0]
-    # full_ts's decision that keeps every arm is classified in its mode.
+    # full_ts's decision that keeps every arm is classified by its belief's type.
     assert "quadrature  50.0%  full   0.0%  split   0.0%" in lines[1]
     assert "full 100.0%" in lines[2]
 
@@ -718,17 +721,17 @@ def test_every_arm_decisions_match_30_digit_arithmetic(monkeypatch):
             <= WIN_CHANCE_L1
 
 
-def captured_beliefs(monkeypatch, run, mode):
+def captured_beliefs(monkeypatch, run, kind):
     """The beliefs of every Thompson decision that ``run()`` makes,
     captured where ``simulation`` calls the allocation, each checked to be
-    called with the update mode ``mode``."""
+    of type ``kind``."""
     seen = []
     allocate = simulation.allocation_proportions
 
-    def capture(belief, n_draws, rng, called_mode):
-        assert called_mode is mode
+    def capture(belief, n_draws, rng):
+        assert isinstance(belief, kind)
         seen.append(belief)
-        return allocate(belief, n_draws, rng, called_mode)
+        return allocate(belief, n_draws, rng)
 
     with monkeypatch.context() as patch:
         patch.setattr(simulation, "allocation_proportions", capture)
@@ -745,14 +748,14 @@ def full_ts_beliefs(monkeypatch, k, rounds, seed=1, spec=None, trials=10_000):
     spec = drift_environment(k, 0.31, 0.30, 20.0) if spec is None else spec
     return captured_beliefs(
         monkeypatch, lambda: run_replications(config, spec, policies=(PolicyKind.FULL_TS,)),
-        UpdateMode.FULL)
+        LogitBelief)
 
 
 def full_ts_quadrature_plans(monkeypatch, k, rounds, seed=1, spec=None, trials=10_000):
     """The kept arms' logit means and standard deviations of the
     ``full_ts`` decisions of ``full_ts_beliefs`` that take the
     quadrature."""
-    plans = [_gaussian_plan(belief, 10_000, UpdateMode.FULL)
+    plans = [_gaussian_plan(belief, 10_000)
              for belief in full_ts_beliefs(monkeypatch, k, rounds, seed, spec, trials)]
     return [plan[5] for plan in plans if plan[0] == "quadrature"]
 
@@ -767,7 +770,8 @@ def churn_beliefs(monkeypatch, mode, seed=5, rounds=12, pool=14, active=8):
         ScenarioRound(tuple(int(a) for a in rng.choice(pool, active, replace=False)),
                       dict(enumerate(rates)), 4_000)
         for _ in range(rounds)), mode=mode, seed=seed, n_draws=10_000)
-    return captured_beliefs(monkeypatch, lambda: run_continuous(scenario), mode)
+    kind = LogitBelief if mode is UpdateMode.FULL else GaussianBelief
+    return captured_beliefs(monkeypatch, lambda: run_continuous(scenario), kind)
 
 
 @pytest.mark.parametrize("trials", [10**14, 10**16, 10**18])
@@ -821,15 +825,18 @@ def test_normal_win_chances_match_a_finer_rule(k, rounds, monkeypatch):
 
 def first_round(k, mode, seed=41):
     """A policy state and a registry over arms 0..K−1 after one round of
-    100 trials an arm at rate 0.3, from a flat start in ``mode``: an
-    arrow, bit for bit the same in either mode, that the screen keeps
-    whole."""
+    100 trials an arm at rate 0.3, from a flat start in ``mode``:
+    independent arm logits, a ``LogitBelief`` in the full mode and a
+    dense arrow in the odds-ratio mode, that the screen keeps whole."""
     n = np.full(k, 100)
     data = RoundData(n, np.random.default_rng(seed).binomial(n, 0.3))
     arms = tuple(range(k))
     state = simulation._update(LogisticPolicyState.flat_start(k, mode), data)
     registry = absorb_round(ArmRegistry.fresh(arms), arms, data, mode)
-    assert _arm_logits(state.belief) is not None
+    if mode is UpdateMode.FULL:
+        assert isinstance(state.belief, LogitBelief)
+    else:
+        assert _arm_logits(state.belief) is not None
     assert _gaussian_survivors(state.belief, 10_000)[0].all()
     return state, registry, arms
 
@@ -837,13 +844,14 @@ def first_round(k, mode, seed=41):
 @pytest.mark.blas_sensitive
 @pytest.mark.parametrize("k", [2, 10, 200])
 def test_full_mode_every_arm_arrow_takes_the_quadrature(k):
-    """A full-mode decision on an arrow that keeps every arm is one
+    """A full-mode decision on arm logits that keeps every arm is one
     multinomial draw with the arm logits' Thompson probabilities, bit for
     bit, through ``simulation``'s round step and through ``plan_round``."""
     state, registry, arms = first_round(k, UpdateMode.FULL)
     assert registry.mode is UpdateMode.FULL
     expected = np.random.default_rng(42)
-    counts = expected.multinomial(10_000, _normal_win_chances(*_arm_logits(state.belief)))
+    belief = state.belief
+    counts = expected.multinomial(10_000, _normal_win_chances(belief.logit_mean, belief.sd))
     for decide in (lambda rng: simulation._propose(state, 10_000, rng),
                    lambda rng: plan_round(registry, arms, 10_000, rng).proportions):
         rng = np.random.default_rng(42)
@@ -854,13 +862,15 @@ def test_full_mode_every_arm_arrow_takes_the_quadrature(k):
 @pytest.mark.blas_sensitive
 @pytest.mark.parametrize("k", [2, 10, 200])
 def test_odds_ratio_first_decision_stays_on_the_tally(k):
-    """``or_ts``'s first decision is the same arrow, and it keeps the
-    Monte Carlo tally of ``allocation_proportions(belief)`` bit for bit,
-    through either round step, where the full mode takes the
-    quadrature."""
+    """``or_ts``'s first decision is a dense arrow with the full mode's
+    law, and it keeps the Monte Carlo tally of
+    ``allocation_proportions(belief)`` bit for bit, through either round
+    step, where the same arrow read as arm logits takes the quadrature."""
     state, registry, arms = first_round(k, UpdateMode.ODDS_RATIO)
     assert registry.mode is UpdateMode.ODDS_RATIO
-    assert np.array_equal(state.belief.precision, first_round(k, UpdateMode.FULL)[0].belief.precision)
+    assert isinstance(state.belief, GaussianBelief)
+    full = first_round(k, UpdateMode.FULL)[0].belief
+    np.testing.assert_allclose(state.belief.precision, full.precision, rtol=1e-12)
     expected = np.random.default_rng(43)
     tally = allocation_proportions(state.belief, 10_000, expected).p
     for decide in (lambda rng: simulation._propose(state, 10_000, rng),
@@ -869,14 +879,63 @@ def test_odds_ratio_first_decision_stays_on_the_tally(k):
         np.testing.assert_array_equal(decide(rng).p, tally)
         assert rng.bit_generator.state == expected.bit_generator.state
     rng = np.random.default_rng(43)
-    allocation_proportions(state.belief, 10_000, rng, UpdateMode.FULL)
+    allocation_proportions(_as_logits(state.belief), 10_000, rng)
     assert rng.bit_generator.state != expected.bit_generator.state
 
 
-def test_allocation_names_a_bad_mode():
-    with pytest.raises(ConfigError, match="field 'mode'"):
-        allocation_proportions(GaussianBelief(np.zeros(2), np.eye(2)), 10, np.random.default_rng(0),
-                               "forgetful")
+LOGIT_DECISIONS = {
+    "k10_drops_arms": lambda: full_ts_belief(10, 20_000, 1, p=np.r_[0.32, 0.30, np.full(7, 0.2), 0.25]),
+    "k10_every_arm": lambda: first_round(10, UpdateMode.FULL)[0].belief,
+    "k200_every_arm": lambda: first_round(200, UpdateMode.FULL)[0].belief,
+    "settled": lambda: LogitBelief([0.0, -3.0, -3.0], [1e6, 1e6, 1e6]),
+    "k1": lambda: LogitBelief([0.4], [2.0]),
+}
+
+
+@pytest.mark.parametrize("case", list(LOGIT_DECISIONS))
+def test_logit_belief_decision_is_one_multinomial_draw(case):
+    """A decision on independent arm logits is one
+    ``rng.multinomial(n_draws, _normal_win_chances(m[kept], σ[kept]))``
+    over the arms the O(K) screen keeps, bit for bit, generator state
+    included; a lone kept arm wins every draw and draws nothing."""
+    belief = LOGIT_DECISIONS[case]()
+    sd = 1.0 / np.sqrt(belief.logit_precision)
+    keep, _ = _logit_survivors(belief.logit_mean, sd, 10_000)
+    rng, expected = np.random.default_rng(45), np.random.default_rng(45)
+    counts = np.zeros(belief.dim, dtype=np.int64)
+    if keep.sum() == 1:
+        counts[keep] = 10_000
+    else:
+        counts[keep] = expected.multinomial(
+            10_000, _normal_win_chances(belief.logit_mean[keep], sd[keep]))
+    assert (keep.sum() == 1) == (case in ("settled", "k1"))
+    assert keep.all() == (case not in ("k10_drops_arms", "settled"))
+    np.testing.assert_array_equal(allocation_proportions(belief, 10_000, rng).p, counts / 10_000.0)
+    assert rng.bit_generator.state == expected.bit_generator.state
+
+
+def test_logit_belief_decision_needs_every_logit_proper():
+    with pytest.raises(CannotSampleError):
+        allocation_proportions(LogitBelief([0.0, 1.0, 0.5], [4.0, 0.0, 3.0]), 100,
+                               np.random.default_rng(0))
+
+
+def test_full_ts_forms_no_dense_belief_and_solves_nothing(monkeypatch):
+    """``full_ts`` at K = 200 on a drifting environment, 6 rounds of 1e4
+    trials: with ``GaussianBelief`` construction and ``np.linalg``'s
+    solves and factorizations made to raise, the run completes, and its
+    decisions after round 1 draw from the policy stream."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the full mode must not form a dense belief or solve")
+
+    monkeypatch.setattr(GaussianBelief, "__init__", forbidden)
+    for name in ("solve", "lstsq", "cholesky", "eigvalsh", "eigh", "inv"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    config = ExperimentConfig(rounds=6, trials_per_round=10_000, replications=1,
+                              policy=PolicyKind.FULL_TS, seed=3, n_draws=10_000)
+    result = simulation.run_experiment(config, drift_environment(200, 0.31, 0.30, 20.0))
+    assert result.proportions.shape == (6, 200)
+    assert not np.all(result.proportions[1:] == 1.0 / 200)
 
 
 @pytest.mark.blas_sensitive
@@ -886,16 +945,15 @@ def test_allocation_names_a_bad_mode():
     lambda patch: churn_beliefs(patch, UpdateMode.FULL),
 ], ids=["full_ts_k10", "full_ts_k200", "continuous_full"])
 def test_logit_screen_keeps_the_arms_of_the_loading_screen(beliefs, monkeypatch):
-    """On every captured full-mode decision, all arrows, the O(K) screen
-    on the logits' standard deviations keeps the arms and the leader that
-    ``_gaussian_survivors`` keeps from L⁻¹'s rows, at 1, 1e4 and 1e6
-    draws."""
+    """On every captured full-mode decision, all arm logits, the O(K)
+    screen on the logits' standard deviations keeps the arms and the
+    leader that ``_gaussian_survivors`` keeps from the rows of the dense
+    view's L⁻¹, at 1, 1e4 and 1e6 draws."""
     captured = beliefs(monkeypatch)
     assert captured
     for belief in captured:
-        sd = _arm_logits(belief)[1]
         for n_draws in (1, 10_000, 1_000_000):
-            keep, leader = _logit_survivors(belief, sd, n_draws)
+            keep, leader = _logit_survivors(belief.logit_mean, belief.sd, n_draws)
             expected, expected_leader, _ = _gaussian_survivors(belief, n_draws)
             np.testing.assert_array_equal(keep, expected)
             assert leader == expected_leader

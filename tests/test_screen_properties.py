@@ -27,6 +27,7 @@ from orbandit import (
     BetaState,
     GaussianBelief,
     LogisticPolicyState,
+    LogitBelief,
     RoundData,
     UpdateMode,
     allocation_proportions,
@@ -309,12 +310,13 @@ def full_rank_histories(draw):
 
 
 def assert_arrow_logits(belief):
-    """``_arm_logits`` reads the belief as independent logits whose
+    """The belief holds independent logits (``LogitBelief``) whose
     variances match the logits' variances from ``belief.covariance()``
-    within 1e-9 relative, and whose means are the arms' log odds."""
-    logits = _arm_logits(belief)
-    assert logits is not None
-    mean, sd = logits
+    within 1e-9 relative, and whose means are the arms' log odds; its
+    dense view is an arrow that ``_arm_logits`` reads."""
+    assert isinstance(belief, LogitBelief)
+    assert _arm_logits(GaussianBelief(belief.mean, belief.precision)) is not None
+    mean, sd = belief.logit_mean, belief.sd
     matrix = oracles.arm_logit_matrix(belief.dim)
     np.testing.assert_allclose(sd**2, np.diag(matrix @ belief.covariance() @ matrix.T), rtol=1e-9)
     np.testing.assert_allclose(mean, matrix @ belief.mean, rtol=1e-12, atol=1e-12)
@@ -323,7 +325,7 @@ def assert_arrow_logits(belief):
 @properties
 @given(case=full_rank_histories())
 def test_full_rank_beliefs_stay_arrows(case):
-    """The arm logits of a chain of ``full_ts_update`` rounds are read as
+    """The arm logits of a chain of ``full_ts_update`` rounds are held as
     independent, and stay so under ``marginalize_keep`` to arms that hold
     the reference and under a re-anchor to another arm; after two
     ``or_ts_update`` rounds they are not."""

@@ -13,6 +13,7 @@ from orbandit import (
     BetaState,
     ConfigError,
     GaussianBelief,
+    LogitBelief,
     LogitDrift,
     ProbVector,
     RoundData,
@@ -40,6 +41,8 @@ FIELDS = [
     ("beta", lambda v: BetaState(np.ones(np.size(v)), v), lambda x: np.abs(x) + 1, float),
     ("p", AllocationProportions, _shares, float),
     ("base_beta", lambda v: LogitDrift(v, 0.0), lambda x: x, float),
+    ("logit_mean", lambda v: LogitBelief(v, np.ones(np.size(v))), lambda x: x, float),
+    ("logit_precision", lambda v: LogitBelief(np.zeros(np.size(v)), v), np.abs, float),
 ]
 
 
@@ -55,7 +58,8 @@ arrays = st.sampled_from(["float64", "float32", "int64", "int32"]).flatmap(_fini
 
 # Fixed ids, so that removing a row renames no other.
 @pytest.mark.parametrize("field, build, domain, dtype", FIELDS, ids=[
-    "0-mean", "1-precision", "3-n", "4-c", "5-p", "6-alpha", "7-beta", "8-p", "9-base_beta"])
+    "0-mean", "1-precision", "3-n", "4-c", "5-p", "6-alpha", "7-beta", "8-p", "9-base_beta",
+    "10-logit_mean", "11-logit_precision"])
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(x=arrays, as_list=st.booleans(), where=st.integers(0, 35),
        bad=st.sampled_from([np.nan, np.inf, -np.inf]))

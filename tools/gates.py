@@ -4,6 +4,7 @@ From the repository root:
 
     python tools/gates.py --blocks 16
     python tools/gates.py --blocks 16 --tree ../parent --tree .
+    python tools/gates.py --blocks 16 --tree ../parent --tree . --json gates.json
 
 Acceptance tests 06, 07 and 08 compare the three policies' regret or
 clicks on seeded replications, and 09 counts seeded changing-arms runs
@@ -25,8 +26,14 @@ blocks 1..N the pass count and the quartiles of each margin:
 Each ``--tree`` (default: this repository) runs in its own subprocess
 with that tree's ``src`` first on the path and this repository's gate
 functions, so two trees run the same gates side by side and are reported
-block by block. The script only reports: it exits 0 whether gates pass
-or not.
+block by block. Two trees share seeds and environment draws block by
+block, so each margin is paired: for blocks 1..N the script also prints
+the Wilcoxon signed-rank p-value of the second tree's margins against
+the first's (``scipy.stats.wilcoxon``, two-sided, blocks whose margins
+are equal dropped), which tells a shift of a margin from a re-roll of
+the pass counts. ``--json PATH`` writes every record, each block's
+values, margins and verdict per tree, to PATH. The script only reports:
+it exits 0 whether gates pass or not.
 """
 
 from __future__ import annotations
@@ -119,6 +126,34 @@ def report(trees: list[Path], results: list[list[dict]], blocks: int) -> None:
             moved = [b for b in range(1, blocks + 1)
                      if by_tree[0][b]["passed"] != by_tree[1][b]["passed"]]
             print(f"  paired: verdict differs on blocks {moved or 'none'}")
+            for name in by_tree[0][1]["margins"]:
+                print(f"  paired: {name} {_paired_test(by_tree, name, blocks)}")
+
+
+def _paired_test(by_tree: list[dict], name: str, blocks: int) -> str:
+    """The median change of margin ``name`` from the first tree to the
+    second over blocks 1..``blocks``, and the Wilcoxon signed-rank
+    p-value of the paired changes."""
+    from scipy.stats import wilcoxon
+
+    pairs = [(a["margins"][name], b["margins"][name])
+             for a, b in ((by_tree[0][k], by_tree[1][k]) for k in range(1, blocks + 1))
+             if name in a["margins"] and name in b["margins"]]
+    changes = np.array([b - a for a, b in pairs], dtype=float)
+    if not np.count_nonzero(changes):
+        return f"identical on {len(pairs)} blocks"
+    p = wilcoxon(changes).pvalue
+    return (f"median change {_number(float(np.median(changes)))} over {len(pairs)} blocks, "
+            f"Wilcoxon p = {p:.3g}")
+
+
+def write_json(path: Path, trees: list[Path], results: list[list[dict]], blocks: int) -> None:
+    """Every record of every tree: each gate's values, margins and verdict
+    per block, with the seed it ran on."""
+    path.write_text(json.dumps({"blocks": blocks, "stride": BLOCK_STRIDE,
+                                "trees": [{"tree": str(tree), "records": records}
+                                          for tree, records in zip(trees, results)]},
+                               indent=1) + "\n")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -126,6 +161,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--blocks", type=int, default=16, help="seed blocks beyond tier-1's")
     parser.add_argument("--tree", action="append", type=Path,
                         help="repository tree to run (at most two; default this one)")
+    parser.add_argument("--json", type=Path, help="also write every block's values and margins here")
     parser.add_argument("--worker", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.blocks < 0:
@@ -133,6 +169,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.worker:
         run_worker(args.worker, args.blocks)
         return 0
+    if args.json and not args.json.resolve().parent.is_dir():
+        parser.error(f"--json: no directory {args.json.resolve().parent}")
     trees = [tree.resolve() for tree in (args.tree or [ROOT])]
     if len(trees) > 2:
         parser.error("at most two trees")
@@ -150,7 +188,10 @@ def main(argv: list[str] | None = None) -> int:
         if worker.returncode:
             print(f"gates: a worker exited with {worker.returncode}", file=sys.stderr)
             return worker.returncode
-    report(trees, [[json.loads(line) for line in out.splitlines()] for out in outputs], args.blocks)
+    results = [[json.loads(line) for line in out.splitlines()] for out in outputs]
+    report(trees, results, args.blocks)
+    if args.json:
+        write_json(args.json, trees, results, args.blocks)
     return 0
 
 

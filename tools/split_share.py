@@ -11,13 +11,14 @@ The config is one ``orbandit simulate`` takes, and its fields can be
 overridden by the same ``--<field>`` flags. For each policy the config
 names the script runs the config's replications as ``simulate`` does and
 sorts every Thompson decision by the path it takes. A logistic policy's
-(``full_ts`` and ``or_ts``) follow ``allocation_proportions`` in the
-policy's update mode:
+(``full_ts`` and ``or_ts``) follow ``allocation_proportions``, which
+decides by the type of the belief:
 
 - ``one-hot``: the screen keeps the leader alone, and nothing is drawn;
-- ``quadrature``: the screen keeps at least two arms, the arm logits are
-  independent, and either the policy is ``full_ts`` or the screen drops
-  some arms, so the Thompson probabilities come from
+- ``quadrature``: the screen keeps at least two arms, and either the
+  belief holds independent arm logits (a ``LogitBelief``, as every
+  ``full_ts`` belief does) or it is a dense arrow whose screen drops some
+  arms, so the Thompson probabilities come from
   ``policy._normal_win_chances``;
 - ``full``: all K coordinates drawn, K normals a row, no split;
 - ``split``: all K coordinates drawn with the radial split, which applies
@@ -60,10 +61,10 @@ PATHS = ("one-hot", "quadrature", "full", "split")
 BETA_PATHS = ("one-hot", "quadrature", "monte-carlo")
 
 
-def classify(belief, n_draws: int, mode=None) -> tuple[str, float]:
-    """The path of one Gaussian decision in update mode ``mode`` and its
-    q, NaN for a decision that draws no normals."""
-    path, _, _, _, q, _ = _gaussian_plan(belief, n_draws, mode)
+def classify(belief, n_draws: int) -> tuple[str, float]:
+    """The path of one Gaussian decision and its q, NaN for a decision
+    that draws no normals."""
+    path, _, _, _, q, _ = _gaussian_plan(belief, n_draws)
     return path, q
 
 
@@ -92,10 +93,9 @@ def record(resolved: dict, spec, policy: PolicyKind) -> list[tuple[str, float]]:
     name, classifier, _, _ = HOOKS[policy]
     allocate = getattr(simulation, name)
 
-    # A Gaussian decision is called with the policy's update mode too.
-    def classified(state, n_draws, rng, *mode):
-        seen.append(classifier(state, n_draws, *mode))
-        return allocate(state, n_draws, rng, *mode)
+    def classified(state, n_draws, rng):
+        seen.append(classifier(state, n_draws))
+        return allocate(state, n_draws, rng)
 
     config = ExperimentConfig(
         rounds=resolved["rounds"],
