@@ -25,7 +25,10 @@ exceptions:
   rule and its stall bound are the package's current ones.
   ``neg_log_posterior`` and ``hessian_lambda`` put argument checks in front
   of its objective, gradient and curvature, so that tests can hold those
-  against ``dense_objective``, ``fd_gradient`` and ``fd_hessian``.
+  against ``dense_objective``, ``fd_gradient`` and ``fd_hessian``;
+- ``full_range_win_chances``, the package's quadrature before it started
+  at the last panel edge with K ∏F ≤ δ: the same panels, nodes and
+  normalization over the whole of ``_panels``, in one block.
 
 ``beta_win_chances`` and ``normal_win_chances`` share nothing with the
 package's quadrature but ``betainc`` and ``ndtr``: they take normalized
@@ -70,9 +73,12 @@ from orbandit.logistic_model import (
     MAX_STEP_NORM,
 )
 from orbandit.policy import (
+    _QUAD_NODES,
+    _QUAD_WEIGHTS,
     _beta_win_chances,
     _block_rows,
     _normal_win_chances,
+    _panels,
 )
 from orbandit.policy import _arm_logits as _package_logits  # the oracles' own is per parameter vector
 
@@ -92,6 +98,7 @@ __all__ = [
     "dense_objective",
     "fd_gradient",
     "fd_hessian",
+    "full_range_win_chances",
     "grid_allocation_probs",
     "hessian_lambda",
     "laplace_update",
@@ -706,6 +713,33 @@ def normal_win_chances(mean, sd) -> np.ndarray:
     return _bisected_win_chances(
         edges, lambda x: ndtr((x - m) / s),
         lambda x: np.exp(-0.5 * np.square((x - m) / s)) / (s * np.sqrt(2.0 * np.pi)), m.size)
+
+
+def full_range_win_chances(bounds: tuple, cdf, log_density, mass) -> np.ndarray:
+    """The package's Thompson probabilities (``policy._win_chances``) on
+    the arguments a family's quadrature builder returns, integrated over
+    every panel of ``_panels(*bounds)``, from the second-largest lower
+    quantile: the rule before its start moved to the last edge with
+    K ∏F ≤ δ. Its nodes, weights, reading of F and f outside the quantiles
+    and normalization to the mass above the first edge are the package's;
+    it evaluates every (node, arm) pair in one block."""
+    lower, upper = bounds[2], bounds[3]
+    edges = _panels(*bounds)
+    half = 0.5 * np.diff(edges)
+    x = ((edges[:-1] + half)[:, None] + half[:, None] * _QUAD_NODES).reshape(-1, 1)
+    weights = (half[:, None] * _QUAD_WEIGHTS).ravel()
+    node, arm = np.nonzero((x > lower) & (x < upper))
+    cdfs = (x >= upper).astype(float)
+    cdfs[node, arm] = cdf(x[node, 0], arm)
+    density = np.zeros_like(cdfs)
+    density[node, arm] = weights[node] * np.exp(log_density(x[node, 0], arm))
+    others = np.ones_like(cdfs)
+    others[:, 1:] = np.cumprod(cdfs[:, :-1], axis=1)
+    others[:, :-1] *= np.cumprod(cdfs[:, :0:-1], axis=1)[:, ::-1]
+    norms = density.sum(axis=0)
+    chances = np.zeros(lower.size)
+    np.divide((density * others).sum(axis=0) * mass(edges[0]), norms, out=chances, where=norms > 0.0)
+    return chances / chances.sum()
 
 
 def logit_law(belief: GaussianBelief) -> tuple[np.ndarray, np.ndarray]:

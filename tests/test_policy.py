@@ -50,6 +50,7 @@ from orbandit.policy import (
     _QUAD_NODES,
     _arm_logits,
     _beta_bounds,
+    _beta_quadrature,
     _beta_survivors,
     _beta_win_chances,
     _block_rows,
@@ -57,7 +58,10 @@ from orbandit.policy import (
     _gaussian_plan,
     _gaussian_survivors,
     _logit_survivors,
+    _normal_quadrature,
     _normal_win_chances,
+    _panels,
+    _quadrature_edges,
 )
 
 import oracles
@@ -315,13 +319,18 @@ SPLIT_SHARE_PATHS = {"full": "full", "radial": "split", "quadrature": "quadratur
 
 
 @pytest.mark.parametrize("case", list(ORACLE_BELIEFS))
-def test_split_share_names_the_path_each_decision_takes(case):
+def test_split_share_names_the_path_each_decision_takes(case, monkeypatch):
     """The report's classifier agrees with the path the oracle cases are
-    checked to take, and its q with the split rule."""
+    checked to take, its q with the split rule, and its nodes, given only
+    for the quadrature, with the panels the decision integrates over."""
     make, path = ORACLE_BELIEFS[case]
-    name, q = split_share.classify(make(), 10_000)
+    name, q, nodes = split_share.classify(make(), 10_000)
     assert name == SPLIT_SHARE_PATHS[path]
     assert (q <= 0.5) == (name == "split")
+    assert np.isnan(nodes) == (name != "quadrature")
+    if name == "quadrature":
+        assert nodes == integrated_nodes(monkeypatch, lambda: allocation_proportions(
+            make(), 10_000, np.random.default_rng(0)))
 
 
 def test_split_share_reports_every_policy(tmp_path, capsys):
@@ -335,7 +344,8 @@ def test_split_share_reports_every_policy(tmp_path, capsys):
     assert "quadrature" in lines[0] and "nodes quartiles" in lines[0]
     # full_ts's decision that keeps every arm is classified by its belief's type.
     assert "quadrature  50.0%  full   0.0%  split   0.0%" in lines[1]
-    assert "full 100.0%" in lines[2]
+    assert "q quartiles -  nodes quartiles " in lines[1] and "nodes quartiles -" not in lines[1]
+    assert "full 100.0%" in lines[2] and lines[2].endswith("nodes quartiles -")
 
 
 @pytest.mark.parametrize("make, path", [
@@ -344,12 +354,34 @@ def test_split_share_reports_every_policy(tmp_path, capsys):
     (lambda: fractional_beta_state(10, 10), "monte-carlo"),
     (lambda: near_tie_state(1e13), "monte-carlo"),
 ], ids=["settled", "spread", "fractional", "near_tie_1e13"])
-def test_split_share_names_the_path_each_beta_decision_takes(make, path):
+def test_split_share_names_the_path_each_beta_decision_takes(make, path, monkeypatch):
     """The report's Beta classifier names the path the state's shapes and
-    screen send it down, with nodes only for the quadrature."""
+    screen send it down, with nodes only for the quadrature: those the
+    decision evaluates, fewer than the panels from the second-largest
+    lower quantile hold."""
     name, nodes = split_share.classify_beta(make(), 10_000)
     assert name == path
-    assert (nodes > 0) if path == "quadrature" else np.isnan(nodes)
+    if path != "quadrature":
+        assert np.isnan(nodes)
+        return
+    state = make()
+    assert nodes == integrated_nodes(monkeypatch, lambda: beta_ts_proportions(
+        state, 10_000, np.random.default_rng(0)))
+    assert 0 < nodes < _QUAD_NODES.size * (_panels(*_beta_bounds(state.alpha, state.beta)).size - 1)
+
+
+def integrated_nodes(monkeypatch, decide) -> float:
+    """The quadrature nodes of the one integration ``decide()`` makes."""
+    seen, edges = [], policy._quadrature_edges
+
+    def recorded(*args):
+        seen.append(edges(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(policy, "_quadrature_edges", recorded)
+    decide()
+    assert len(seen) == 1
+    return float(_QUAD_NODES.size * (seen[0].size - 1))
 
 
 @pytest.mark.parametrize("q", [0.5, 0.16, 1e-3])
@@ -821,6 +853,129 @@ def test_normal_win_chances_match_a_finer_rule(k, rounds, monkeypatch):
     monkeypatch.setattr(policy, "_QUAD_WEIGHTS", weights)
     for logits, found in zip(plans, chances):
         assert np.abs(found - _normal_win_chances(*logits)).sum() <= WIN_CHANCE_L1
+
+
+# --- where the quadrature starts -----------------------------------------------
+
+
+def near_tied_beta_state(arms=199, total=1e4, extra=()):
+    """``arms`` Beta arms at rates 0.3 ± 1e-4, a + b = ``total``, then the
+    arms ``extra`` gives as (rate, a + b) pairs."""
+    rates = np.r_[0.3 + 1e-4 * np.linspace(-1.0, 1.0, arms), [rate for rate, _ in extra]]
+    totals = np.r_[np.full(arms, total), [size for _, size in extra]]
+    return BetaState(rates * totals, (1.0 - rates) * totals)
+
+
+# One arm at rate 0.29 with a + b = 1e8 beside 199 near-tied arms and a
+# leader at 0.32, all at 1e4: the screen keeps it, but its whole range,
+# 0.29 ± 4e-4, lies below where the maximum lives, about one σ = 4.6e-3
+# above 0.3.
+BELOW_START = lambda: near_tied_beta_state(extra=[(0.32, 1e4), (0.29, 1e8)])  # noqa: E731
+
+
+def kept_beta_quadrature(make):
+    """``_beta_quadrature`` of the arms the screen keeps at 1e4 draws."""
+    state = make()
+    keep = _beta_survivors(state, 10_000)
+    assert keep.sum() > 1
+    return _beta_quadrature(state.alpha[keep], state.beta[keep])
+
+
+START_STATES = {
+    **{case: lambda make=make: kept_beta_quadrature(make) for case, make in LARGE_SHAPE_STATES.items()},
+    "dominant_k200": lambda: kept_beta_quadrature(lambda: near_tied_beta_state(extra=[(0.32, 1e4)])),
+    "below_start_k200": lambda: kept_beta_quadrature(BELOW_START),
+    "narrow_k2": lambda: _normal_quadrature(np.array([0.0, 0.5]), np.array([1.0, 1e-6])),
+    "narrow_leader_k2": lambda: _normal_quadrature(np.array([0.0, -0.5]), np.array([1e-6, 1.0])),
+}
+
+
+def read_cdfs(quadrature, x):
+    """Every arm's F at x as the integrator reads it: 0 below the arm's
+    lower quantile, 1 above its upper one, the family's ``cdf`` between."""
+    (_, _, lower, upper, *_), cdf = quadrature[:2]
+    cdfs = (x >= upper).astype(float)
+    inside = np.flatnonzero((x > lower) & (x < upper))
+    cdfs[inside] = cdf(np.full(inside.size, x), inside)
+    return cdfs
+
+
+def assert_starts_where_the_maximum_lives(quadrature):
+    """The integration starts at an edge of ``_panels`` where
+    K ∏F ≤ ``_QUAD_DELTA``, the next edge exceeds that bound, and the
+    chances agree within 1e-15 in L1 with the rule over every panel."""
+    bounds = quadrature[0]
+    arms = bounds[2].size
+    panels = _panels(*bounds)
+    edges = _quadrature_edges(*quadrature[:2])
+    start = panels.size - edges.size
+    np.testing.assert_array_equal(edges, panels[start:])
+    assert arms * read_cdfs(quadrature, edges[0]).prod() <= _QUAD_DELTA
+    assert arms * read_cdfs(quadrature, edges[1]).prod() > _QUAD_DELTA
+    full_range = oracles.full_range_win_chances(*quadrature)
+    assert np.abs(policy._win_chances(*quadrature) - full_range).sum() <= 1e-15
+    return start
+
+
+@pytest.mark.parametrize("case", list(START_STATES))
+def test_quadrature_starts_where_the_maximum_lives(case):
+    """Near-tied Beta arms at a + b up to 1e9 and at K = 200, one dominant
+    arm beside 199 near-tied ones, one whose range lies below the start,
+    and two normal arms, one 1e-6 as wide as the other: each starts at the
+    last edge with K ∏F ≤ δ, and each agrees with the full-range rule."""
+    start = assert_starts_where_the_maximum_lives(START_STATES[case]())
+    if case.endswith("k200"):
+        assert start > 0
+
+
+@pytest.mark.parametrize("trials", [10**12, 10**14, 10**16, 10**18])
+def test_quadrature_start_holds_at_high_traffic(trials, monkeypatch):
+    """``full_ts``'s decisions on three tied rates at 1e12 to 1e18 trials a
+    round, whose logits' spreads are 1e-6 to 1e-9 of the logits."""
+    plans = full_ts_quadrature_plans(monkeypatch, 3, 6, 3, simulation.Stationary([0.3] * 3), trials)
+    assert len(plans) == 5
+    for logits in plans:
+        assert_starts_where_the_maximum_lives(_normal_quadrature(*logits))
+
+
+def test_an_arm_below_the_start_wins_nothing():
+    """A kept arm whose whole range lies below the start has no node and
+    wins 0, and the decision is still one
+    ``rng.multinomial(n_draws, π̂)`` over the kept arms, bit for bit,
+    generator state included."""
+    state = BELOW_START()
+    keep = _beta_survivors(state, 10_000)
+    assert keep.all()
+    start = _quadrature_edges(*_beta_quadrature(state.alpha, state.beta)[:2])[0]
+    assert _beta_bounds(state.alpha, state.beta)[3][-1] < start
+    chances = _beta_win_chances(state.alpha, state.beta)
+    assert chances[-1] == 0.0 and np.all(chances[:-1] > 0.0)
+    rng, expected = np.random.default_rng(46), np.random.default_rng(46)
+    counts = expected.multinomial(10_000, chances)
+    np.testing.assert_array_equal(beta_ts_proportions(state, 10_000, rng).p, counts / 10_000.0)
+    assert rng.bit_generator.state == expected.bit_generator.state
+
+
+@pytest.mark.parametrize("case", ["spread_k200", "wide_arms_k200"])
+def test_log_ratio_takes_one_log_per_element(case, monkeypatch):
+    """Every call of ``_log_ratio`` in a K = 200 Beta decision matches,
+    bit for bit, both logs taken over every element and log1p kept where
+    the value is within half the base of it."""
+    calls, log_ratio = [], policy._log_ratio
+
+    def recorded(value, base, delta):
+        out = log_ratio(value, base, delta)
+        calls.append((value, base, delta, out))
+        return out
+
+    monkeypatch.setattr(policy, "_log_ratio", recorded)
+    policy._win_chances(*kept_beta_quadrature(LARGE_SHAPE_STATES[case]))
+    assert calls
+    for value, base, delta, out in calls:
+        expected = np.log(value / base)
+        near = np.abs(delta) < 0.5 * base
+        expected[near] = np.log1p(delta[near] / base[near])
+        np.testing.assert_array_equal(out, expected)
 
 
 def first_round(k, mode, seed=41):

@@ -1,6 +1,6 @@
 """Shares of the paths the Thompson decisions of a ``simulate`` config take:
 for the Gaussian policies the quartiles of their chance q of a row outside
-the ball, for ``beta_ts`` those of the quadrature nodes per decision.
+the ball, and for every policy those of the quadrature nodes per decision.
 
 From the repository root:
 
@@ -33,13 +33,14 @@ decides by the type of the belief:
 - ``monte-carlo``: the other decisions that draw, whose draws are tallied.
 
 For each policy it prints the number of decisions, the share of each
-path, and the quartiles of q over the Gaussian decisions that draw, or of
-the nodes over the Beta quadrature decisions. Each decision's path is
-read, before it is made, from the plan the allocation itself follows
-(``policy._gaussian_plan`` or ``policy._beta_plan``), the nodes from the
-panels ``policy._panels`` lays on ``policy._beta_bounds``, and the
-decision then draws from the generator as usual. The script only reports
-and writes no file.
+path, the quartiles of q over the Gaussian decisions that draw normals,
+and those of the nodes over the quadrature decisions. Each decision's path
+is read, before it is made, from the plan the allocation itself follows
+(``policy._gaussian_plan`` or ``policy._beta_plan``), its nodes from the
+panel edges the integrator itself takes (``policy._quadrature_edges`` on
+``policy._normal_quadrature`` or ``policy._beta_quadrature`` of the kept
+arms), and the decision then draws from the generator as usual. The
+script only reports and writes no file.
 """
 
 from __future__ import annotations
@@ -54,18 +55,33 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from orbandit import cli, simulation  # noqa: E402
-from orbandit.policy import _QUAD_NODES, _beta_bounds, _beta_plan, _gaussian_plan, _panels  # noqa: E402
+from orbandit.policy import (  # noqa: E402
+    _QUAD_NODES,
+    _beta_plan,
+    _beta_quadrature,
+    _gaussian_plan,
+    _normal_quadrature,
+    _quadrature_edges,
+)
 from orbandit.simulation import ExperimentConfig, PolicyKind  # noqa: E402
 
 PATHS = ("one-hot", "quadrature", "full", "split")
 BETA_PATHS = ("one-hot", "quadrature", "monte-carlo")
 
 
-def classify(belief, n_draws: int) -> tuple[str, float]:
-    """The path of one Gaussian decision and its q, NaN for a decision
-    that draws no normals."""
-    path, _, _, _, q, _ = _gaussian_plan(belief, n_draws)
-    return path, q
+def quadrature_nodes(quadrature: tuple) -> float:
+    """The nodes the integrator evaluates for ``_win_chances``' arguments."""
+    return float(_QUAD_NODES.size * (_quadrature_edges(*quadrature[:2]).size - 1))
+
+
+def classify(belief, n_draws: int) -> tuple[str, float, float]:
+    """The path of one Gaussian decision, its q, NaN for a decision that
+    draws no normals, and its quadrature nodes, NaN for a decision that
+    makes none."""
+    path, _, _, _, q, logits = _gaussian_plan(belief, n_draws)
+    if path != "quadrature":
+        return path, q, np.nan
+    return path, q, quadrature_nodes(_normal_quadrature(*logits))
 
 
 def classify_beta(state, n_draws: int) -> tuple[str, float]:
@@ -74,20 +90,19 @@ def classify_beta(state, n_draws: int) -> tuple[str, float]:
     path, kept = _beta_plan(state, n_draws)
     if path != "quadrature":
         return path, np.nan
-    panels = _panels(*_beta_bounds(state.alpha[kept], state.beta[kept]))
-    return path, float(_QUAD_NODES.size * (panels.size - 1))
+    return path, quadrature_nodes(_beta_quadrature(state.alpha[kept], state.beta[kept]))
 
 
 # policy -> (the name simulation calls it by, its classifier, its paths,
-# the quantity whose quartiles are printed)
+# the quantities after the path whose quartiles are printed)
 HOOKS = {
-    PolicyKind.BETA_TS: ("beta_ts_proportions", classify_beta, BETA_PATHS, "nodes"),
-    PolicyKind.FULL_TS: ("allocation_proportions", classify, PATHS, "q"),
-    PolicyKind.OR_TS: ("allocation_proportions", classify, PATHS, "q"),
+    PolicyKind.BETA_TS: ("beta_ts_proportions", classify_beta, BETA_PATHS, ("nodes",)),
+    PolicyKind.FULL_TS: ("allocation_proportions", classify, PATHS, ("q", "nodes")),
+    PolicyKind.OR_TS: ("allocation_proportions", classify, PATHS, ("q", "nodes")),
 }
 
 
-def record(resolved: dict, spec, policy: PolicyKind) -> list[tuple[str, float]]:
+def record(resolved: dict, spec, policy: PolicyKind) -> list[tuple]:
     """Every Thompson decision of the config's replications of ``policy``."""
     seen = []
     name, classifier, _, _ = HOOKS[policy]
@@ -113,14 +128,18 @@ def record(resolved: dict, spec, policy: PolicyKind) -> list[tuple[str, float]]:
     return seen
 
 
-def report(policy: PolicyKind, seen: list[tuple[str, float]]) -> str:
-    _, _, names, quantity = HOOKS[policy]
-    paths = [path for path, _ in seen]
+def quartiles(values: list[float]) -> str:
+    values = np.array([value for value in values if not np.isnan(value)])
+    return " ".join(f"{v:.3g}" for v in np.percentile(values, [25, 50, 75])) if values.size else "-"
+
+
+def report(policy: PolicyKind, seen: list[tuple]) -> str:
+    _, _, names, quantities = HOOKS[policy]
+    paths = [path for path, *_ in seen]
     shares = "  ".join(f"{path} {paths.count(path) / max(len(seen), 1):6.1%}" for path in names)
-    values = np.array([value for _, value in seen if not np.isnan(value)])
-    quartiles = (" ".join(f"{v:.3g}" for v in np.percentile(values, [25, 50, 75]))
-                 if values.size else "-")
-    return f"{policy.value}: {len(seen)} decisions  {shares}  {quantity} quartiles {quartiles}"
+    spreads = "  ".join(f"{quantity} quartiles {quartiles([values[i] for _, *values in seen])}"
+                        for i, quantity in enumerate(quantities))
+    return f"{policy.value}: {len(seen)} decisions  {shares}  {spreads}"
 
 
 def main(argv: list[str] | None = None) -> int:
