@@ -33,10 +33,8 @@ from .errors import (
 from .gaussian_belief import (
     GaussianBelief,
     LogitBelief,
-    _as_logits,
     _embed_flat,
     _move_reference,
-    make_flat_belief,
     marginalize_keep,
 )
 from .logistic_model import ProbVector, RoundData
@@ -86,17 +84,15 @@ def _validated_active(active: Sequence[ArmId]) -> tuple[ArmId, ...]:
 
 @dataclass(frozen=True)
 class ArmRegistry:
-    """Arms tracked so far, their joint belief, the update count, and the
-    update mode of the last absorbed round.
+    """Arms tracked so far, their joint belief, and the update count.
 
     ``arms`` fixes the parameter order; the reference arm is always the
-    last position. A full-mode registry holds its arms' independent logits
-    (``LogitBelief``), so re-anchoring, marginalizing and adding arms are
-    index operations on K pairs; an odds-ratio registry holds a dense
-    ``GaussianBelief``. ``mode`` is None until a round is absorbed;
-    re-anchoring keeps it. ``plan_round`` reads it once: after a
-    ``full_rank`` fallback, a full-mode registry whose marginal is a dense
-    arrow decides it as arm logits. So a fixed arm set takes the bits of
+    last position. A fresh registry, and a full-mode one, holds its arms'
+    independent logits (``LogitBelief``), so re-anchoring, marginalizing
+    and adding arms are index operations on K pairs; an updated
+    odds-ratio registry, and one a ``full_rank`` fallback extends, holds a
+    dense ``GaussianBelief``. The belief's type alone picks how a round is
+    absorbed and decided, so a fixed arm set takes the bits of
     ``simulation``'s own round step in either mode. The registry is
     immutable: every operation returns a new one.
     """
@@ -104,7 +100,6 @@ class ArmRegistry:
     arms: tuple[ArmId, ...]
     belief: GaussianBelief | LogitBelief
     round: int = 0
-    mode: UpdateMode | None = None
 
     def __post_init__(self):
         arms = tuple(self.arms)
@@ -115,8 +110,6 @@ class ArmRegistry:
                 f"belief dimension {self.belief.dim} does not match arm count {len(arms)}"
             )
         _check_count("round", self.round, 0)
-        if self.mode is not None:
-            object.__setattr__(self, "mode", _check_choice("mode", UpdateMode, self.mode))
         object.__setattr__(self, "arms", arms)
 
     @property
@@ -130,9 +123,9 @@ class ArmRegistry:
 
     @classmethod
     def fresh(cls, active: Sequence[ArmId]) -> "ArmRegistry":
-        """New registry over the given arms with a flat joint belief."""
+        """New registry over the given arms with flat arm logits."""
         active = _validated_active(active)
-        return cls(active, make_flat_belief(len(active)), 0)
+        return cls(active, LogitBelief(np.zeros(len(active)), np.zeros(len(active))), 0)
 
 
 @dataclass(frozen=True)
@@ -183,7 +176,7 @@ def reanchor_reference(registry: ArmRegistry, new_reference: ArmId) -> ArmRegist
         return registry
     r = arms.index(new_reference)
     new_arms = arms[:r] + arms[r + 1 :] + (new_reference,)
-    return ArmRegistry(new_arms, _move_reference(registry.belief, r), registry.round, registry.mode)
+    return ArmRegistry(new_arms, _move_reference(registry.belief, r), registry.round)
 
 
 def plan_round(
@@ -198,11 +191,9 @@ def plan_round(
     active arms (``keep``) then take |keep|/|active| of the traffic, split
     by the Thompson winner frequencies of the belief marginalized to
     exactly them (re-anchored first if the reference sits out), which
-    ``allocation_proportions`` decides by the marginal's type. In the full
-    mode a dense marginal that is an arrow, as after a ``full_rank``
-    fallback, is decided as arm logits (``_as_logits``). While that
-    marginal's scored coordinates, all but the reference's base rate, are
-    improper, every active arm keeps 1/|active|.
+    ``allocation_proportions`` decides by the marginal's type alone. While
+    that marginal's scored coordinates, all but the reference's base rate,
+    are improper, every active arm keeps 1/|active|.
     """
     active = _validated_active(active)
     working = _anchored(registry, active)
@@ -210,9 +201,7 @@ def plan_round(
     shares = dict.fromkeys(active, 1.0 / m)
     keep = [i for i, a in enumerate(working.arms) if a in shares]
     if keep:
-        marginal = marginalize_keep(working.belief, keep)
-        logits = _as_logits(marginal) if working.mode is UpdateMode.FULL else None
-        base = _thompson(marginal if logits is None else logits, n_draws, rng)
+        base = _thompson(marginalize_keep(working.belief, keep), n_draws, rng)
         if base is not None:
             shares.update((working.arms[i], len(keep) / m * w) for i, w in zip(keep, base.p))
     return RoundPlan(active, AllocationProportions(np.array(list(shares.values()))))
@@ -232,7 +221,6 @@ def absorb_round(
     A registry that has never been updated absorbs any round; otherwise
     the round must share at least one tracked arm for a full-rank update
     and two for an odds-ratio update, or ``ContinuityError`` is raised.
-    The new registry records ``mode``.
     """
     active = _validated_active(active)
     mode = _check_choice("mode", UpdateMode, mode)
@@ -253,7 +241,7 @@ def absorb_round(
     c_full = np.zeros(len(arms), dtype=np.int64)
     n_full[where], c_full[where] = data.n, data.c
     state = _update(LogisticPolicyState(belief, mode, working.round), RoundData(n_full, c_full))
-    return ArmRegistry(arms, state.belief, working.round + 1, mode)
+    return ArmRegistry(arms, state.belief, working.round + 1)
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,8 @@ with odds block diag(d), d above the corner and corner Σd + D_K.
 parameter-space mean and precision are built only when read, and the
 re-anchor, the marginal that keeps the reference last and the flat
 embedding that keeps it last are index operations on the K pairs, in O(K).
+A belief that no round has updated is flat logits, whose dense view is
+exactly zero; nothing reads logits back out of a dense belief.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ class GaussianBelief:
     directions; a belief with any flat direction is not proper and cannot
     be sampled, but it can still be transformed, updated, and embedded.
     A zero-dimensional belief is permitted as the degenerate base case for
-    ``embed_flat_last``.
+    ``embed_flat_last``, which embeds it as flat arm logits.
 
     Construction factors the precision once and caches the lower Cholesky
     factor (None when a pivot's square is within ``_zero_floor``, or when
@@ -234,38 +236,6 @@ def _flat_logits(belief: LogitBelief) -> np.ndarray:
     that no relabeling of the arms moves it."""
     precision = belief.logit_precision
     return precision <= REL_TOL * math.fsum(precision)
-
-
-def _arrow_logits(belief: GaussianBelief) -> tuple[np.ndarray, np.ndarray] | None:
-    """The arm logits' means and precisions (m, D) when the dense
-    precision is an arrow, bit for bit, else None; D_K may come out ≤ 0.
-
-    The odds block must be diag(d) and the last column above the corner
-    d. D_K = corner − Σd cancels: the corner reached 1504 D_K on the
-    benchmark's beliefs. ``math.fsum`` rounds the difference of the
-    stored entries once, so D_K carries only the corner's own rounding, a
-    relative error of about eps · corner / D_K, where a running sum adds up
-    to K eps · corner / D_K.
-    """
-    precision = belief.precision
-    d = precision.diagonal()[:-1]
-    if not (np.array_equal(precision[:-1, -1], d) and np.array_equal(precision[:-1, :-1], np.diag(d))):
-        return None
-    mean = belief.mean + belief.mean[-1]
-    mean[-1] = belief.mean[-1]
-    return mean, np.r_[d, math.fsum(np.r_[precision[-1, -1], -d])]
-
-
-def _as_logits(belief: GaussianBelief | LogitBelief) -> LogitBelief | None:
-    """``belief`` itself if it holds arm logits, the ``LogitBelief`` of a
-    dense arrow (``_arrow_logits``, a precision below zero by rounding
-    read as flat), or None for any other belief."""
-    if isinstance(belief, LogitBelief):
-        return belief
-    logits = _arrow_logits(belief)
-    if logits is None:
-        return None
-    return LogitBelief(logits[0], np.maximum(logits[1], 0.0))
 
 
 def make_flat_belief(dim: int) -> GaussianBelief:
@@ -438,7 +408,7 @@ def marginalize_drop_last(belief: GaussianBelief) -> GaussianBelief:
     return GaussianBelief(belief.mean[:-1], _drop_last_precision(belief.precision))
 
 
-def embed_flat_last(belief: GaussianBelief, start_last: float = 0.0) -> GaussianBelief:
+def embed_flat_last(belief: GaussianBelief, start_last: float = 0.0) -> GaussianBelief | LogitBelief:
     """Append one flat coordinate after the existing ones.
 
     The new coordinate gets mean ``start_last`` and a zero precision row
@@ -453,9 +423,12 @@ def _embed_flat(belief: GaussianBelief | LogitBelief, positions, dim: int,
     """``belief`` at ``positions`` of a ``dim``-wide belief, flat elsewhere with mean ``start``.
 
     A ``LogitBelief`` that keeps its reference last gains flat logits,
-    D = 0 with mean ``start`` plus the reference's logit, in O(K); any
-    other embedding goes through its dense view.
+    D = 0 with mean ``start`` plus the reference's logit, in O(K), and so
+    does a zero-dimensional belief; any other embedding goes through its
+    dense view.
     """
+    if not belief.dim:
+        return LogitBelief(np.full(dim, start), np.zeros(dim))
     if isinstance(belief, LogitBelief) and positions[-1] == dim - 1:
         mean = np.full(dim, start + belief.logit_mean[-1])
         mean[positions] = belief.logit_mean

@@ -4,10 +4,12 @@ Three policies share one allocation interface: a conjugate Beta policy that
 tracks each arm independently, a full-rank logistic policy that carries the
 whole Gaussian belief between rounds, and an odds-ratio logistic policy
 that forgets the shared base-rate coordinate before every update so that
-drift common to all arms cannot contaminate the relative parameters. The
-full-rank policy starts flat and never forgets, so its belief is K
-independent arm logits (``LogitBelief``), updated arm by arm
-(``logit_update``); the odds-ratio policy's is a dense ``GaussianBelief``.
+drift common to all arms cannot contaminate the relative parameters. Both
+logistic policies start from flat arm logits. The full-rank policy never
+forgets, so its belief stays K independent arm logits (``LogitBelief``),
+updated arm by arm (``logit_update``); the odds-ratio policy's becomes a
+dense ``GaussianBelief`` at its first update. The belief's type alone
+picks the update's rule and the decision's.
 
 Both allocation functions screen the arms before drawing. The leader is
 the arm of highest posterior mean, and an arm is screened out when its
@@ -28,18 +30,19 @@ the last edge x₀ with K ∏_i F_i(x₀) ≤ 1e-17 (``_quadrature_edges``),
 since no arm wins more than ∏_i F_i(x₀) below it, so an arm whose whole
 range lies below x₀ wins 0. The decision's total variation from the
 tally's law is at most n_draws ‖π̂ − π‖₁ / 2, and ‖π̂ − π‖₁ is within
-1e-11 on every state tested. Two families feed the one integrator: the
-surviving Beta arms when every shape is at least 1 and every a + b at
-most 1e12, and the surviving arm logits of a Gaussian belief: every
-decision on a ``LogitBelief``, and a decision on a dense belief whose
-precision makes the logits independent (an arrow) when its screen drops
-some arms, so that the odds-ratio policy's first decision, an arrow that
-keeps every arm, stays a tally. Those logits are integrated relative to
-the largest mean, so the nodes keep their digits at any traffic.
+1e-11 on every state tested but one: one Beta arm at rate 0.31 beside
+199 at 0.3 ± 1e-4, all with a + b = 1e4, gives 4.5e-11 against an
+adaptive reference, which the same panels with 20 or 40 nodes match to
+7e-15. Two families feed the one integrator: the surviving Beta arms
+when every shape is at least 1 and every a + b at most 1e12, and the
+surviving arm logits of every decision on a ``LogitBelief``, integrated
+relative to the largest mean, so that the nodes keep their digits at any
+traffic.
 
-Every other decision is one Monte Carlo tally, ``_tally``, in blocks of
-about ``_BLOCK_ELEMENTS`` scores, each drawn, reduced to its winners and
-added to an integer count, so its memory does not grow with ``n_draws``.
+Every other decision, every one on a dense belief that draws included,
+is one Monte Carlo tally, ``_tally``, in blocks of about
+``_BLOCK_ELEMENTS`` scores, each drawn, reduced to its winners and added
+to an integer count, so its memory does not grow with ``n_draws``.
 Each family gives it a block: a Beta block is one ``rng.beta`` call over
 the surviving arms; a Gaussian block draws all K coordinates through the
 precision factor's inverse. The blocks consume the stream of one full
@@ -64,11 +67,8 @@ from .gaussian_belief import (
     REL_TOL,
     GaussianBelief,
     LogitBelief,
-    _arrow_logits,
-    _as_logits,
     _draw_into,
     _drop_last_precision,
-    make_flat_belief,
 )
 from .logistic_model import RoundData, laplace_update, logit_update
 
@@ -151,10 +151,12 @@ class BetaState:
 class LogisticPolicyState:
     """Gaussian belief over the odds-ratio parameters plus bookkeeping.
 
-    A full-mode state starts as a flat ``LogitBelief`` and stays one, since
-    ``full_ts_update`` keeps the arm logits independent; an odds-ratio
-    state holds a dense ``GaussianBelief``. Either type is accepted in
-    either mode, and each update reads what it needs of it.
+    Either mode starts from flat arm logits, a ``LogitBelief``. The
+    full mode keeps one, since ``full_ts_update`` keeps the arm logits
+    independent; the odds-ratio update reads its dense view, exactly zero
+    while flat, and holds a dense ``GaussianBelief`` from then on. Either
+    type is accepted in either mode: the belief's type, not the mode,
+    picks the update's rule and the decision's.
     """
 
     belief: GaussianBelief | LogitBelief
@@ -169,10 +171,7 @@ class LogisticPolicyState:
 
     @classmethod
     def flat_start(cls, num_arms: int, mode: UpdateMode) -> "LogisticPolicyState":
-        """Flat beliefs: K flat arm logits in the full mode, a zero dense
-        precision in the odds-ratio mode."""
-        if _check_choice("mode", UpdateMode, mode) is UpdateMode.ODDS_RATIO:
-            return cls(make_flat_belief(num_arms), mode, 0)
+        """K flat arm logits, in either mode."""
         _check_count("num_arms", num_arms, 1)
         return cls(LogitBelief(np.zeros(num_arms), np.zeros(num_arms)), mode, 0)
 
@@ -295,57 +294,21 @@ def _logit_survivors(mean: np.ndarray, sd: np.ndarray, n_draws: int) -> tuple[np
     return ~(mean[leader] - mean > _screen_z(n_draws, arms) * spread), leader
 
 
-def _arm_logits(belief: GaussianBelief) -> tuple[np.ndarray, np.ndarray] | None:
-    """The means and standard deviations of the arm logits of a dense
-    belief whose precision makes them independent (``_arrow_logits``), or
-    None, also when the reference's precision D_K is not above 0 (d > 0
-    for a proper belief).
+def _gaussian_plan(belief: GaussianBelief, n_draws: int) -> tuple[str, np.ndarray, int, float, float]:
+    """How a decision on a dense belief goes: its path, the arms the
+    screen (``_gaussian_survivors``) keeps, the leader, the screen's
+    radius r*, and q = P(χ²(K) ≥ r*²), the chance that a row of K normals
+    falls outside the ball.
 
-    The logits η_j = θ_j + θ_K (j < K) and η_K = θ_K rank the arms as the
-    scores do. Only the dense rule reads this: a dense arrow whose screen
-    drops some arms. The fsum note of ``_arrow_logits`` applies: D_K is
-    read to eps · corner / D_K relative.
+    One arm kept: "one-hot", q NaN. Otherwise every coordinate is drawn:
+    "split" radially when q ≤ ``_SPLIT_SHARE``, else "full".
     """
-    logits = _arrow_logits(belief)
-    if logits is None or not logits[1][-1] > 0.0:
-        return None
-    return logits[0], 1.0 / np.sqrt(logits[1])
-
-
-def _gaussian_plan(
-    belief: GaussianBelief | LogitBelief, n_draws: int
-) -> tuple[str, np.ndarray, int, float, float, tuple[np.ndarray, np.ndarray] | None]:
-    """How a Gaussian decision goes: its path, the arms the screen keeps,
-    the leader, the screen's radius r* (NaN when no ball is taken),
-    q = P(χ²(K) ≥ r*²), the chance that a row of K normals falls outside
-    the ball, and, for a decision by quadrature, the kept arms' logit
-    means and standard deviations (else None).
-
-    A ``LogitBelief`` is screened on its logits alone
-    (``_logit_survivors``): one arm kept, "one-hot", else "quadrature",
-    with r* and q NaN. A dense belief is screened by
-    ``_gaussian_survivors``. One arm kept: "one-hot", q NaN. Some arms
-    dropped, with independent logits (``_arm_logits``): "quadrature", q
-    NaN. Otherwise every coordinate is drawn: "split" radially when
-    q ≤ ``_SPLIT_SHARE``, else "full".
-    """
-    if isinstance(belief, LogitBelief):
-        if not belief.is_proper():
-            raise CannotSampleError("a belief with a flat arm logit cannot be sampled")
-        mean, sd = belief.logit_mean, belief.sd
-        keep, leader = _logit_survivors(mean, sd, n_draws)
-        kept = np.flatnonzero(keep)
-        path = "one-hot" if kept.size == 1 else "quadrature"
-        return path, kept, leader, np.nan, np.nan, (mean[kept], sd[kept])
     keep, leader, radius = _gaussian_survivors(belief, n_draws)
     kept = np.flatnonzero(keep)
     if kept.size == 1:
-        return "one-hot", kept, leader, radius, np.nan, None
-    logits = _arm_logits(belief) if kept.size < belief.dim else None
-    if logits is not None:
-        return "quadrature", kept, leader, radius, np.nan, (logits[0][kept], logits[1][kept])
+        return "one-hot", kept, leader, radius, np.nan
     outside = float(chdtrc(belief.dim, radius**2))
-    return ("split" if outside <= _SPLIT_SHARE else "full"), kept, leader, radius, outside, None
+    return ("split" if outside <= _SPLIT_SHARE else "full"), kept, leader, radius, outside
 
 
 def _chi2_tail(m: int, floor: float, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -380,8 +343,7 @@ def allocation_proportions(
     Each posterior draw is scored with the reference coordinate replaced by
     zero, which ranks arms by their log odds against the reference without
     moving the shared base rate; ties break toward the lowest arm index.
-    The type of the belief picks the screen and the paths
-    (``_gaussian_plan``).
+    The type of the belief alone picks the screen and the paths.
 
     A dominance screen runs first. When it keeps the leader alone, or the
     belief has one arm, the result is one-hot on the leader and the
@@ -389,17 +351,14 @@ def allocation_proportions(
     logits' means and standard deviations alone, in O(K), and the kept
     arms' counts are one ``rng.multinomial(n_draws, π̂)`` draw, π̂ from
     ``_normal_win_chances``, within n_draws ‖π̂ − π‖₁ / 2 of the Monte
-    Carlo law in total variation; no K×K array is read. A dense belief
-    ends the same way when its precision makes the arm logits independent
-    (``_arm_logits``) and its screen drops some arms. A dense arrow that
-    keeps every arm, such as the odds-ratio policy's first belief, keeps
-    the Monte Carlo tally, and with it the odds-ratio policy's streams.
+    Carlo law in total variation; no K×K array is read.
 
-    Otherwise all K coordinates are drawn through L⁻¹, the base rate
-    included, and the reference column is scored zero; the arms a screen
-    of correlated logits drops are drawn too. The draws are tallied by
-    ``_tally``, each block written into one reused buffer, so memory does
-    not grow with ``n_draws``.
+    A dense belief is screened and planned by ``_gaussian_plan``. Unless
+    its screen keeps the leader alone, all K coordinates are drawn
+    through L⁻¹, the base rate included, and the reference column is
+    scored zero; the arms the screen drops are drawn too. The draws are
+    tallied by ``_tally``, each block written into one reused buffer, so
+    memory does not grow with ``n_draws``.
 
     Radial split. A row of K standard normals is z = ρ·u, with ρ² ~ χ²(K)
     and the direction u uniform on the sphere and independent of ρ. Rows
@@ -431,11 +390,17 @@ def allocation_proportions(
     total variation distance.
     """
     _check_count("n_draws", n_draws, 1)
-    path, kept, leader, radius, outside, logits = _gaussian_plan(belief, n_draws)
     arms = belief.dim
-    if path in ("one-hot", "quadrature"):
+    if isinstance(belief, LogitBelief):
+        if not belief.is_proper():
+            raise CannotSampleError("a belief with a flat arm logit cannot be sampled")
+        mean, sd = belief.logit_mean, belief.sd
+        kept = np.flatnonzero(_logit_survivors(mean, sd, n_draws)[0])
         return _decide(arms, n_draws, kept,
-                       lambda: rng.multinomial(n_draws, _normal_win_chances(*logits)))
+                       lambda: rng.multinomial(n_draws, _normal_win_chances(mean[kept], sd[kept])))
+    path, kept, leader, radius, outside = _gaussian_plan(belief, n_draws)
+    if path == "one-hot":
+        return _decide(arms, n_draws, kept, None)
     buffer = np.empty((_block_rows(arms, n_draws), arms))
 
     def block(rows: int) -> np.ndarray:
@@ -452,22 +417,19 @@ def allocation_proportions(
         scores[:, -1] = 0.0
         return wins + np.bincount(scores.argmax(axis=1), minlength=arms)
 
-    # The tally counts every arm, the ones a screen of correlated logits drops too.
+    # The tally counts every arm, the ones the screen drops too.
     return _decide(arms, n_draws, np.arange(arms), lambda: _tally(arms, n_draws, block))
 
 
 def full_ts_update(state: LogisticPolicyState, data: RoundData) -> LogisticPolicyState:
     """Absorb a round keeping the entire belief as the prior.
 
-    A prior of independent arm logits, a ``LogitBelief`` or a dense arrow
-    (a fresh or embedded registry's, converted by ``_as_logits``), is
-    updated arm by arm (``logit_update``) and stays a ``LogitBelief``. Any
-    other dense prior, such as an odds-ratio history that a ``full_rank``
-    fallback extends, takes the dense ``laplace_update``.
+    A ``LogitBelief`` prior is updated arm by arm (``logit_update``) and
+    stays one. A dense prior, such as an odds-ratio history that a
+    ``full_rank`` fallback extends, takes the dense ``laplace_update``.
     """
-    logits = _as_logits(state.belief)
-    belief = laplace_update(state.belief, data) if logits is None else logit_update(logits, data)
-    return LogisticPolicyState(belief, state.mode, state.round_index + 1)
+    update = logit_update if isinstance(state.belief, LogitBelief) else laplace_update
+    return LogisticPolicyState(update(state.belief, data), state.mode, state.round_index + 1)
 
 
 def or_ts_update(state: LogisticPolicyState, data: RoundData) -> LogisticPolicyState:
@@ -479,7 +441,9 @@ def or_ts_update(state: LogisticPolicyState, data: RoundData) -> LogisticPolicyS
     warm-start the mode search. It is built as one belief, bit for bit
     ``embed_flat_last(marginalize_drop_last(belief), belief.mean[-1])``. A
     still-flat belief passes through unchanged, so the first update
-    matches the full-rank policy exactly.
+    matches the full-rank policy exactly. The dense view of the flat
+    start's arm logits is exactly zero, so the first update reads the
+    bits of a zero dense precision.
     """
     belief = state.belief
     precision = np.zeros_like(belief.precision)

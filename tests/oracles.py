@@ -36,11 +36,13 @@ densities, the Beta one from the saddle-point form of Loader (2000), and
 integrate by adaptive bisection to an error tolerance, where the package
 fixes its panels in advance and normalizes each density by the rule's own
 integral. ``logit_law`` reads the arm logits' law from the inverted
-precision, where the package reads it off the precision's arrow pattern.
+precision, where the package holds them as a ``LogitBelief``.
 
-``random_proper_belief`` and ``arrow_precision`` are no oracles but the
-tests' one seeded random belief and one arrow precision, kept here so
-that every test module builds them alike.
+``random_proper_belief``, ``arrow_precision`` and ``arrow_logits`` are no
+oracles but the tests' one seeded random belief, one arrow precision and
+one reading of a dense arrow's arm logits, kept here so that every test
+module builds and reads them alike; the package never reads logits out
+of a dense belief.
 """
 
 from __future__ import annotations
@@ -80,11 +82,11 @@ from orbandit.policy import (
     _normal_win_chances,
     _panels,
 )
-from orbandit.policy import _arm_logits as _package_logits  # the oracles' own is per parameter vector
 
 __all__ = [
     "allocation_proportions",
     "arm_logit_matrix",
+    "arrow_logits",
     "arrow_precision",
     "backsolve_sample",
     "backsolve_winner_counts",
@@ -129,6 +131,24 @@ def arrow_precision(d, rest) -> np.ndarray:
     precision = np.diag(np.r_[d, math.fsum([*d, rest])])
     precision[:-1, -1] = precision[-1, :-1] = d
     return precision
+
+
+def arrow_logits(belief: GaussianBelief) -> tuple[np.ndarray, np.ndarray] | None:
+    """The arm logits' means and precisions (m, D) of a dense belief whose
+    precision is an arrow, bit for bit, else None; D_K may come out ≤ 0.
+
+    The odds block must be diag(d) and the last column above the corner
+    d. D_K = corner − Σd cancels: the corner reached 1504 D_K on the
+    benchmark's beliefs. ``math.fsum`` rounds the difference of the
+    stored entries once, so D_K carries only the corner's own rounding, a
+    relative error of about eps · corner / D_K, where a running sum adds up
+    to K eps · corner / D_K.
+    """
+    precision = belief.precision
+    d = precision.diagonal()[:-1]
+    if not (np.array_equal(precision[:-1, -1], d) and np.array_equal(precision[:-1, :-1], np.diag(d))):
+        return None
+    return _arm_logits(belief.mean), np.r_[d, math.fsum(np.r_[precision[-1, -1], -d])]
 
 
 def arm_logit_matrix(k: int) -> np.ndarray:
@@ -754,22 +774,17 @@ def logit_law(belief: GaussianBelief) -> tuple[np.ndarray, np.ndarray]:
     return matrix @ belief.mean, sd
 
 
-def normal_multinomial_counts(belief: GaussianBelief, keep, n_draws: int,
+def normal_multinomial_counts(belief: LogitBelief, keep, n_draws: int,
                               rng: np.random.Generator) -> np.ndarray:
     """Winner counts per arm of a decision by quadrature over the arms in
     the mask ``keep``: one ``rng.multinomial`` draw with the package's
-    Thompson probabilities π̂ (``_normal_win_chances`` of the logits of a
-    ``LogitBelief``, or of a dense belief's ``_arm_logits``),
+    Thompson probabilities π̂ (``_normal_win_chances`` of the kept logits),
     held first to ‖π̂ − π‖₁ ≤ ``WIN_CHANCE_L1`` against π from
     ``normal_win_chances`` of ``logit_law``; the other arms win nothing.
     The draw takes π̂ for the reason ``beta_multinomial_proportions``
     gives."""
     keep = np.asarray(keep, dtype=bool)
-    if isinstance(belief, LogitBelief):
-        mean, sd = belief.logit_mean, belief.sd
-    else:
-        mean, sd = _package_logits(belief)
-    chances = _normal_win_chances(mean[keep], sd[keep])
+    chances = _normal_win_chances(belief.logit_mean[keep], belief.sd[keep])
     law_mean, law_sd = logit_law(belief)
     error = np.abs(chances - normal_win_chances(law_mean[keep], law_sd[keep])).sum()
     assert error <= WIN_CHANCE_L1, error

@@ -31,8 +31,8 @@ from orbandit import (
     sample,
     simulation,
 )
-from orbandit.gaussian_belief import _as_logits
-from orbandit.policy import _arm_logits
+
+import oracles
 
 
 def seeded_registry(successes=(20, 15, 10), trials=(50, 50, 50)):
@@ -253,36 +253,30 @@ def test_fixed_arm_set_takes_the_same_bits_through_either_step(mode, arms):
 
 
 def test_registry_records_the_mode_of_its_last_update():
-    """``absorb_round`` records its mode and re-anchoring keeps it; a new
-    or reinitialized registry has none. A full-rank step on an odds-ratio
-    history leaves a belief whose marginal is no arrow, and ``plan_round``
-    decides it by the Monte Carlo tally, bit for bit."""
-    assert ArmRegistry.empty().mode is None
-    assert ArmRegistry.fresh(("A", "B")).mode is None
+    """A full-rank step on an odds-ratio history leaves a dense belief
+    whose marginal is no arrow, and ``plan_round`` decides it by the
+    Monte Carlo tally, bit for bit. The registry records no mode: the
+    belief's type alone picks the rule."""
     registry = seeded_registry()
-    assert registry.mode is UpdateMode.ODDS_RATIO
     data = RoundData(np.array([50, 50, 50]), np.array([18, 16, 9]))
     registry = absorb_round(registry, ("A", "B", "C"), data, UpdateMode.ODDS_RATIO)
-    assert reanchor_reference(registry, "A").mode is UpdateMode.ODDS_RATIO
     full = absorb_round(registry, ("C", "D"), RoundData(np.array([10, 10]), np.array([2, 3])),
                         UpdateMode.FULL)
-    assert full.mode is UpdateMode.FULL
-    assert reanchor_reference(full, "A").mode is UpdateMode.FULL
     assert full.arms == ("A", "B", "D", "C")
+    assert not hasattr(full, "mode")
     marginal = marginalize_keep(full.belief, [0, 1, 3])
-    assert _arm_logits(marginal) is None
+    assert oracles.arrow_logits(marginal) is None
     expected = np.random.default_rng(44)
     tally = allocation_proportions(marginal, 2000, expected).p
     rng = np.random.default_rng(44)
     np.testing.assert_array_equal(plan_round(full, ("A", "B", "C"), 2000, rng).proportions.p, tally)
     assert rng.bit_generator.state == expected.bit_generator.state
-    with pytest.raises(ConfigError, match="field 'mode'"):
-        ArmRegistry(registry.arms, registry.belief, 2, "forgetful")
 
 
 def test_full_mode_registry_holds_each_arms_own_logit():
-    """Through arms joining, sitting out and re-anchoring, a full-mode
-    registry holds arm logits (``LogitBelief``), and each arm's is the one
+    """From an empty registry's first round on, through arms joining,
+    sitting out and re-anchoring, a full-mode registry holds arm logits
+    (``LogitBelief``), and each arm's is the one
     a fixed set of every arm reaches from the same counts, bit for bit:
     the update moves each logit alone and the registry only moves them."""
     pool = tuple("ABCDEFG")
@@ -307,33 +301,48 @@ def test_full_mode_registry_holds_each_arms_own_logit():
     assert set(registry.arms) == set(pool)
 
 
-def test_plan_round_reads_a_full_mode_dense_arrow_as_logits():
-    """A full-mode registry that holds a dense arrow, as after a
-    ``full_rank`` fallback, decides its marginal as arm logits; the same
-    registry in the odds-ratio mode keeps the Monte Carlo tally."""
-    registry = seeded_registry()
-    assert _arm_logits(registry.belief) is not None
-    arms = registry.arms
-    full = ArmRegistry(arms, registry.belief, registry.round, UpdateMode.FULL)
-    states = []
-    for held, decide in ((full, _as_logits), (registry, lambda belief: belief)):
-        expected = np.random.default_rng(47)
-        direct = allocation_proportions(decide(registry.belief), 2000, expected).p
-        rng = np.random.default_rng(47)
-        np.testing.assert_array_equal(plan_round(held, arms, 2000, rng).proportions.p, direct)
-        assert rng.bit_generator.state == expected.bit_generator.state
-        states.append(rng.bit_generator.state)
-    assert states[0] != states[1]
+def test_round_after_a_full_rank_fallback_decides_its_dense_marginal(monkeypatch):
+    """An odds-ratio scenario that falls back to one full-rank update
+    holds a dense belief whose marginal over the next round's arms is an
+    exact arrow; that round's plan is ``allocation_proportions`` of the
+    dense marginal, bit for bit, generator state included."""
+    planned = []
+    original = plan_round
+
+    def record(registry, active, n_draws, rng):
+        state = rng.bit_generator.state
+        plan = original(registry, active, n_draws, rng)
+        planned.append((registry, active, n_draws, state, plan, rng.bit_generator.state))
+        return plan
+
+    monkeypatch.setattr(continuous, "plan_round", record)
+    rounds = (
+        ScenarioRound(("A", "B", "C"), {"A": 0.32, "B": 0.30, "C": 0.28}, 2000),
+        ScenarioRound(("C", "D"), {"C": 0.28, "D": 0.34}, 2000),
+        ScenarioRound(("A", "B", "C", "D"), {"A": 0.32, "B": 0.30, "C": 0.28, "D": 0.34}, 2000),
+    )
+    result = run_continuous(ContinuousScenario(rounds, seed=5, n_draws=2000, on_break="full_rank"))
+    assert [o.decision for o in result.rounds][1] is Continuity.FULL_RANK
+    registry, active, n_draws, before, plan, after = planned[2]
+    assert set(registry.arms) == set(active)
+    marginal = marginalize_keep(registry.belief, list(range(len(active))))
+    assert isinstance(marginal, GaussianBelief) and oracles.arrow_logits(marginal) is not None
+    rng = np.random.default_rng()
+    rng.bit_generator.state = before
+    expected = allocation_proportions(marginal, n_draws, rng).p
+    np.testing.assert_array_equal(plan.proportions.p, expected[[registry.arms.index(a) for a in active]])
+    assert rng.bit_generator.state == after
 
 
 def test_run_continuous_reinitializes_without_a_mode(monkeypatch):
-    """After a break the scenario plans on a fresh registry, which has no
-    mode, and the next absorbed round records the scenario's."""
+    """After a break the scenario plans on a fresh registry, flat arm
+    logits that no round has updated, and the full mode's next absorbed
+    round keeps arm logits."""
     planned = []
     original = plan_round
 
     def record(registry, *args):
-        planned.append(registry.mode)
+        planned.append((registry.round, isinstance(registry.belief, LogitBelief)))
         return original(registry, *args)
 
     monkeypatch.setattr(continuous, "plan_round", record)
@@ -343,8 +352,8 @@ def test_run_continuous_reinitializes_without_a_mode(monkeypatch):
         ScenarioRound(("C", "D"), {"C": 0.30, "D": 0.28}, 1000),
     )
     result = run_continuous(ContinuousScenario(rounds, mode=UpdateMode.FULL, seed=13, n_draws=1000))
-    assert planned == [None, UpdateMode.FULL, None]
-    assert result.registry.mode is UpdateMode.FULL
+    assert planned == [(0, True), (1, True), (0, True)]
+    assert isinstance(result.registry.belief, LogitBelief)
 
 
 # --- scenario runner -----------------------------------------------------------

@@ -18,7 +18,7 @@ from orbandit import (
     sample,
     transform,
 )
-from orbandit.gaussian_belief import _as_logits, _embed_flat, _move_reference
+from orbandit.gaussian_belief import _embed_flat, _move_reference
 from oracles import (
     arm_logit_matrix,
     arrow_precision,
@@ -499,18 +499,3 @@ def test_logit_belief_index_operations_match_the_dense_ones(case):
         assert np.array_equal(dropped.mean, expected.mean)
         assert np.array_equal(dropped.precision, expected.precision)
 
-
-def test_dense_arrows_convert_to_logits():
-    """``_as_logits`` reads a dense arrow's logits, a precision below zero
-    by rounding as flat, and no other belief."""
-    belief = logit_belief(6, 7)
-    converted = _as_logits(GaussianBelief(belief.mean, belief.precision))
-    np.testing.assert_allclose(converted.logit_mean, belief.logit_mean, rtol=1e-15, atol=1e-15)
-    np.testing.assert_allclose(converted.logit_precision, belief.logit_precision, rtol=1e-9)
-    assert _as_logits(belief) is belief
-    flat = _as_logits(make_flat_belief(3))
-    assert np.array_equal(flat.logit_precision, np.zeros(3)) and not flat.is_proper()
-    precision = arrow_precision(np.array([2.0, 3.0]), 0.0)
-    precision[-1, -1] -= 1e-12
-    assert _as_logits(GaussianBelief(np.zeros(3), precision)).logit_precision[-1] == 0.0
-    assert _as_logits(random_proper_belief(3, np.random.default_rng(8))) is None

@@ -25,7 +25,7 @@ from orbandit import (
     logit_update,
     make_flat_belief,
 )
-from orbandit.gaussian_belief import REL_TOL, _arrow_logits, _flat_logits
+from orbandit.gaussian_belief import REL_TOL, _flat_logits
 import oracles
 from oracles import (
     dense_objective,
@@ -468,7 +468,7 @@ def test_logit_update_matches_the_dense_update_on_a_seeded_sweep():
         except OptimizationFailureError:
             dense_failures += 1
             continue
-        mean, precision = _arrow_logits(dense)
+        mean, precision = oracles.arrow_logits(dense)
         corner = dense.precision[-1, -1]
         reached = logit_steps(LogitBelief(mean, np.zeros_like(mean)), prior, data) <= 1e-10
         both = ~_flat_logits(posterior) & (precision > REL_TOL * corner)

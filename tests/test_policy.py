@@ -44,18 +44,15 @@ from orbandit import (
     sample,
     simulation,
 )
-from orbandit.gaussian_belief import _as_logits
 from orbandit.policy import (
     _QUAD_DELTA,
     _QUAD_NODES,
-    _arm_logits,
     _beta_bounds,
     _beta_quadrature,
     _beta_survivors,
     _beta_win_chances,
     _block_rows,
     _chi2_tail,
-    _gaussian_plan,
     _gaussian_survivors,
     _logit_survivors,
     _normal_quadrature,
@@ -136,13 +133,18 @@ def or_ts_belief(k, trials, seed, spread=0.25, p=None):
 
 def full_ts_belief(k, trials, seed, p):
     """Belief after two full-rank rounds of ``trials`` split evenly, with
-    arm rates ``p``: an arrow precision, whose arm logits are independent."""
+    arm rates ``p``: independent arm logits, a ``LogitBelief``."""
     rng = np.random.default_rng(seed)
     state = LogisticPolicyState.flat_start(k, UpdateMode.FULL)
     for _ in range(2):
         n = np.full(k, trials // k)
         state = full_ts_update(state, RoundData(n, rng.binomial(n, p)))
     return state.belief
+
+
+# Full-rank arm logits at K = 10 whose screen keeps three arms at 1e4 draws.
+FULL_RANK_DROPS_ARMS = lambda: full_ts_belief(  # noqa: E731
+    10, 20_000, 1, p=np.r_[0.32, 0.30, np.full(7, 0.2), 0.25])
 
 
 def continuous_marginal(seed):
@@ -157,10 +159,15 @@ def continuous_marginal(seed):
     return marginalize_keep(registry.belief, [0, 2, 3, 5])
 
 
+def dense_view(belief):
+    """A belief's mean and precision as a dense ``GaussianBelief``."""
+    return GaussianBelief(belief.mean, belief.precision)
+
+
 # id -> (belief, the path its decision takes: "full" or "radial" when all
-# K coordinates are drawn, "quadrature" when some arm is dropped from an
-# arrow belief). The odds-ratio beliefs whose screen drops arms are not
-# arrows, so they draw every coordinate.
+# K coordinates of a dense belief are drawn, "quadrature" for arm logits).
+# A dense belief whose screen drops arms draws every coordinate, a dense
+# arrow included.
 ORACLE_BELIEFS = {
     "k2": (lambda: or_ts_belief(2, 10_000, 2), "radial"),
     "k10": (lambda: or_ts_belief(10, 10_000, 10), "full"),
@@ -176,20 +183,19 @@ ORACLE_BELIEFS = {
     "k10_reference_kept": (
         lambda: or_ts_belief(10, 20_000, 2, p=np.r_[0.30, np.full(8, 0.2), 0.28]),
         "full"),
-    "k10_full_rank": (
-        lambda: full_ts_belief(10, 20_000, 1, p=np.r_[0.32, 0.30, np.full(7, 0.2), 0.25]),
-        "quadrature"),
+    "k10_full_rank": (lambda: dense_view(FULL_RANK_DROPS_ARMS()), "full"),
+    "k10_full_rank_logits": (FULL_RANK_DROPS_ARMS, "quadrature"),
 }
 
 
 def oracle_winner_counts(belief, n_draws, rng, path):
-    """The oracle's counts for the path the case must take: for a screen
-    that drops arms from an arrow belief, one multinomial draw over the
-    kept arms whose probabilities are held to the oracle's; otherwise the
-    back-solve oracle's, or the radial oracle's when the split applies."""
-    keep = _gaussian_survivors(belief, n_draws)[0]
-    if not keep.all() and _arm_logits(belief) is not None:
+    """The oracle's counts for the path the case must take: for arm
+    logits, one multinomial draw over the kept arms whose probabilities
+    are held to the oracle's; otherwise the back-solve oracle's, or the
+    radial oracle's when the split applies."""
+    if isinstance(belief, LogitBelief):
         assert path == "quadrature"
+        keep = _logit_survivors(belief.logit_mean, belief.sd, n_draws)[0]
         return oracles.normal_multinomial_counts(belief, keep, n_draws, rng)
     split = oracles.radial_split(belief.mean, belief.precision)
     assert path == ("full" if split is None else "radial")
@@ -201,11 +207,11 @@ def oracle_winner_counts(belief, n_draws, rng, path):
 @pytest.mark.blas_sensitive
 @pytest.mark.parametrize("case", list(ORACLE_BELIEFS))
 def test_allocation_matches_the_backsolve_oracle(case):
-    """With all K coordinates drawn and no radial split, the proportions
-    and the generator state are the back-solve oracle's, bit for bit; with
-    the split, the radial oracle's (the radii, then back-solved
-    directions); with some arm dropped from an arrow belief, one
-    multinomial draw's over the kept arms."""
+    """With all K coordinates of a dense belief drawn and no radial split,
+    the proportions and the generator state are the back-solve oracle's,
+    bit for bit, a dense arrow whose screen drops arms included; with the
+    split, the radial oracle's (the radii, then back-solved directions);
+    with arm logits, one multinomial draw's over the kept arms."""
     make, path = ORACLE_BELIEFS[case]
     belief = make()
     assert belief.is_proper()
@@ -277,13 +283,13 @@ def assert_same_law(counts, ref_counts):
 
 @pytest.mark.blas_sensitive
 def test_arrow_quadrature_keeps_the_law_of_the_full_draw():
-    """At 400 001 draws, a full-rank belief whose screen drops arms but
+    """At 400 001 draws, full-rank arm logits whose screen drops arms but
     keeps two or more: one multinomial draw over the kept arms, whose
     counts hold to those of covariance-factor draws of every coordinate."""
-    make, path = ORACLE_BELIEFS["k10_full_rank"]
+    make, path = ORACLE_BELIEFS["k10_full_rank_logits"]
     belief = make()
     n_draws = 400_001
-    keep = _gaussian_survivors(belief, n_draws)[0]
+    keep = _logit_survivors(belief.logit_mean, belief.sd, n_draws)[0]
     assert 1 < keep.sum() < belief.dim
     rng, oracle_rng = np.random.default_rng(22), np.random.default_rng(22)
     counts = np.rint(allocation_proportions(belief, n_draws, rng).p * n_draws).astype(np.int64)
@@ -786,10 +792,13 @@ def full_ts_beliefs(monkeypatch, k, rounds, seed=1, spec=None, trials=10_000):
 def full_ts_quadrature_plans(monkeypatch, k, rounds, seed=1, spec=None, trials=10_000):
     """The kept arms' logit means and standard deviations of the
     ``full_ts`` decisions of ``full_ts_beliefs`` that take the
-    quadrature."""
-    plans = [_gaussian_plan(belief, 10_000)
-             for belief in full_ts_beliefs(monkeypatch, k, rounds, seed, spec, trials)]
-    return [plan[5] for plan in plans if plan[0] == "quadrature"]
+    quadrature: those whose screen keeps two or more arms."""
+    plans = []
+    for belief in full_ts_beliefs(monkeypatch, k, rounds, seed, spec, trials):
+        keep = _logit_survivors(belief.logit_mean, belief.sd, 10_000)[0]
+        if keep.sum() > 1:
+            plans.append((belief.logit_mean[keep], belief.sd[keep]))
+    return plans
 
 
 def churn_beliefs(monkeypatch, mode, seed=5, rounds=12, pool=14, active=8):
@@ -871,6 +880,22 @@ def near_tied_beta_state(arms=199, total=1e4, extra=()):
 # 0.29 ± 4e-4, lies below where the maximum lives, about one σ = 4.6e-3
 # above 0.3.
 BELOW_START = lambda: near_tied_beta_state(extra=[(0.32, 1e4), (0.29, 1e8)])  # noqa: E731
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "FOUND: policy._win_chances' 10-node panels give ||pi_hat - pi||_1 = 4.5e-11, above "
+    "WIN_CHANCE_L1 = 1e-11, on one Beta arm at 0.31 beside 199 at 0.3 +- 1e-4 with a + b = 1e4; "
+    "20 or 40 nodes on the same panels match oracles.beta_win_chances to 7e-15"))
+def test_beta_quadrature_bound_on_a_wide_near_tie():
+    """One Beta arm at rate 0.31 beside 199 near-tied at 0.3 ± 1e-4, all
+    with a + b = 1e4, every arm kept: the quadrature's chances lie within
+    ``WIN_CHANCE_L1`` of ``oracles.beta_win_chances``. They do not yet;
+    mending the rule, which moves every ``beta_ts`` and ``full_ts``
+    stream, will make this pass."""
+    state = near_tied_beta_state(extra=[(0.31, 1e4)])
+    assert _beta_survivors(state, 10_000).all()
+    chances = _beta_win_chances(state.alpha, state.beta)
+    assert np.abs(chances - oracles.beta_win_chances(state.alpha, state.beta)).sum() <= WIN_CHANCE_L1
 
 
 def kept_beta_quadrature(make):
@@ -991,7 +1016,8 @@ def first_round(k, mode, seed=41):
     if mode is UpdateMode.FULL:
         assert isinstance(state.belief, LogitBelief)
     else:
-        assert _arm_logits(state.belief) is not None
+        assert isinstance(state.belief, GaussianBelief)
+        assert oracles.arrow_logits(state.belief) is not None
     assert _gaussian_survivors(state.belief, 10_000)[0].all()
     return state, registry, arms
 
@@ -1003,7 +1029,7 @@ def test_full_mode_every_arm_arrow_takes_the_quadrature(k):
     multinomial draw with the arm logits' Thompson probabilities, bit for
     bit, through ``simulation``'s round step and through ``plan_round``."""
     state, registry, arms = first_round(k, UpdateMode.FULL)
-    assert registry.mode is UpdateMode.FULL
+    assert isinstance(registry.belief, LogitBelief)
     expected = np.random.default_rng(42)
     belief = state.belief
     counts = expected.multinomial(10_000, _normal_win_chances(belief.logit_mean, belief.sd))
@@ -1022,8 +1048,7 @@ def test_odds_ratio_first_decision_stays_on_the_tally(k):
     ``allocation_proportions(belief)`` bit for bit, through either round
     step, where the same arrow read as arm logits takes the quadrature."""
     state, registry, arms = first_round(k, UpdateMode.ODDS_RATIO)
-    assert registry.mode is UpdateMode.ODDS_RATIO
-    assert isinstance(state.belief, GaussianBelief)
+    assert isinstance(registry.belief, GaussianBelief)
     full = first_round(k, UpdateMode.FULL)[0].belief
     np.testing.assert_allclose(state.belief.precision, full.precision, rtol=1e-12)
     expected = np.random.default_rng(43)
@@ -1034,12 +1059,36 @@ def test_odds_ratio_first_decision_stays_on_the_tally(k):
         np.testing.assert_array_equal(decide(rng).p, tally)
         assert rng.bit_generator.state == expected.bit_generator.state
     rng = np.random.default_rng(43)
-    allocation_proportions(_as_logits(state.belief), 10_000, rng)
+    allocation_proportions(LogitBelief(*oracles.arrow_logits(state.belief)), 10_000, rng)
     assert rng.bit_generator.state != expected.bit_generator.state
 
 
+@pytest.mark.parametrize("k", [2, 10, 200])
+def test_flat_starts_hold_flat_logits_whose_first_odds_ratio_update_reads_zeros(k):
+    """``flat_start`` in either mode, ``ArmRegistry.fresh`` and the first
+    ``absorb_round`` of an empty registry hold flat arm logits, whose
+    dense view is exactly zero, so the first ``or_ts_update`` from each
+    equals the update from ``make_flat_belief(K)`` bit for bit."""
+    n = np.full(k, 100)
+    data = RoundData(n, np.random.default_rng(k).binomial(n, 0.3))
+    arms = tuple(range(k))
+    flat = [LogisticPolicyState.flat_start(k, mode).belief for mode in UpdateMode]
+    flat.append(ArmRegistry.fresh(arms).belief)
+    for belief in flat:
+        assert isinstance(belief, LogitBelief)
+        assert not belief.logit_mean.any() and not belief.logit_precision.any()
+        assert belief.mean.tobytes() == np.zeros(k).tobytes()
+        assert belief.precision.tobytes() == np.zeros((k, k)).tobytes()
+    expected = or_ts_update(LogisticPolicyState(make_flat_belief(k), UpdateMode.ODDS_RATIO), data).belief
+    for updated in (or_ts_update(LogisticPolicyState.flat_start(k, UpdateMode.ODDS_RATIO), data),
+                    absorb_round(ArmRegistry.fresh(arms), arms, data, UpdateMode.ODDS_RATIO),
+                    absorb_round(ArmRegistry.empty(), arms, data, UpdateMode.ODDS_RATIO)):
+        assert updated.belief.mean.tobytes() == expected.mean.tobytes()
+        assert updated.belief.precision.tobytes() == expected.precision.tobytes()
+
+
 LOGIT_DECISIONS = {
-    "k10_drops_arms": lambda: full_ts_belief(10, 20_000, 1, p=np.r_[0.32, 0.30, np.full(7, 0.2), 0.25]),
+    "k10_drops_arms": FULL_RANK_DROPS_ARMS,
     "k10_every_arm": lambda: first_round(10, UpdateMode.FULL)[0].belief,
     "k200_every_arm": lambda: first_round(200, UpdateMode.FULL)[0].belief,
     "settled": lambda: LogitBelief([0.0, -3.0, -3.0], [1e6, 1e6, 1e6]),
@@ -1118,42 +1167,46 @@ def test_logit_screen_keeps_the_arms_of_the_loading_screen(beliefs, monkeypatch)
 @pytest.mark.parametrize("k", [10, 200])
 def test_arm_logits_read_the_reference_precision_without_cancellation(k, ratio):
     """Arrow beliefs built from known (d, D), the corner Σd + D up to 1e4
-    times D: the Thompson probabilities from ``_arm_logits`` lie within
-    1e-11 of those from the exact (d, D)."""
+    times D: the Thompson probabilities from the arm logits that
+    ``oracles.arrow_logits``, the tests' reading of a dense arrow, gives
+    lie within 1e-11 of those from the exact (d, D)."""
     rng = np.random.default_rng(k)
     d = rng.uniform(1e3, 1e5, size=k - 1)
     rest = d.sum() / (ratio - 1.0) if ratio > 1.0 else 1e4
     logits = rng.normal(-0.8, 0.01, size=k)
     mean = logits - logits[-1]
     mean[-1] = logits[-1]
-    read_mean, read_sd = _arm_logits(GaussianBelief(mean, oracles.arrow_precision(d, rest)))
-    chances = _normal_win_chances(read_mean, read_sd)
+    read_mean, read_precision = oracles.arrow_logits(GaussianBelief(mean, oracles.arrow_precision(d, rest)))
+    chances = _normal_win_chances(read_mean, 1.0 / np.sqrt(read_precision))
     sd = 1.0 / np.sqrt(np.r_[d, rest])
     assert np.abs(chances - oracles.normal_win_chances(logits, sd)).sum() <= WIN_CHANCE_L1
 
 
 def test_arm_logits_read_the_reference_precision_to_the_corner_rounding():
     """At K = 200, d spread over four decades and a corner 1e4 times D, on
-    100 seeds: D is read within eps · (corner / D + 4) relative, the
-    corner's own rounding and that of the standard deviation. A float sum
-    of d exceeds that on some of them."""
+    100 seeds: ``oracles.arrow_logits`` reads D within
+    eps · (corner / D + 4) relative, the corner's own rounding and a few
+    more. A float sum of d exceeds that on some of them. The logit sweep
+    of ``test_logistic_model`` reads the dense update's reference
+    precision through it."""
     eps = np.finfo(float).eps
     for seed in range(100):
         d = 10.0 ** np.random.default_rng(seed).uniform(2.0, 6.0, size=199)
         rest = d.sum() / 1e4
         precision = oracles.arrow_precision(d, rest)
-        read = _arm_logits(GaussianBelief(np.zeros(200), precision))[1][-1] ** -2
+        read = oracles.arrow_logits(GaussianBelief(np.zeros(200), precision))[1][-1]
         assert abs(read / rest - 1.0) <= eps * (precision[-1, -1] / rest + 4.0), seed
 
 
 def test_arm_logits_need_an_arrow_and_a_positive_reference_precision():
-    """An odds-ratio belief after two rounds is no arrow; an arrow whose
-    corner is not above Σd gives no reference precision."""
-    assert _arm_logits(or_ts_belief(10, 10_000, 10)) is None
+    """``oracles.arrow_logits``: an odds-ratio belief after two rounds is
+    no arrow; an arrow whose corner is not above Σd gives no positive
+    reference precision."""
+    assert oracles.arrow_logits(or_ts_belief(10, 10_000, 10)) is None
     precision = oracles.arrow_precision(np.array([2.0, 3.0]), 1.0)
-    assert _arm_logits(GaussianBelief(np.zeros(3), precision)) is not None
+    assert oracles.arrow_logits(GaussianBelief(np.zeros(3), precision))[1][-1] > 0.0
     precision[-1, -1] = 5.0
-    assert _arm_logits(GaussianBelief(np.zeros(3), precision)) is None
+    assert not oracles.arrow_logits(GaussianBelief(np.zeros(3), precision))[1][-1] > 0.0
 
 
 # --- blocked draws and tally -------------------------------------------------

@@ -4,8 +4,8 @@ The screened allocation must be the full draw's, bit for bit, whenever the
 decision draws (or, for a Gaussian decision that takes the radial split,
 the radial oracle's), and one multinomial draw with Thompson probabilities
 within 1e-11 of the oracle's over the kept arms when it takes the
-quadrature: a Beta decision without a shape below 1, or a Gaussian one
-that drops arms from a belief with independent arm logits. A settled
+quadrature: a Beta decision without a shape below 1, or one on
+independent arm logits (a ``LogitBelief``). A settled
 decision must be one the full draw makes too; every arm the screen drops
 must be one whose chance of tying or beating the leader is within the
 screen's per-draw budget, computed here from the forward distribution
@@ -37,7 +37,7 @@ from orbandit import (
     or_ts_update,
 )
 from orbandit.gaussian_belief import _draw_into, _move_reference
-from orbandit.policy import _arm_logits, _beta_plan, _beta_survivors, _gaussian_survivors
+from orbandit.policy import _beta_plan, _beta_survivors, _gaussian_survivors, _logit_survivors
 
 properties = settings(derandomize=True, deadline=None, max_examples=100)
 seeds = st.integers(0, 2**32 - 1)
@@ -74,12 +74,15 @@ def gaussian_beliefs(draw):
 def arrow_beliefs(draw):
     """Beliefs of independent arm logits: precisions ``d`` of 1 to 1e6 for
     the arms but the reference, its own D from 1e-2 to 1 times their sum,
-    and logit means spread 0.1–5 wide, written in θ as an arrow."""
+    and logit means spread 0.1–5 wide, held as a ``LogitBelief`` or
+    written in θ as a dense arrow."""
     k = draw(st.integers(3, 6))
     rng = np.random.default_rng(draw(seeds))
     d = 10.0 ** rng.uniform(0.0, 6.0, size=k - 1)
     rest = d.sum() * 10.0 ** rng.uniform(-2.0, 0.0)
     logits = draw(st.sampled_from([0.1, 1.0, 5.0])) * rng.normal(size=k)
+    if draw(st.booleans()):
+        return LogitBelief(logits, np.r_[d, rest])
     return GaussianBelief(np.r_[logits[:-1] - logits[-1], logits[-1]], oracles.arrow_precision(d, rest))
 
 
@@ -167,19 +170,23 @@ def test_beta_screen_drops_only_arms_within_budget(state, n_draws):
 @example(belief=GaussianBelief([1.0, 0.9, -5.0, 0.0], 100.0 * np.eye(4)), n_draws=10_000, seed=0)
 @example(belief=GaussianBelief([0.05, -5.0, 0.0], 100.0 * np.eye(3)), n_draws=10_000, seed=0)
 def test_gaussian_screen_matches_the_full_draw(belief, n_draws, seed):
-    """One arm kept: a settled decision. Some arms dropped from a belief
-    with independent arm logits: one multinomial draw over the kept arms
-    whose probabilities are held to the oracle's, and zero for the others.
-    Otherwise the full draw's bits and generator state, or the radial
-    oracle's when the decision takes the split."""
-    keep, _, _ = _gaussian_survivors(belief, n_draws)
+    """One arm kept: a settled decision. Arm logits (``LogitBelief``):
+    one multinomial draw over the kept arms whose probabilities are held
+    to the oracle's, and zero for the others. A dense belief, a dense
+    arrow included: the full draw's bits and generator state, or the
+    radial oracle's when the decision takes the split."""
+    logits = isinstance(belief, LogitBelief)
+    if logits:
+        keep, _ = _logit_survivors(belief.logit_mean, belief.sd, n_draws)
+    else:
+        keep, _, _ = _gaussian_survivors(belief, n_draws)
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     p = allocation_proportions(belief, n_draws, rng).p
     if keep.sum() == 1:
         assert_settled(p, np.flatnonzero(keep)[0], rng, seed,
                        lambda draws, r: oracles.allocation_proportions(belief, draws, r))
         return
-    if not keep.all() and _arm_logits(belief) is not None:
+    if logits:
         expected = oracles.normal_multinomial_counts(belief, keep, n_draws, oracle_rng) / float(n_draws)
     elif (split := oracles.radial_split(belief.mean, belief.precision)) is None:
         expected = oracles.allocation_proportions(belief, n_draws, oracle_rng).p
@@ -313,9 +320,9 @@ def assert_arrow_logits(belief):
     """The belief holds independent logits (``LogitBelief``) whose
     variances match the logits' variances from ``belief.covariance()``
     within 1e-9 relative, and whose means are the arms' log odds; its
-    dense view is an arrow that ``_arm_logits`` reads."""
+    dense view is an arrow (``oracles.arrow_logits``)."""
     assert isinstance(belief, LogitBelief)
-    assert _arm_logits(GaussianBelief(belief.mean, belief.precision)) is not None
+    assert oracles.arrow_logits(belief) is not None
     mean, sd = belief.logit_mean, belief.sd
     matrix = oracles.arm_logit_matrix(belief.dim)
     np.testing.assert_allclose(sd**2, np.diag(matrix @ belief.covariance() @ matrix.T), rtol=1e-9)
@@ -335,4 +342,4 @@ def test_full_rank_beliefs_stay_arrows(case):
     assert_arrow_logits(_move_reference(belief, anchor))
     state = LogisticPolicyState(belief, UpdateMode.ODDS_RATIO)
     data = RoundData(np.full(belief.dim, 1_000), np.full(belief.dim, 300))
-    assert _arm_logits(or_ts_update(or_ts_update(state, data), data).belief) is None
+    assert oracles.arrow_logits(or_ts_update(or_ts_update(state, data), data).belief) is None

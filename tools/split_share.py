@@ -15,14 +15,15 @@ sorts every Thompson decision by the path it takes. A logistic policy's
 decides by the type of the belief:
 
 - ``one-hot``: the screen keeps the leader alone, and nothing is drawn;
-- ``quadrature``: the screen keeps at least two arms, and either the
-  belief holds independent arm logits (a ``LogitBelief``, as every
-  ``full_ts`` belief does) or it is a dense arrow whose screen drops some
-  arms, so the Thompson probabilities come from
+- ``quadrature``: the belief holds independent arm logits (a
+  ``LogitBelief``, as every ``full_ts`` belief does) and the screen keeps
+  at least two arms, so the Thompson probabilities come from
   ``policy._normal_win_chances``;
-- ``full``: all K coordinates drawn, K normals a row, no split;
-- ``split``: all K coordinates drawn with the radial split, which applies
-  when q = P(χ²(K) ≥ r*²) is at most one half (``policy._SPLIT_SHARE``).
+- ``full``: a dense belief, all K coordinates drawn, K normals a row, no
+  split;
+- ``split``: a dense belief, all K coordinates drawn with the radial
+  split, which applies when q = P(χ²(K) ≥ r*²) is at most one half
+  (``policy._SPLIT_SHARE``).
 
 ``beta_ts``'s follow ``beta_ts_proportions``:
 
@@ -36,7 +37,8 @@ For each policy it prints the number of decisions, the share of each
 path, the quartiles of q over the Gaussian decisions that draw normals,
 and those of the nodes over the quadrature decisions. Each decision's path
 is read, before it is made, from the plan the allocation itself follows
-(``policy._gaussian_plan`` or ``policy._beta_plan``), its nodes from the
+(``policy._logit_survivors`` for a ``LogitBelief``, ``policy._gaussian_plan``
+for a dense belief, ``policy._beta_plan``), its nodes from the
 panel edges the integrator itself takes (``policy._quadrature_edges`` on
 ``policy._normal_quadrature`` or ``policy._beta_quadrature`` of the kept
 arms), and the decision then draws from the generator as usual. The
@@ -55,11 +57,13 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from orbandit import cli, simulation  # noqa: E402
+from orbandit.gaussian_belief import LogitBelief  # noqa: E402
 from orbandit.policy import (  # noqa: E402
     _QUAD_NODES,
     _beta_plan,
     _beta_quadrature,
     _gaussian_plan,
+    _logit_survivors,
     _normal_quadrature,
     _quadrature_edges,
 )
@@ -78,10 +82,14 @@ def classify(belief, n_draws: int) -> tuple[str, float, float]:
     """The path of one Gaussian decision, its q, NaN for a decision that
     draws no normals, and its quadrature nodes, NaN for a decision that
     makes none."""
-    path, _, _, _, q, logits = _gaussian_plan(belief, n_draws)
-    if path != "quadrature":
+    if not isinstance(belief, LogitBelief):
+        path, _, _, _, q = _gaussian_plan(belief, n_draws)
         return path, q, np.nan
-    return path, q, quadrature_nodes(_normal_quadrature(*logits))
+    mean, sd = belief.logit_mean, belief.sd
+    kept = np.flatnonzero(_logit_survivors(mean, sd, n_draws)[0])
+    if kept.size == 1:
+        return "one-hot", np.nan, np.nan
+    return "quadrature", np.nan, quadrature_nodes(_normal_quadrature(mean[kept], sd[kept]))
 
 
 def classify_beta(state, n_draws: int) -> tuple[str, float]:
