@@ -169,6 +169,22 @@ def _resolve_simulate_config(args: argparse.Namespace) -> tuple[dict[str, Any], 
     return resolved, spec
 
 
+def _add_simulate_flags(parser: argparse.ArgumentParser) -> None:
+    """Add the flags ``_resolve_simulate_config`` reads: ``--config``,
+    ``--policy`` and one ``--<field>`` per ``_SIMULATE_FIELDS`` row."""
+    parser.add_argument("--config", required=True, help="JSON config or a previously emitted manifest.json")
+    parser.add_argument("--policy", choices=_POLICY_CHOICES)
+    for field, (kind, *_) in _SIMULATE_FIELDS.items():
+        parser.add_argument("--" + field.replace("_", "-"), dest=field, type=kind)
+
+
+def _experiment_config(resolved: Mapping[str, Any], policy: PolicyKind) -> ExperimentConfig:
+    """The ``ExperimentConfig`` of a resolved ``simulate`` config, for ``policy``."""
+    return ExperimentConfig(rounds=resolved["rounds"], trials_per_round=resolved["trials"],
+                            replications=resolved["replications"], policy=policy,
+                            seed=resolved["seed"], n_draws=resolved["n_draws"])
+
+
 def _write_csv(path: Path, header: list[str], rows: list[list[Any]]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
@@ -181,14 +197,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out_dir = _out_dir(args.out)
     resolved, spec = _resolve_simulate_config(args)
     policies = _ALL_POLICIES if resolved["policy"] == "all" else (PolicyKind(resolved["policy"]),)
-    config = ExperimentConfig(
-        rounds=resolved["rounds"],
-        trials_per_round=resolved["trials"],
-        replications=resolved["replications"],
-        policy=policies[0],
-        seed=resolved["seed"],
-        n_draws=resolved["n_draws"],
-    )
+    config = _experiment_config(resolved, policies[0])
     started = time.perf_counter()
     summary = run_replications(config, spec, policies=policies, jobs=args.jobs)
     duration = time.perf_counter() - started
@@ -313,10 +322,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     simulate = sub.add_parser("simulate", help="run the replication harness from a JSON config")
-    simulate.add_argument("--config", required=True, help="JSON config or a previously emitted manifest.json")
-    simulate.add_argument("--policy", choices=_POLICY_CHOICES)
-    for field, (kind, *_) in _SIMULATE_FIELDS.items():
-        simulate.add_argument("--" + field.replace("_", "-"), dest=field, type=kind)
+    _add_simulate_flags(simulate)
     simulate.add_argument("--jobs", type=int, default=1)
     simulate.add_argument("--out", required=True, help="output directory")
     simulate.set_defaults(handler=cmd_simulate)

@@ -195,6 +195,7 @@ def plan_round(
     that marginal's scored coordinates, all but the reference's base rate,
     are improper, every active arm keeps 1/|active|.
     """
+    _check_count("n_draws", n_draws, 1)
     active = _validated_active(active)
     working = _anchored(registry, active)
     m = len(active)

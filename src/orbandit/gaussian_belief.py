@@ -15,8 +15,8 @@ arm and b_K is the reference arm's own log odds. ``_move_reference``
 relabels the reference by index arithmetic, in O(K²); ``compose_reindex``
 and ``transform`` are the same relabeling as a dense parameter transform,
 for any permutation. Marginals go through one Cholesky factor of the
-dropped block (``marginalize_keep``), or one rank-one Schur complement
-when only the last coordinate is dropped.
+dropped block (``_schur_complement``), whichever coordinates are
+dropped.
 
 A full-rank posterior grown from a flat start keeps its arm logits
 η_j = b_j + b_K (and η_K = b_K) independent: its precision is the arrow
@@ -40,7 +40,7 @@ import numpy as np
 from scipy.linalg.blas import dtrmm, dtrsm
 from scipy.linalg.lapack import dtrtri
 
-from .errors import CannotSampleError, ConfigError, _check_count, _frozen_numbers, _numbers
+from .errors import CannotSampleError, ConfigError, _check_count, _check_number, _frozen_numbers, _numbers
 
 __all__ = [
     "GaussianBelief",
@@ -165,9 +165,8 @@ class LogitBelief:
     reads only the logits never forms a K×K array.
 
     Properness applies ``_zero_floor``'s rule to the logits: the belief is
-    proper when every D_j is above ``REL_TOL`` times the largest diagonal
-    entry of the θ-precision, its corner ΣD (``_flat_logits``), which is
-    where the arrow's Cholesky pivots, d and D_K, cross that floor.
+    proper when no logit is ``flat``, which is where the arrow's Cholesky
+    pivots, d and D_K, cross that floor.
     """
 
     logit_mean: np.ndarray
@@ -187,8 +186,22 @@ class LogitBelief:
         return self.logit_mean.size
 
     def is_proper(self) -> bool:
-        """True when no arm logit is flat (``_flat_logits``)."""
-        return not _flat_logits(self).any()
+        """True when no arm logit is ``flat``."""
+        return not self.flat.any()
+
+    @cached_property
+    def _total_precision(self) -> float:
+        """ΣD, summed exactly so that no relabeling of the arms moves it:
+        the θ-precision's corner and largest diagonal entry."""
+        return math.fsum(self.logit_precision)
+
+    @cached_property
+    def flat(self) -> np.ndarray:
+        """Mask of the arm logits whose precision is within ``REL_TOL`` of
+        the θ-precision's largest diagonal entry, the corner ΣD."""
+        flat = self.logit_precision <= REL_TOL * self._total_precision
+        flat.setflags(write=False)
+        return flat
 
     @cached_property
     def sd(self) -> np.ndarray:
@@ -211,7 +224,7 @@ class LogitBelief:
         """The odds-ratio precision: the arrow with odds block diag(d), d
         above the corner in the last column, and corner ΣD."""
         d = self.logit_precision[:-1]
-        precision = np.diag(np.r_[d, math.fsum(self.logit_precision)])
+        precision = np.diag(np.r_[d, self._total_precision])
         precision[:-1, -1] = precision[-1, :-1] = d
         precision.setflags(write=False)
         return precision
@@ -228,14 +241,6 @@ class LogitBelief:
     def covariance(self) -> np.ndarray:
         """The odds-ratio covariance; requires a proper belief."""
         return self._dense.covariance()
-
-
-def _flat_logits(belief: LogitBelief) -> np.ndarray:
-    """Mask of the arm logits whose precision is within ``REL_TOL`` of the
-    θ-precision's largest diagonal entry, the corner ΣD, summed exactly so
-    that no relabeling of the arms moves it."""
-    precision = belief.logit_precision
-    return precision <= REL_TOL * math.fsum(precision)
 
 
 def make_flat_belief(dim: int) -> GaussianBelief:
@@ -342,8 +347,9 @@ def _move_reference(belief: GaussianBelief, r: int) -> GaussianBelief:
     return GaussianBelief(mean, precision)
 
 
-def marginalize_keep(belief: GaussianBelief, keep: Sequence[int]) -> GaussianBelief:
-    """Marginal belief over a subset of coordinates, in the given order.
+def _schur_complement(precision: np.ndarray, keep: Sequence[int], drop: Sequence[int]) -> np.ndarray:
+    """Precision of the marginal over the ``keep`` coordinates, in that
+    order, after integrating out the ``drop`` coordinates.
 
     Works directly in precision form: the kept block minus B A⁻¹ Bᵀ, for
     the dropped block A and the coupling B of kept to dropped coordinates.
@@ -354,7 +360,33 @@ def marginalize_keep(belief: GaussianBelief, keep: Sequence[int]) -> GaussianBel
     the eigenvalues within its ``_zero_floor``, which keeps this
     total over valid (positive semidefinite) precisions. A flat dropped
     coordinate couples to nothing and integrates out to nothing, so a
-    fully flat belief marginalizes to a flat belief.
+    flat block leaves the kept block unchanged, bit for bit.
+    """
+    marginal = precision.take(keep, 0).take(keep, 1)
+    if len(drop):
+        rows = precision.take(drop, 0)
+        block = rows.take(drop, 1)
+        # The precision is symmetric, so Bᵀ is the dropped rows' kept columns.
+        coupling_t = rows.take(keep, 1)
+        factor = _cholesky(block)
+        if factor is not None:
+            # Lᵀ in Fortran order is L's own buffer, so L is not copied.
+            root = dtrsm(1.0, factor.T, coupling_t, lower=0, trans_a=1)
+            marginal -= root.T @ root
+        else:
+            eigvals, eigvecs = np.linalg.eigh(block)
+            nonzero = np.abs(eigvals) > _zero_floor(block)
+            loadings = coupling_t.T @ eigvecs[:, nonzero]
+            marginal -= (loadings / eigvals[nonzero]) @ loadings.T
+    return marginal
+
+
+def marginalize_keep(belief: GaussianBelief, keep: Sequence[int]) -> GaussianBelief:
+    """Marginal belief over a subset of coordinates, in the given order.
+
+    The precision is the Schur complement of the dropped coordinates
+    (``_schur_complement``), so a fully flat belief marginalizes to a flat
+    belief.
 
     A ``LogitBelief`` whose reference stays last keeps the independent
     logits of the kept arms, which are taken, in O(K); any other subset
@@ -369,43 +401,13 @@ def marginalize_keep(belief: GaussianBelief, keep: Sequence[int]) -> GaussianBel
         raise ConfigError(f"invalid coordinate subset {keep} for dimension {d}")
     if isinstance(belief, LogitBelief) and keep[-1] == d - 1:
         return LogitBelief(belief.logit_mean[keep], belief.logit_precision[keep])
-    p = belief.precision
-    marginal = p.take(keep, 0).take(keep, 1)
-    drop = np.array([i for i in range(d) if i not in kept], dtype=np.intp)
-    if drop.size:
-        rows = p.take(drop, 0)
-        block = rows.take(drop, 1)
-        # The precision is symmetric, so Bᵀ is the dropped rows' kept columns.
-        coupling_t = rows.take(keep, 1)
-        factor = _cholesky(block)
-        if factor is not None:
-            # Lᵀ in Fortran order is L's own buffer, so L is not copied.
-            root = dtrsm(1.0, factor.T, coupling_t, lower=0, trans_a=1)
-            marginal -= root.T @ root
-        else:
-            eigvals, eigvecs = np.linalg.eigh(block)
-            nonzero = np.abs(eigvals) > _zero_floor(block)
-            loadings = coupling_t.T @ eigvecs[:, nonzero]
-            marginal -= (loadings / eigvals[nonzero]) @ loadings.T
-    return GaussianBelief(belief.mean[keep], marginal)
-
-
-def _drop_last_precision(precision: np.ndarray) -> np.ndarray:
-    """Precision of the marginal over all coordinates but the last: the
-    rank-one Schur complement P[:-1, :-1] − p pᵀ / P[-1, -1] with
-    p = P[:-1, -1], or P[:-1, :-1] when the last coordinate is flat."""
-    pivot = precision[-1, -1]
-    if pivot == 0.0:
-        return precision[:-1, :-1]
-    coupling = precision[:-1, -1]
-    return precision[:-1, :-1] - np.multiply.outer(coupling, coupling) / pivot
+    drop = [i for i in range(d) if i not in kept]
+    return GaussianBelief(belief.mean[keep], _schur_complement(belief.precision, keep, drop))
 
 
 def marginalize_drop_last(belief: GaussianBelief) -> GaussianBelief:
-    """Marginal over all coordinates but the last."""
-    if belief.dim < 2:
-        raise ConfigError("must keep at least one coordinate")
-    return GaussianBelief(belief.mean[:-1], _drop_last_precision(belief.precision))
+    """Marginal over all coordinates but the last (``marginalize_keep``)."""
+    return marginalize_keep(belief, range(belief.dim - 1))
 
 
 def embed_flat_last(belief: GaussianBelief, start_last: float = 0.0) -> GaussianBelief | LogitBelief:
@@ -413,9 +415,11 @@ def embed_flat_last(belief: GaussianBelief, start_last: float = 0.0) -> Gaussian
 
     The new coordinate gets mean ``start_last`` and a zero precision row
     and column, so the result is always improper in that direction; the
-    mean entry only seeds later mode searches.
+    mean entry only seeds later mode searches. It must be a finite real
+    number.
     """
-    return _embed_flat(belief, np.arange(belief.dim), belief.dim + 1, float(start_last))
+    start_last = _check_number("start_last", start_last, -math.inf)
+    return _embed_flat(belief, np.arange(belief.dim), belief.dim + 1, start_last)
 
 
 def _embed_flat(belief: GaussianBelief | LogitBelief, positions, dim: int,

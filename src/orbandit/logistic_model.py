@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import ConfigError, OptimizationFailureError, _frozen_numbers
-from .gaussian_belief import GaussianBelief, LogitBelief, _flat_logits, _zero_floor
+from .gaussian_belief import GaussianBelief, LogitBelief, _zero_floor
 
 __all__ = [
     "RoundData",
@@ -300,13 +300,13 @@ def logit_update(prior: LogitBelief, data: RoundData) -> LogitBelief:
     Each arm's logit mode is found alone (``_logit_modes``), and its
     precision becomes D + n σ(η)σ(−η) there. An arm whose counts are
     degenerate gets ``_smoothed`` when its logit is flat
-    (``_flat_logits``): the same rule as the dense update's, with the
+    (``LogitBelief.flat``): the same rule as the dense update's, with the
     reference's flatness read from its own precision rather than from the
     corner of the odds-ratio precision. A round with no trials leaves the
     belief unchanged.
     """
     if data.arms != prior.dim:
         raise ConfigError(f"data arms {data.arms} do not match prior dimension {prior.dim}")
-    n, c = _smoothed(data.n.astype(float), data.c.astype(float), _flat_logits(prior))
+    n, c = _smoothed(data.n.astype(float), data.c.astype(float), prior.flat)
     modes = _logit_modes(prior.logit_mean, prior.logit_precision, n, c)
     return LogitBelief(modes, prior.logit_precision + n * expit(modes) * expit(-modes))

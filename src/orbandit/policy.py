@@ -68,7 +68,7 @@ from .gaussian_belief import (
     GaussianBelief,
     LogitBelief,
     _draw_into,
-    _drop_last_precision,
+    _schur_complement,
 )
 from .logistic_model import RoundData, laplace_update, logit_update
 
@@ -435,10 +435,11 @@ def full_ts_update(state: LogisticPolicyState, data: RoundData) -> LogisticPolic
 def or_ts_update(state: LogisticPolicyState, data: RoundData) -> LogisticPolicyState:
     """Absorb a round after forgetting the shared base-rate coordinate.
 
-    The prior is the belief's marginal over the odds-ratio coordinates, a
-    rank-one Schur complement, with the base rate made flat: a zero last
-    precision row and column, and the previous base-rate mean kept to
-    warm-start the mode search. It is built as one belief, bit for bit
+    The prior is the belief's marginal over the odds-ratio coordinates,
+    the Schur complement of the base rate (``_schur_complement``), with
+    the base rate made flat: a zero last precision row and column, and the
+    previous base-rate mean kept to warm-start the mode search. It is built
+    as one belief, bit for bit
     ``embed_flat_last(marginalize_drop_last(belief), belief.mean[-1])``. A
     still-flat belief passes through unchanged, so the first update
     matches the full-rank policy exactly. The dense view of the flat
@@ -447,7 +448,7 @@ def or_ts_update(state: LogisticPolicyState, data: RoundData) -> LogisticPolicyS
     """
     belief = state.belief
     precision = np.zeros_like(belief.precision)
-    precision[:-1, :-1] = _drop_last_precision(belief.precision)
+    precision[:-1, :-1] = _schur_complement(belief.precision, np.arange(belief.dim - 1), [belief.dim - 1])
     prior = GaussianBelief(belief.mean, precision)
     return LogisticPolicyState(laplace_update(prior, data), state.mode, state.round_index + 1)
 

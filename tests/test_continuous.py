@@ -164,6 +164,14 @@ def test_plan_on_fresh_registry_is_uniform():
     assert plan.proportions.p.tolist() == [1 / 3] * 3
 
 
+@pytest.mark.parametrize("n_draws", [0, -1, 2.5])
+def test_plan_rejects_a_bad_draw_count_before_the_marginal_is_proper(n_draws):
+    """A fresh registry's marginal is improper, so the split would be even
+    without a draw; the draw count is checked first all the same."""
+    with pytest.raises(ConfigError, match="field 'n_draws'"):
+        plan_round(ArmRegistry.fresh(["a", "b"]), ["a", "b"], n_draws, np.random.default_rng(1))
+
+
 def test_plan_splits_between_observed_and_new_arms():
     registry = seeded_registry((40, 15, 10), (80, 50, 50))
     rng = np.random.default_rng(2)

@@ -252,16 +252,6 @@ def test_drop_last_matches_covariance_block():
     np.testing.assert_allclose(marginal.mean, [0.3], atol=1e-12)
 
 
-def test_drop_last_rounds_exactly_as_the_rank_one_schur_complement():
-    rng = np.random.default_rng(7)
-    for k in (2, 10, 50):
-        belief = random_proper_belief(k, rng, ridge=1e3)
-        p = belief.precision
-        rank_one = p[:-1, :-1] - np.outer(p[:-1, -1], p[-1, :-1]) / p[-1, -1]
-        expected = GaussianBelief(belief.mean[:-1], rank_one)
-        np.testing.assert_array_equal(marginalize_drop_last(belief).precision, expected.precision)
-
-
 def test_drop_last_of_flat_belief_stays_flat():
     marginal = marginalize_drop_last(make_flat_belief(3))
     assert marginal.dim == 2
@@ -283,6 +273,12 @@ def test_embed_then_drop_is_identity():
     back = marginalize_drop_last(embedded)
     np.testing.assert_allclose(back.mean, belief.mean, atol=1e-12)
     np.testing.assert_allclose(back.precision, belief.precision, atol=1e-12)
+
+
+@pytest.mark.parametrize("start_last", [True, "1.5", "x", None, np.inf, np.nan])
+def test_embed_rejects_a_start_that_is_no_finite_number(start_last):
+    with pytest.raises(ConfigError, match="field 'start_last'"):
+        embed_flat_last(make_flat_belief(2), start_last=start_last)
 
 
 def test_marginalize_keep_matches_covariance_block():

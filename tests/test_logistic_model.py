@@ -25,7 +25,7 @@ from orbandit import (
     logit_update,
     make_flat_belief,
 )
-from orbandit.gaussian_belief import REL_TOL, _flat_logits
+from orbandit.gaussian_belief import REL_TOL
 import oracles
 from oracles import (
     dense_objective,
@@ -413,7 +413,7 @@ def logit_steps(belief, prior, data):
     """Each arm's Newton step |g / h| at ``belief``'s logits for the
     objective of ``logit_update`` from ``prior`` on ``data``, relative to
     max(1, |η|); NaN for a flat arm without trials."""
-    n, c = logistic_model._smoothed(data.n.astype(float), data.c.astype(float), _flat_logits(prior))
+    n, c = logistic_model._smoothed(data.n.astype(float), data.c.astype(float), prior.flat)
     m, d, eta = prior.logit_mean, prior.logit_precision, belief.logit_mean
     up, down = expit(eta), expit(-eta)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -471,7 +471,7 @@ def test_logit_update_matches_the_dense_update_on_a_seeded_sweep():
         mean, precision = oracles.arrow_logits(dense)
         corner = dense.precision[-1, -1]
         reached = logit_steps(LogitBelief(mean, np.zeros_like(mean)), prior, data) <= 1e-10
-        both = ~_flat_logits(posterior) & (precision > REL_TOL * corner)
+        both = ~posterior.flat & (precision > REL_TOL * corner)
         short += (both & ~reached).sum()
         arms = both & reached
         compared += arms.sum()

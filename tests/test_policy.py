@@ -1358,23 +1358,20 @@ FORGET_CASES = _forget_cases()
 @pytest.mark.parametrize("case", sorted(FORGET_CASES))
 def test_or_update_prior_is_bit_for_bit_the_embedded_drop_last_marginal(case, monkeypatch):
     """The forget step builds its prior as one belief; it must equal the
-    two-step construction exactly, so that no output moves with it. The
-    eigen-decomposition marginal, which the forget step once went
-    through, rounds the same way for one dropped coordinate."""
+    two-step construction exactly, so that no output moves with it."""
     belief = FORGET_CASES[case]
     priors = []
     monkeypatch.setattr(policy, "laplace_update", lambda prior, data: priors.append(prior) or prior)
     or_ts_update(LogisticPolicyState(belief, UpdateMode.ODDS_RATIO), None)
     if belief.dim > 1:
-        cores = [marginalize_drop_last(belief), oracles.marginalize_keep(belief, range(belief.dim - 1))]
+        core = marginalize_drop_last(belief)
     else:
-        cores = [GaussianBelief(np.zeros(0), np.zeros((0, 0)))]
+        core = GaussianBelief(np.zeros(0), np.zeros((0, 0)))
     (prior,) = priors
-    for core in cores:
-        expected = embed_flat_last(core, start_last=float(belief.mean[-1]))
-        assert np.array_equal(prior.mean, expected.mean)
-        assert np.array_equal(prior.precision, expected.precision)
-        assert prior.is_proper() == expected.is_proper()
+    expected = embed_flat_last(core, start_last=float(belief.mean[-1]))
+    assert np.array_equal(prior.mean, expected.mean)
+    assert np.array_equal(prior.precision, expected.precision)
+    assert prior.is_proper() == expected.is_proper()
 
 
 @pytest.mark.parametrize("update, mode", [

@@ -1,5 +1,6 @@
 """Simulation harness: environments, allocation arithmetic, replications."""
 
+import math
 import pickle
 from dataclasses import replace
 
@@ -14,12 +15,15 @@ from orbandit import (
     ConfigError,
     ExperimentConfig,
     ExperimentResult,
+    LogisticPolicyState,
     LogitDrift,
     PolicyKind,
     ProbVector,
     RegimeSchedule,
+    RoundData,
     SimulationError,
     Stationary,
+    UpdateMode,
     allocate_trials,
     beta_ts_proportions,
     draw_rewards,
@@ -328,6 +332,21 @@ def test_or_ts_draws_after_a_round_without_trials():
     np.testing.assert_array_equal(odds[1], np.full(3, 1 / 3))
     assert odds[3].max() > 0.9
     np.testing.assert_allclose(odds[3], full[3], atol=0.03)
+
+
+def test_a_full_mode_round_sums_each_logit_belief_once(monkeypatch):
+    """Proposing from a proper LogitBelief and then updating it reads its
+    flat mask three times (the round step's properness check, the
+    allocation's and the update's smoothing), but the exact sum behind
+    the mask is taken once per belief."""
+    data = RoundData(np.array([400, 500, 600]), np.array([120, 160, 170]))
+    state = simulation._update(LogisticPolicyState.flat_start(3, UpdateMode.FULL), data)
+    sums = []
+    fsum = math.fsum
+    monkeypatch.setattr(math, "fsum", lambda values: sums.append(values) or fsum(values))
+    simulation._propose(state, 1000, np.random.default_rng(5))
+    simulation._update(state, data)
+    assert sum(values is state.belief.logit_precision for values in sums) == 1
 
 
 def test_regime_schedule_must_cover_all_rounds():

@@ -67,7 +67,7 @@ from orbandit.policy import (  # noqa: E402
     _normal_quadrature,
     _quadrature_edges,
 )
-from orbandit.simulation import ExperimentConfig, PolicyKind  # noqa: E402
+from orbandit.simulation import PolicyKind  # noqa: E402
 
 PATHS = ("one-hot", "quadrature", "full", "split")
 BETA_PATHS = ("one-hot", "quadrature", "monte-carlo")
@@ -120,14 +120,7 @@ def record(resolved: dict, spec, policy: PolicyKind) -> list[tuple]:
         seen.append(classifier(state, n_draws))
         return allocate(state, n_draws, rng)
 
-    config = ExperimentConfig(
-        rounds=resolved["rounds"],
-        trials_per_round=resolved["trials"],
-        replications=resolved["replications"],
-        policy=policy,
-        seed=resolved["seed"],
-        n_draws=resolved["n_draws"],
-    )
+    config = cli._experiment_config(resolved, policy)
     setattr(simulation, name, classified)
     try:
         simulation.run_replications(config, spec, policies=(policy,))
@@ -152,10 +145,7 @@ def report(policy: PolicyKind, seen: list[tuple]) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--config", required=True, help="JSON config or an emitted manifest.json")
-    parser.add_argument("--policy", choices=cli._POLICY_CHOICES)
-    for field, (kind, *_) in cli._SIMULATE_FIELDS.items():
-        parser.add_argument("--" + field.replace("_", "-"), dest=field, type=kind)
+    cli._add_simulate_flags(parser)
     resolved, spec = cli._resolve_simulate_config(parser.parse_args(argv))
     for policy in HOOKS:
         if resolved["policy"] in ("all", policy.value):
